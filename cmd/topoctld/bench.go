@@ -30,6 +30,10 @@ type benchFlags struct {
 	mutBatch int
 }
 
+// cmdBench is the ad-hoc load driver for an already-running daemon (or,
+// with -self, a throwaway in-process one): point it at a deployment to see
+// QPS, latency percentiles and cache behaviour while poking at it. Numbers
+// of record come from the bench/ module (BENCHMARK.json), not from here.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	bf := &benchFlags{}
@@ -81,15 +85,13 @@ func cmdBench(args []string) error {
 // summary can report the cache behaviour this run induced (the server
 // counters are lifetime aggregates; the delta isolates this window).
 type benchStats struct {
-	Nodes          int                  `json:"nodes"`
-	Slots          int                  `json:"slots"`
-	BBoxLo         []float64            `json:"bbox_lo"`
-	BBoxHi         []float64            `json:"bbox_hi"`
-	CacheHits      uint64               `json:"cache_hits"`
-	CacheMisses    uint64               `json:"cache_misses"`
-	CacheEvictions uint64               `json:"cache_evictions"`
-	ShardCount     int                  `json:"shard_count"`
-	Shards         []service.ShardStats `json:"shards"`
+	Nodes          int       `json:"nodes"`
+	Slots          int       `json:"slots"`
+	BBoxLo         []float64 `json:"bbox_lo"`
+	BBoxHi         []float64 `json:"bbox_hi"`
+	CacheHits      uint64    `json:"cache_hits"`
+	CacheMisses    uint64    `json:"cache_misses"`
+	CacheEvictions uint64    `json:"cache_evictions"`
 
 	// Stretch fields of the post-window snapshot, for the summary line
 	// (computing the estimate is the server's first /stats touch on that
@@ -142,6 +144,10 @@ func runBench(bf *benchFlags, base string) error {
 			if interval <= 0 {
 				interval = time.Millisecond
 			}
+			// Pace from each batch's due time, not from when its synchronous
+			// POST returned: sleeping a full interval after the reply would
+			// stretch the period by the /mutate latency and under-deliver.
+			next := time.Now()
 			for !stopFlag.Load() {
 				ops := make([]service.Op, bf.mutBatch)
 				for i := range ops {
@@ -162,7 +168,8 @@ func runBench(bf *benchFlags, base string) error {
 					io.Copy(io.Discard, resp.Body) // keep the connection reusable
 					resp.Body.Close()
 				}
-				time.Sleep(interval)
+				next = next.Add(interval)
+				time.Sleep(time.Until(next))
 			}
 		}()
 	}
@@ -260,23 +267,16 @@ func runBench(bf *benchFlags, base string) error {
 		}
 		fmt.Printf("cache     server-side: %d hits / %d misses (%.1f%% hit rate), %d evictions\n",
 			hits, misses, ratio, end.CacheEvictions-st.CacheEvictions)
-		// Per-shard breakdown for sharded deployments: the window delta of
-		// each shard's query/hit counters against the pre-run snapshot.
-		if end.ShardCount > 1 && len(end.Shards) == len(st.Shards) {
-			for i, sh := range end.Shards {
-				q := sh.Queries - st.Shards[i].Queries
-				h := sh.CacheHits - st.Shards[i].CacheHits
-				hr := 0.0
-				if q > 0 {
-					hr = 100 * float64(h) / float64(q)
-				}
-				fmt.Printf("  shard %d  %d nodes, %d portals, %d queries (%.1f%% cached), swap epoch %d\n",
-					sh.Shard, sh.Nodes, sh.Portals, q, hr, sh.LastSwapEpoch)
-			}
-		}
 	}
 	if bf.mutate > 0 {
-		fmt.Printf("churn     %d mutation ops applied during the window\n", mutations.Load())
+		applied := mutations.Load()
+		achieved := float64(applied) / elapsed.Seconds()
+		note := ""
+		if achieved < 0.9*float64(bf.mutate) {
+			note = "  UNDER-DELIVERED: the one synchronous mutator could not keep up"
+		}
+		fmt.Printf("churn     %d mutation ops applied: %.0f ops/s achieved of %d requested%s\n",
+			applied, achieved, bf.mutate, note)
 	}
 	return nil
 }

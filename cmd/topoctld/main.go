@@ -11,7 +11,8 @@
 //
 //	serve   start the daemon (leader; with -wal, durable and replicable)
 //	follow  start a read-only follower replicating a leader's WAL
-//	bench   drive a running daemon with a concurrent zipfian route workload
+//	bench   ad-hoc zipfian route load against a running daemon (numbers of
+//	        record come from the bench/ module, not from here)
 //
 // Examples:
 //
@@ -45,7 +46,6 @@ import (
 	"topoctl/internal/netio"
 	"topoctl/internal/replica"
 	"topoctl/internal/service"
-	"topoctl/internal/shard"
 	"topoctl/internal/ubg"
 	"topoctl/internal/wal"
 )
@@ -80,19 +80,16 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: topoctld <serve|follow|bench> [flags]
   serve   [-addr :7077] [-in FILE(.gz) | -n N -d D -deg DEG -seed S] [-t T] [-radius R] [-cache C]
-          [-shards K] [-portal-refresh N] [-wal DIR] [-fsync always|interval|never] [-checkpoint-every N]
-          [-pprof ADDR]
+          [-wal DIR] [-fsync always|interval|never] [-checkpoint-every N] [-pprof ADDR]
           start the daemon; without -in a uniform deployment of N nodes is generated.
-          With -shards K the deployment is split into K grid-aligned regions, each with
-          its own engine, snapshot, and route cache; cross-region routes stitch through
-          precomputed portal tables (exact, with global-search fallback mid-refresh).
           With -wal every mutation batch is logged durably and recovered on restart,
           and followers may replicate from GET /wal/checkpoint + /wal/stream
   follow  [-addr :7078] -leader URL [-cache C]
           start a read-only follower that replicates the leader's WAL stream;
           /readyz answers 503 until the first snapshot has been applied
   bench   [-addr URL | -self [serve flags]] [-clients C] [-duration D] [-zipf S] [-scheme NAME] [-mutate OPS/S]
-          drive a daemon with C concurrent zipfian clients and report QPS + latency percentiles`)
+          ad-hoc driver for an already-running daemon: C concurrent zipfian clients, QPS +
+          latency percentiles, requested vs achieved churn (numbers of record: bench/README.md)`)
 }
 
 // startPprof starts the net/http/pprof side listener when addr is
@@ -130,8 +127,6 @@ type serveFlags struct {
 	sample    int
 	labels    bool
 	labelsMax int
-	shards    int
-	refresh   int
 }
 
 func addServeFlags(fs *flag.FlagSet) *serveFlags {
@@ -147,8 +142,6 @@ func addServeFlags(fs *flag.FlagSet) *serveFlags {
 	fs.IntVar(&sf.sample, "stretch-sample", 256, "base-edge sample size for the /stats stretch estimate")
 	fs.BoolVar(&sf.labels, "labels", true, "maintain the hub-label distance oracle (exact /distance answers without a search)")
 	fs.IntVar(&sf.labelsMax, "labels-max", 0, "largest deployment the oracle is built for (label builds grow ~quadratically; 0 = library default, negative = no cap)")
-	fs.IntVar(&sf.shards, "shards", 1, "spatial shard count: >1 runs one engine+snapshot+cache per grid-aligned region, stitching cross-shard routes through portal vertices")
-	fs.IntVar(&sf.refresh, "portal-refresh", 1, "rebuild the inter-portal distance table every Nth publish (sharded mode; in between, cross-shard routes fall back to the global search)")
 	return sf
 }
 
@@ -187,8 +180,6 @@ func (sf *serveFlags) newService() (*service.Service, error) {
 		Seed:          sf.seed,
 		Labels:        sf.labels,
 		LabelsMaxN:    sf.labelsMax,
-		Shards:        sf.shards,
-		PortalRefresh: sf.refresh,
 	})
 }
 
@@ -238,17 +229,15 @@ func buildLeader(sf *serveFlags, wf *walFlags) (*service.Service, *replica.Leade
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// The leader is bound through a closure because sharded recovery
-	// re-checkpoints and constructs it from the re-sharded state, after
-	// the service exists; no mutation can publish before serve starts.
-	var ld *replica.Leader
+	// recovered is nil for a fresh directory; Genesis below then
+	// initializes the log before serve starts, so no mutation can publish
+	// ahead of it.
+	ld := replica.NewLeader(rec, recovered)
 	opts := service.Options{
 		T: sf.t, Radius: sf.radius, Dim: sf.d,
 		CacheSize: sf.cache, StretchSample: sf.sample, Seed: sf.seed,
-		Labels: sf.labels, LabelsMaxN: sf.labelsMax, Shards: sf.shards, PortalRefresh: sf.refresh,
-		OnPublish: func(snap *service.Snapshot, applied []service.Op, touched []int) {
-			ld.OnPublish(snap, applied, touched)
-		},
+		Labels: sf.labels, LabelsMaxN: sf.labelsMax,
+		OnPublish: ld.OnPublish,
 	}
 	var svc *service.Service
 	if recovered != nil {
@@ -257,56 +246,18 @@ func buildLeader(sf *serveFlags, wf *walFlags) (*service.Service, *replica.Leade
 		// epoch.
 		side := recovered.Clone()
 		opts.InitialVersion = recovered.Epoch
-		if sf.shards > 1 {
-			// Re-sharding re-partitions the recovered deployment and
-			// rebuilds per-shard spanners (global ids preserved); the
-			// combined topology is a t-spanner of the same base graph but
-			// not row-identical to the checkpoint, so write a fresh
-			// checkpoint for followers before any frame appends.
-			grp, err := shard.Restore(side.Points, side.Alive, shard.Options{
-				Dynamic:       dynamic.Options{T: recovered.T, Radius: recovered.Radius, Dim: recovered.Dim},
-				K:             sf.shards,
-				PortalRefresh: sf.refresh,
-			})
-			if err != nil {
-				rec.Close(nil)
-				return nil, nil, nil, fmt.Errorf("wal recovery (sharded): %w", err)
-			}
-			svc, err = service.NewFromGroup(grp, opts)
-			if err != nil {
-				rec.Close(nil)
-				return nil, nil, nil, err
-			}
-			snap := svc.Snapshot()
-			st := &wal.State{
-				Epoch: recovered.Epoch, Chain: recovered.Chain,
-				T: recovered.T, Radius: recovered.Radius, Dim: recovered.Dim,
-				Points: snap.Points, Alive: snap.Alive, Live: snap.Live(),
-				Base: snap.Base, Spanner: snap.Spanner,
-			}
-			if err := rec.Checkpoint(st); err != nil {
-				svc.Close()
-				rec.Close(nil)
-				return nil, nil, nil, fmt.Errorf("wal recovery (sharded re-checkpoint): %w", err)
-			}
-			ld = replica.NewLeader(rec, st)
-			log.Printf("recovered epoch %d from %s (%d live nodes), re-sharded into %d regions",
-				recovered.Epoch, wf.dir, recovered.Live, sf.shards)
-		} else {
-			eng, err := dynamic.Restore(side.Points, side.Alive, side.Base.Thaw(), side.Spanner.Thaw(),
-				dynamic.Options{T: recovered.T, Radius: recovered.Radius, Dim: recovered.Dim})
-			if err != nil {
-				rec.Close(nil)
-				return nil, nil, nil, fmt.Errorf("wal recovery: %w", err)
-			}
-			svc, err = service.NewFromEngine(eng, opts)
-			if err != nil {
-				rec.Close(nil)
-				return nil, nil, nil, err
-			}
-			ld = replica.NewLeader(rec, recovered)
-			log.Printf("recovered epoch %d from %s (%d live nodes)", recovered.Epoch, wf.dir, recovered.Live)
+		eng, err := dynamic.Restore(side.Points, side.Alive, side.Base.Thaw(), side.Spanner.Thaw(),
+			dynamic.Options{T: recovered.T, Radius: recovered.Radius, Dim: recovered.Dim})
+		if err != nil {
+			rec.Close(nil)
+			return nil, nil, nil, fmt.Errorf("wal recovery: %w", err)
 		}
+		svc, err = service.NewFromEngine(eng, opts)
+		if err != nil {
+			rec.Close(nil)
+			return nil, nil, nil, err
+		}
+		log.Printf("recovered epoch %d from %s (%d live nodes)", recovered.Epoch, wf.dir, recovered.Live)
 	} else {
 		pts, err := sf.points()
 		if err != nil {
@@ -318,7 +269,6 @@ func buildLeader(sf *serveFlags, wf *walFlags) (*service.Service, *replica.Leade
 			rec.Close(nil)
 			return nil, nil, nil, err
 		}
-		ld = replica.NewLeader(rec, nil)
 		snap := svc.Snapshot()
 		dim := sf.d
 		if len(snap.Points) > 0 {

@@ -164,7 +164,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bench: %v\n%s", err, out)
 	}
-	for _, want := range []string{"QPS", "p99", "delivered"} {
+	for _, want := range []string{"QPS", "p99", "delivered", "ops/s achieved of 20 requested"} {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("bench output missing %q:\n%s", want, out)
 		}
@@ -356,20 +356,30 @@ func startFollowerDaemon(t *testing.T, bin, leader string) string {
 	return ""
 }
 
-// TestCLIErrors: bad usage must exit non-zero.
+// TestCLIErrors: bad usage must exit non-zero, with the named diagnostic on
+// stderr where one is pinned. The removed shard flags are in the table so a
+// stale deployment script fails loudly instead of silently serving unsharded.
 func TestCLIErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a binary")
 	}
 	bin := buildBinary(t)
-	for _, args := range [][]string{
-		{"bogus"},
-		{"serve", "-in", "/nonexistent.topo.gz"},
-		{"bench", "-addr", "http://127.0.0.1:1", "-duration", "100ms"},
-		{"bench", "-self", "-scheme", "warp"},
+	for _, tc := range []struct {
+		args   []string
+		stderr string
+	}{
+		{args: []string{"bogus"}},
+		{args: []string{"serve", "-in", "/nonexistent.topo.gz"}},
+		{args: []string{"serve", "-shards", "4"}, stderr: "flag provided but not defined: -shards"},
+		{args: []string{"serve", "-portal-refresh", "2"}, stderr: "flag provided but not defined: -portal-refresh"},
+		{args: []string{"bench", "-addr", "http://127.0.0.1:1", "-duration", "100ms"}},
+		{args: []string{"bench", "-self", "-scheme", "warp"}},
 	} {
-		if err := exec.Command(bin, args...).Run(); err == nil {
-			t.Errorf("topoctld %v should fail", args)
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("topoctld %v should fail", tc.args)
+		} else if !strings.Contains(string(out), tc.stderr) {
+			t.Errorf("topoctld %v: output lacks %q:\n%s", tc.args, tc.stderr, out)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 // CellGrid is an immutable uniform spatial hash over a static point set,
 // laid out for parallel consumption: point ids are bucketed per cell into
 // one contiguous int32 slab (counting sort), and cell lookups go through a
-// read-only map. Unlike Grid, whose shared query scratch makes it a
+// read-only map. Unlike DynamicGrid, whose shared query scratch makes it a
 // single-caller structure, a CellGrid built once may be read by any number
 // of goroutines concurrently — each worker carries its own CellScan
 // scratch. This is what lets the slab-backed α-UBG builder fan grid cells

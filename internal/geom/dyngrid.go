@@ -1,14 +1,15 @@
 package geom
 
-// DynamicGrid is the mutable counterpart of Grid: a uniform spatial hash
-// over R^d whose point set changes over time. internal/dynamic uses it to
-// keep α-UBG incidence queries O(3^d) per operation while nodes join, leave
-// and move — rebuilding a static Grid per operation would cost O(n) each.
+// DynamicGrid is a uniform spatial hash over R^d whose point set changes
+// over time (CellGrid is the immutable, concurrently readable one).
+// internal/dynamic uses it to keep α-UBG incidence queries O(3^d) per
+// operation while nodes join, leave and move — rebuilding a static index
+// per operation would cost O(n) each.
 //
 // Points are identified by caller-chosen dense integer ids (the dynamic
 // engine's vertex slots); ids may be added, removed, and re-added freely.
-// Like Grid, a DynamicGrid reuses internal scratch buffers between queries
-// (the shared cellHash core) and is not safe for concurrent use.
+// A DynamicGrid reuses internal scratch buffers between queries (the
+// cellHash core) and is not safe for concurrent use.
 type DynamicGrid struct {
 	cellHash
 	points []Point // id-indexed; nil marks an absent id
@@ -101,9 +102,9 @@ func (g *DynamicGrid) point(id int) Point {
 
 // NeighborsAppend appends to dst the ids of all indexed points q (other
 // than id self; pass -1 to disable self-exclusion) with |p - q| <= radius,
-// and returns the extended slice. Same contract as Grid.NeighborsAppend:
-// reusing dst[:0] across calls makes queries allocation-free, and the
-// shared scratch buffers forbid concurrent use.
+// and returns the extended slice. Reusing dst[:0] across calls makes
+// queries allocation-free once the slice has grown to the largest
+// neighborhood; the shared scratch buffers forbid concurrent use.
 func (g *DynamicGrid) NeighborsAppend(dst []int, p Point, radius float64, self int) []int {
 	if g.count == 0 {
 		return dst

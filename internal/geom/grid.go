@@ -2,11 +2,10 @@ package geom
 
 import "math"
 
-// cellHash is the cell-indexing core shared by Grid and DynamicGrid: the
-// byte-string encoding of integer cell coordinates and the odometer scan
-// over the O(⌈radius/cell⌉^d) cells a fixed-radius query must inspect. It
-// owns the query scratch buffers, so neither sharer is safe for concurrent
-// use.
+// cellHash is the cell-indexing core of DynamicGrid: the byte-string
+// encoding of integer cell coordinates and the odometer scan over the
+// O(⌈radius/cell⌉^d) cells a fixed-radius query must inspect. It owns the
+// query scratch buffers, so a DynamicGrid is not safe for concurrent use.
 type cellHash struct {
 	cell  float64
 	dim   int
@@ -97,58 +96,3 @@ func (h *cellHash) scanAppend(dst []int, pts []Point, p Point, radius float64, s
 	}
 	return dst
 }
-
-// Grid is a uniform spatial hash over R^d used for fixed-radius neighbor
-// queries on a static point set. Building an α-UBG naively costs Θ(n²)
-// distance checks; with a grid of cell side equal to the query radius only
-// O(3^d) cells need to be inspected per query, which keeps network
-// generation linear for the bounded-density point clouds the experiments
-// use. For a point set that changes over time, use DynamicGrid.
-//
-// A Grid reuses internal scratch buffers between queries, so it is not
-// safe for concurrent use; index the same points into separate Grids for
-// parallel querying.
-type Grid struct {
-	cellHash
-	points []Point
-}
-
-// NewGrid indexes the given points with the given cell side. cell must be
-// positive and all points must share the same dimension.
-func NewGrid(points []Point, cell float64) *Grid {
-	g := &Grid{cellHash: newCellHash(cell), points: points}
-	dim := 0
-	if len(points) > 0 {
-		dim = points[0].Dim()
-	}
-	g.setDim(dim)
-	for i, p := range points {
-		k := g.key(p)
-		g.cells[k] = append(g.cells[k], i)
-	}
-	return g
-}
-
-// Neighbors returns the indices of all points q (other than index self, pass
-// -1 to disable self-exclusion) with |p - q| <= radius. See NeighborsAppend
-// for the allocation-free variant. Like all Grid queries it mutates shared
-// scratch state and must not be called concurrently on one Grid.
-func (g *Grid) Neighbors(p Point, radius float64, self int) []int {
-	return g.NeighborsAppend(nil, p, radius, self)
-}
-
-// NeighborsAppend appends to dst the indices of all points q (other than
-// index self; pass -1 to disable self-exclusion) with |p - q| <= radius,
-// and returns the extended slice. Passing dst[:0] of a slice reused across
-// calls makes the query allocation-free once the slice has grown to the
-// largest neighborhood. Not safe for concurrent use: the query reuses the
-// Grid's scratch buffers.
-func (g *Grid) NeighborsAppend(dst []int, p Point, radius float64, self int) []int {
-	if len(g.points) == 0 {
-		return dst
-	}
-	return g.scanAppend(dst, g.points, p, radius, self)
-}
-
-// Len returns the number of indexed points.
-func (g *Grid) Len() int { return len(g.points) }

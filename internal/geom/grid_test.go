@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// naiveNeighbors is the O(n) reference implementation the grid must match.
+// naiveNeighbors is the O(n) reference implementation the cell scan must
+// match.
 func naiveNeighbors(points []Point, p Point, radius float64, self int) []int {
 	var out []int
 	for i, q := range points {
@@ -18,6 +19,16 @@ func naiveNeighbors(points []Point, p Point, radius float64, self int) []int {
 		}
 	}
 	return out
+}
+
+// gridOf indexes points[i] under id i: the cellHash scan exercised through
+// its one production carrier, DynamicGrid.
+func gridOf(points []Point, cell float64) *DynamicGrid {
+	g := NewDynamicGrid(cell)
+	for i, p := range points {
+		g.Add(i, p)
+	}
+	return g
 }
 
 func TestGridMatchesNaive(t *testing.T) {
@@ -38,10 +49,10 @@ func TestGridMatchesNaive(t *testing.T) {
 		for i := range points {
 			points[i] = randPoint(rng, tc.d)
 		}
-		grid := NewGrid(points, tc.cell)
+		grid := gridOf(points, tc.cell)
 		for trial := 0; trial < 30; trial++ {
 			self := rng.Intn(tc.n)
-			got := grid.Neighbors(points[self], tc.radius, self)
+			got := grid.NeighborsAppend(nil, points[self], tc.radius, self)
 			want := naiveNeighbors(points, points[self], tc.radius, self)
 			sort.Ints(got)
 			sort.Ints(want)
@@ -60,8 +71,8 @@ func TestGridMatchesNaive(t *testing.T) {
 func TestGridNegativeCoordinates(t *testing.T) {
 	// Floor-based cell keys must work for negative coordinates too.
 	points := []Point{{-0.9, -0.9}, {-1.1, -1.1}, {0.1, 0.1}}
-	grid := NewGrid(points, 1.0)
-	got := grid.Neighbors(points[0], 0.5, 0)
+	grid := gridOf(points, 1.0)
+	got := grid.NeighborsAppend(nil, points[0], 0.5, 0)
 	if len(got) != 1 || got[0] != 1 {
 		t.Errorf("Neighbors = %v, want [1]", got)
 	}
@@ -69,37 +80,30 @@ func TestGridNegativeCoordinates(t *testing.T) {
 
 func TestGridSelfExclusion(t *testing.T) {
 	points := []Point{{0, 0}, {0.1, 0}}
-	grid := NewGrid(points, 1.0)
-	with := grid.Neighbors(points[0], 1, -1)
-	without := grid.Neighbors(points[0], 1, 0)
+	grid := gridOf(points, 1.0)
+	with := grid.NeighborsAppend(nil, points[0], 1, -1)
+	without := grid.NeighborsAppend(nil, points[0], 1, 0)
 	if len(with) != 2 || len(without) != 1 {
 		t.Errorf("self exclusion broken: with=%v without=%v", with, without)
 	}
 }
 
 func TestGridEmpty(t *testing.T) {
-	grid := NewGrid(nil, 1.0)
+	// Before the first Add the grid has no dimension yet; a query must
+	// answer empty rather than trip the dimension check.
+	grid := NewDynamicGrid(1.0)
 	if grid.Len() != 0 {
 		t.Errorf("Len = %d", grid.Len())
 	}
-	if got := grid.Neighbors(Point{0, 0}, 1, -1); got != nil {
+	if got := grid.NeighborsAppend(nil, Point{0, 0}, 1, -1); got != nil {
 		t.Errorf("Neighbors on empty grid = %v", got)
 	}
 }
 
-func TestGridInvalidCellPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on non-positive cell")
-		}
-	}()
-	NewGrid(nil, 0)
-}
-
 func TestGridBoundaryInclusive(t *testing.T) {
 	points := []Point{{0, 0}, {1, 0}}
-	grid := NewGrid(points, 0.5)
-	got := grid.Neighbors(points[0], 1.0, 0)
+	grid := gridOf(points, 0.5)
+	got := grid.NeighborsAppend(nil, points[0], 1.0, 0)
 	if len(got) != 1 {
 		t.Errorf("boundary point not included: %v", got)
 	}

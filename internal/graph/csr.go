@@ -103,26 +103,3 @@ func NewWithDegree(n, degHint int) *Graph {
 	}
 	return g
 }
-
-// NewWithDegrees returns an empty graph whose row u is pre-reserved with
-// exactly capacity degs[u] in one shared slab — the fill-after-count
-// counterpart of NewWithDegree for callers that know the final degree
-// sequence. Adding precisely the counted edges performs no further
-// allocation.
-func NewWithDegrees(degs []int32) *Graph {
-	g := New(len(degs))
-	var total int64
-	for _, d := range degs {
-		total += int64(d)
-	}
-	if total == 0 {
-		return g
-	}
-	slab := make([]Halfedge, total)
-	var off int64
-	for u, d := range degs {
-		g.adj[u] = slab[off : off : off+int64(d)]
-		off += int64(d)
-	}
-	return g
-}

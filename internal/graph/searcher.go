@@ -204,46 +204,6 @@ func (s *Searcher) DijkstraTargetUni(g Topology, src, dst int, bound float64) (f
 	return Inf, false
 }
 
-// PathToUni is the unidirectional counterpart of PathTo, retained (like
-// DijkstraTargetUni) as the reference kernel for differential tests. The
-// path slice is freshly allocated; scratch state is reused.
-func (s *Searcher) PathToUni(g Topology, src, dst int, bound float64) ([]int, float64, bool) {
-	if src == dst {
-		return []int{src}, 0, true
-	}
-	s.stats.Searches++
-	s.begin(g.N())
-	s.label(src, 0)
-	s.prev[src] = -1
-	heapPush(&s.heap, 0, int32(src))
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
-		v := int(it.v)
-		if s.done[v] == s.epoch {
-			continue
-		}
-		s.stats.Settled++
-		if v == dst {
-			var path []int
-			for x := int32(dst); x != -1; x = s.prev[x] {
-				path = append(path, int(x))
-			}
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
-			return path, it.dist, true
-		}
-		s.done[v] = s.epoch
-		for _, h := range g.Neighbors(v) {
-			if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-				s.prev[h.To] = int32(v)
-				heapPush(&s.heap, nd, int32(h.To))
-			}
-		}
-	}
-	return nil, Inf, false
-}
-
 // Ball runs a bounded Dijkstra from src and returns every vertex within
 // distance bound (inclusive) with its distance, in settling order. The
 // returned slice is owned by the Searcher and valid only until its next

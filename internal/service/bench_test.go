@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -51,34 +50,30 @@ func BenchmarkServiceRoute(b *testing.B) {
 	})
 }
 
-// BenchmarkServiceRouteParallel is the multi-core scaling benchmark
-// behind the shard layer: the same uniform all-pairs query mix (nearly
-// every request misses the cache and pays for real searches) against an
-// unsharded service and a 4-shard one. Run with -cpu=1,4: at one core
-// sharding must not regress; at four, per-shard snapshots and caches
-// remove the shared hot path and throughput should scale near-linearly.
+// BenchmarkServiceRouteParallel is the multi-core scaling row of the
+// /route hot path: a uniform all-pairs query mix (nearly every request
+// misses the cache and pays for real searches) from b.RunParallel
+// readers. Run with -cpu=1,2: readers share nothing mutable but the
+// striped route cache and the searcher pool, so the second core should
+// come close to halving ns/op.
 func BenchmarkServiceRouteParallel(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			svc := testService(b, 512, Options{Shards: shards})
-			n := len(svc.Snapshot().Alive)
-			var seed atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(9500 + seed.Add(1)))
-				for pb.Next() {
-					src, dst := rng.Intn(n), rng.Intn(n)
-					if src == dst {
-						dst = (dst + 1) % n
-					}
-					if _, err := svc.Route(routing.SchemeShortestPath, src, dst); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+	svc := testService(b, 512, Options{})
+	n := len(svc.Snapshot().Alive)
+	var seed atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(9500 + seed.Add(1)))
+		for pb.Next() {
+			src, dst := rng.Intn(n), rng.Intn(n)
+			if src == dst {
+				dst = (dst + 1) % n
+			}
+			if _, err := svc.Route(routing.SchemeShortestPath, src, dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkAnalyzeImpact measures the heaviest /analyze query on an n=512

@@ -4,16 +4,14 @@ import (
 	"sync/atomic"
 
 	"topoctl/internal/graph"
-	"topoctl/internal/shard"
 )
 
 // searcherPool is a lazily-filled, bounded pool of searchers shared by
 // every snapshot of one service. Nothing is allocated at construction:
 // the first acquire on an empty pool builds a searcher on demand, and
-// release keeps at most the configured number around. This matters in
-// shard mode, where K per-shard scratch pools would otherwise multiply
-// into K×GOMAXPROCS idle allocations per service. allocs counts the
-// demand-driven constructions, pinned by the allocation test.
+// release keeps at most the configured number around, so an idle service
+// holds no search scratch. allocs counts the demand-driven constructions,
+// pinned by the allocation test.
 type searcherPool struct {
 	ch     chan *graph.Searcher
 	allocs atomic.Uint64
@@ -42,38 +40,6 @@ func (p *searcherPool) acquire(n int) *graph.Searcher {
 func (p *searcherPool) release(srch *graph.Searcher) {
 	select {
 	case p.ch <- srch:
-	default:
-	}
-}
-
-// scratchPool pools the per-query workspaces of the portal-stitched
-// route path, one pool per shard so concurrent readers of different
-// shards never contend. Same lazy discipline as searcherPool.
-type scratchPool struct {
-	ch     chan *shard.Scratch
-	allocs atomic.Uint64
-}
-
-func newScratchPool(size int) *scratchPool {
-	if size < 1 {
-		size = 1
-	}
-	return &scratchPool{ch: make(chan *shard.Scratch, size)}
-}
-
-func (p *scratchPool) acquire() *shard.Scratch {
-	select {
-	case sc := <-p.ch:
-		return sc
-	default:
-		p.allocs.Add(1)
-		return shard.NewScratch()
-	}
-}
-
-func (p *scratchPool) release(sc *shard.Scratch) {
-	select {
-	case p.ch <- sc:
 	default:
 	}
 }

@@ -41,7 +41,6 @@ import (
 	"topoctl/internal/graph"
 	"topoctl/internal/labels"
 	"topoctl/internal/routing"
-	"topoctl/internal/shard"
 )
 
 // ErrUnknownNode reports a query or mutation naming a slot that holds no
@@ -69,26 +68,13 @@ type Options struct {
 	// Dim is the embedding dimension, needed only when the service starts
 	// with no nodes (default 2).
 	Dim int
-	// CacheSize bounds the per-snapshot route cache (default 8192 entries
-	// across all shards; <0 disables growth past the minimum).
+	// CacheSize bounds the per-snapshot route cache (default 8192 entries;
+	// <0 disables growth past the minimum).
 	CacheSize int
-	// Searchers caps the shared searcher pool (default GOMAXPROCS). Pools
-	// are lazy: nothing is allocated until a query actually checks one
-	// out, so idle services — and idle shards — cost nothing.
+	// Searchers caps the shared searcher pool (default GOMAXPROCS). The
+	// pool is lazy: nothing is allocated until a query actually checks a
+	// searcher out, so an idle service costs nothing.
 	Searchers int
-	// Shards splits the deployment into that many grid-aligned spatial
-	// regions, each with its own dynamic engine, frozen snapshots, route
-	// cache, and scratch pool (internal/shard). Shortest-path queries
-	// then run per-shard searches stitched through precomputed portal
-	// vertices instead of a global search. 0 or 1 keeps the single
-	// global engine.
-	Shards int
-	// PortalRefresh rebuilds the inter-portal distance table every Nth
-	// publish when sharded (default 1: every publish). Larger values
-	// amortize table builds under heavy churn at the price of
-	// shortest-path queries falling back to the global search while the
-	// table is stale.
-	PortalRefresh int
 	// StretchSample bounds the base-edge sample behind the /stats live
 	// stretch estimate (default 256; the estimate is exact below it).
 	StretchSample int
@@ -188,32 +174,6 @@ type mutateReq struct {
 	reply chan *MutateResult
 }
 
-// engine is the mutation/export contract the writer drives: satisfied
-// by *dynamic.Engine (the single global spanner) and *shard.Group (K
-// per-region engines behind one façade). Everything downstream of the
-// writer — snapshots, WAL hooks, followers — sees the same slot-indexed
-// frozen exports either way.
-type engine interface {
-	Join(p geom.Point) (int, error)
-	Leave(id int) error
-	Move(id int, p geom.Point) error
-	Begin()
-	Commit()
-	ExportFrozen() ([]geom.Point, []bool, *graph.Frozen, *graph.Frozen)
-	LastExportTouched() []int
-	N() int
-	Dim() int
-	Options() dynamic.Options
-}
-
-// shardCounter tracks one shard's serving counters for the service
-// lifetime (the per-shard /stats section).
-type shardCounter struct {
-	queries   atomic.Uint64
-	cacheHits atomic.Uint64
-	cacheMiss atomic.Uint64
-}
-
 // counters are service-lifetime monotonic counters, updated with atomics
 // from reader goroutines and the writer.
 type counters struct {
@@ -242,13 +202,6 @@ type Service struct {
 	follower  bool
 	repl      atomic.Pointer[ReplicaStatus]
 
-	// group is non-nil when the service runs sharded; shardCtr and
-	// scratch are its per-shard serving counters and scratch pools
-	// (service lifetime, shared by every snapshot).
-	group    *shard.Group
-	shardCtr []shardCounter
-	scratch  []*scratchPool
-
 	// oracle is the current hub-label distance oracle (nil when disabled
 	// or on followers). It is owned by the writer: publish() builds or
 	// incrementally updates it before each snapshot swap, and readers only
@@ -263,9 +216,7 @@ type Service struct {
 
 // New starts a service over the given initial deployment (point set may be
 // empty, then Options.Dim applies). The initial spanner build is
-// synchronous; the returned service is immediately ready to serve. With
-// Options.Shards > 1 the deployment is spatially partitioned and served
-// by a shard group instead of a single engine.
+// synchronous; the returned service is immediately ready to serve.
 func New(points []geom.Point, opts Options) (*Service, error) {
 	opts.normalize()
 	// The deployment's own dimension always wins; Options.Dim only matters
@@ -280,23 +231,17 @@ func New(points []geom.Point, opts Options) (*Service, error) {
 		Radius: opts.Radius,
 		Dim:    opts.Dim,
 	}
-	if opts.Shards > 1 {
-		grp, err := shard.New(points, shard.Options{
-			Dynamic:       dopts,
-			K:             opts.Shards,
-			PortalRefresh: opts.PortalRefresh,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return NewFromGroup(grp, opts)
-	}
 	eng, err := dynamic.New(points, dopts)
 	if err != nil {
 		return nil, err
 	}
 	return NewFromEngine(eng, opts)
 }
+
+// DefaultLabelsMaxN is the deployment size above which Options.Labels is
+// ignored unless LabelsMaxN raises the cap. Past ~16k vertices the first
+// label build costs tens of seconds and its slabs rival the graph itself.
+const DefaultLabelsMaxN = 16384
 
 // NewFromEngine starts a service over an existing engine — the WAL
 // recovery path, where the engine was restored from a checkpoint plus a
@@ -306,24 +251,6 @@ func New(points []geom.Point, opts Options) (*Service, error) {
 // versions continue the pre-crash sequence. The service owns the engine
 // from here on.
 func NewFromEngine(eng *dynamic.Engine, opts Options) (*Service, error) {
-	return newFromEngine(eng, opts)
-}
-
-// NewFromGroup starts a service over an existing shard group — the
-// sharded counterpart of NewFromEngine, for callers that partitioned
-// the deployment themselves (e.g. a daemon recovering a WAL and
-// re-sharding the restored engine state). The service owns the group
-// from here on, including its per-shard worker goroutines.
-func NewFromGroup(grp *shard.Group, opts Options) (*Service, error) {
-	return newFromEngine(grp, opts)
-}
-
-// DefaultLabelsMaxN is the deployment size above which Options.Labels is
-// ignored unless LabelsMaxN raises the cap. Past ~16k vertices the first
-// label build costs tens of seconds and its slabs rival the graph itself.
-const DefaultLabelsMaxN = 16384
-
-func newFromEngine(eng engine, opts Options) (*Service, error) {
 	opts.normalize()
 	eopts := eng.Options()
 	opts.T, opts.Radius, opts.Dim = eopts.T, eopts.Radius, eng.Dim()
@@ -343,15 +270,6 @@ func newFromEngine(eng engine, opts Options) (*Service, error) {
 		reqs:      make(chan *mutateReq),
 		stop:      make(chan struct{}),
 		writerRet: make(chan struct{}),
-	}
-	if grp, ok := eng.(*shard.Group); ok {
-		s.group = grp
-		k := grp.K()
-		s.shardCtr = make([]shardCounter, k)
-		s.scratch = make([]*scratchPool, k)
-		for i := range s.scratch {
-			s.scratch[i] = newScratchPool(opts.Searchers)
-		}
 	}
 	s.publish(eng)
 	s.ready.Store(true)
@@ -511,11 +429,8 @@ func (s *Service) Mutate(ops []Op) (*MutateResult, error) {
 }
 
 // writer is the single goroutine that owns the engine after New returns.
-func (s *Service) writer(eng engine) {
+func (s *Service) writer(eng *dynamic.Engine) {
 	defer close(s.writerRet)
-	if c, ok := eng.(interface{ Close() }); ok {
-		defer c.Close() // a shard group stops its per-shard workers
-	}
 	for {
 		select {
 		case req := <-s.reqs:
@@ -529,7 +444,7 @@ func (s *Service) writer(eng engine) {
 // apply runs one mutation batch against the engine and publishes the
 // successor snapshot. Multi-op batches go through Begin/Commit so the
 // engine coalesces repair into one pass.
-func (s *Service) apply(eng engine, ops []Op) *MutateResult {
+func (s *Service) apply(eng *dynamic.Engine, ops []Op) *MutateResult {
 	res := &MutateResult{Results: make([]OpResult, len(ops))}
 	if len(ops) > 1 {
 		eng.Begin()
@@ -583,7 +498,7 @@ func (s *Service) apply(eng engine, ops []Op) *MutateResult {
 // re-frozen, everything else is shared with the previous snapshot. Called
 // from New (before the writer starts) and then only from the writer
 // goroutine.
-func (s *Service) publish(eng engine) *Snapshot {
+func (s *Service) publish(eng *dynamic.Engine) *Snapshot {
 	points, alive, base, sp := eng.ExportFrozen()
 	version := s.opts.InitialVersion
 	if version == 0 {
@@ -628,22 +543,6 @@ func (s *Service) publish(eng engine) *Snapshot {
 		seed:           s.opts.Seed,
 		oracle:         s.oracle,
 		analyzeTimeout: s.opts.AnalyzeTimeout,
-	}
-	if s.group != nil {
-		// Thread the sharded face of the same export through the
-		// snapshot: per-shard frozen graphs, the portal table, one route
-		// cache per shard, and the shared scratch pools. The combined
-		// Base/Spanner above are the identical topology, so everything
-		// version-agnostic (stats, analyze, labels, WAL) is untouched.
-		snap.view = s.group.View()
-		k := len(snap.view.Shards)
-		per := s.opts.CacheSize / k
-		snap.shardCaches = make([]*routeCache, k)
-		for i := range snap.shardCaches {
-			snap.shardCaches[i] = newRouteCache(per, &s.ctr)
-		}
-		snap.sctr = s.shardCtr
-		snap.scratch = s.scratch
 	}
 	snap.bboxLo, snap.bboxHi = bbox(points, s.opts.Dim)
 	s.snap.Store(snap)
@@ -724,15 +623,6 @@ type Stats struct {
 	LabelEntries        int     `json:"label_entries"`
 	LabelBytesPerVertex float64 `json:"label_bytes_per_vertex"`
 	LabelStale          bool    `json:"label_stale"`
-	// Sharding state (all empty when Options.Shards ≤ 1): ShardCount is
-	// the region count, Portals the current portal-vertex count,
-	// PortalsFresh whether the inter-portal table matches this snapshot
-	// (false means shortest-path queries are on the global fallback),
-	// and Shards the per-shard breakdown.
-	ShardCount   int          `json:"shard_count,omitempty"`
-	Portals      int          `json:"portals,omitempty"`
-	PortalsFresh bool         `json:"portals_fresh,omitempty"`
-	Shards       []ShardStats `json:"shards,omitempty"`
 	// Analyze records the /analyze family per endpoint: request count and
 	// worst observed duration (service lifetime, like the other counters).
 	Analyze map[string]AnalyzeEndpointStats `json:"analyze"`
@@ -741,28 +631,6 @@ type Stats struct {
 	Role    string         `json:"role"`
 	Ready   bool           `json:"ready"`
 	Replica *ReplicaStatus `json:"replica,omitempty"`
-}
-
-// ShardStats is one shard's slice of the /stats document: its topology
-// share, portal count, service-lifetime query counters, and the cache
-// state of the current snapshot. Edge counts cover the shard's interior
-// (cut edges belong to the combined graphs, not to either endpoint
-// shard).
-type ShardStats struct {
-	Shard        int     `json:"shard"`
-	Nodes        int     `json:"nodes"`
-	BaseEdges    int     `json:"base_edges"`
-	SpannerEdges int     `json:"spanner_edges"`
-	Portals      int     `json:"portals"`
-	Queries      uint64  `json:"queries"`
-	CacheHits    uint64  `json:"cache_hits"`
-	CacheMisses  uint64  `json:"cache_misses"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	CacheEntries int     `json:"cache_entries"`
-	// LastSwapEpoch is the export sequence that last re-froze any of
-	// this shard's adjacency rows — a shard untouched by recent churn
-	// keeps its old epoch while others advance.
-	LastSwapEpoch uint64 `json:"last_swap_epoch"`
 }
 
 // Stats assembles the statistics document for the current snapshot.
@@ -792,37 +660,6 @@ func (s *Service) Stats() Stats {
 	if snap.oracle != nil {
 		lst = snap.oracle.Stats()
 	}
-	var shardStats []ShardStats
-	var portals int
-	var portalsFresh bool
-	if v := snap.view; v != nil {
-		portalsFresh = v.TableFresh
-		if v.Table != nil {
-			portals = v.Table.P
-		}
-		shardStats = make([]ShardStats, len(v.Shards))
-		for i := range v.Shards {
-			sv := &v.Shards[i]
-			st := ShardStats{
-				Shard:         i,
-				Nodes:         sv.Live,
-				BaseEdges:     sv.Base.M(),
-				SpannerEdges:  sv.Spanner.M(),
-				Queries:       s.shardCtr[i].queries.Load(),
-				CacheHits:     s.shardCtr[i].cacheHits.Load(),
-				CacheMisses:   s.shardCtr[i].cacheMiss.Load(),
-				CacheEntries:  snap.shardCaches[i].len(),
-				LastSwapEpoch: sv.LastChanged,
-			}
-			if v.Table != nil {
-				st.Portals = len(v.Table.ByShard[i])
-			}
-			if st.Queries > 0 {
-				st.CacheHitRate = float64(st.CacheHits) / float64(st.Queries)
-			}
-			shardStats[i] = st
-		}
-	}
 	return Stats{
 		Version:               snap.Version,
 		Nodes:                 snap.live,
@@ -844,7 +681,7 @@ func (s *Service) Stats() Stats {
 		CacheHits:             s.ctr.cacheHits.Load(),
 		CacheMisses:           s.ctr.cacheMiss.Load(),
 		CacheEvictions:        s.ctr.cacheEvict.Load(),
-		CacheEntries:          snap.cacheEntries(),
+		CacheEntries:          snap.cache.len(),
 		MutationOps:           s.ctr.mutOps.Load(),
 		MutationBatch:         s.ctr.mutBatches.Load(),
 		UptimeSeconds:         time.Since(s.start).Seconds(),
@@ -854,10 +691,6 @@ func (s *Service) Stats() Stats {
 		LabelEntries:          lst.Entries,
 		LabelBytesPerVertex:   lst.BytesPerVertex,
 		LabelStale:            lst.Stale,
-		ShardCount:            len(shardStats),
-		Portals:               portals,
-		PortalsFresh:          portalsFresh,
-		Shards:                shardStats,
 		Analyze:               s.ctr.analyzeStats(),
 		Role:                  role,
 		Ready:                 s.Ready(),

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"topoctl/internal/geom"
@@ -222,5 +223,34 @@ func TestThreeDimensionalDeployment(t *testing.T) {
 	}
 	if _, err := svc.Mutate([]Op{{Kind: OpJoin, Point: geom.Point{1, 1, 1}}}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLazyPoolAllocation pins the lazy searcher pool discipline:
+// constructing a service allocates zero searchers; a sequential request
+// stream allocates at most one and then reuses it.
+func TestLazyPoolAllocation(t *testing.T) {
+	svc := testService(t, 100, Options{Searchers: 8, CacheSize: 0})
+	if got := svc.searchers.allocs.Load(); got != 0 {
+		t.Fatalf("construction allocated %d searchers, want 0", got)
+	}
+
+	snap := svc.Snapshot()
+	rng := rand.New(rand.NewSource(33))
+	routed := 0
+	for routed < 40 {
+		src, dst, ok := twoLive(rng, snap.Alive)
+		if !ok {
+			continue
+		}
+		if _, err := snap.Route(routing.SchemeShortestPath, src, dst); err != nil {
+			t.Fatal(err)
+		}
+		routed++
+	}
+	// Sequential traffic: each route releases before the next acquires,
+	// so demand never exceeds one searcher.
+	if got := svc.searchers.allocs.Load(); got > 1 {
+		t.Fatalf("sequential stream allocated %d searchers, want ≤ 1", got)
 	}
 }

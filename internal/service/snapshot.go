@@ -11,7 +11,6 @@ import (
 	"topoctl/internal/labels"
 	"topoctl/internal/metrics"
 	"topoctl/internal/routing"
-	"topoctl/internal/shard"
 )
 
 // Snapshot is one immutable, internally consistent view of the topology:
@@ -44,16 +43,6 @@ type Snapshot struct {
 	cache     *routeCache
 	ctr       *counters // service-lifetime counters, shared across snapshots
 
-	// Sharded serving state, nil/empty when Options.Shards ≤ 1. view is
-	// the per-shard face of the same export Base/Spanner came from;
-	// shortest-path queries answer through it (portal stitching) with
-	// one fresh route cache per shard, keyed to the owning shard of the
-	// canonical source. sctr and scratch are service-lifetime per-shard
-	// counters and scratch pools, shared across snapshots.
-	view        *shard.View
-	shardCaches []*routeCache
-	sctr        []shardCounter
-	scratch     []*scratchPool
 	// oracle is the hub-label distance oracle over Spanner, nil when
 	// Options.Labels is off (then Distance always searches). Immutable,
 	// like everything else here; successors carry their own.
@@ -112,22 +101,7 @@ func (s *Snapshot) Route(scheme routing.Scheme, src, dst int) (RouteResult, erro
 		key.src, key.dst = key.dst, key.src
 		flipped = true
 	}
-	// Sharded serving routes the query to the owning shard of the
-	// canonical source: its route cache, its counters, and (on a miss)
-	// its scratch pool — concurrent readers of different shards share
-	// nothing version-specific.
-	cache := s.cache
-	var sct *shardCounter
-	if s.view != nil && scheme == routing.SchemeShortestPath {
-		sh := int(s.view.Loc[key.src].Shard)
-		cache = s.shardCaches[sh]
-		sct = &s.sctr[sh]
-		sct.queries.Add(1)
-	}
-	if r, ok := cache.get(key); ok {
-		if sct != nil {
-			sct.cacheHits.Add(1)
-		}
+	if r, ok := s.cache.get(key); ok {
 		if r.Route.Delivered {
 			s.ctr.delivered.Add(1)
 		}
@@ -143,27 +117,6 @@ func (s *Snapshot) Route(scheme routing.Scheme, src, dst int) (RouteResult, erro
 		}
 		r.Cached = true
 		return r, nil
-	}
-	if sct != nil {
-		sct.cacheMiss.Add(1)
-		// Portal-stitched answer: per-shard work only, exact vs the
-		// global search below. A stale portal table (PortalRefresh > 1,
-		// mid-churn) declines and the global path takes over.
-		if res, ok := s.portalRoute(src, dst); ok {
-			if res.Route.Delivered {
-				s.ctr.delivered.Add(1)
-			}
-			stored := res
-			if flipped {
-				if res.Route.Delivered {
-					stored.Route.Path = reversedPath(res.Route.Path)
-				} else {
-					stored.Route.Path = []int{dst}
-				}
-			}
-			cache.put(key, stored)
-			return res, nil
-		}
 	}
 	srch := s.acquire()
 	rt, err := s.router.RouteWith(srch, scheme, src, dst)
@@ -197,49 +150,8 @@ func (s *Snapshot) Route(scheme routing.Scheme, src, dst int) (RouteResult, erro
 			stored.Route.Path = []int{dst}
 		}
 	}
-	cache.put(key, stored)
+	s.cache.put(key, stored)
 	return res, nil
-}
-
-// portalRoute answers one shortest-path query through the shard view:
-// local Dijkstras inside the two endpoint shards stitched through the
-// precomputed inter-portal tables. The second result is false when the
-// view declines (stale portal table) and the caller must run the global
-// search instead; when true, the answer is exact — equal cost, stretch,
-// and deliverability to the global bidirectional Dijkstra over the
-// combined snapshot.
-func (s *Snapshot) portalRoute(src, dst int) (RouteResult, bool) {
-	pool := s.scratch[s.view.Loc[src].Shard]
-	sc := pool.acquire()
-	gs := s.acquire()
-	path, cost, baseDist, delivered, ok := s.view.Route(sc, gs, src, dst)
-	s.release(gs)
-	pool.release(sc)
-	if !ok {
-		return RouteResult{}, false
-	}
-	res := RouteResult{
-		Route:   routing.Route{Delivered: delivered, Path: path, Cost: cost},
-		Version: s.Version,
-	}
-	if delivered {
-		if baseDist > 0 {
-			res.Stretch = cost / baseDist
-		} else {
-			res.Stretch = 1 // src == dst; delivered-but-base-disconnected cannot happen
-		}
-	}
-	return res, true
-}
-
-// cacheEntries sums the resident entries across this snapshot's caches
-// (the global one plus the per-shard ones when sharded).
-func (s *Snapshot) cacheEntries() int {
-	n := s.cache.len()
-	for _, c := range s.shardCaches {
-		n += c.len()
-	}
-	return n
 }
 
 // DistanceResult is one answered point-to-point distance query.

@@ -27,16 +27,6 @@ func TestConcurrentMutateWhileRoute(t *testing.T) {
 	runMutateWhileRoute(t, Options{CacheSize: 1024})
 }
 
-// TestConcurrentMutateWhileRouteSharded is the same torn-read detector
-// over a sharded service: routes answer through per-shard snapshots and
-// portal stitching (with PortalRefresh > 1 forcing periodic stale-table
-// fallbacks to the global search) while cross-boundary moves rebind
-// vertices between engines. Validation is unchanged — every delivered
-// route must be exact on the combined snapshot that served it.
-func TestConcurrentMutateWhileRouteSharded(t *testing.T) {
-	runMutateWhileRoute(t, Options{CacheSize: 1024, Shards: 4, PortalRefresh: 2})
-}
-
 func runMutateWhileRoute(t *testing.T, opts Options) {
 	const (
 		readers  = 8
