@@ -74,22 +74,19 @@ func main() {
 	}
 
 	cfg := exp.Config{Quick: *quick, Seed: *seed}
-	want := map[string]bool{}
+	var ids []string
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
+			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
 
-	tables, err := exp.All(cfg)
+	tables, err := exp.All(cfg, ids...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
 	for _, t := range tables {
-		if len(want) > 0 && !want[t.ID] {
-			continue
-		}
 		fmt.Println(t.Render())
 	}
 }

@@ -42,6 +42,16 @@ func TestExperimentsCLI(t *testing.T) {
 		t.Fatal("-only filter leaked other tables")
 	}
 
+	// An ID that is not an experiment is an error naming the valid ones,
+	// not an empty success after running the whole suite.
+	out, err = exec.Command(bin, "-quick", "-only", "T2-degree,F5").CombinedOutput()
+	if err == nil {
+		t.Fatalf("-only with an unknown ID exited 0:\n%s", out)
+	}
+	if s := string(out); !strings.Contains(s, `unknown experiment "F5"`) || !strings.Contains(s, "F5-doubling") || strings.Contains(s, "worst spanner maxdeg") {
+		t.Fatalf("unknown-ID error should list the valid IDs and run nothing:\n%s", s)
+	}
+
 	// Churn scenario runner: reproducible under a fixed seed, zero
 	// invariant violations.
 	churnArgs := []string{"-churn", "-churn-n", "40", "-churn-ops", "30", "-churn-check", "10", "-seed", "3"}

@@ -74,10 +74,11 @@ func TestCoverFromCentersMatchesPaperRule(t *testing.T) {
 	// Build the proximity graph J.
 	n := sp.N()
 	adj := make([][]int, n)
+	search := graph.NewSearcher(n)
 	for u := 0; u < n; u++ {
-		for v := range sp.DijkstraBounded(u, radius) {
-			if v != u {
-				adj[u] = append(adj[u], v)
+		for _, vd := range search.Ball(sp, u, radius) {
+			if vd.V != u {
+				adj[u] = append(adj[u], vd.V)
 			}
 		}
 	}
@@ -101,10 +102,9 @@ func TestCoverFromCentersMatchesPaperRule(t *testing.T) {
 		if cov.IsCenter(v) {
 			continue
 		}
-		ball := sp.DijkstraBounded(v, radius)
 		bestCenter := -1
-		for x := range ball {
-			if in[x] && x > bestCenter {
+		for _, xd := range search.Ball(sp, v, radius) {
+			if x := xd.V; in[x] && x > bestCenter {
 				bestCenter = x
 			}
 		}
@@ -197,9 +197,10 @@ func TestClusterGraphLemma7Distortion(t *testing.T) {
 	cg := BuildClusterGraph(sp, cov, w, (2*delta+1)*w, 0)
 	factor := (1 + 6*delta) / (1 - 2*delta)
 	checked := 0
+	search := graph.NewSearcher(sp.N())
 	for u := 0; u < sp.N(); u += 3 {
-		dg := sp.DijkstraBounded(u, 3*w)
-		for v, l1 := range dg {
+		for _, vd := range search.Ball(sp, u, 3*w) {
+			v, l1 := vd.V, vd.D
 			if v == u {
 				continue
 			}

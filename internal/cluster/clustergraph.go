@@ -149,11 +149,6 @@ func (cg *ClusterGraph) Query(x, y int, bound float64) (float64, bool) {
 	return cg.H.DijkstraTarget(x, y, bound)
 }
 
-// PathDist returns sp_H(x, y) truncated at bound (graph.Inf, false beyond).
-func (cg *ClusterGraph) PathDist(x, y int, bound float64) (float64, bool) {
-	return cg.H.DijkstraTarget(x, y, bound)
-}
-
 // MaxInterDegree returns the maximum number of inter-cluster edges incident
 // to any single center (the Lemma 6 quantity).
 func (cg *ClusterGraph) MaxInterDegree() int {

@@ -323,14 +323,13 @@ func (b *builder) runMIS(adj [][]int) ([]bool, int) {
 func (b *builder) coverHopRadius(cov *cluster.Cover) int {
 	maxHop := 1
 	for _, c := range cov.Centers {
-		mem := cov.Members[c]
-		if len(mem) <= 1 {
+		if len(cov.Members[c]) <= 1 {
 			continue
 		}
-		hops := b.g.BFSHops(c, -1)
-		for _, v := range mem {
-			if h, ok := hops[v]; ok && h > maxHop {
-				maxHop = h
+		// Depth N() is unbounded: no hop distance reaches it.
+		for _, vh := range b.search.HopBall(b.g, c, b.g.N()) {
+			if cov.Center[vh.V] == c && vh.Hops > maxHop {
+				maxHop = vh.Hops
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"topoctl/internal/core"
 	"topoctl/internal/geom"
 	"topoctl/internal/metrics"
+	"topoctl/internal/sim"
 	"topoctl/internal/ubg"
 )
 
@@ -170,5 +171,74 @@ func TestDistStatsMatchCoreCounters(t *testing.T) {
 	}
 	if res.Stats.Phases <= 0 || res.Stats.EdgesTotal != inst.G.M() {
 		t.Fatalf("stats inconsistent: %+v", res.Stats)
+	}
+}
+
+// TestCostModelPinned freezes the communication account on one fixed
+// instance — the public-API call topoctl.RandomNetwork{N: 256, Alpha: 0.75,
+// Deg: 8, Seed: 7} built with Options{Epsilon: 0.5, Alpha: 0.75, Seed: 3} —
+// for both MIS arms, totals and per-step sums. The literals were recorded
+// before sim and dist moved from map-returning BFS to Searcher.HopBall; a
+// change to how the gather, convergecast or hop-radius primitives walk the
+// graph must reproduce them bit for bit, and a deliberate change to the
+// cost model must update them here.
+func TestCostModelPinned(t *testing.T) {
+	inst, err := ubg.GenerateConnected(
+		geom.CloudConfig{Kind: geom.CloudUniform, N: 256, Dim: 2, Seed: 7, Side: ubg.DensitySide(256, 2, 0.75, 8)},
+		ubg.Config{Alpha: 0.75, Model: ubg.ModelAll, Seed: 7},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewParams(0.5, 0.75, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		greedyMIS bool
+		total     sim.StepCost
+		edges     int
+		perStep   map[string]sim.StepCost
+	}{
+		{"luby", false, sim.StepCost{Rounds: 626, Messages: 549147, Words: 4464272}, 448, map[string]sim.StepCost{
+			"clustergraph/assemble":   {Rounds: 88, Messages: 1, Words: 3},
+			"clustergraph/attach":     {Rounds: 88, Messages: 1, Words: 2},
+			"clustergraph/distribute": {Rounds: 88, Messages: 1, Words: 3},
+			"mis/centers":             {Rounds: 176, Messages: 4, Words: 4},
+			"mis/redundancy":          {Rounds: 10, Messages: 20, Words: 20},
+			"phase/gather":            {Rounds: 88, Messages: 274560, Words: 3915120},
+			"update/announce":         {Rounds: 88, Messages: 274560, Words: 549120},
+		}},
+		{"greedy", true, sim.StepCost{Rounds: 533, Messages: 549135, Words: 4464260}, 449, map[string]sim.StepCost{
+			"clustergraph/assemble":   {Rounds: 88, Messages: 1, Words: 3},
+			"clustergraph/attach":     {Rounds: 88, Messages: 1, Words: 2},
+			"clustergraph/distribute": {Rounds: 88, Messages: 1, Words: 3},
+			"mis/centers":             {Rounds: 88, Messages: 2, Words: 2},
+			"mis/redundancy":          {Rounds: 5, Messages: 10, Words: 10},
+			"phase/gather":            {Rounds: 88, Messages: 274560, Words: 3915120},
+			"update/announce":         {Rounds: 88, Messages: 274560, Words: 549120},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Build(inst.Points, inst.G, Options{Params: p, Seed: 3, UseGreedyMIS: tc.greedyMIS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := (sim.StepCost{Rounds: res.Rounds, Messages: res.Messages, Words: res.Words}); got != tc.total {
+				t.Errorf("totals %+v, pinned %+v", got, tc.total)
+			}
+			if res.Spanner.M() != tc.edges {
+				t.Errorf("spanner has %d edges, pinned %d", res.Spanner.M(), tc.edges)
+			}
+			if len(res.PerStep) != len(tc.perStep) {
+				t.Errorf("%d protocol steps charged, pinned %d", len(res.PerStep), len(tc.perStep))
+			}
+			for step, want := range tc.perStep {
+				if got := res.PerStep[step]; got == nil || *got != want {
+					t.Errorf("step %q: %+v, pinned %+v", step, got, want)
+				}
+			}
+		})
 	}
 }

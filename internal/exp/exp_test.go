@@ -9,14 +9,20 @@ import (
 
 var quick = Config{Quick: true}
 
-// TestAllExperimentsRunQuick executes the entire suite in quick mode: every
-// experiment must produce a non-empty, well-formed table.
+// TestAllExperimentsRunQuick executes the entire suite in quick mode, twice:
+// every experiment must produce a non-empty, well-formed table, and the
+// second run must render every table byte-for-byte like the first (a table
+// that depends on map iteration order or scheduling fails here).
 func TestAllExperimentsRunQuick(t *testing.T) {
 	tables, err := All(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != len(Names()) {
+	again, err := All(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != len(Names()) || len(again) != len(tables) {
 		t.Fatalf("got %d tables, want %d", len(tables), len(Names()))
 	}
 	for i, tb := range tables {
@@ -34,6 +40,25 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 		if !strings.Contains(tb.Render(), tb.ID) {
 			t.Errorf("%s: render missing ID", tb.ID)
 		}
+		if a, b := tb.Render(), again[i].Render(); a != b {
+			t.Errorf("%s differs between two runs at the same seed:\n%s\nvs\n%s", tb.ID, a, b)
+		}
+	}
+}
+
+// TestAllSelectsByID: All runs exactly the named experiments, in suite
+// order, and rejects an unknown ID before running anything.
+func TestAllSelectsByID(t *testing.T) {
+	tables, err := All(quick, "F4-leapfrog", "F1-czumaj-zhao")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != 2 || tables[0].ID != "F1-czumaj-zhao" || tables[1].ID != "F4-leapfrog" {
+		t.Errorf("selected run returned %d tables: %v", len(tables), tables)
+	}
+	_, err = All(quick, "F1-czumaj-zhao", "F5")
+	if err == nil || !strings.Contains(err.Error(), `"F5"`) || !strings.Contains(err.Error(), "F5-doubling") {
+		t.Errorf("unknown ID: err = %v, want it to name \"F5\" and list the valid IDs", err)
 	}
 }
 

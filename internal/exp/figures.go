@@ -3,10 +3,13 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"topoctl/internal/cluster"
 	"topoctl/internal/core"
 	"topoctl/internal/geom"
+	"topoctl/internal/graph"
 	"topoctl/internal/greedy"
 	"topoctl/internal/metrics"
 	"topoctl/internal/ubg"
@@ -75,6 +78,7 @@ func F2ClusterGraph(cfg Config) (*Table, error) {
 	}
 	sp := greedy.Spanner(inst.G, 1.5)
 	w := 0.35
+	search := graph.NewSearcher(sp.N())
 	for _, delta := range []float64{0.02, 0.05, 0.1, 0.2} {
 		cov := cluster.GreedyCover(sp, delta*w)
 		cg := cluster.BuildClusterGraph(sp, cov, w, (2*delta+1)*w, 0)
@@ -83,8 +87,8 @@ func F2ClusterGraph(cfg Config) (*Table, error) {
 		// (W_{i-1}, W_i] — shorter pairs are outside its precondition.
 		maxDist := 1.0
 		for u := 0; u < sp.N(); u += 3 {
-			dg := sp.DijkstraBounded(u, 3*w)
-			for v, l1 := range dg {
+			for _, vd := range search.Ball(sp, u, 3*w) {
+				v, l1 := vd.V, vd.D
 				if v == u {
 					continue
 				}
@@ -158,6 +162,7 @@ func F5Doubling(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		sp := greedy.Spanner(inst.G, 1.5)
+		search := graph.NewSearcher(n)
 		for _, r := range []float64{0.3, 0.6} {
 			samples := 20
 			if cfg.Quick {
@@ -166,18 +171,25 @@ func F5Doubling(cfg Config) (*Table, error) {
 			maxB, sumB := 0, 0
 			for s := 0; s < samples; s++ {
 				center := rng.Intn(n)
-				ball := sp.DijkstraBounded(center, r)
-				// Greedy half-radius cover of the ball.
-				covered := make(map[int]bool)
+				// The inner searches reuse the Searcher, so keep a copy.
+				ball := slices.Clone(search.Ball(sp, center, r))
+				inBall := make(map[int]bool, len(ball))
+				for _, vd := range ball {
+					inBall[vd.V] = true
+				}
+				// Greedy half-radius cover of the ball, picking centres in
+				// settling order (nearest first) so the count is a function
+				// of the seed alone.
+				covered := make(map[int]bool, len(ball))
 				count := 0
-				for v := range ball {
-					if covered[v] {
+				for _, vd := range ball {
+					if covered[vd.V] {
 						continue
 					}
 					count++
-					for w := range sp.DijkstraBounded(v, r/2) {
-						if _, in := ball[w]; in {
-							covered[w] = true
+					for _, wd := range search.Ball(sp, vd.V, r/2) {
+						if inBall[wd.V] {
+							covered[wd.V] = true
 						}
 					}
 				}
@@ -192,24 +204,38 @@ func F5Doubling(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment in order.
-func All(cfg Config) ([]*Table, error) {
-	type fn struct {
-		name string
-		f    func(Config) (*Table, error)
-	}
-	fns := []fn{
-		{"T1", T1Stretch}, {"T2", T2Degree}, {"T3", T3Weight}, {"T4", T4Rounds},
-		{"T5", T5Baselines}, {"T6", T6Alpha}, {"T7", T7Dimension}, {"T8", T8Power},
-		{"T9", T9Fault}, {"T10", T10Energy}, {"T11", T11SeqVsDist}, {"T12", T12Ablation},
-		{"T13", T13Clouds}, {"T14", T14Messages},
-		{"F1", F1CzumajZhao}, {"F2", F2ClusterGraph}, {"F4", F4Leapfrog}, {"F5", F5Doubling},
+// suite lists every experiment in run order.
+var suite = []struct {
+	id  string
+	run func(Config) (*Table, error)
+}{
+	{"T1-stretch", T1Stretch}, {"T2-degree", T2Degree}, {"T3-weight", T3Weight},
+	{"T4-rounds", T4Rounds}, {"T5-baselines", T5Baselines}, {"T6-alpha", T6Alpha},
+	{"T7-dimension", T7Dimension}, {"T8-power", T8Power}, {"T9-fault", T9Fault},
+	{"T10-energy", T10Energy}, {"T11-seq-vs-dist", T11SeqVsDist}, {"T12-ablation", T12Ablation},
+	{"T13-clouds", T13Clouds}, {"T14-messages", T14Messages},
+	{"F1-czumaj-zhao", F1CzumajZhao}, {"F2-clustergraph", F2ClusterGraph},
+	{"F4-leapfrog", F4Leapfrog}, {"F5-doubling", F5Doubling},
+}
+
+// All runs the experiments whose IDs are listed in only — every experiment
+// when only is empty — in suite order. An ID that is not in Names() is an
+// error, reported before anything runs.
+func All(cfg Config, only ...string) ([]*Table, error) {
+	names := Names()
+	for _, id := range only {
+		if !slices.Contains(names, id) {
+			return nil, fmt.Errorf("exp: unknown experiment %q (valid: %s)", id, strings.Join(names, ", "))
+		}
 	}
 	var out []*Table
-	for _, e := range fns {
-		tb, err := e.f(cfg)
+	for _, e := range suite {
+		if len(only) > 0 && !slices.Contains(only, e.id) {
+			continue
+		}
+		tb, err := e.run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("exp %s: %w", e.name, err)
+			return nil, fmt.Errorf("exp %s: %w", e.id, err)
 		}
 		out = append(out, tb)
 	}
@@ -218,10 +244,9 @@ func All(cfg Config) ([]*Table, error) {
 
 // Names lists the experiment IDs in run order.
 func Names() []string {
-	return []string{
-		"T1-stretch", "T2-degree", "T3-weight", "T4-rounds", "T5-baselines",
-		"T6-alpha", "T7-dimension", "T8-power", "T9-fault", "T10-energy",
-		"T11-seq-vs-dist", "T12-ablation", "T13-clouds", "T14-messages",
-		"F1-czumaj-zhao", "F2-clustergraph", "F4-leapfrog", "F5-doubling",
+	ids := make([]string, len(suite))
+	for i, e := range suite {
+		ids[i] = e.id
 	}
+	return ids
 }

@@ -33,14 +33,16 @@ package graph
 // TestBidiSettlesFewer pins the aggregate settled-vertex ratio across 2-D
 // and 3-D workloads; benchstat shows the wall-clock consequence.
 //
-// Each search loop exists twice: a generic version over the Topology
-// interface, and a devirtualized version over *Frozen that slices the CSR
-// halfedge slab through the (offset, degree) row table directly — no
-// interface call per settled vertex. The dispatch happens once per search,
-// so the serving layer (whose snapshots are always *Frozen) never pays
-// dynamic dispatch inside the loop. Correctness of both loops, and their
-// equivalence to the unidirectional reference kernels, is pinned by the
-// differential fuzz suite in bidi_test.go.
+// The loop is written once, over a rowView (searcher.go): the topology is
+// resolved to its concrete representation once per search and each settled
+// vertex's row is read through an inlined accessor — a slice of the CSR
+// halfedge slab for a *Frozen, the adjacency slice for a *Graph — so the
+// serving layer (whose snapshots are always *Frozen) and the builders
+// (which search the *Graph they are mutating) run the same code with no
+// interface call per settled vertex. Equivalence to the unidirectional
+// reference kernel on both representations is pinned by the differential
+// fuzz suite in bidi_test.go; TestBidiSettlesFewer pins that both settle
+// identical vertex counts.
 
 // biInit primes both frontiers for a point-to-point search on an n-vertex
 // topology. Forward state (seen/dist/prev/heap) seeds at src, backward
@@ -58,14 +60,21 @@ func (s *Searcher) biInit(n, src, dst int) {
 	heapPush(&s.heapB, 0, int32(dst))
 }
 
-// biSearchTopology runs the bidirectional bounded search over the generic
-// Topology interface. It returns the meeting vertex and the meeting
-// distance μ, or (-1, Inf) when no path of length ≤ bound exists. On
+// biSearch runs the bidirectional bounded search from src to dst (src !=
+// dst). It returns the meeting vertex and the meeting distance μ, or
+// (-1, Inf) when no path of length ≤ bound exists — in particular when dst
+// is not a vertex of g. With existOnly the search stops at the first
+// meeting within the bound, so μ is an upper bound rather than exact. On
 // success the shortest path is prev-chain(meet)..src reversed, then
 // prevB-chain(meet)..dst; relaxations only ever come from settled
 // vertices, whose distances are final, so both chains are consistent with
 // the final labels.
-func (s *Searcher) biSearchTopology(g Topology, src, dst int, bound float64, existOnly bool) (int32, float64) {
+func (s *Searcher) biSearch(g Topology, src, dst int, bound float64, existOnly bool) (int32, float64) {
+	s.stats.Searches++
+	if dst < 0 || dst >= g.N() {
+		return -1, Inf
+	}
+	rv := viewOf(g)
 	s.biInit(g.N(), src, dst)
 	mu := Inf
 	meet := int32(-1)
@@ -86,7 +95,7 @@ func (s *Searcher) biSearchTopology(g Topology, src, dst int, bound float64, exi
 			}
 			settledF++
 			topB := s.heapB[0].dist // fixed while this side expands
-			for _, h := range g.Neighbors(v) {
+			for _, h := range rv.row(v) {
 				nd := it.dist + h.W
 				if nd > bound {
 					continue
@@ -122,100 +131,7 @@ func (s *Searcher) biSearchTopology(g Topology, src, dst int, bound float64, exi
 			}
 			settledB++
 			topF := s.heap[0].dist
-			for _, h := range g.Neighbors(v) {
-				nd := it.dist + h.W
-				if nd > bound {
-					continue
-				}
-				if s.seenB[h.To] == s.epoch {
-					if s.distB[h.To] <= nd {
-						continue
-					}
-				} else {
-					s.seenB[h.To] = s.epoch
-					labeledB++
-				}
-				s.distB[h.To] = nd
-				s.prevB[h.To] = int32(v)
-				if s.seen[h.To] == s.epoch {
-					if m := nd + s.dist[h.To]; m < mu {
-						mu, meet = m, int32(h.To)
-					}
-				}
-				if pf := nd + topF; pf <= bound && pf < mu {
-					heapPush(&s.heapB, nd, int32(h.To))
-				}
-			}
-		}
-	}
-	s.stats.Settled += settledF + settledB
-	if mu > bound {
-		return -1, Inf
-	}
-	return meet, mu
-}
-
-// biSearchFrozen is biSearchTopology devirtualized over the CSR
-// representation: adjacency rows are sliced straight out of the halfedge
-// slab via the (offset, degree) row table. Keep the two loops in lockstep —
-// the differential fuzz suite asserts they agree query-for-query, and
-// TestBidiSettlesFewer asserts they settle identical vertex counts.
-func (s *Searcher) biSearchFrozen(f *Frozen, src, dst int, bound float64, existOnly bool) (int32, float64) {
-	s.biInit(len(f.rows), src, dst)
-	mu := Inf
-	meet := int32(-1)
-	var settledF, settledB int64
-	labeledF, labeledB := int64(1), int64(1)
-	for len(s.heap) > 0 && len(s.heapB) > 0 {
-		if sum := s.heap[0].dist + s.heapB[0].dist; sum >= mu || sum > bound {
-			break
-		}
-		if existOnly && meet >= 0 && mu <= bound {
-			break // a path within the bound exists; minimality not required
-		}
-		if labeledF-settledF <= labeledB-settledB {
-			it := heapPop(&s.heap)
-			v := int(it.v)
-			if it.dist > s.dist[v] {
-				continue
-			}
-			settledF++
-			topB := s.heapB[0].dist
-			r := f.rows[v]
-			for _, h := range f.slab[r.off : r.off+r.deg] {
-				nd := it.dist + h.W
-				if nd > bound {
-					continue
-				}
-				if s.seen[h.To] == s.epoch {
-					if s.dist[h.To] <= nd {
-						continue
-					}
-				} else {
-					s.seen[h.To] = s.epoch
-					labeledF++
-				}
-				s.dist[h.To] = nd
-				s.prev[h.To] = int32(v)
-				if s.seenB[h.To] == s.epoch {
-					if m := nd + s.distB[h.To]; m < mu {
-						mu, meet = m, int32(h.To)
-					}
-				}
-				if pb := nd + topB; pb <= bound && pb < mu {
-					heapPush(&s.heap, nd, int32(h.To))
-				}
-			}
-		} else {
-			it := heapPop(&s.heapB)
-			v := int(it.v)
-			if it.dist > s.distB[v] {
-				continue
-			}
-			settledB++
-			topF := s.heap[0].dist
-			r := f.rows[v]
-			for _, h := range f.slab[r.off : r.off+r.deg] {
+			for _, h := range rv.row(v) {
 				nd := it.dist + h.W
 				if nd > bound {
 					continue
@@ -253,27 +169,13 @@ func (s *Searcher) biSearchFrozen(f *Frozen, src, dst int, bound float64, existO
 // The boolean result reports whether a path of length at most bound
 // exists. This is the primitive behind every greedy "is there a t-spanner
 // path already?" query; it runs bidirectionally (see the package comment
-// at the top of this file) and takes the CSR fast path when g is a
-// *Frozen.
+// at the top of this file).
 func (s *Searcher) DijkstraTarget(g Topology, src, dst int, bound float64) (float64, bool) {
 	if src == dst {
 		return 0, true
 	}
-	s.stats.Searches++
-	if dst < 0 || dst >= g.N() {
-		return Inf, false
-	}
-	var mu float64
-	var meet int32
-	if f, ok := g.(*Frozen); ok {
-		meet, mu = s.biSearchFrozen(f, src, dst, bound, false)
-	} else {
-		meet, mu = s.biSearchTopology(g, src, dst, bound, false)
-	}
-	if meet < 0 {
-		return Inf, false
-	}
-	return mu, true
+	meet, mu := s.biSearch(g, src, dst, bound, false)
+	return mu, meet >= 0
 }
 
 // PathTo returns the vertex sequence of a shortest src→dst path of length
@@ -299,17 +201,7 @@ func (s *Searcher) AppendPathTo(buf []int, g Topology, src, dst int, bound float
 	if src == dst {
 		return append(buf, src), 0, true
 	}
-	s.stats.Searches++
-	if dst < 0 || dst >= g.N() {
-		return buf, Inf, false
-	}
-	var mu float64
-	var meet int32
-	if f, ok := g.(*Frozen); ok {
-		meet, mu = s.biSearchFrozen(f, src, dst, bound, false)
-	} else {
-		meet, mu = s.biSearchTopology(g, src, dst, bound, false)
-	}
+	meet, mu := s.biSearch(g, src, dst, bound, false)
 	if meet < 0 {
 		return buf, Inf, false
 	}
@@ -358,15 +250,6 @@ func (s *Searcher) ReachableWithin(g Topology, src, dst int, bound float64) bool
 	if src == dst {
 		return true
 	}
-	s.stats.Searches++
-	if dst < 0 || dst >= g.N() {
-		return false
-	}
-	var meet int32
-	if f, ok := g.(*Frozen); ok {
-		meet, _ = s.biSearchFrozen(f, src, dst, bound, true)
-	} else {
-		meet, _ = s.biSearchTopology(g, src, dst, bound, true)
-	}
+	meet, _ := s.biSearch(g, src, dst, bound, true)
 	return meet >= 0
 }

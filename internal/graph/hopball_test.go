@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -62,6 +63,38 @@ func TestHopBallMatchesReferenceOnBothRepresentations(t *testing.T) {
 				prev = vh.Hops
 			}
 		}
+	}
+}
+
+// TestHopBallDepths pins the depth argument's edge cases on the path
+// 0-1-2-3 plus the isolated vertex 4: depth 0 (and any negative depth) is
+// the source alone, depth k stops at hop k, and depth N() is unbounded
+// without ever reaching another component.
+func TestHopBallDepths(t *testing.T) {
+	g := New(5)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(2, 3, 1)
+	cases := []struct {
+		name     string
+		src, max int
+		want     []VertexHop
+	}{
+		{"depth-0", 0, 0, []VertexHop{{0, 0}}},
+		{"negative-depth", 0, -1, []VertexHop{{0, 0}}},
+		{"depth-2", 0, 2, []VertexHop{{0, 0}, {1, 1}, {2, 2}}},
+		{"unbounded", 0, g.N(), []VertexHop{{0, 0}, {1, 1}, {2, 2}, {3, 3}}},
+		{"isolated", 4, g.N(), []VertexHop{{4, 0}}},
+	}
+	s := NewSearcher(g.N())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, topo := range []Topology{g, Freeze(g)} {
+				if got := s.HopBall(topo, c.src, c.max); !slices.Equal(got, c.want) {
+					t.Errorf("HopBall(%T, %d, %d) = %v, want %v", topo, c.src, c.max, got, c.want)
+				}
+			}
+		})
 	}
 }
 

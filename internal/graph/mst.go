@@ -115,7 +115,10 @@ func (g *Graph) Connected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	return len(g.BFSHops(0, -1)) == g.n
+	s := AcquireSearcher(g.n)
+	reached := len(s.HopBall(g, 0, g.n)) // depth n is unbounded: no hop distance reaches it
+	ReleaseSearcher(s)
+	return reached == g.n
 }
 
 // IsSubgraphOf reports whether every edge of g appears in h (with any

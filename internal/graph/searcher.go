@@ -1,6 +1,9 @@
 package graph
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // VertexDist is one vertex reached by a bounded search, with its
 // shortest-path distance from the source.
@@ -81,11 +84,11 @@ type SearchStats struct {
 // after it has grown to the largest graph it has seen, every search reuses
 // the same memory.
 //
-// Kernels whose topology argument is the concrete *Frozen take a
-// devirtualized fast path that walks the CSR (offset, degree) row table and
-// halfedge slab directly, with no interface call per settled vertex; the
-// generic loop serves *Graph and any other Topology. The dispatch happens
-// once per search.
+// Every kernel is written once, over a rowView: the topology argument is
+// resolved to its concrete representation once per search, and the loop
+// reads adjacency rows through an inlined two-branch accessor — the CSR
+// (offset, degree) row table and halfedge slab of a *Frozen, or the
+// adjacency slices of a *Graph — with no interface call per settled vertex.
 //
 // A Searcher is not safe for concurrent use; give each goroutine its own
 // (see metrics.StretchParallel) or use the package-level pool via the
@@ -165,6 +168,66 @@ func (s *Searcher) label(v int, d float64) bool {
 	return true
 }
 
+// rowView is how a kernel reads adjacency: the topology resolved to one of
+// the two concrete representations (exactly one field is set). *Graph and
+// *Frozen are the only Topology implementations, so the kernels need no
+// interface fallback and row stays within the inlining budget.
+type rowView struct {
+	f *Frozen
+	g *Graph
+}
+
+// viewOf resolves g to its concrete representation, once per search.
+func viewOf(g Topology) rowView {
+	switch t := g.(type) {
+	case *Frozen:
+		return rowView{f: t}
+	case *Graph:
+		return rowView{g: t}
+	}
+	panic(fmt.Sprintf("graph: Searcher does not support Topology %T", g))
+}
+
+// row returns v's adjacency row. The slice is owned by the topology.
+func (r rowView) row(v int) []Halfedge {
+	if r.f != nil {
+		return r.f.row(v)
+	}
+	return r.g.adj[v]
+}
+
+// start begins a single-frontier Dijkstra from src on an n-vertex graph.
+func (s *Searcher) start(n, src int) {
+	s.stats.Searches++
+	s.begin(n)
+	s.label(src, 0)
+	heapPush(&s.heap, 0, int32(src))
+}
+
+// settle pops the closest unsettled vertex off the forward heap and marks
+// it settled; ok is false once the frontier is exhausted.
+func (s *Searcher) settle() (v int, d float64, ok bool) {
+	for len(s.heap) > 0 {
+		it := heapPop(&s.heap)
+		if v := int(it.v); s.done[v] != s.epoch {
+			s.done[v] = s.epoch
+			s.stats.Settled++
+			return v, it.dist, true
+		}
+	}
+	return 0, 0, false
+}
+
+// relax pushes every label improvement within bound along row, the
+// adjacency of a vertex settled at distance d.
+func (s *Searcher) relax(row []Halfedge, d, bound float64) {
+	for _, h := range row {
+		if nd := d + h.W; nd <= bound && s.label(h.To, nd) {
+			heapPush(&s.heap, nd, int32(h.To))
+		}
+	}
+}
+
 // DijkstraTargetUni is the unidirectional bounded point-to-point kernel:
 // the shortest-path distance from src to dst in g, abandoning the search
 // once all frontier labels exceed bound; the boolean reports whether a path
@@ -180,26 +243,13 @@ func (s *Searcher) DijkstraTargetUni(g Topology, src, dst int, bound float64) (f
 	if src == dst {
 		return 0, true
 	}
-	s.stats.Searches++
-	s.begin(g.N())
-	s.label(src, 0)
-	heapPush(&s.heap, 0, int32(src))
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
-		v := int(it.v)
-		if s.done[v] == s.epoch {
-			continue
-		}
-		s.stats.Settled++
+	rv := viewOf(g)
+	s.start(g.N(), src)
+	for v, d, ok := s.settle(); ok; v, d, ok = s.settle() {
 		if v == dst {
-			return it.dist, true
+			return d, true
 		}
-		s.done[v] = s.epoch
-		for _, h := range g.Neighbors(v) {
-			if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-				heapPush(&s.heap, nd, int32(h.To))
-			}
-		}
+		s.relax(rv.row(v), d, bound)
 	}
 	return Inf, false
 }
@@ -209,109 +259,29 @@ func (s *Searcher) DijkstraTargetUni(g Topology, src, dst int, bound float64) (f
 // returned slice is owned by the Searcher and valid only until its next
 // search; callers that need to keep it must copy.
 func (s *Searcher) Ball(g Topology, src int, bound float64) []VertexDist {
-	s.stats.Searches++
-	s.begin(g.N())
+	rv := viewOf(g)
+	s.start(g.N(), src)
 	s.ball = s.ball[:0]
-	s.label(src, 0)
-	heapPush(&s.heap, 0, int32(src))
-	if f, ok := g.(*Frozen); ok {
-		s.ballFrozen(f, bound)
-	} else {
-		s.ballTopology(g, bound)
+	for v, d, ok := s.settle(); ok; v, d, ok = s.settle() {
+		s.ball = append(s.ball, VertexDist{V: v, D: d})
+		s.relax(rv.row(v), d, bound)
 	}
 	return s.ball
-}
-
-// ballTopology is the generic Ball loop.
-func (s *Searcher) ballTopology(g Topology, bound float64) {
-	settled := int64(0)
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
-		v := int(it.v)
-		if s.done[v] == s.epoch {
-			continue
-		}
-		s.done[v] = s.epoch
-		settled++
-		s.ball = append(s.ball, VertexDist{V: v, D: it.dist})
-		for _, h := range g.Neighbors(v) {
-			if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-				heapPush(&s.heap, nd, int32(h.To))
-			}
-		}
-	}
-	s.stats.Settled += settled
-}
-
-// ballFrozen is the Ball loop devirtualized over the CSR representation.
-func (s *Searcher) ballFrozen(f *Frozen, bound float64) {
-	settled := int64(0)
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
-		v := int(it.v)
-		if s.done[v] == s.epoch {
-			continue
-		}
-		s.done[v] = s.epoch
-		settled++
-		s.ball = append(s.ball, VertexDist{V: v, D: it.dist})
-		r := f.rows[v]
-		for _, h := range f.slab[r.off : r.off+r.deg] {
-			if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-				heapPush(&s.heap, nd, int32(h.To))
-			}
-		}
-	}
-	s.stats.Settled += settled
 }
 
 // Dijkstra fills out with the shortest-path distance from src to every
 // vertex (Inf for unreachable ones), skipping expansion beyond bound.
 // len(out) must be g.N().
 func (s *Searcher) Dijkstra(g Topology, src int, bound float64, out []float64) {
-	s.stats.Searches++
-	s.begin(g.N())
+	rv := viewOf(g)
+	s.start(g.N(), src)
 	for i := range out {
 		out[i] = Inf
 	}
-	s.label(src, 0)
-	heapPush(&s.heap, 0, int32(src))
-	settled := int64(0)
-	if f, ok := g.(*Frozen); ok {
-		for len(s.heap) > 0 {
-			it := heapPop(&s.heap)
-			v := int(it.v)
-			if s.done[v] == s.epoch {
-				continue
-			}
-			s.done[v] = s.epoch
-			settled++
-			out[v] = it.dist
-			r := f.rows[v]
-			for _, h := range f.slab[r.off : r.off+r.deg] {
-				if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-					heapPush(&s.heap, nd, int32(h.To))
-				}
-			}
-		}
-	} else {
-		for len(s.heap) > 0 {
-			it := heapPop(&s.heap)
-			v := int(it.v)
-			if s.done[v] == s.epoch {
-				continue
-			}
-			s.done[v] = s.epoch
-			settled++
-			out[v] = it.dist
-			for _, h := range g.Neighbors(v) {
-				if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-					heapPush(&s.heap, nd, int32(h.To))
-				}
-			}
-		}
+	for v, d, ok := s.settle(); ok; v, d, ok = s.settle() {
+		out[v] = d
+		s.relax(rv.row(v), d, bound)
 	}
-	s.stats.Settled += settled
 }
 
 // DijkstraPruned runs a bounded Dijkstra from src, invoking visit on every
@@ -323,63 +293,13 @@ func (s *Searcher) Dijkstra(g Topology, src int, bound float64, out []float64) {
 // cuts off every branch an earlier hub already covers, which is what keeps
 // label sets near-logarithmic instead of linear.
 func (s *Searcher) DijkstraPruned(g Topology, src int, bound float64, visit func(v int, d float64) bool) {
-	s.stats.Searches++
-	s.begin(g.N())
-	s.label(src, 0)
-	heapPush(&s.heap, 0, int32(src))
-	if f, ok := g.(*Frozen); ok {
-		s.prunedFrozen(f, bound, visit)
-	} else {
-		s.prunedTopology(g, bound, visit)
-	}
-}
-
-// prunedTopology is the generic DijkstraPruned loop.
-func (s *Searcher) prunedTopology(g Topology, bound float64, visit func(v int, d float64) bool) {
-	settled := int64(0)
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
-		v := int(it.v)
-		if s.done[v] == s.epoch {
-			continue
-		}
-		s.done[v] = s.epoch
-		settled++
-		if !visit(v, it.dist) {
-			continue
-		}
-		for _, h := range g.Neighbors(v) {
-			if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-				heapPush(&s.heap, nd, int32(h.To))
-			}
+	rv := viewOf(g)
+	s.start(g.N(), src)
+	for v, d, ok := s.settle(); ok; v, d, ok = s.settle() {
+		if visit(v, d) {
+			s.relax(rv.row(v), d, bound)
 		}
 	}
-	s.stats.Settled += settled
-}
-
-// prunedFrozen is the DijkstraPruned loop devirtualized over the CSR
-// representation.
-func (s *Searcher) prunedFrozen(f *Frozen, bound float64, visit func(v int, d float64) bool) {
-	settled := int64(0)
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
-		v := int(it.v)
-		if s.done[v] == s.epoch {
-			continue
-		}
-		s.done[v] = s.epoch
-		settled++
-		if !visit(v, it.dist) {
-			continue
-		}
-		r := f.rows[v]
-		for _, h := range f.slab[r.off : r.off+r.deg] {
-			if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-				heapPush(&s.heap, nd, int32(h.To))
-			}
-		}
-	}
-	s.stats.Settled += settled
 }
 
 // VertexHop is one vertex reached by a hop-bounded BFS, with its hop count
@@ -389,32 +309,27 @@ type VertexHop struct {
 	Hops int
 }
 
-// HopBall runs a breadth-first search from src and returns every vertex
-// within maxHops edges, in BFS order (src first, at 0 hops). It is the
-// k-hop subgraph extraction behind /analyze/around: the caller gets the
-// ball members with their hop layers and induces edges among them
-// separately. The returned slice is owned by the Searcher and valid only
-// until its next search; callers that need to keep it must copy.
-// maxHops <= 0 returns just the source.
-func (s *Searcher) HopBall(g Topology, src, maxHops int) []VertexHop {
+// startBFS begins a breadth-first search from src on an n-vertex graph.
+func (s *Searcher) startBFS(n, src int) {
 	s.stats.Searches++
-	s.begin(g.N())
-	s.hball = s.hball[:0]
-	s.queue = s.queue[:0]
-	s.queue = append(s.queue, int32(src))
+	s.begin(n)
+	s.queue = append(s.queue[:0], int32(src))
 	s.seen[src] = s.epoch
 	s.hops[src] = 0
-	s.hball = append(s.hball, VertexHop{V: src})
-	if f, ok := g.(*Frozen); ok {
-		s.hopBallFrozen(f, maxHops)
-	} else {
-		s.hopBallTopology(g, maxHops)
-	}
-	return s.hball
 }
 
-// hopBallTopology is the generic HopBall loop.
-func (s *Searcher) hopBallTopology(g Topology, maxHops int) {
+// HopBall runs a breadth-first search from src and returns every vertex
+// within maxHops edges, in BFS order (src first, at 0 hops). It is the
+// k-hop subgraph extraction behind /analyze/around and the flooding gather
+// of internal/sim: the caller gets the ball members with their hop layers
+// and induces edges among them separately. The returned slice is owned by
+// the Searcher and valid only until its next search; callers that need to
+// keep it must copy. maxHops <= 0 returns just the source; there is no
+// "unbounded" sentinel — pass g.N(), which no hop distance reaches.
+func (s *Searcher) HopBall(g Topology, src, maxHops int) []VertexHop {
+	rv := viewOf(g)
+	s.startBFS(g.N(), src)
+	s.hball = append(s.hball[:0], VertexHop{V: src})
 	for i := 0; i < len(s.queue); i++ {
 		v := s.queue[i]
 		hv := s.hops[v]
@@ -422,7 +337,7 @@ func (s *Searcher) hopBallTopology(g Topology, maxHops int) {
 			continue // ball boundary: member, but not expanded
 		}
 		s.stats.Settled++
-		for _, h := range g.Neighbors(int(v)) {
+		for _, h := range rv.row(int(v)) {
 			if s.seen[h.To] == s.epoch {
 				continue
 			}
@@ -432,29 +347,7 @@ func (s *Searcher) hopBallTopology(g Topology, maxHops int) {
 			s.hball = append(s.hball, VertexHop{V: h.To, Hops: int(hv) + 1})
 		}
 	}
-}
-
-// hopBallFrozen is the HopBall loop devirtualized over the CSR
-// representation.
-func (s *Searcher) hopBallFrozen(f *Frozen, maxHops int) {
-	for i := 0; i < len(s.queue); i++ {
-		v := s.queue[i]
-		hv := s.hops[v]
-		if int(hv) >= maxHops {
-			continue
-		}
-		s.stats.Settled++
-		r := f.rows[v]
-		for _, h := range f.slab[r.off : r.off+r.deg] {
-			if s.seen[h.To] == s.epoch {
-				continue
-			}
-			s.seen[h.To] = s.epoch
-			s.hops[h.To] = hv + 1
-			s.queue = append(s.queue, int32(h.To))
-			s.hball = append(s.hball, VertexHop{V: h.To, Hops: int(hv) + 1})
-		}
-	}
+	return s.hball
 }
 
 // HopsTo returns the hop distance (unweighted) from src to dst, with early
@@ -463,47 +356,13 @@ func (s *Searcher) HopsTo(g Topology, src, dst int) (int, bool) {
 	if src == dst {
 		return 0, true
 	}
-	s.stats.Searches++
-	s.begin(g.N())
-	s.queue = s.queue[:0]
-	s.queue = append(s.queue, int32(src))
-	s.seen[src] = s.epoch
-	s.hops[src] = 0
-	if f, ok := g.(*Frozen); ok {
-		return s.hopsFrozen(f, dst)
-	}
-	return s.hopsTopology(g, dst)
-}
-
-// hopsTopology is the generic BFS loop behind HopsTo.
-func (s *Searcher) hopsTopology(g Topology, dst int) (int, bool) {
+	rv := viewOf(g)
+	s.startBFS(g.N(), src)
 	for i := 0; i < len(s.queue); i++ {
 		v := s.queue[i]
 		hv := s.hops[v]
 		s.stats.Settled++
-		for _, h := range g.Neighbors(int(v)) {
-			if s.seen[h.To] == s.epoch {
-				continue
-			}
-			if h.To == dst {
-				return int(hv) + 1, true
-			}
-			s.seen[h.To] = s.epoch
-			s.hops[h.To] = hv + 1
-			s.queue = append(s.queue, int32(h.To))
-		}
-	}
-	return 0, false
-}
-
-// hopsFrozen is the BFS loop devirtualized over the CSR representation.
-func (s *Searcher) hopsFrozen(f *Frozen, dst int) (int, bool) {
-	for i := 0; i < len(s.queue); i++ {
-		v := s.queue[i]
-		hv := s.hops[v]
-		s.stats.Settled++
-		r := f.rows[v]
-		for _, h := range f.slab[r.off : r.off+r.deg] {
+		for _, h := range rv.row(int(v)) {
 			if s.seen[h.To] == s.epoch {
 				continue
 			}

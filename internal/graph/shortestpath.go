@@ -7,12 +7,13 @@ import (
 // Inf is the distance reported for unreachable vertices.
 var Inf = math.Inf(1)
 
-// The methods below are allocation-light conveniences over the reusable
-// Searcher (searcher.go): each borrows a pooled Searcher, so their
-// steady-state allocation count is zero apart from any result container
-// the API shape requires (the map of DijkstraBounded, the slice of
-// Dijkstra). Hot loops that issue many searches should hold an explicit
-// Searcher instead and call its methods directly.
+// The methods below are conveniences over the reusable Searcher
+// (searcher.go) for one-off searches on a *Graph: each borrows a pooled
+// Searcher, so the steady-state allocation count is zero apart from the
+// distance slice Dijkstra returns. Anything that issues many searches, or
+// wants a ball (Searcher.Ball, Searcher.HopBall), holds its own Searcher
+// and reads the Searcher-owned result slice; there is no map-returning
+// form.
 
 // Dijkstra returns the shortest-path distances from src to every vertex
 // (Inf for unreachable vertices). Edge weights must be non-negative.
@@ -22,23 +23,6 @@ func (g *Graph) Dijkstra(src int) []float64 {
 	s.Dijkstra(g, src, Inf, dist)
 	ReleaseSearcher(s)
 	return dist
-}
-
-// DijkstraBounded returns a map from vertex to shortest-path distance for
-// every vertex within distance bound of src (inclusive). The search never
-// expands past the bound, so its cost is proportional to the size of the
-// metric ball — this is what makes the cluster-cover and cluster-graph
-// constructions cheap even when invoked once per vertex. Callers that
-// cannot afford the result map should use Searcher.Ball directly.
-func (g *Graph) DijkstraBounded(src int, bound float64) map[int]float64 {
-	s := AcquireSearcher(g.n)
-	ball := s.Ball(g, src, bound)
-	out := make(map[int]float64, len(ball))
-	for _, vd := range ball {
-		out[vd.V] = vd.D
-	}
-	ReleaseSearcher(s)
-	return out
 }
 
 // DijkstraTarget returns the shortest-path distance from src to dst,
@@ -61,26 +45,6 @@ func (g *Graph) ReachableWithin(src, dst int, bound float64) bool {
 	ok := s.ReachableWithin(g, src, dst, bound)
 	ReleaseSearcher(s)
 	return ok
-}
-
-// BFSHops returns hop distances (unweighted) from src up to maxHops; vertices
-// farther than maxHops are absent from the map. maxHops < 0 means unbounded.
-func (g *Graph) BFSHops(src int, maxHops int) map[int]int {
-	hops := map[int]int{src: 0}
-	frontier := []int{src}
-	for depth := 0; len(frontier) > 0 && (maxHops < 0 || depth < maxHops); depth++ {
-		var next []int
-		for _, u := range frontier {
-			for _, h := range g.adj[u] {
-				if _, seen := hops[h.To]; !seen {
-					hops[h.To] = depth + 1
-					next = append(next, h.To)
-				}
-			}
-		}
-		frontier = next
-	}
-	return hops
 }
 
 // FloydWarshall computes all-pairs shortest path distances; O(n^3), intended

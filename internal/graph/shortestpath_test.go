@@ -48,26 +48,40 @@ func TestDijkstraMatchesFloydWarshallProperty(t *testing.T) {
 	}
 }
 
-func TestDijkstraBoundedIsTruncation(t *testing.T) {
+// TestBallIsTruncation pins Ball against the full single-source search:
+// a ball is exactly the vertices at distance <= bound, at their full
+// distances, in nondecreasing settling order — on both representations.
+func TestBallIsTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	s := NewSearcher(20)
 	for trial := 0; trial < 30; trial++ {
 		g := randomGraph(rng, 20, 0.25)
 		src := rng.Intn(20)
 		bound := rng.Float64() * 2
 		full := g.Dijkstra(src)
-		got := g.DijkstraBounded(src, bound)
-		for v, d := range got {
-			if math.Abs(d-full[v]) > 1e-9 {
-				t.Fatalf("bounded distance %v != full %v", d, full[v])
-			}
-			if d > bound+1e-12 {
-				t.Fatalf("bounded search returned %v > bound %v", d, bound)
+		within := 0
+		for _, d := range full {
+			if d <= bound {
+				within++
 			}
 		}
-		for v := 0; v < 20; v++ {
-			if full[v] <= bound {
-				if _, ok := got[v]; !ok {
-					t.Fatalf("vertex %d at distance %v missing from bounded result (bound %v)", v, full[v], bound)
+		for _, topo := range []Topology{g, Freeze(g)} {
+			ball := s.Ball(topo, src, bound)
+			if len(ball) != within {
+				t.Fatalf("ball holds %d vertices, %d are within bound %v", len(ball), within, bound)
+			}
+			if ball[0] != (VertexDist{V: src}) {
+				t.Fatalf("ball starts at %+v, want the source %d at 0", ball[0], src)
+			}
+			for i, vd := range ball {
+				if math.Abs(vd.D-full[vd.V]) > 1e-9 {
+					t.Fatalf("bounded distance %v != full %v", vd.D, full[vd.V])
+				}
+				if vd.D > bound+1e-12 {
+					t.Fatalf("bounded search returned %v > bound %v", vd.D, bound)
+				}
+				if i > 0 && vd.D < ball[i-1].D {
+					t.Fatalf("settling order violated: %v after %v", vd.D, ball[i-1].D)
 				}
 			}
 		}
@@ -112,36 +126,6 @@ func TestDijkstraPathOnLine(t *testing.T) {
 		if d[i] != w {
 			t.Errorf("d[%d] = %v, want %v", i, d[i], w)
 		}
-	}
-}
-
-func TestBFSHops(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1)
-	hops := g.BFSHops(0, 2)
-	if len(hops) != 3 {
-		t.Fatalf("depth-2 BFS found %d vertices, want 3", len(hops))
-	}
-	if hops[2] != 2 {
-		t.Errorf("hops[2] = %d", hops[2])
-	}
-	all := g.BFSHops(0, -1)
-	if len(all) != 4 { // vertex 4 isolated
-		t.Errorf("unbounded BFS found %d vertices, want 4", len(all))
-	}
-	if _, ok := all[4]; ok {
-		t.Error("isolated vertex reachable")
-	}
-}
-
-func TestBFSHopsZeroDepth(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	hops := g.BFSHops(0, 0)
-	if len(hops) != 1 || hops[0] != 0 {
-		t.Errorf("depth-0 BFS = %v", hops)
 	}
 }
 

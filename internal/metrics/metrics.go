@@ -22,8 +22,7 @@ import (
 // decomposes into g-edges, so if every g-edge is t-spanned by sp then every
 // pair is (the standard spanner argument). Each edge query is a bounded
 // bidirectional Dijkstra (two half-radius frontiers instead of one full
-// ball; the CSR fast path when sp is a *graph.Frozen), so the cost is
-// proportional to the number of edges times the local ball size rather
+// ball), so the cost is proportional to the number of edges times the local ball size rather
 // than n², which keeps exact verification feasible throughout the test
 // suite. Edge queries are independent, so they are fanned out over a
 // worker pool (one Searcher per worker); the result is deterministic

@@ -80,19 +80,22 @@ func TestStretchConcurrentCallers(t *testing.T) {
 func TestHopStretchParallelMatchesDirect(t *testing.T) {
 	g, sp := stretchInstance(t, 80, 13)
 	got := HopStretch(g, sp)
-	// Reference: sequential BFS per edge via the map API.
+	// Reference: one full sequential BFS per edge (HopBall at unbounded
+	// depth — a different kernel from the early-exit HopsTo under test).
 	worst := 1.0
+	search := graph.NewSearcher(sp.N())
 	for _, e := range g.Edges() {
 		if sp.HasEdge(e.U, e.V) {
 			continue
 		}
-		h, ok := sp.BFSHops(e.U, -1)[e.V]
-		if !ok {
-			worst = math.Inf(1)
-			break
+		h := math.Inf(1)
+		for _, vh := range search.HopBall(sp, e.U, sp.N()) {
+			if vh.V == e.V {
+				h = float64(vh.Hops)
+			}
 		}
-		if fh := float64(h); fh > worst {
-			worst = fh
+		if h > worst {
+			worst = h
 		}
 	}
 	if got != worst {

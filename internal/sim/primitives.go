@@ -28,24 +28,26 @@ func (nw *Network) chargeTreeTraffic(step string, center []int, maxHops int, wor
 		maxHops = 1
 	}
 	var messages int64
-	// Group members by center.
-	members := make(map[int][]int)
+	// uncharged[c] counts c's members not yet charged their hop distance.
+	uncharged := make([]int64, len(center))
 	for v, c := range center {
 		if c >= 0 && c != v {
-			members[c] = append(members[c], v)
+			uncharged[c]++
 		}
 	}
-	for c, mem := range members {
-		hops := nw.g.BFSHops(c, maxHops)
-		for _, v := range mem {
-			if h, ok := hops[v]; ok {
-				messages += int64(h)
-			} else {
-				// Member beyond the hop bound (possible when cluster
-				// paths leave the cluster); fall back to the bound.
-				messages += int64(maxHops)
+	for c, left := range uncharged {
+		if left == 0 {
+			continue
+		}
+		for _, vh := range nw.search.HopBall(nw.g, c, maxHops) {
+			if vh.V != c && center[vh.V] == c {
+				messages += int64(vh.Hops)
+				left--
 			}
 		}
+		// Members beyond the hop bound (possible when cluster paths leave
+		// the cluster) fall back to the bound.
+		messages += left * int64(maxHops)
 	}
 	nw.Charge(step, maxHops, messages, messages*wordsPer)
 }
@@ -60,14 +62,4 @@ func (nw *Network) DerivedMISRound(step string, degSum int64, hop int) {
 		hop = 1
 	}
 	nw.Charge(step, hop, degSum*int64(hop), degSum*int64(hop))
-}
-
-// HopDistance returns the hop distance between u and v in the
-// communication graph, capped at max (-1 if farther than max).
-func (nw *Network) HopDistance(u, v, max int) int {
-	hops := nw.g.BFSHops(u, max)
-	if h, ok := hops[v]; ok {
-		return h
-	}
-	return -1
 }

@@ -84,16 +84,3 @@ func TestDerivedMISRound(t *testing.T) {
 		t.Errorf("hop clamp broken: rounds = %d", nw.Rounds())
 	}
 }
-
-func TestHopDistance(t *testing.T) {
-	nw := NewNetwork(starWorld())
-	if got := nw.HopDistance(1, 4, 5); got != 3 {
-		t.Errorf("hop(1,4) = %d, want 3", got)
-	}
-	if got := nw.HopDistance(1, 4, 2); got != -1 {
-		t.Errorf("capped hop = %d, want -1", got)
-	}
-	if got := nw.HopDistance(2, 2, 1); got != 0 {
-		t.Errorf("self hop = %d, want 0", got)
-	}
-}

@@ -9,9 +9,10 @@
 // The central primitive is the k-hop gather (Gather): after k rounds of
 // flooding every node knows the full weighted topology, and any piggybacked
 // per-node state, of its k-hop neighborhood. Synchronous flooding is
-// deterministic, so the simulator computes the resulting local views
-// directly via BFS and charges exactly the rounds/messages/words that the
-// flooding protocol would use; this is an exact account, not an estimate.
+// deterministic, so the simulator never runs the protocol: Gather charges
+// exactly the rounds/messages/words the flood would use (an exact account,
+// not an estimate), and View computes, by BFS and on demand, what one node
+// holds afterwards.
 package sim
 
 import (
@@ -22,7 +23,8 @@ import (
 
 // Network wraps a communication graph with cost accounting.
 type Network struct {
-	g *graph.Graph
+	g      *graph.Graph
+	search *graph.Searcher // scratch for the hop balls every primitive charges over
 
 	rounds   int
 	messages int64
@@ -43,7 +45,7 @@ type StepCost struct {
 // counters. The graph is not copied; callers must not mutate it while the
 // network is in use.
 func NewNetwork(g *graph.Graph) *Network {
-	return &Network{g: g, perStep: make(map[string]*StepCost)}
+	return &Network{g: g, search: graph.NewSearcher(g.N()), perStep: make(map[string]*StepCost)}
 }
 
 // G returns the underlying communication graph.
@@ -107,49 +109,60 @@ func (lv *LocalView) Knows(v int) bool {
 	return ok
 }
 
-// Gather performs a k-hop flooding gather and returns the local view of
-// every node. The protocol being accounted: in round 1 every node sends its
-// own record (one word per incident edge plus one) to all neighbors; in each
-// later round every node forwards the records it learned in the previous
-// round to all neighbors. After k rounds node u holds the records of every
-// vertex within k hops.
+// Gather charges a k-hop flooding gather (k < 1 is treated as 1). The
+// protocol being accounted: in round 1 every node sends its own record (one
+// word per incident edge plus one) to all neighbors; in each later round
+// every node forwards the records it learned in the previous round to all
+// neighbors. After k rounds node u holds the records of every vertex within
+// k hops — View(u, k).
 //
 // Rounds charged: k. Messages: for every ordered pair (w, x) of neighbors
 // and every record origin v, w forwards v's record to x in the round after w
 // first learned it, provided that happens within the k-round budget; v's
 // record is forwarded by all w with hop(v,w) <= k-1. Words: each record of
 // vertex v costs deg(v)+1 words.
-func (nw *Network) Gather(step string, k int) []*LocalView {
-	n := nw.g.N()
-	views := make([]*LocalView, n)
-	var messages, words int64
-	for v := 0; v < n; v++ {
-		hops := nw.g.BFSHops(v, k)
-		views[v] = &LocalView{Root: v, Depth: k, Hops: hops}
+func (nw *Network) Gather(step string, k int) {
+	if k < 1 {
+		k = 1
 	}
-	// Cost: record of v is rebroadcast by every node w with hop(v,w) <= k-1
-	// to all of w's neighbors.
-	for v := 0; v < n; v++ {
+	var messages, words int64
+	for v := 0; v < nw.g.N(); v++ {
 		recWords := int64(nw.g.Degree(v) + 1)
-		inner := nw.g.BFSHops(v, k-1)
-		for w := range inner {
-			deg := int64(nw.g.Degree(w))
+		for _, w := range nw.search.HopBall(nw.g, v, k-1) {
+			deg := int64(nw.g.Degree(w.V))
 			messages += deg
 			words += deg * recWords
 		}
 	}
 	nw.Charge(step, k, messages, words)
-	return views
+}
+
+// View returns what node root holds after a depth-k Gather. It charges
+// nothing: Gather accounts the flood for every node at once, and a view is
+// only materialized for a node whose local computation is actually run
+// against it.
+func (nw *Network) View(root, k int) *LocalView {
+	ball := nw.search.HopBall(nw.g, root, k)
+	lv := &LocalView{Root: root, Depth: k, Hops: make(map[int]int, len(ball))}
+	for _, vh := range ball {
+		lv.Hops[vh.V] = vh.Hops
+	}
+	return lv
 }
 
 // Subgraph materializes the view as a standalone graph over the original
 // vertex IDs: it contains every edge of the communication graph whose both
-// endpoints are known to the view. Computations a node performs "locally"
-// run against this graph, which makes locality violations structurally
-// impossible rather than merely asserted.
+// endpoints are known to the view, so a computation run against it cannot
+// read past the node's k-hop horizon. Nothing forces computations through
+// it yet: dist.Build computes each phase centrally on the whole spanner and
+// charges the gather that would have delivered the views (ROADMAP item 8
+// owns running the per-node computations on them).
 func (lv *LocalView) Subgraph(g *graph.Graph) *graph.Graph {
 	sub := graph.New(g.N())
-	for v := range lv.Hops {
+	for v := 0; v < g.N(); v++ { // id order, not map order: the result is deterministic
+		if !lv.Knows(v) {
+			continue
+		}
 		for _, h := range g.Neighbors(v) {
 			if v < h.To && lv.Knows(h.To) {
 				sub.AddEdge(v, h.To, h.W)

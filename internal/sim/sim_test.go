@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"testing"
 
 	"topoctl/internal/graph"
@@ -18,9 +19,12 @@ func lineGraph(n int) *graph.Graph {
 func TestGatherDepthSemantics(t *testing.T) {
 	g := lineGraph(7)
 	nw := NewNetwork(g)
-	views := nw.Gather("test", 2)
+	nw.Gather("test", 2)
 	// Node 3 must know exactly {1,2,3,4,5} after 2 rounds.
-	v := views[3]
+	v := nw.View(3, 2)
+	if v.Root != 3 || v.Depth != 2 {
+		t.Fatalf("view of (%d, depth %d), want (3, depth 2)", v.Root, v.Depth)
+	}
 	want := map[int]int{1: 2, 2: 1, 3: 0, 4: 1, 5: 2}
 	if len(v.Hops) != len(want) {
 		t.Fatalf("view size %d, want %d: %v", len(v.Hops), len(want), v.Hops)
@@ -86,8 +90,7 @@ func TestGatherMessageAccountingDepth2(t *testing.T) {
 func TestSubgraphRestriction(t *testing.T) {
 	g := lineGraph(6)
 	nw := NewNetwork(g)
-	views := nw.Gather("t", 2)
-	sub := views[0].Subgraph(g)
+	sub := nw.View(0, 2).Subgraph(g)
 	// View of 0 at depth 2 knows {0,1,2}; edges 0-1, 1-2 present, 2-3 not.
 	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) {
 		t.Error("expected edges missing from view subgraph")
@@ -129,6 +132,25 @@ func TestNeighborExchange(t *testing.T) {
 	}
 }
 
+// refHops is an independent map-based BFS to depth k.
+func refHops(g *graph.Graph, src, k int) map[int]int {
+	hops := map[int]int{src: 0}
+	frontier := []int{src}
+	for depth := 0; depth < k && len(frontier) > 0; depth++ {
+		var next []int
+		for _, u := range frontier {
+			for _, h := range g.Neighbors(u) {
+				if _, seen := hops[h.To]; !seen {
+					hops[h.To] = depth + 1
+					next = append(next, h.To)
+				}
+			}
+		}
+		frontier = next
+	}
+	return hops
+}
+
 func TestGatherViewContainsBall(t *testing.T) {
 	// On a random-ish graph every view must exactly equal the BFS ball.
 	g := graph.New(10)
@@ -138,12 +160,26 @@ func TestGatherViewContainsBall(t *testing.T) {
 	}
 	nw := NewNetwork(g)
 	for k := 1; k <= 4; k++ {
-		views := nw.Gather("t", k)
+		nw.Gather("t", k)
 		for v := 0; v < g.N(); v++ {
-			want := g.BFSHops(v, k)
-			if len(views[v].Hops) != len(want) {
-				t.Fatalf("k=%d v=%d: view size %d, want %d", k, v, len(views[v].Hops), len(want))
+			if got, want := nw.View(v, k).Hops, refHops(g, v, k); !maps.Equal(got, want) {
+				t.Fatalf("k=%d v=%d: view %v, want %v", k, v, got, want)
 			}
+		}
+	}
+}
+
+// TestGatherDepthOneChargesOnlyOrigins: Gather(step, 1) relays each record
+// from its origin alone (the depth-0 inner ball), and a depth below 1 is
+// charged as depth 1 — never as an unbounded flood.
+func TestGatherDepthOneChargesOnlyOrigins(t *testing.T) {
+	g := lineGraph(4) // degrees 1,2,2,1
+	for _, k := range []int{1, 0, -1} {
+		nw := NewNetwork(g)
+		nw.Gather("t", k)
+		// Messages Σ deg = 6; words Σ deg·(deg+1) = 2+6+6+2 = 16.
+		if nw.Rounds() != 1 || nw.Messages() != 6 || nw.Words() != 16 {
+			t.Errorf("Gather(%d): %s, want rounds=1 messages=6 words=16", k, nw)
 		}
 	}
 }
