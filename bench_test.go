@@ -403,17 +403,15 @@ func BenchmarkChurn(b *testing.B) {
 
 // BenchmarkChurnExport measures the commit+export cycle the serving layer
 // runs per mutation batch on n=512: one committed Move followed by a
-// snapshot publish. The full variant deep-copies both graphs and every
-// point (the pre-frozen Export path, kept as the reference); the frozen
-// variant delta-rebuilds only the adjacency rows the repair touched and
-// shares everything else with the previous snapshot, which is what drops
-// the per-commit allocation count by orders of magnitude.
+// snapshot publish that hands only the adjacency rows the repair touched
+// to graph.ApplyRows and shares everything else with the previous
+// snapshot, so the per-commit allocation count stays constant in n.
 func BenchmarkChurnExport(b *testing.B) {
 	const n, t = 512, 1.5
 	side := ubg.DensitySide(n, 2, 1, 8)
 	pts := geom.GeneratePoints(geom.CloudConfig{Kind: geom.CloudUniform, N: n, Dim: 2, Side: side, Seed: 1})
 
-	run := func(b *testing.B, export func(eng *dynamic.Engine) int) {
+	b.Run("frozen", func(b *testing.B) {
 		eng, err := dynamic.New(pts, dynamic.Options{T: t})
 		if err != nil {
 			b.Fatal(err)
@@ -430,23 +428,10 @@ func BenchmarkChurnExport(b *testing.B) {
 			if err := eng.Move(id, p); err != nil {
 				b.Fatal(err)
 			}
-			if export(eng) == 0 {
+			if _, _, base, sp := eng.ExportFrozen(); base.N()+sp.M() == 0 {
 				b.Fatal("empty export")
 			}
 		}
-	}
-
-	b.Run("full", func(b *testing.B) {
-		run(b, func(eng *dynamic.Engine) int {
-			_, _, base, sp := eng.Export()
-			return base.N() + sp.M()
-		})
-	})
-	b.Run("frozen", func(b *testing.B) {
-		run(b, func(eng *dynamic.Engine) int {
-			_, _, base, sp := eng.ExportFrozen()
-			return base.N() + sp.M()
-		})
 	})
 }
 

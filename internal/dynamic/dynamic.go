@@ -128,14 +128,14 @@ type Engine struct {
 	// snapshots, the vertices whose adjacency rows changed since then, and
 	// whether anything at all changed. expPoints/expAlive cache the last
 	// published slot metadata so a no-op export returns identical values.
-	touched      map[int]struct{}
-	touchScratch []int
-	lastTouched  []int
-	expBase      *graph.Frozen
-	expSp        *graph.Frozen
-	expPoints    []geom.Point
-	expAlive     []bool
-	exportClean  bool
+	touched     map[int]struct{}
+	lastTouched []int
+	rowScratch  []graph.RowUpdate
+	expBase     *graph.Frozen
+	expSp       *graph.Frozen
+	expPoints   []geom.Point
+	expAlive    []bool
+	exportClean bool
 
 	maxW float64 // metric weight of a maximum-length base edge
 }
@@ -274,34 +274,15 @@ func (e *Engine) Spanner() *graph.Graph { return e.sp }
 // Stats returns the accumulated work counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Export deep-copies the engine's current state: slot-indexed positions
-// (nil for free slots), the alive mask, and the base graph and spanner
-// (free slots are isolated vertices). The copies share no memory with the
-// engine, so callers may publish them to concurrent readers while the
-// engine keeps mutating. The serving layer publishes through the cheaper
-// delta-aware ExportFrozen instead; Export remains for callers that need
-// mutable copies, and as the full-copy reference the frozen differential
-// tests pin ExportFrozen against.
-func (e *Engine) Export() (points []geom.Point, alive []bool, base, sp *graph.Graph) {
-	points = make([]geom.Point, len(e.points))
-	for id, p := range e.points {
-		if e.alive[id] {
-			points[id] = p.Clone()
-		}
-	}
-	alive = append([]bool(nil), e.alive...)
-	return points, alive, e.base.Clone(), e.sp.Clone()
-}
-
 // ExportFrozen publishes the engine's current state as immutable frozen
 // (CSR) snapshots, rebuilding only what changed since the previous call:
-// adjacency rows untouched since the last export alias the prior
-// snapshot's storage, touched rows are re-frozen, and the slot metadata
-// slices are fresh copies. The cost — time and, more importantly,
-// allocations — is proportional to the repair the engine actually
-// performed, not to n+m, which is what keeps snapshot-per-commit
-// publishing cheap under churn (Export, by contrast, deep-copies
-// everything on every call).
+// the first call freezes both graphs in full, and every later call hands
+// the touched adjacency rows to graph.ApplyRows — the same delta function
+// followers and WAL recovery run on frames — so untouched rows alias the
+// prior snapshot's storage and the slot metadata slices are fresh copies.
+// The cost — time and, more importantly, allocations — is proportional to
+// the repair the engine actually performed, not to n+m, which is what
+// keeps snapshot-per-commit publishing cheap under churn.
 //
 // When nothing changed since the previous ExportFrozen, the exact same
 // four values are returned (pointer-identical graphs and slices): a commit
@@ -316,19 +297,33 @@ func (e *Engine) ExportFrozen() (points []geom.Point, alive []bool, base, sp *gr
 		e.lastTouched = e.lastTouched[:0]
 		return e.expPoints, e.expAlive, e.expBase, e.expSp
 	}
-	e.touchScratch = e.touchScratch[:0]
+	e.lastTouched = e.lastTouched[:0]
 	for v := range e.touched {
-		e.touchScratch = append(e.touchScratch, v)
+		e.lastTouched = append(e.lastTouched, v)
 	}
-	e.expBase = graph.UpdateFrozen(e.expBase, e.base, e.touchScratch)
-	e.expSp = graph.UpdateFrozen(e.expSp, e.sp, e.touchScratch)
-	e.expPoints = append([]geom.Point(nil), e.points...)
-	e.expAlive = append([]bool(nil), e.alive...)
-	e.lastTouched = append(e.lastTouched[:0], e.touchScratch...)
 	sort.Ints(e.lastTouched)
 	clear(e.touched)
+	if e.expBase == nil {
+		e.expBase, e.expSp = graph.Freeze(e.base), graph.Freeze(e.sp)
+	} else {
+		n := e.base.N()
+		e.expBase = graph.ApplyRows(e.expBase, n, e.touchedRows(e.base))
+		e.expSp = graph.ApplyRows(e.expSp, n, e.touchedRows(e.sp))
+	}
+	e.expPoints = append([]geom.Point(nil), e.points...)
+	e.expAlive = append([]bool(nil), e.alive...)
 	e.exportClean = true
 	return e.expPoints, e.expAlive, e.expBase, e.expSp
+}
+
+// touchedRows returns g's current rows at the last export's touched
+// vertices, in engine-owned scratch valid until the next call.
+func (e *Engine) touchedRows(g *graph.Graph) []graph.RowUpdate {
+	e.rowScratch = e.rowScratch[:0]
+	for _, v := range e.lastTouched {
+		e.rowScratch = append(e.rowScratch, graph.RowUpdate{V: v, Row: g.Neighbors(v)})
+	}
+	return e.rowScratch
 }
 
 // LastExportTouched returns the vertices whose adjacency rows the most

@@ -328,48 +328,3 @@ func TestDirtyBallIsLocal(t *testing.T) {
 	}
 	checkInvariants(t, e)
 }
-
-func TestExportIsDeepCopy(t *testing.T) {
-	pts := geom.GeneratePoints(geom.CloudConfig{Kind: geom.CloudUniform, N: 40, Dim: 2, Side: 4, Seed: 9})
-	eng, err := New(pts, Options{T: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, alive, base, sp := eng.Export()
-	if len(points) != len(alive) || base.N() != sp.N() || base.N() != len(points) {
-		t.Fatalf("export shapes disagree: %d points, %d alive, base n=%d, sp n=%d",
-			len(points), len(alive), base.N(), sp.N())
-	}
-	live := 0
-	for id, a := range alive {
-		if a {
-			live++
-			if geom.Dist(points[id], eng.Point(id)) != 0 {
-				t.Fatalf("point %d differs from engine", id)
-			}
-		} else if points[id] != nil {
-			t.Fatalf("dead slot %d has a point", id)
-		}
-	}
-	if live != eng.N() {
-		t.Fatalf("live = %d, engine N = %d", live, eng.N())
-	}
-	baseM, spM := base.M(), sp.M()
-	if baseM != eng.Base().M() || spM != eng.Spanner().M() {
-		t.Fatalf("edge counts differ from engine: base %d/%d sp %d/%d",
-			baseM, eng.Base().M(), spM, eng.Spanner().M())
-	}
-
-	// Mutating the engine must not change the exported copies.
-	for op := 0; op < 25; op++ {
-		if _, err := eng.Join(geom.Point{float64(op) * 0.13, 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Leave(0); err != nil {
-		t.Fatal(err)
-	}
-	if base.M() != baseM || sp.M() != spM || !alive[0] || points[0] == nil {
-		t.Fatal("export mutated by later engine operations")
-	}
-}

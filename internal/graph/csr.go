@@ -59,28 +59,16 @@ func (b *CSRBuilder) Row(u int) []Halfedge {
 	return b.slab[r.off : r.off+r.deg : r.off+r.deg]
 }
 
-// Finish seals the builder into a Frozen, computing the cached aggregates
-// (M, TotalWeight, MaxDegree) in one slab pass. Every row must have been
+// Finish seals the builder into a Frozen. Every row must have been
 // completely filled with a symmetric halfedge set — each undirected edge
-// present in both endpoint rows — or the aggregates (and every consumer)
-// will be inconsistent. The builder must not be reused afterwards.
+// present in both endpoint rows — or the edge count (half the slab) and
+// every consumer will be inconsistent. The builder must not be reused
+// afterwards.
 func (b *CSRBuilder) Finish() *Frozen {
 	if b.rows == nil {
 		b.Alloc() // n == 0 or all-isolated: an empty slab is valid
 	}
-	f := &Frozen{rows: b.rows, slab: b.slab}
-	for u := range f.rows {
-		row := f.row(u)
-		if len(row) > f.maxDeg {
-			f.maxDeg = len(row)
-		}
-		for _, h := range row {
-			if u < h.To {
-				f.m++
-				f.weight += h.W
-			}
-		}
-	}
+	f := &Frozen{rows: b.rows, slab: b.slab, m: len(b.slab) / 2}
 	b.rows, b.slab, b.Deg = nil, nil, nil
 	return f
 }

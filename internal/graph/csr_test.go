@@ -33,7 +33,7 @@ func frozenEqual(t *testing.T, a, b *Frozen) {
 		t.Fatalf("aggregates differ: n %d/%d m %d/%d maxdeg %d/%d",
 			a.N(), b.N(), a.M(), b.M(), a.MaxDegree(), b.MaxDegree())
 	}
-	if da := a.TotalWeight() - b.TotalWeight(); da > 1e-9 || da < -1e-9 {
+	if a.TotalWeight() != b.TotalWeight() {
 		t.Fatalf("total weight differs: %v vs %v", a.TotalWeight(), b.TotalWeight())
 	}
 	for u := 0; u < a.N(); u++ {

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Topology is the narrow read-only view of an undirected weighted graph
 // that every query-side consumer in the repository runs on: searches
@@ -53,141 +50,47 @@ var (
 type rowSpan struct{ off, deg int32 }
 
 // Frozen is an immutable compressed-sparse-row graph: a flat offset table
-// (rows) into one flat halfedge slab, plus cached aggregates (M,
-// TotalWeight, MaxDegree). It is the serving-side counterpart of Graph:
-// builders mutate a Graph and call Freeze at the boundary; every read-only
-// consumer then runs on the Frozen through the Topology interface.
+// (rows) into one flat halfedge slab, plus the edge count. It is the
+// serving-side counterpart of Graph: builders mutate a Graph and call
+// Freeze at the boundary; every read-only consumer then runs on the Frozen
+// through the Topology interface. Aggregates (TotalWeight, MaxDegree) are
+// computed from the rows in row order when asked, so two Frozens with the
+// same rows report bit-identical values however each was derived.
 //
 // Compared to Graph's [][]Halfedge, a Frozen has no per-vertex slice
 // headers to chase and its rows are contiguous after a full Freeze, so
 // searches walk memory linearly; and because it is immutable it may be
 // shared across any number of concurrent readers without synchronization.
 //
-// Successive Frozens produced by UpdateFrozen share their halfedge slab:
-// only rows whose adjacency actually changed are appended to the slab, and
+// Successive Frozens produced by ApplyRows share their halfedge slab: only
+// rows whose adjacency actually changed are appended to the slab, and
 // everything else aliases the previous snapshot's storage. The slab is
 // append-only, so older snapshots remain valid while newer ones grow it.
 type Frozen struct {
-	rows   []rowSpan
-	slab   []Halfedge
-	m      int
-	weight float64
-	maxDeg int
+	rows []rowSpan
+	slab []Halfedge
+	m    int
 }
 
 // Freeze builds a Frozen copy of g with a fresh, exactly-sized, contiguous
 // slab. The result shares no memory with g.
-func Freeze(g *Graph) *Frozen {
-	f := &Frozen{
-		rows: make([]rowSpan, g.n),
-		slab: make([]Halfedge, 0, 2*g.m),
-		m:    g.m,
-	}
-	for u, hs := range g.adj {
-		f.rows[u] = rowSpan{off: int32(len(f.slab)), deg: int32(len(hs))}
-		f.slab = append(f.slab, hs...)
-		if len(hs) > f.maxDeg {
-			f.maxDeg = len(hs)
-		}
-		for _, h := range hs {
-			if u < h.To {
-				f.weight += h.W
-			}
-		}
-	}
-	return f
-}
+func Freeze(g *Graph) *Frozen { return FrozenFromRows(g.adj) }
 
-// UpdateFrozen rebuilds only the touched rows of prev against g and
-// returns the resulting snapshot. touched must contain every vertex whose
-// adjacency changed since prev was taken (both endpoints of every added or
-// removed edge qualify — the Graph mutators rewrite both rows); extra
-// entries, duplicates, and out-of-range ids are harmless. Unchanged rows
-// keep their spans into the shared slab; rows whose adjacency really
-// differs are appended to it. The cost is O(n) for the span table plus
-// O(Σ deg) over the touched rows — independent of the untouched part of
-// the edge set — and the allocation count is O(1) regardless of graph
-// size.
-//
-// If no touched row actually changed (and the vertex count is unchanged),
-// prev itself is returned, so a churn batch with zero net effect publishes
-// the prior snapshot by pointer identity.
-//
-// The cached total weight is maintained from the dirty-row delta, so it
-// can drift from the exact sum by accumulated floating-point error across
-// a long update chain; slab compaction (a full Freeze, triggered when
-// appended garbage exceeds twice the live edge set) recomputes it exactly.
-//
-// prev == nil falls back to a full Freeze. Updates must form a linear
-// chain: prev must be the newest snapshot derived from this slab, because
-// two updates forked from the same prev would append rows into the same
-// slab positions. (Snapshot-per-commit publishing, with one writer owning
-// the chain, is exactly this shape; readers of any older snapshot are
-// unaffected since their rows are never overwritten.)
-func UpdateFrozen(prev *Frozen, g *Graph, touched []int) *Frozen {
-	if prev == nil {
-		return Freeze(g)
+// pack lays the rows (row(u) for every u < len(spans)) out back to back,
+// in vertex order, in a fresh slab of capacity total, rewrites spans[u] to
+// row u's window, and returns the slab. It is the one copying construction
+// path: FrozenFromRows (and Freeze) fill a new span table through it, and
+// ApplyRows compacts in place through it — row(u) is read before spans[u]
+// is rewritten, so spans may be the very table row reads through. Every
+// fresh Frozen, including a CSRBuilder's, has this layout.
+func pack(spans []rowSpan, total int, row func(u int) []Halfedge) []Halfedge {
+	slab := make([]Halfedge, 0, total)
+	for u := range spans {
+		r := row(u)
+		spans[u] = rowSpan{off: int32(len(slab)), deg: int32(len(r))}
+		slab = append(slab, r...)
 	}
-	// Detect whether anything actually changed before allocating: a row is
-	// dirty iff its current adjacency differs element-for-element from the
-	// frozen one. Mutators rewrite rows in place, so an untouched row
-	// always compares equal.
-	anyDirty := g.n != len(prev.rows)
-	if !anyDirty {
-		for _, u := range touched {
-			if u < 0 || u >= g.n {
-				continue
-			}
-			if !prev.rowEqual(u, g.adj[u]) {
-				anyDirty = true
-				break
-			}
-		}
-	}
-	if !anyDirty {
-		return prev
-	}
-	live := 2 * g.m
-	if len(prev.slab) > 3*live+64 || len(prev.slab) > math.MaxInt32/2 {
-		return Freeze(g) // compact: too much appended garbage in the slab
-	}
-	f := &Frozen{
-		rows: make([]rowSpan, g.n),
-		slab: prev.slab,
-		m:    g.m,
-	}
-	copy(f.rows, prev.rows) // rows beyond len(prev.rows) start empty
-	// Every changed edge dirties both endpoint rows, and an unchanged edge
-	// incident to a dirty row contributes identically to the old and new
-	// sums, so half the dirty-row weight delta is exactly the edge-weight
-	// delta.
-	var sumOld, sumNew float64
-	for _, u := range touched {
-		if u < 0 || u >= g.n {
-			continue
-		}
-		row := g.adj[u]
-		if f.rowEqual(u, row) {
-			continue // unchanged, or a duplicate touched entry already rebuilt
-		}
-		if u < len(prev.rows) {
-			for _, h := range prev.row(u) {
-				sumOld += h.W
-			}
-		}
-		for _, h := range row {
-			sumNew += h.W
-		}
-		f.rows[u] = rowSpan{off: int32(len(f.slab)), deg: int32(len(row))}
-		f.slab = append(f.slab, row...)
-	}
-	f.weight = prev.weight + (sumNew-sumOld)/2
-	for _, r := range f.rows {
-		if int(r.deg) > f.maxDeg {
-			f.maxDeg = int(r.deg)
-		}
-	}
-	return f
+	return slab
 }
 
 // rowEqual reports whether u's frozen row (empty when u is beyond the
@@ -281,11 +184,30 @@ func (f *Frozen) Edges() []Edge {
 	return es
 }
 
-// MaxDegree returns the cached maximum vertex degree.
-func (f *Frozen) MaxDegree() int { return f.maxDeg }
+// MaxDegree returns the maximum vertex degree (0 for an empty graph).
+func (f *Frozen) MaxDegree() int {
+	max := 0
+	for _, r := range f.rows {
+		if int(r.deg) > max {
+			max = int(r.deg)
+		}
+	}
+	return max
+}
 
-// TotalWeight returns the cached sum of all edge weights.
-func (f *Frozen) TotalWeight() float64 { return f.weight }
+// TotalWeight returns the sum of all edge weights, accumulated in row
+// order exactly as Graph.TotalWeight does.
+func (f *Frozen) TotalWeight() float64 {
+	var s float64
+	for u := range f.rows {
+		for _, h := range f.row(u) {
+			if u < h.To {
+				s += h.W
+			}
+		}
+	}
+	return s
+}
 
 // Thaw returns a mutable deep copy of f — the inverse of Freeze, for
 // callers that need to edit a served topology offline. The copy's rows are

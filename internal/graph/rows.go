@@ -16,61 +16,50 @@ type RowUpdate struct {
 // adjacency rows (rows[u] is u's full halfedge row; nil means isolated).
 // Every undirected edge must appear in both endpoint rows with equal
 // weight — the encoding invariant of checkpoints and delta frames — or the
-// cached edge count and total weight will be wrong. The rows are copied
-// into a fresh contiguous slab.
+// edge count will be wrong. The rows are copied into a fresh contiguous
+// slab.
 func FrozenFromRows(rows [][]Halfedge) *Frozen {
 	total := 0
 	for _, r := range rows {
 		total += len(r)
 	}
-	f := &Frozen{
-		rows: make([]rowSpan, len(rows)),
-		slab: make([]Halfedge, 0, total),
-		m:    total / 2,
-	}
-	for u, r := range rows {
-		f.rows[u] = rowSpan{off: int32(len(f.slab)), deg: int32(len(r))}
-		f.slab = append(f.slab, r...)
-		if len(r) > f.maxDeg {
-			f.maxDeg = len(r)
-		}
-		for _, h := range r {
-			if u < h.To {
-				f.weight += h.W
-			}
-		}
-	}
+	f := &Frozen{rows: make([]rowSpan, len(rows)), m: total / 2}
+	f.slab = pack(f.rows, total, func(u int) []Halfedge { return rows[u] })
 	return f
 }
 
-// ApplyRows is the replication-side counterpart of UpdateFrozen: it
-// produces the successor snapshot of prev after replacing the given rows,
-// with n the new vertex count (>= len updates' ids + 1; rows beyond prev's
-// count start empty). Like UpdateFrozen it appends only genuinely changed
-// rows to the shared slab, returns prev unchanged when nothing differs,
-// and compacts into a fresh contiguous slab when appended garbage exceeds
-// the threshold. Updates must contain both endpoint rows of every changed
-// edge (the WAL touched-set invariant), so the cached edge count and
-// weight can be maintained from the row delta alone.
+// ApplyRows is the one way a snapshot is derived from its predecessor: the
+// engine's delta export, follower replication and WAL recovery all call
+// it. It returns the successor of prev after replacing the given rows,
+// with n the new vertex count (>= every update's id + 1; rows beyond
+// prev's count start empty). Only genuinely changed rows are appended to
+// the shared slab; when nothing differs (and n is unchanged) prev itself
+// is returned, so a commit with zero net effect republishes the prior
+// snapshot by pointer identity; and once appended garbage exceeds twice
+// the live edge set the result is compacted into a fresh contiguous slab.
+// Updates must contain both endpoint rows of every changed edge (the WAL
+// touched-set invariant), so the edge count follows from the row delta
+// alone; out-of-range and duplicate updates are ignored. The rows are
+// copied, never aliased.
 //
-// prev == nil builds from the updates over an otherwise empty graph.
+// Successors must form a linear chain with a single owner: prev must be
+// the newest snapshot derived from its slab, because two successors forked
+// from the same prev would append into the same slab positions. A slab
+// with no spare capacity — what Freeze, FrozenFromRows and compaction
+// produce — is safe to fork from, since the first append on each branch
+// reallocates; that is what lets a WAL shadow state start from the
+// engine's first exported snapshot. Readers of older snapshots are never
+// affected: their rows are not overwritten.
+//
+// prev == nil applies the updates over an empty graph.
 func ApplyRows(prev *Frozen, n int, updates []RowUpdate) *Frozen {
 	if prev == nil {
-		rows := make([][]Halfedge, n)
-		for _, up := range updates {
-			if up.V >= 0 && up.V < n {
-				rows[up.V] = up.Row
-			}
-		}
-		return FrozenFromRows(rows)
+		prev = &Frozen{}
 	}
 	anyDirty := n != len(prev.rows)
 	if !anyDirty {
 		for _, up := range updates {
-			if up.V < 0 || up.V >= n {
-				continue
-			}
-			if !prev.rowEqual(up.V, up.Row) {
+			if up.V >= 0 && up.V < n && !prev.rowEqual(up.V, up.Row) {
 				anyDirty = true
 				break
 			}
@@ -82,70 +71,23 @@ func ApplyRows(prev *Frozen, n int, updates []RowUpdate) *Frozen {
 	f := &Frozen{
 		rows: make([]rowSpan, n),
 		slab: prev.slab,
+		m:    prev.m,
 	}
 	copy(f.rows, prev.rows) // rows beyond len(prev.rows) start empty
 	// Both endpoints of every changed edge are in updates, so half the
-	// dirty-row degree and weight deltas are exactly the edge-level deltas
-	// (the same argument UpdateFrozen relies on).
-	var sumOld, sumNew float64
+	// dirty-row degree delta is exactly the edge-count delta.
 	degDelta := 0
 	for _, up := range updates {
-		if up.V < 0 || up.V >= n {
-			continue
+		if up.V < 0 || up.V >= n || f.rowEqual(up.V, up.Row) {
+			continue // out of range, unchanged, or a duplicate already applied
 		}
-		if f.rowEqual(up.V, up.Row) {
-			continue // unchanged, or a duplicate update already applied
-		}
-		if up.V < len(prev.rows) {
-			old := prev.row(up.V)
-			degDelta -= len(old)
-			for _, h := range old {
-				sumOld += h.W
-			}
-		}
-		degDelta += len(up.Row)
-		for _, h := range up.Row {
-			sumNew += h.W
-		}
+		degDelta += len(up.Row) - int(f.rows[up.V].deg)
 		f.rows[up.V] = rowSpan{off: int32(len(f.slab)), deg: int32(len(up.Row))}
 		f.slab = append(f.slab, up.Row...)
 	}
-	f.m = prev.m + degDelta/2
-	f.weight = prev.weight + (sumNew-sumOld)/2
-	for _, r := range f.rows {
-		if int(r.deg) > f.maxDeg {
-			f.maxDeg = int(r.deg)
-		}
-	}
-	live := 2 * f.m
-	if len(f.slab) > 3*live+64 || len(f.slab) > math.MaxInt32/2 {
-		return f.compact()
+	f.m += degDelta / 2
+	if live := 2 * f.m; len(f.slab) > 3*live+64 || len(f.slab) > math.MaxInt32/2 {
+		f.slab = pack(f.rows, live, f.row) // compact: too much appended garbage
 	}
 	return f
-}
-
-// compact rewrites f into an exactly-sized contiguous slab, dropping the
-// garbage rows earlier delta applications left behind. Aggregates are
-// recomputed exactly, flushing any floating-point drift the incremental
-// weight maintenance accumulated.
-func (f *Frozen) compact() *Frozen {
-	c := &Frozen{
-		rows: make([]rowSpan, len(f.rows)),
-		slab: make([]Halfedge, 0, 2*f.m),
-		m:    f.m,
-	}
-	for u := range f.rows {
-		r := f.row(u)
-		c.rows[u] = rowSpan{off: int32(len(c.slab)), deg: int32(len(r))}
-		c.slab = append(c.slab, r...)
-		if len(r) > c.maxDeg {
-			c.maxDeg = len(r)
-		}
-		for _, h := range r {
-			if u < h.To {
-				c.weight += h.W
-			}
-		}
-	}
-	return c
 }

@@ -127,7 +127,7 @@ func TestDifferentialAdditionChains(t *testing.T) {
 
 // TestDifferentialMutationChains drives a dynamic.Engine through fuzzed
 // Join/Leave/Move churn, maintains the oracle per commit from the same
-// touched-row deltas UpdateFrozen consumes (via ExportFrozen /
+// touched-row deltas graph.ApplyRows consumes (via ExportFrozen /
 // LastExportTouched), and pins every certified answer against
 // DijkstraTarget on the exported spanner. Declines must coincide with
 // commits that removed edges (stale mode) and heal at the rebuild horizon.

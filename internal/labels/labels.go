@@ -25,9 +25,9 @@
 // no maps, no allocation, cache-linear.
 //
 // Incremental maintenance consumes the same touched-row deltas
-// graph.UpdateFrozen does. Commits that only add edges (joins, and the
-// repair passes that re-certify them — repair never removes a spanner
-// edge) stay exact through a patch set: the added edges' endpoints become
+// graph.ApplyRows derives each snapshot from. Commits that only add edges
+// (joins, and the repair passes that re-certify them — repair never
+// removes a spanner edge) stay exact through a patch set: the added edges' endpoints become
 // "portals", an exact portal-to-portal distance matrix over the updated
 // graph is closed once per Update (Floyd–Warshall over k ≤ PatchLimit
 // portals, seeded with label distances and patch edges), and a query
@@ -41,7 +41,7 @@
 // its bidirectional Dijkstra (slower, never wrong) — and a full rebuild
 // triggers after RebuildAfter stale commits. Oracles are immutable:
 // Update returns a new value sharing the label slab, exactly like
-// UpdateFrozen's structural sharing, so concurrent readers of an older
+// ApplyRows' structural sharing, so concurrent readers of an older
 // snapshot's oracle are never disturbed.
 package labels
 
@@ -298,7 +298,7 @@ func (o *Oracle) Query(s, t int) (float64, bool) {
 
 // Update derives the oracle for a successor graph from this one. touched
 // must contain every vertex whose adjacency differs between the oracle's
-// current graph and g (the same contract as graph.UpdateFrozen; extra or
+// current graph and g (the same contract as graph.ApplyRows; extra or
 // duplicate entries are harmless — dynamic.Engine.LastExportTouched is
 // exactly this set). Additions-only changes extend the patch and stay
 // exact; any removal or weight change flips the successor stale (queries

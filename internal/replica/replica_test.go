@@ -3,11 +3,13 @@ package replica_test
 import (
 	"bytes"
 	"context"
-
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,31 +30,81 @@ const (
 	testRadius = 1.0
 )
 
-// bodyLog records the canonical state body at every epoch, on both
-// sides of the replication link.
+// topoStats is the topology half of /stats: the numbers every node
+// serving the same epoch must report bit for bit, however it got there.
+type topoStats struct {
+	BaseEdges, SpannerEdges, MaxDegree int
+	SpannerWeight                      float64
+}
+
+// epochRecord is what one node served at one epoch: its canonical state
+// body and the topology stats of its published snapshot.
+type epochRecord struct {
+	body  []byte
+	stats topoStats
+}
+
+// bodyLog records, per epoch, the canonical state body and the serving
+// stats on one side of the replication link, plus the replica client's
+// log lines on a follower.
 type bodyLog struct {
 	mu     sync.Mutex
-	bodies map[uint64][]byte
+	epochs map[uint64]epochRecord
+	lines  []string
 }
 
-func newBodyLog() *bodyLog { return &bodyLog{bodies: map[uint64][]byte{}} }
+func newBodyLog() *bodyLog { return &bodyLog{epochs: map[uint64]epochRecord{}} }
 
-func (b *bodyLog) add(epoch uint64, body []byte) {
+// add records the state body at epoch and the stats svc serves for it.
+func (b *bodyLog) add(epoch uint64, body []byte, svc *service.Service) {
+	st := svc.Stats()
+	rec := epochRecord{body: body, stats: topoStats{
+		BaseEdges: st.BaseEdges, SpannerEdges: st.SpannerEdges,
+		MaxDegree: st.MaxDegree, SpannerWeight: st.SpannerWeight,
+	}}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.bodies[epoch] = body
+	b.epochs[epoch] = rec
 }
 
-func (b *bodyLog) get(epoch uint64) []byte {
+func (b *bodyLog) get(epoch uint64) epochRecord {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.bodies[epoch]
+	return b.epochs[epoch]
 }
 
-func (b *bodyLog) len() int {
+func (b *bodyLog) logf(format string, args ...any) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.bodies)
+	b.lines = append(b.lines, fmt.Sprintf(format, args...))
+}
+
+// logged reports whether any recorded log line contains sub.
+func (b *bodyLog) logged(sub string) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, l := range b.lines {
+		if strings.Contains(l, sub) {
+			return true
+		}
+	}
+	return false
+}
+
+// requireSameEpoch fails unless both logs hold epoch e with byte-identical
+// state bodies and bit-identical topology stats.
+func requireSameEpoch(t *testing.T, what string, e uint64, want, got *bodyLog) {
+	t.Helper()
+	w, g := want.get(e), got.get(e)
+	if w.body == nil || g.body == nil {
+		t.Fatalf("%s: epoch %d missing (want %d bytes, got %d)", what, e, len(w.body), len(g.body))
+	}
+	if !bytes.Equal(g.body, w.body) {
+		t.Fatalf("%s: epoch %d state body differs", what, e)
+	}
+	if g.stats != w.stats {
+		t.Fatalf("%s: epoch %d stats %+v, want %+v", what, e, g.stats, w.stats)
+	}
 }
 
 func testPoints(n int) []geom.Point {
@@ -86,16 +138,16 @@ func startLeader(t *testing.T, fs wal.FS, pts []geom.Point, walOpts wal.Options)
 	}
 	ld := replica.NewLeader(rec, recovered)
 	bodies := newBodyLog()
+	var svc *service.Service
 	opts := service.Options{
 		T: testT, Radius: testRadius,
 		OnPublish: func(snap *service.Snapshot, applied []service.Op, touched []int) {
 			ld.OnPublish(snap, applied, touched)
 			if st := ld.State(); st != nil {
-				bodies.add(st.Epoch, st.Encode())
+				bodies.add(st.Epoch, st.Encode(), svc)
 			}
 		},
 	}
-	var svc *service.Service
 	if recovered != nil {
 		side := recovered.Clone()
 		eng, err := dynamic.Restore(side.Points, side.Alive, side.Base.Thaw(), side.Spanner.Thaw(),
@@ -108,7 +160,7 @@ func startLeader(t *testing.T, fs wal.FS, pts []geom.Point, walOpts wal.Options)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bodies.add(recovered.Epoch, recovered.Encode())
+		bodies.add(recovered.Epoch, recovered.Encode(), svc)
 	} else {
 		svc, err = service.New(pts, opts)
 		if err != nil {
@@ -117,7 +169,7 @@ func startLeader(t *testing.T, fs wal.FS, pts []geom.Point, walOpts wal.Options)
 		if err := ld.Genesis(testT, testRadius, 2, svc.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
-		bodies.add(svc.Snapshot().Version, ld.State().Encode())
+		bodies.add(svc.Snapshot().Version, ld.State().Encode(), svc)
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", svc.Handler())
@@ -126,26 +178,29 @@ func startLeader(t *testing.T, fs wal.FS, pts []geom.Point, walOpts wal.Options)
 	return &leaderHarness{svc: svc, ld: ld, rec: rec, bodies: bodies, mux: mux}
 }
 
-// churn applies n random mutation batches (joins, leaves, moves).
+// churn applies n random single-op mutation batches.
 func churn(t *testing.T, svc *service.Service, rng *rand.Rand, n int) {
 	t.Helper()
-	snap := svc.Snapshot()
-	slots := len(snap.Alive)
-	side := ubg.DensitySide(48, 2, 1, 8)
+	slots := len(svc.Snapshot().Alive)
 	for i := 0; i < n; i++ {
-		var op service.Op
-		switch rng.Intn(4) {
-		case 0:
-			op = service.Op{Kind: service.OpJoin, Point: geom.Point{rng.Float64() * side, rng.Float64() * side}}
-		case 1:
-			op = service.Op{Kind: service.OpLeave, ID: rng.Intn(slots)}
-		default:
-			op = service.Op{Kind: service.OpMove, ID: rng.Intn(slots),
-				Point: geom.Point{rng.Float64() * side, rng.Float64() * side}}
-		}
-		if _, err := svc.Mutate([]service.Op{op}); err != nil {
+		if _, err := svc.Mutate([]service.Op{randomOp(rng, slots)}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// randomOp draws a join, leave or move over slots [0, slots); leaves and
+// moves of dead slots fail inside the batch, as they would for a client.
+func randomOp(rng *rand.Rand, slots int) service.Op {
+	side := ubg.DensitySide(48, 2, 1, 8)
+	switch rng.Intn(4) {
+	case 0:
+		return service.Op{Kind: service.OpJoin, Point: geom.Point{rng.Float64() * side, rng.Float64() * side}}
+	case 1:
+		return service.Op{Kind: service.OpLeave, ID: rng.Intn(slots)}
+	default:
+		return service.Op{Kind: service.OpMove, ID: rng.Intn(slots),
+			Point: geom.Point{rng.Float64() * side, rng.Float64() * side}}
 	}
 }
 
@@ -163,7 +218,12 @@ func startFollower(t *testing.T, leaderURL string, bodies *bodyLog) (*service.Se
 		BackoffMax: 20 * time.Millisecond,
 		OnApply: func(st *wal.State) {
 			if bodies != nil {
-				bodies.add(st.Epoch, st.Encode())
+				bodies.add(st.Epoch, st.Encode(), fol)
+			}
+		},
+		Logf: func(format string, args ...any) {
+			if bodies != nil {
+				bodies.logf(format, args...)
 			}
 		},
 	})
@@ -200,11 +260,15 @@ func waitConnected(t *testing.T, fol *service.Service) {
 	t.Fatal("follower never connected")
 }
 
-func waitForEpoch(t *testing.T, svc *service.Service, epoch uint64) {
+// waitForEpoch blocks until the follower logging into fol has recorded
+// epoch. The record lands just after the follower publishes the epoch, so
+// waiting on the follower's snapshot version alone would race it; every
+// earlier epoch the follower applied is recorded by then too.
+func waitForEpoch(t *testing.T, fol *bodyLog, epoch uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if snap := svc.Snapshot(); snap != nil && snap.Version >= epoch {
+		if fol.get(epoch).body != nil {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -214,7 +278,9 @@ func waitForEpoch(t *testing.T, svc *service.Service, epoch uint64) {
 
 // TestFollowerByteIdentical is the differential proof: under churn, the
 // follower's canonical state body matches the leader's shadow state
-// byte for byte at every single epoch it applies.
+// byte for byte at every single epoch it applies, and the follower's
+// /stats topology numbers (spanner weight, max degree, edge counts) match
+// what the leader served at that epoch bit for bit.
 func TestFollowerByteIdentical(t *testing.T) {
 	// Retain covers the whole test so the follower never falls out of the
 	// window: every epoch after its bootstrap point must be applied and
@@ -236,24 +302,17 @@ func TestFollowerByteIdentical(t *testing.T) {
 	churn(t, h.svc, rng, 40) // live churn while the follower streams
 
 	last := h.ld.State().Epoch
-	waitForEpoch(t, fol, last)
+	waitForEpoch(t, folBodies, last)
 	if err := h.ld.Err(); err != nil {
 		t.Fatal(err)
 	}
 
 	compared := 0
 	for e := uint64(1); e <= last; e++ {
-		want := h.bodies.get(e)
-		got := folBodies.get(e)
-		if got == nil {
+		if folBodies.get(e).body == nil {
 			continue // before the follower's bootstrap point
 		}
-		if want == nil {
-			t.Fatalf("epoch %d: follower applied an epoch the leader never logged", e)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("epoch %d: follower state body differs from leader", e)
-		}
+		requireSameEpoch(t, "follower vs leader", e, h.bodies, folBodies)
 		compared++
 	}
 	// Not every churn op commits a new epoch (a leave of a dead slot is a
@@ -353,7 +412,7 @@ func TestStreamCutsMidFrame(t *testing.T) {
 	}
 
 	last := h.ld.State().Epoch
-	waitForEpoch(t, fol, last)
+	waitForEpoch(t, folBodies, last)
 	mu.Lock()
 	sawCuts := conns
 	mu.Unlock()
@@ -363,10 +422,8 @@ func TestStreamCutsMidFrame(t *testing.T) {
 		t.Fatalf("only %d stream connections; the cut path never exercised", sawCuts)
 	}
 	for e := uint64(1); e <= last; e++ {
-		if got := folBodies.get(e); got != nil {
-			if want := h.bodies.get(e); !bytes.Equal(got, want) {
-				t.Fatalf("epoch %d: follower diverged across reconnects", e)
-			}
+		if folBodies.get(e).body != nil {
+			requireSameEpoch(t, "follower across reconnects", e, h.bodies, folBodies)
 		}
 	}
 	// Each applied epoch must have arrived exactly once (duplicate frames
@@ -466,7 +523,7 @@ func Test410MidStream(t *testing.T) {
 	mu.Unlock()
 
 	last := h.ld.State().Epoch
-	waitForEpoch(t, fol, last)
+	waitForEpoch(t, folBodies, last)
 
 	mu.Lock()
 	gone := saw410
@@ -474,9 +531,7 @@ func Test410MidStream(t *testing.T) {
 	if gone == 0 {
 		t.Fatal("no stream request was answered 410; the re-bootstrap path never exercised")
 	}
-	if got, want := folBodies.get(last), h.bodies.get(last); !bytes.Equal(got, want) {
-		t.Fatalf("follower diverged after 410 re-bootstrap (got %d bytes)", len(got))
-	}
+	requireSameEpoch(t, "follower after 410 re-bootstrap", last, h.bodies, folBodies)
 	st := fol.Stats()
 	if st.Replica == nil || st.Replica.Reconnects == 0 {
 		t.Fatalf("replica status %+v, want reconnects > 0", st.Replica)
@@ -566,37 +621,33 @@ func TestRetentionGone(t *testing.T) {
 
 	// A follower that bootstraps now and keeps up stays converged.
 	folBodies := newBodyLog()
-	fol, stopFol := startFollower(t, ts.URL, folBodies)
+	_, stopFol := startFollower(t, ts.URL, folBodies)
 	defer stopFol()
 	churn(t, h.svc, rng, 10)
 	last := h.ld.State().Epoch
-	waitForEpoch(t, fol, last)
-	if got, want := folBodies.get(last), h.bodies.get(last); !bytes.Equal(got, want) {
-		t.Fatalf("follower diverged after re-bootstrap window")
-	}
+	waitForEpoch(t, folBodies, last)
+	requireSameEpoch(t, "follower after re-bootstrap window", last, h.bodies, folBodies)
 }
 
 // TestKillRecoverLoop is the crash-recovery invariant test: repeatedly
 // churn, crash without any shutdown path, recover, and assert that the
-// recovered service (a) lost nothing that was acknowledged (SyncAlways),
-// (b) serves a topology whose spanner stretch is within t, and (c) keeps
-// accepting mutations.
+// recovered service (a) lost nothing that was acknowledged (SyncAlways) —
+// same state body and the same /stats topology numbers, bit for bit, as
+// the leader served before the crash — (b) serves a topology whose
+// spanner stretch is within t, and (c) keeps accepting mutations.
 func TestKillRecoverLoop(t *testing.T) {
 	fs := faultfs.New()
 	rng := rand.New(rand.NewSource(17))
 	var acked uint64
-	var ackedBody []byte
+	var ackedLog *bodyLog
 
 	for round := 0; round < 5; round++ {
 		h := startLeader(t, fs, testPoints(48), wal.Options{Sync: wal.SyncAlways, CheckpointEvery: 7})
-		st := h.ld.State()
 		if round > 0 {
-			if st.Epoch != acked {
-				t.Fatalf("round %d: recovered epoch %d, want acknowledged %d", round, st.Epoch, acked)
+			if got := h.ld.State().Epoch; got != acked {
+				t.Fatalf("round %d: recovered epoch %d, want acknowledged %d", round, got, acked)
 			}
-			if !bytes.Equal(st.Encode(), ackedBody) {
-				t.Fatalf("round %d: recovered state body differs from acknowledged", round)
-			}
+			requireSameEpoch(t, fmt.Sprintf("round %d: recovered vs acknowledged", round), acked, ackedLog, h.bodies)
 		}
 
 		// The recovered topology must satisfy the spanner contract before
@@ -613,8 +664,7 @@ func TestKillRecoverLoop(t *testing.T) {
 		if err := h.ld.Err(); err != nil {
 			t.Fatalf("round %d: wal pipeline: %v", round, err)
 		}
-		st = h.ld.State()
-		acked, ackedBody = st.Epoch, st.Encode()
+		acked, ackedLog = h.ld.State().Epoch, h.bodies
 
 		h.svc.Close() // stop the writer; the "kill" is the un-closed recorder
 		fs.Crash()    // power off: whatever was not fsynced is gone
@@ -627,6 +677,7 @@ func TestKillRecoverLoop(t *testing.T) {
 	if got := h.ld.State().Epoch; got != acked {
 		t.Fatalf("final recovery at epoch %d, want %d", got, acked)
 	}
+	requireSameEpoch(t, "final recovery vs acknowledged", acked, ackedLog, h.bodies)
 	snap := h.svc.Snapshot()
 	routed := 0
 	for src := 0; src < len(snap.Alive) && routed < 5; src++ {
@@ -651,29 +702,19 @@ func TestKillRecoverLoop(t *testing.T) {
 	}
 }
 
-// TestLeaderRestartFollowerResumes restarts the leader under a follower:
-// the follower must survive the outage and resume on the recovered
-// leader without diverging (the hash chain spans the restart).
-func TestLeaderRestartFollowerResumes(t *testing.T) {
-	fs := faultfs.New()
-	h := startLeader(t, fs, testPoints(48), wal.Options{Sync: wal.SyncAlways, CheckpointEvery: 8})
-	ts := httptest.NewServer(h.mux)
-
-	rng := rand.New(rand.NewSource(23))
-	churn(t, h.svc, rng, 15)
-
-	folBodies := newBodyLog()
-	// A stable URL across leader restarts: proxy through a swappable
-	// backend address.
-	var urlMu sync.Mutex
-	leaderURL := ""
-	setURL := func(u string) { urlMu.Lock(); defer urlMu.Unlock(); leaderURL = u }
-	getURL := func() string { urlMu.Lock(); defer urlMu.Unlock(); return leaderURL }
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Propagate the follower's request context so a follower disconnect
-		// tears down the backend stream too — otherwise an idle stream pins
-		// the leader's server shut-down.
-		preq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, getURL()+r.URL.String(), nil)
+// switchProxy is a replication endpoint at a stable URL whose backend
+// leader can be swapped: what a follower sees across a leader restart, or
+// when it is re-pointed at a different leader. Requests carry the
+// follower's context so a follower disconnect tears down the backend
+// stream too — otherwise an idle stream pins the leader's server shut-down.
+func switchProxy(t *testing.T) (proxy *httptest.Server, setBackend func(url string)) {
+	t.Helper()
+	var mu sync.Mutex
+	backend := ""
+	setBackend = func(u string) { mu.Lock(); defer mu.Unlock(); backend = u }
+	get := func() string { mu.Lock(); defer mu.Unlock(); return backend }
+	proxy = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		preq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, get()+r.URL.String(), nil)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
@@ -707,12 +748,30 @@ func TestLeaderRestartFollowerResumes(t *testing.T) {
 			}
 		}
 	}))
+	return proxy, setBackend
+}
+
+// TestLeaderRestartFollowerResumes restarts the leader under a follower:
+// the follower must survive the outage and resume on the recovered
+// leader without diverging (the hash chain spans the restart). At the
+// restart epoch the recovered leader, the pre-restart leader and the
+// follower serve bit-identical /stats topology numbers.
+func TestLeaderRestartFollowerResumes(t *testing.T) {
+	fs := faultfs.New()
+	h := startLeader(t, fs, testPoints(48), wal.Options{Sync: wal.SyncAlways, CheckpointEvery: 8})
+	ts := httptest.NewServer(h.mux)
+
+	rng := rand.New(rand.NewSource(23))
+	churn(t, h.svc, rng, 15)
+
+	folBodies := newBodyLog()
+	proxy, setURL := switchProxy(t)
 	defer proxy.Close()
 	setURL(ts.URL)
 
-	fol, stopFol := startFollower(t, proxy.URL, folBodies)
+	_, stopFol := startFollower(t, proxy.URL, folBodies)
 	churn(t, h.svc, rng, 10)
-	waitForEpoch(t, fol, h.ld.State().Epoch)
+	waitForEpoch(t, folBodies, h.ld.State().Epoch)
 
 	// Clean leader shutdown and restart from disk.
 	stopped := h.ld.State().Epoch
@@ -728,6 +787,8 @@ func TestLeaderRestartFollowerResumes(t *testing.T) {
 	if h2.ld.State().Epoch != stopped {
 		t.Fatalf("leader restarted at epoch %d, want %d", h2.ld.State().Epoch, stopped)
 	}
+	requireSameEpoch(t, "restarted vs pre-restart leader", stopped, h.bodies, h2.bodies)
+	requireSameEpoch(t, "follower vs restarted leader", stopped, h2.bodies, folBodies)
 	ts2 := httptest.NewServer(h2.mux)
 	defer ts2.Close()
 	// Registered after ts2.Close so it runs first: the follower must stop
@@ -737,10 +798,113 @@ func TestLeaderRestartFollowerResumes(t *testing.T) {
 
 	churn(t, h2.svc, rng, 10)
 	last := h2.ld.State().Epoch
-	waitForEpoch(t, fol, last)
+	waitForEpoch(t, folBodies, last)
 	for e := stopped + 1; e <= last; e++ {
-		if got, want := folBodies.get(e), h2.bodies.get(e); got == nil || !bytes.Equal(got, want) {
-			t.Fatalf("epoch %d: follower diverged across the leader restart (got %d bytes)", e, len(got))
+		requireSameEpoch(t, "follower across the leader restart", e, h2.bodies, folBodies)
+	}
+}
+
+// goldenChainHead is the WAL hash-chain head (and goldenEpoch its epoch)
+// after the fixed script in TestGoldenChainHead. A frame carries the
+// post-commit rows of every touched vertex in the leader's row order, so
+// the head pins the whole write path — repair, delta export, frame
+// capture — down to the byte: a change that moves it changes what
+// followers and recovery rebuild, and must say so.
+const (
+	goldenEpoch     = 143
+	goldenChainHead = "39c9bff1d011aefabbd89ff3bf4dd47cd5650f45ee7809bcdd91c6e6c03fc461"
+)
+
+// TestGoldenChainHead boots a WAL leader over a fixed deployment, applies
+// a fixed script of join/leave/move batches of one to four ops, and pins
+// the resulting chain head.
+func TestGoldenChainHead(t *testing.T) {
+	h := startLeader(t, faultfs.New(), testPoints(48), wal.Options{Sync: wal.SyncAlways, CheckpointEvery: 16})
+	defer h.ld.Close()
+	defer h.svc.Close()
+
+	rng := rand.New(rand.NewSource(41))
+	slots := len(h.svc.Snapshot().Alive)
+	for i := 0; i < 150; i++ {
+		batch := make([]service.Op, 1+i%4)
+		for j := range batch {
+			batch[j] = randomOp(rng, slots)
 		}
+		if _, err := h.svc.Mutate(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.ld.Err(); err != nil {
+		t.Fatal(err)
+	}
+	epoch, chain := h.rec.Epoch()
+	if got := hex.EncodeToString(chain[:]); epoch != goldenEpoch || got != goldenChainHead {
+		t.Fatalf("chain head at epoch %d is %s, want epoch %d head %s", epoch, got, goldenEpoch, goldenChainHead)
+	}
+}
+
+// TestFollowerRejectsForkedLeader re-points a follower at a second leader
+// whose history forked from the first one's: the same genesis and the
+// same first batches, then the same node moved to different places at
+// epoch k. The second leader's frame k+1 is well formed and at the right
+// epoch, so only the hash chain shows that it does not extend the
+// follower's state: the follower must reject it with wal.ErrChainMismatch
+// and re-bootstrap onto the new history rather than serve a splice of the
+// two.
+func TestFollowerRejectsForkedLeader(t *testing.T) {
+	opts := wal.Options{Sync: wal.SyncAlways, CheckpointEvery: 64}
+	a := startLeader(t, faultfs.New(), testPoints(48), opts)
+	b := startLeader(t, faultfs.New(), testPoints(48), opts)
+	tsA, tsB := httptest.NewServer(a.mux), httptest.NewServer(b.mux)
+	defer tsB.Close()
+	defer b.ld.Close()
+	defer b.svc.Close()
+
+	churn(t, a.svc, rand.New(rand.NewSource(31)), 12)
+	churn(t, b.svc, rand.New(rand.NewSource(31)), 12)
+	ea, ca := a.rec.Epoch()
+	if eb, cb := b.rec.Epoch(); ea != eb || ca != cb {
+		t.Fatalf("the common prefix diverged: epoch %d vs %d", ea, eb)
+	}
+	id := 0
+	for !a.svc.Snapshot().Alive[id] {
+		id++
+	}
+	move := func(svc *service.Service, p geom.Point) {
+		t.Helper()
+		res, err := svc.Mutate([]service.Op{{Kind: service.OpMove, ID: id, Point: p}})
+		if err != nil || res.Applied != 1 {
+			t.Fatalf("move %d: %+v %v", id, res, err)
+		}
+	}
+	move(a.svc, geom.Point{0.5, 0.5})
+	move(b.svc, geom.Point{1.5, 1.5}) // the fork: epoch k differs
+	k := a.ld.State().Epoch
+	move(b.svc, geom.Point{2.5, 2.5}) // frame k+1 exists only on b's history
+	last := b.ld.State().Epoch
+
+	folBodies := newBodyLog()
+	proxy, setURL := switchProxy(t)
+	defer proxy.Close()
+	setURL(tsA.URL)
+	_, stopFol := startFollower(t, proxy.URL, folBodies)
+	defer stopFol()
+	waitForEpoch(t, folBodies, k)
+	requireSameEpoch(t, "follower on the first leader", k, a.bodies, folBodies)
+
+	// Re-point, then end the stream from a: the follower resumes from k on b.
+	setURL(tsB.URL)
+	a.svc.Close()
+	if err := a.ld.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tsA.Close()
+
+	waitForEpoch(t, folBodies, last)
+	if !folBodies.logged(wal.ErrChainMismatch.Error()) {
+		t.Fatalf("follower took the forked frame %d without a chain mismatch", k+1)
+	}
+	for e := k; e <= last; e++ {
+		requireSameEpoch(t, "follower after re-bootstrap onto the fork", e, b.bodies, folBodies)
 	}
 }

@@ -115,8 +115,8 @@ func BenchmarkAnalyzeAround(b *testing.B) {
 }
 
 // BenchmarkServiceMutate measures the write path: one mutation batch of 4
-// moves through the writer goroutine, including the snapshot deep-copy and
-// swap on an n=256 deployment.
+// moves through the writer goroutine, including the delta snapshot export
+// and swap on an n=256 deployment.
 func BenchmarkServiceMutate(b *testing.B) {
 	svc := testService(b, 256, Options{})
 	snap := svc.Snapshot()

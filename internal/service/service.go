@@ -305,28 +305,9 @@ func NewFollower(opts Options) *Service {
 // no hub-label oracle — /distance still answers exactly, via the search
 // fallback.
 func (s *Service) PublishFrozen(version uint64, points []geom.Point, alive []bool, live int, base, sp *graph.Frozen) error {
-	router, err := routing.NewRouter(sp, points)
-	if err != nil {
+	if _, err := s.install(version, points, alive, live, base, sp); err != nil {
 		return err
 	}
-	snap := &Snapshot{
-		Version:        version,
-		T:              s.opts.T,
-		Points:         points,
-		Alive:          alive,
-		Base:           base,
-		Spanner:        sp,
-		router:         router,
-		searchers:      s.searchers,
-		cache:          newRouteCache(s.opts.CacheSize, &s.ctr),
-		ctr:            &s.ctr,
-		live:           live,
-		stretchSample:  s.opts.StretchSample,
-		seed:           s.opts.Seed,
-		analyzeTimeout: s.opts.AnalyzeTimeout,
-	}
-	snap.bboxLo, snap.bboxHi = bbox(points, s.opts.Dim)
-	s.snap.Store(snap)
 	s.ready.Store(true)
 	return nil
 }
@@ -518,11 +499,24 @@ func (s *Service) publish(eng *dynamic.Engine) *Snapshot {
 			s.oracle = s.oracle.Update(sp, eng.LastExportTouched())
 		}
 	}
-	// The router constructor only fails on a length mismatch, which Export
-	// rules out (slot-indexed points and graphs share capacity).
+	snap, err := s.install(version, points, alive, eng.N(), base, sp)
+	if err != nil {
+		// The router constructor only fails on a length mismatch, which
+		// ExportFrozen rules out (slot-indexed points and graphs share
+		// capacity).
+		panic(err)
+	}
+	return snap
+}
+
+// install builds the snapshot for one topology version and swaps it in:
+// the single constructor behind the leader's publish and a follower's
+// PublishFrozen. The current label oracle (nil on followers and when
+// labels are off) is attached to the snapshot and its router.
+func (s *Service) install(version uint64, points []geom.Point, alive []bool, live int, base, sp *graph.Frozen) (*Snapshot, error) {
 	router, err := routing.NewRouter(sp, points)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	if s.oracle != nil {
 		router.SetDistanceOracle(s.oracle)
@@ -538,7 +532,7 @@ func (s *Service) publish(eng *dynamic.Engine) *Snapshot {
 		searchers:      s.searchers,
 		cache:          newRouteCache(s.opts.CacheSize, &s.ctr),
 		ctr:            &s.ctr,
-		live:           eng.N(),
+		live:           live,
 		stretchSample:  s.opts.StretchSample,
 		seed:           s.opts.Seed,
 		oracle:         s.oracle,
@@ -546,7 +540,7 @@ func (s *Service) publish(eng *dynamic.Engine) *Snapshot {
 	}
 	snap.bboxLo, snap.bboxHi = bbox(points, s.opts.Dim)
 	s.snap.Store(snap)
-	return snap
+	return snap, nil
 }
 
 // bbox computes the axis-aligned bounding box of the live points (zeros

@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -39,9 +40,15 @@ func genesis(slots int) *wal.State {
 
 // nextFrame seals a frame that moves one vertex (rows unchanged).
 func nextFrame(st *wal.State) *wal.Frame {
+	return moveFrame(st, float64(st.Epoch+1)*0.25)
+}
+
+// moveFrame seals the next frame onto st: vertex epoch%slots moves to
+// height y, rows unchanged.
+func moveFrame(st *wal.State, y float64) *wal.Frame {
 	seq := st.Epoch + 1
 	v := int(seq) % len(st.Alive)
-	pt := geom.Point{float64(v), float64(seq) * 0.25}
+	pt := geom.Point{float64(v), y}
 	f := &wal.Frame{
 		Epoch: seq,
 		Slots: int32(len(st.Alive)),
@@ -55,6 +62,29 @@ func nextFrame(st *wal.State) *wal.Frame {
 	}
 	f.Seal(st.Chain)
 	return f
+}
+
+// forkedHistories builds two histories from one genesis that diverge at
+// epoch k: a is history A at epoch k, and fork is history B's frame k+1.
+// Both histories share frames 1..k-1; at epoch k B moves the same vertex
+// somewhere else. B's frame k+1 has the very body A's own frame k+1 would
+// have — only the chain it was sealed onto differs.
+func forkedHistories(t *testing.T, k uint64) (a *wal.State, fork *wal.Frame) {
+	t.Helper()
+	a = genesis(6)
+	for a.Epoch < k-1 {
+		if err := a.Apply(nextFrame(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := a.Clone()
+	if err := a.Apply(nextFrame(a)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Apply(moveFrame(b, -1)); err != nil {
+		t.Fatal(err)
+	}
+	return a, nextFrame(b)
 }
 
 // advance applies n frames to st through the recorder.
@@ -400,4 +430,57 @@ func TestCrashPointMatrix(t *testing.T) {
 			r2.Close(nil)
 		}
 	}
+}
+
+// TestForkedFrameRejected applies history B's frame k+1 onto history A's
+// state k. Epoch succession holds and the frame body is byte-identical to
+// A's own frame k+1, so only the hash chain can refuse it.
+func TestForkedFrameRejected(t *testing.T) {
+	a, fork := forkedHistories(t, 5)
+	if err := a.Clone().Apply(fork); !errors.Is(err, wal.ErrChainMismatch) {
+		t.Fatalf("forked frame onto the other history: err=%v, want chain mismatch", err)
+	}
+	if err := a.Apply(nextFrame(a)); err != nil {
+		t.Fatalf("own frame with the same body rejected: %v", err)
+	}
+}
+
+// TestRecoveryStopsAtFork splices history B's frame k+1 into history A's
+// log — the recorder checks only epoch succession on append — and
+// requires recovery to replay up to epoch k, drop the forked frame like a
+// corrupt tail, and keep the directory appendable on history A.
+func TestRecoveryStopsAtFork(t *testing.T) {
+	const k = 5
+	fs := faultfs.New()
+	opts := wal.Options{Dir: "wal", FS: fs, Sync: wal.SyncAlways, CheckpointEvery: 100}
+	r, _, err := wal.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := genesis(6)
+	if err := r.Bootstrap(st); err != nil {
+		t.Fatal(err)
+	}
+	advance(t, r, st, k)
+	want := st.Encode()
+	_, fork := forkedHistories(t, k)
+	if err := r.Append(fork, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	r2, st2, err := wal.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close(nil)
+	if st2 == nil || st2.Epoch != k {
+		t.Fatalf("recovered %+v, want epoch %d: replay must stop at the fork", st2, k)
+	}
+	if !bytes.Equal(st2.Encode(), want) {
+		t.Fatal("recovered state differs from history A at the fork")
+	}
+	advance(t, r2, st2, 1)
 }
