@@ -164,7 +164,8 @@ func BenchmarkSeqGreedy(b *testing.B) {
 
 // BenchmarkRouteUncached measures the point-to-point serving primitive with
 // the route cache out of the picture: shortest-path routes over a frozen
-// spanner between uniform random pairs — exactly what a topoctld cache miss
+// spanner between uniform random pairs, on a router declared Euclidean so
+// it runs the A* kernel — exactly the path search a topoctld cache miss
 // pays. Constant density (expected degree 8) keeps routes long as n grows,
 // so this benchmark scales the search work rather than the topology
 // construction.
@@ -177,6 +178,7 @@ func BenchmarkRouteUncached(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			router.SetEuclidean()
 			queries := routing.RandomQueries(n, 256, 7)
 			srch := graph.NewSearcher(n)
 			b.ReportAllocs()

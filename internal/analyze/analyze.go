@@ -42,6 +42,10 @@ var ErrUnknownVertex = errors.New("analyze: unknown vertex")
 // mutable ones.
 type View struct {
 	// Points holds slot-indexed positions; nil entries are free slots.
+	// Point-to-point searches are goal-directed by them (A*, as /route
+	// runs), so every edge of Base and Spanner must weigh at least the
+	// distance between its endpoints' points. A View whose weights are not
+	// Euclidean leaves Points nil; its searches are then plain Dijkstra.
 	Points []geom.Point
 	// Alive marks which slots hold live vertices; nil means all are live.
 	Alive []bool

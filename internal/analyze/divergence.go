@@ -123,7 +123,7 @@ func Divergence(v View, req DivergenceRequest, opts Options) (*DivergenceReport,
 	rep.SampledEdges, rep.Truncated = scanParallel(opts, len(probe), deadline, func(srch *graph.Searcher, i int) {
 		e := probe[i]
 		w := StretchWitness{U: e.U, V: e.V, BaseWeight: e.W}
-		if d, ok := srch.DijkstraTarget(v.Spanner, e.U, e.V, graph.Inf); ok {
+		if d, ok := srch.AStarTarget(v.Spanner, v.Points, e.U, e.V, graph.Inf); ok {
 			w.Reachable, w.Distance = true, d
 			if e.W > 0 {
 				w.Stretch = d / e.W

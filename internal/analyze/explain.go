@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"fmt"
+	"slices"
 
 	"topoctl/internal/graph"
 )
@@ -63,8 +64,16 @@ func Explain(v View, src, dst int, opts Options) (*RouteExplanation, error) {
 	srch := opts.Searchers.Acquire()
 	defer opts.Searchers.Release(srch)
 
-	path, cost, ok := srch.PathTo(v.Spanner, src, dst, graph.Inf)
+	// The same kernel and orientation /route serves (service.Snapshot.Route):
+	// both searches run from the smaller endpoint id, and the path is
+	// reversed back when src > dst, so between equal-cost paths the
+	// explanation describes the one a client was given.
+	lo, hi := min(src, dst), max(src, dst)
+	path, cost, ok := srch.AppendAStarPathTo(nil, v.Spanner, v.Points, lo, hi, graph.Inf)
 	if ok {
+		if src > dst {
+			slices.Reverse(path)
+		}
 		exp.Reachable, exp.SpannerCost = true, cost
 		run := 0.0
 		for i := 0; i+1 < len(path); i++ {
@@ -75,7 +84,7 @@ func Explain(v View, src, dst int, opts Options) (*RouteExplanation, error) {
 			})
 		}
 	}
-	if d, ok := srch.DijkstraTarget(v.Base, src, dst, graph.Inf); ok {
+	if d, ok := srch.AStarTarget(v.Base, v.Points, lo, hi, graph.Inf); ok {
 		exp.BaseReachable, exp.BaseCost = true, d
 	}
 	if exp.Reachable && exp.BaseReachable {

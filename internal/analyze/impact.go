@@ -129,11 +129,15 @@ func Impact(v View, req ImpactRequest, opts Options) (*ImpactReport, error) {
 	rep.BaseEdgesChecked, rep.Truncated = scanParallel(opts, len(check), deadline, func(srch *graph.Searcher, i int) {
 		e := check[i]
 		w := StretchWitness{U: e.U, V: e.V, BaseWeight: e.W}
-		if d, ok := srch.DijkstraTarget(sf, e.U, e.V, v.T*e.W); ok {
-			w.Reachable, w.Distance, w.Stretch = true, d, d/e.W
-		} else if d, ok := srch.DijkstraTarget(sf, e.U, e.V, graph.Inf); ok {
-			// Connected but beyond the bound: an over-stretch offender.
-			w.Reachable, w.Distance, w.Stretch = true, d, d/e.W
+		// Endpoints in different surviving fragments are unreachable; a
+		// search from e.U would only exhaust its fragment to learn that.
+		if after.id[e.U] == after.id[e.V] {
+			if d, ok := srch.AStarTarget(sf, v.Points, e.U, e.V, v.T*e.W); ok {
+				w.Reachable, w.Distance, w.Stretch = true, d, d/e.W
+			} else if d, ok := srch.AStarTarget(sf, v.Points, e.U, e.V, graph.Inf); ok {
+				// Connected but beyond the bound: an over-stretch offender.
+				w.Reachable, w.Distance, w.Stretch = true, d, d/e.W
+			}
 		}
 		results[i] = w
 		filled[i] = true

@@ -163,7 +163,7 @@ func checkImpactBruteForce(t *testing.T, trial int, g, sp *graph.Graph, tt float
 			trial, rep.BaseEdgesChecked, rep.OverStretch, rep.DisconnectedPairs,
 			wantChecked, wantOver, wantDisc)
 	}
-	// Distances from the bidirectional kernel may differ from the
+	// Distances from the serving kernel may differ from the
 	// unidirectional reference in the last ulp (different association
 	// order), so float comparisons are relative.
 	if !close(rep.WorstStretch, wantWorst) {

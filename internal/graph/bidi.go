@@ -1,10 +1,13 @@
 package graph
 
-// Bidirectional bounded point-to-point search — the production kernel
-// behind DijkstraTarget and PathTo, i.e. behind every "is there a path of
-// length ≤ bound?" query in the repository: the greedy acceptance rule
-// (greedy.Accept, hence SEQ-GREEDY, core.Build, and dynamic repair),
-// stretch verification (metrics), and the serving layer's /route path.
+// Bidirectional bounded point-to-point search — the blind kernel behind
+// DijkstraTarget and PathTo, i.e. behind every "is there a path of length
+// ≤ bound?" query the builders ask: the greedy acceptance rule
+// (greedy.Accept, hence SEQ-GREEDY, core.Build, and dynamic repair) and
+// stretch verification (metrics). It needs nothing but non-negative
+// weights, so it also serves routing.Router when the router is not
+// declared Euclidean. The serving layer's /route runs the goal-directed
+// kernel in astar.go instead.
 //
 // The kernel grows a Dijkstra frontier from both endpoints at once — the
 // graph is undirected, so the backward search reuses the same adjacency —
@@ -196,7 +199,8 @@ func (s *Searcher) PathTo(g Topology, src, dst int, bound float64) ([]int, float
 // found, buf is returned unchanged. The buffer is grown with a single
 // exactly-sized allocation when its capacity does not suffice, so a caller
 // reusing a warmed buffer performs zero allocations per route — this is
-// the variant routing.Router and the serving layer's uncached path run on.
+// the variant routing.Router runs on when it is not declared Euclidean
+// (AppendAStarPathTo is its goal-directed twin).
 func (s *Searcher) AppendPathTo(buf []int, g Topology, src, dst int, bound float64) ([]int, float64, bool) {
 	if src == dst {
 		return append(buf, src), 0, true
@@ -217,14 +221,7 @@ func (s *Searcher) AppendPathTo(buf []int, g Topology, src, dst int, bound float
 		cb++
 	}
 	base := len(buf)
-	total := cf + cb - 1 // meet counted once
-	if cap(buf)-base < total {
-		nb := make([]int, base+total)
-		copy(nb, buf)
-		buf = nb
-	} else {
-		buf = buf[:base+total]
-	}
+	buf = extendPath(buf, cf+cb-1) // meet counted once
 	i := base + cf - 1
 	for x := meet; x != -1; x = s.prev[x] {
 		buf[i] = int(x)
@@ -236,6 +233,19 @@ func (s *Searcher) AppendPathTo(buf []int, g Topology, src, dst int, bound float
 		i++
 	}
 	return buf, mu, true
+}
+
+// extendPath returns buf lengthened by k slots for a path to be filled in,
+// growing it with one exactly-sized allocation when its capacity does not
+// suffice — so a warmed buffer costs no allocation.
+func extendPath(buf []int, k int) []int {
+	n := len(buf) + k
+	if cap(buf) < n {
+		nb := make([]int, n)
+		copy(nb, buf)
+		return nb
+	}
+	return buf[:n]
 }
 
 // ReachableWithin reports whether a path of length at most bound connects

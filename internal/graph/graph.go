@@ -1,9 +1,9 @@
 // Package graph provides the weighted-graph substrate: the mutable
 // adjacency-list Graph that builders work on, the immutable CSR Frozen
 // that the serving layer reads from, the narrow Topology interface both
-// implement, shortest paths (full, bounded, and target-pruned Dijkstra),
-// BFS hop layers, minimum spanning trees, union-find, and connected
-// components.
+// implement, shortest paths (full, bounded, and target-pruned Dijkstra,
+// and goal-directed A* over vertex positions), BFS hop layers, minimum
+// spanning trees, union-find, and connected components.
 //
 // Every algorithm in the repository — the greedy spanners, the cluster
 // covers, the cluster graphs, the verification metrics — runs on these

@@ -98,13 +98,14 @@ type SearchStats struct {
 type Searcher struct {
 	epoch uint32
 	seen  []uint32 // seen[v] == epoch: forward label of v is valid this search
-	done  []uint32 // done[v] == epoch: v is settled (single-frontier kernels)
+	done  []uint32 // done[v] == epoch: v is settled (single-frontier kernels, A*)
 	dist  []float64
 	hops  []int32
 	prev  []int32
 	heap  []heapItem
-	// Backward-frontier label set, used only by the bidirectional kernels.
-	// Stamped with the same epoch as the forward set.
+	// Backward-frontier label set, used by the bidirectional kernels; the
+	// goal-directed kernel (astar.go) caches its per-vertex potential in
+	// seenB/distB instead. Stamped with the same epoch as the forward set.
 	seenB []uint32
 	distB []float64
 	prevB []int32

@@ -38,7 +38,7 @@
 // exactly by the labels. Commits that remove or re-weigh edges (leaves,
 // moves) cannot be patched soundly, so the oracle marks itself stale —
 // every query then reports "cannot certify" and the caller falls back to
-// its bidirectional Dijkstra (slower, never wrong) — and a full rebuild
+// its search (slower, never wrong) — and a full rebuild
 // triggers after RebuildAfter stale commits. Oracles are immutable:
 // Update returns a new value sharing the label slab, exactly like
 // ApplyRows' structural sharing, so concurrent readers of an older

@@ -92,6 +92,9 @@ type Router struct {
 	g      graph.Topology
 	pts    []geom.Point
 	oracle DistanceOracle
+	// euclid: every edge weighs at least its endpoints' distance, so the
+	// searches run goal-directed (see SetEuclidean).
+	euclid bool
 }
 
 // NewRouter builds a router for topology g embedded at pts.
@@ -107,10 +110,23 @@ func NewRouter(g graph.Topology, pts []geom.Point) (*Router, error) {
 // nil detaches. Set it before sharing the router across goroutines.
 func (r *Router) SetDistanceOracle(o DistanceOracle) { r.oracle = o }
 
+// SetEuclidean declares that every edge of the router's topology weighs at
+// least the Euclidean distance between its endpoints' points — true of
+// the paper's Euclidean metric, where an edge weighs exactly its length.
+// The shortest-path scheme and Distance's search fallback then run A*
+// with the straight-line potential (graph.Searcher.AStarTarget), which
+// settles a fraction of what the blind bidirectional kernel does. An
+// undeclared router keeps the blind kernel, which is exact on any
+// non-negative weights (the energy metric c·d^γ weighs less than d for
+// d < 1, which would make the potential overestimate). Set it before
+// sharing the router across goroutines.
+func (r *Router) SetEuclidean() { r.euclid = true }
+
 // Distance returns the exact shortest-path distance from s to t over the
 // router's topology: the attached oracle when it certifies the answer
-// (allocation-free label intersection), otherwise one bidirectional
-// Dijkstra with the caller's Searcher. fromLabels reports which path
+// (allocation-free label intersection), otherwise one search with the
+// caller's Searcher — A* when the router is declared Euclidean, the
+// bidirectional Dijkstra otherwise. fromLabels reports which path
 // answered — the value is exact either way, graph.Inf when unreachable.
 func (r *Router) Distance(srch *graph.Searcher, s, t int) (d float64, fromLabels bool, err error) {
 	if s < 0 || s >= r.g.N() || t < 0 || t >= r.g.N() {
@@ -121,7 +137,12 @@ func (r *Router) Distance(srch *graph.Searcher, s, t int) (d float64, fromLabels
 			return d, true, nil
 		}
 	}
-	d, ok := srch.DijkstraTarget(r.g, s, t, graph.Inf)
+	var ok bool
+	if r.euclid {
+		d, ok = srch.AStarTarget(r.g, r.pts, s, t, graph.Inf)
+	} else {
+		d, ok = srch.DijkstraTarget(r.g, s, t, graph.Inf)
+	}
 	if !ok {
 		d = graph.Inf
 	}
@@ -163,11 +184,19 @@ func (r *Router) RouteWith(srch *graph.Searcher, scheme Scheme, s, t int) (Route
 	}
 }
 
-// shortest routes along an exact shortest path (bidirectional Dijkstra
-// with parents on both frontiers). AppendPathTo sizes the result exactly,
-// so a delivered route costs one allocation — the path the caller keeps.
+// shortest routes along an exact shortest path: A* when the router is
+// declared Euclidean, the bidirectional Dijkstra otherwise. Both size the
+// result exactly, so a delivered route costs one allocation — the path
+// the caller keeps.
 func (r *Router) shortest(srch *graph.Searcher, s, t int) Route {
-	path, cost, ok := srch.AppendPathTo(nil, r.g, s, t, graph.Inf)
+	var path []int
+	var cost float64
+	var ok bool
+	if r.euclid {
+		path, cost, ok = srch.AppendAStarPathTo(nil, r.g, r.pts, s, t, graph.Inf)
+	} else {
+		path, cost, ok = srch.AppendPathTo(nil, r.g, s, t, graph.Inf)
+	}
 	if !ok {
 		return Route{Delivered: false, Path: []int{s}}
 	}

@@ -166,6 +166,91 @@ func TestShortestPathMatchesDijkstra(t *testing.T) {
 	}
 }
 
+// routeDistanceAgree routes and measures q on r and checks both against
+// the unidirectional reference distance on g, within 1e-9 relative; the
+// path must walk g's edges and weigh its reported cost. It returns how
+// many answers differed from the reference instead of failing when lax.
+func routeDistanceAgree(t *testing.T, r *Router, g graph.Topology, qs []Query, lax bool) int {
+	t.Helper()
+	ref, srch := graph.NewSearcher(g.N()), graph.NewSearcher(g.N())
+	wrong := 0
+	for _, q := range qs {
+		want, ok := ref.DijkstraTargetUni(g, q.S, q.T, graph.Inf)
+		route, err := r.RouteWith(srch, SchemeShortestPath, q.S, q.T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _, err := r.Distance(srch, q.S, q.T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if route.Delivered != ok || (ok && (math.Abs(route.Cost-want) > 1e-9*want || math.Abs(d-want) > 1e-9*want)) {
+			if !lax {
+				t.Fatalf("%v: route %v (delivered %v), distance %v; reference %v (reachable %v)",
+					q, route.Cost, route.Delivered, d, want, ok)
+			}
+			wrong++
+			continue
+		}
+		if w, walk := graph.PathWeight(g, route.Path); ok && (!walk || math.Abs(w-route.Cost) > 1e-9*w) {
+			t.Fatalf("%v: path %v weighs %v (walk %v), cost %v", q, route.Path, w, walk, route.Cost)
+		}
+	}
+	return wrong
+}
+
+// TestEuclideanRouterExact: a router declared Euclidean (A* for routes and
+// the Distance fallback) gives the reference answers on a Euclidean
+// instance, both on the full network and on a spanner of it.
+func TestEuclideanRouterExact(t *testing.T) {
+	inst, err := ubg.GenerateConnected(
+		geom.CloudConfig{Kind: geom.CloudUniform, N: 150, Dim: 2, Seed: 72_000},
+		ubg.Config{Alpha: 0.8, Model: ubg.ModelAll, Seed: 72_000},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := RandomQueries(inst.G.N(), 200, 9)
+	for _, g := range []graph.Topology{inst.G, graph.Freeze(greedy.Spanner(inst.G, 1.5))} {
+		r, err := NewRouter(g, inst.Points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetEuclidean()
+		routeDistanceAgree(t, r, g, qs, false)
+	}
+}
+
+// TestUndeclaredRouterExactOnEnergyMetric is the negative control: on an
+// energy-metric instance (w = d², below d for every d < 1) the
+// straight-line potential overestimates, so a router that is not declared
+// Euclidean must keep the blind kernel — and does, returning exact costs
+// on every pair. Declaring the same router Euclidean breaks some of them,
+// which is what makes the instance a control.
+func TestUndeclaredRouterExactOnEnergyMetric(t *testing.T) {
+	inst, err := ubg.GenerateConnected(
+		geom.CloudConfig{Kind: geom.CloudUniform, N: 150, Dim: 2, Seed: 73_000},
+		ubg.Config{Alpha: 0.8, Model: ubg.ModelAll, Seed: 73_000},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	energy := graph.New(inst.G.N())
+	for _, e := range inst.G.Edges() {
+		energy.AddEdge(e.U, e.V, e.W*e.W)
+	}
+	qs := RandomQueries(energy.N(), 200, 9)
+	r, err := NewRouter(energy, inst.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routeDistanceAgree(t, r, energy, qs, false)
+	r.SetEuclidean()
+	if wrong := routeDistanceAgree(t, r, energy, qs, true); wrong == 0 {
+		t.Fatal("a Euclidean-declared router answered every energy-metric pair exactly; the control does not discriminate")
+	}
+}
+
 // TestSpannerRoutingWithinT: shortest-path routing over a t-spanner must
 // stay within t of the full network on every query.
 func TestSpannerRoutingWithinT(t *testing.T) {

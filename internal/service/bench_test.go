@@ -10,8 +10,9 @@ import (
 )
 
 // BenchmarkServiceRoute measures the in-process serving hot path on an
-// n=512 deployment: snapshot load, cache probe, and (on miss) pooled
-// shortest-path search plus base-cost Dijkstra. The zipf variant models a
+// n=512 deployment: snapshot load, cache probe, and (on miss) the pooled
+// A* searches for the spanner path and its base-graph stretch
+// denominator. The zipf variant models a
 // skewed production mix (mostly cache hits after warmup); the uniform
 // variant spreads queries over all ~260k pairs so nearly every request
 // misses the cache and pays for two searches.

@@ -81,7 +81,7 @@ type Options struct {
 	// Labels enables the hub-label distance oracle (internal/labels): the
 	// writer builds exact per-vertex label sets at every publish and
 	// /distance queries answer from an allocation-free label intersection
-	// instead of a bidirectional Dijkstra, falling back to the search when
+	// instead of an A* search, falling back to the search when
 	// the oracle cannot certify (after removals, until its rebuild
 	// horizon). Off by default — label construction costs a few
 	// milliseconds per rebuild, which embedded/test users may not want.
@@ -249,10 +249,15 @@ const DefaultLabelsMaxN = 16384
 // Radius, and dimension override the corresponding options; the caller
 // passes the recovered epoch as Options.InitialVersion so published
 // versions continue the pre-crash sequence. The service owns the engine
-// from here on.
+// from here on. The engine must weigh edges by the Euclidean metric: the
+// route searches are goal-directed by straight-line distance, which the
+// energy metric would make overestimate.
 func NewFromEngine(eng *dynamic.Engine, opts Options) (*Service, error) {
 	opts.normalize()
 	eopts := eng.Options()
+	if !eopts.Metric.IsEuclidean() {
+		return nil, fmt.Errorf("service: engine metric (c=%v, γ=%v) is not Euclidean", eopts.Metric.Coeff, eopts.Metric.Gamma)
+	}
 	opts.T, opts.Radius, opts.Dim = eopts.T, eopts.Radius, eng.Dim()
 	if opts.Labels {
 		max := opts.LabelsMaxN
@@ -512,12 +517,16 @@ func (s *Service) publish(eng *dynamic.Engine) *Snapshot {
 // install builds the snapshot for one topology version and swaps it in:
 // the single constructor behind the leader's publish and a follower's
 // PublishFrozen. The current label oracle (nil on followers and when
-// labels are off) is attached to the snapshot and its router.
+// labels are off) is attached to the snapshot and its router. Every
+// topology a service serves is Euclidean-weighted (NewFromEngine checks
+// the leader's engine; followers apply the leader's rows), so the router
+// is declared Euclidean.
 func (s *Service) install(version uint64, points []geom.Point, alive []bool, live int, base, sp *graph.Frozen) (*Snapshot, error) {
 	router, err := routing.NewRouter(sp, points)
 	if err != nil {
 		return nil, err
 	}
+	router.SetEuclidean()
 	if s.oracle != nil {
 		router.SetDistanceOracle(s.oracle)
 	}

@@ -87,6 +87,10 @@ type RouteResult struct {
 // geographic schemes (greedy, compass) are direction-dependent — the
 // forwarding decision at each hop depends on which endpoint is the
 // destination — so their keys keep the requested orientation.
+//
+// A miss is computed in the key's orientation too, so a reply never
+// depends on cache state: the uncached (hi, lo) answer is the reverse of
+// the (lo, hi) search, exactly what a flipped hit returns.
 func (s *Snapshot) Route(scheme routing.Scheme, src, dst int) (RouteResult, error) {
 	if err := s.checkNode(src); err != nil {
 		return RouteResult{}, err
@@ -101,35 +105,46 @@ func (s *Snapshot) Route(scheme routing.Scheme, src, dst int) (RouteResult, erro
 		key.src, key.dst = key.dst, key.src
 		flipped = true
 	}
-	if r, ok := s.cache.get(key); ok {
-		if r.Route.Delivered {
-			s.ctr.delivered.Add(1)
-		}
-		if flipped {
-			// A delivered path reverses; an undelivered shortest-path route
-			// carries only its source (deliverability is symmetric, the
-			// failure prefix is not), which must be this query's source.
-			if r.Route.Delivered {
-				r.Route.Path = reversedPath(r.Route.Path)
-			} else {
-				r.Route.Path = []int{src}
-			}
-		}
+	r, ok := s.cache.get(key)
+	if ok {
 		r.Cached = true
-		return r, nil
+	} else {
+		var err error
+		if r, err = s.route(scheme, int(key.src), int(key.dst)); err != nil {
+			return RouteResult{}, err
+		}
+		s.cache.put(key, r)
 	}
+	if r.Route.Delivered {
+		s.ctr.delivered.Add(1)
+	}
+	if flipped {
+		// Cost, stretch, and deliverability are symmetric for shortest-path
+		// routes. A delivered path reverses; an undelivered one carries only
+		// its source (the failure prefix is not symmetric), which must be
+		// this query's source.
+		if r.Route.Delivered {
+			r.Route.Path = reversedPath(r.Route.Path)
+		} else {
+			r.Route.Path = []int{src}
+		}
+	}
+	return r, nil
+}
+
+// route computes one uncached route: the router's search on the spanner,
+// then, for a delivered route, the base-graph optimum the stretch field
+// divides by — both goal-directed A* over the snapshot's points.
+func (s *Snapshot) route(scheme routing.Scheme, src, dst int) (RouteResult, error) {
 	srch := s.acquire()
+	defer s.release(srch)
 	rt, err := s.router.RouteWith(srch, scheme, src, dst)
 	if err != nil {
-		s.release(srch)
 		return RouteResult{}, err
-	}
-	if rt.Delivered {
-		s.ctr.delivered.Add(1)
 	}
 	res := RouteResult{Route: rt, Version: s.Version}
 	if rt.Delivered {
-		if base, ok := srch.DijkstraTarget(s.Base, src, dst, graph.Inf); ok {
+		if base, ok := srch.AStarTarget(s.Base, s.Points, src, dst, graph.Inf); ok {
 			if base > 0 {
 				res.Stretch = rt.Cost / base
 			} else {
@@ -137,20 +152,6 @@ func (s *Snapshot) Route(scheme routing.Scheme, src, dst int) (RouteResult, erro
 			}
 		}
 	}
-	s.release(srch)
-	// Store in canonical orientation: cost, stretch, and deliverability are
-	// symmetric for shortest-path routes, only the path direction flips
-	// (and an undelivered route's single-vertex failure prefix becomes the
-	// canonical source).
-	stored := res
-	if flipped {
-		if res.Route.Delivered {
-			stored.Route.Path = reversedPath(res.Route.Path)
-		} else {
-			stored.Route.Path = []int{dst}
-		}
-	}
-	s.cache.put(key, stored)
 	return res, nil
 }
 
@@ -162,8 +163,8 @@ type DistanceResult struct {
 	// Reachable reports whether any spanner path connects the endpoints.
 	Reachable bool `json:"reachable"`
 	// FromLabels reports whether the hub-label oracle certified the answer
-	// (false: served by a bidirectional Dijkstra fallback). The value is
-	// exact either way.
+	// (false: served by the A* search fallback). The value is exact either
+	// way.
 	FromLabels bool `json:"from_labels"`
 	// Version is the topology version this result is valid against.
 	Version uint64 `json:"version"`
@@ -171,7 +172,7 @@ type DistanceResult struct {
 
 // Distance answers one exact point-to-point distance query against this
 // frozen topology version: hub labels first when the snapshot carries an
-// oracle (allocation-free), bidirectional Dijkstra otherwise or whenever
+// oracle (allocation-free), the router's A* search otherwise or whenever
 // the oracle declines to certify. src/dst must name live nodes.
 func (s *Snapshot) Distance(src, dst int) (DistanceResult, error) {
 	if err := s.checkNode(src); err != nil {

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"topoctl/internal/geom"
@@ -69,8 +71,10 @@ func TestRouteCacheSymmetricFlip(t *testing.T) {
 	if q[0] != hi || q[len(q)-1] != lo {
 		t.Fatalf("flipped path endpoints %d..%d, want %d..%d", q[0], q[len(q)-1], hi, lo)
 	}
-	// The reversed path must itself walk real spanner edges.
-	if w, ok := graph.PathWeight(snap.Spanner, q); !ok || w != rev.Route.Cost {
+	// The reversed path must itself walk real spanner edges. Its weight is
+	// summed in the other direction than the search summed the cost, so
+	// the two agree to rounding, not bit for bit.
+	if w, ok := graph.PathWeight(snap.Spanner, q); !ok || math.Abs(w-rev.Route.Cost) > 1e-9*rev.Route.Cost {
 		t.Fatalf("flipped path does not certify: weight %v ok=%v, cost %v", w, ok, rev.Route.Cost)
 	}
 	// Re-query the original orientation: the in-cache entry must be intact
@@ -83,6 +87,44 @@ func TestRouteCacheSymmetricFlip(t *testing.T) {
 		if again.Route.Path[i] != p[i] {
 			t.Fatalf("cached entry mutated by flipped hit: %v vs %v", again.Route.Path, p)
 		}
+	}
+}
+
+// TestRouteReplyIndependentOfCache: a shortest-path reply must not depend
+// on what the cache holds. Two services boot from the same points; on one
+// every (hi, lo) query is a miss, on the other it is a flipped hit of the
+// (lo, hi) entry. Path, cost, and stretch must be identical — not merely
+// of equal cost — for every sampled pair.
+func TestRouteReplyIndependentOfCache(t *testing.T) {
+	cold := testService(t, 128, Options{}).Snapshot()
+	warm := testService(t, 128, Options{}).Snapshot()
+	n := len(cold.Alive)
+	compared := 0
+	for lo := 0; lo < n; lo += 3 {
+		for hi := lo + 1; hi < n; hi += 5 {
+			miss, err := cold.Route(routing.SchemeShortestPath, hi, lo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := warm.Route(routing.SchemeShortestPath, lo, hi); err != nil {
+				t.Fatal(err)
+			}
+			hit, err := warm.Route(routing.SchemeShortestPath, hi, lo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if miss.Cached || !hit.Cached {
+				t.Fatalf("(%d,%d): cached flags miss=%v hit=%v", hi, lo, miss.Cached, hit.Cached)
+			}
+			if !reflect.DeepEqual(miss.Route, hit.Route) || miss.Stretch != hit.Stretch {
+				t.Fatalf("(%d,%d): uncached reply %+v (stretch %v) differs from flipped hit %+v (stretch %v)",
+					hi, lo, miss.Route, miss.Stretch, hit.Route, hit.Stretch)
+			}
+			compared++
+		}
+	}
+	if compared < 400 {
+		t.Fatalf("only %d pairs compared", compared)
 	}
 }
 
