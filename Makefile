@@ -25,24 +25,28 @@ test: build
 check: vet fmt test
 
 # Race-detector pass over the packages that exercise concurrency
-# (parallel stretch verification, pooled searchers, parallel experiment
-# reps), the dynamic engine, the serving layer — whose stress tests run
-# ≥8 concurrent readers against a live mutator and slam Close into live
-# Mutate/Route traffic — and the WAL + replication layer, whose stream
-# subscribers race the log writer. internal/labels rides along because its
-# differential harness churns a live dynamic engine while querying the
-# oracle the same way concurrent service readers do. internal/analyze is
-# here for its parallel edge scans and the differential impact fuzz. The
-# second line re-runs the mutate-while-route stress test with GOMAXPROCS=4
-# so the snapshot swap, the striped route cache and the searcher pool race
-# under real scheduler parallelism even on 1-core CI hosts.
+# (parallel stretch verification, the searchers every layer borrows from
+# internal/graph's pool, parallel experiment reps), the dynamic engine, the
+# serving layer — whose stress tests run ≥8 concurrent readers against a
+# live mutator and slam Close into live Mutate/Route traffic — and the
+# WAL + replication layer, whose stream subscribers race the log writer.
+# internal/labels rides along because its differential harness churns a
+# live dynamic engine while querying the oracle the same way concurrent
+# service readers do. internal/analyze is here for its parallel edge scans
+# and the differential impact fuzz. The second line re-runs the
+# mutate-while-route and mutate-while-analyze stress tests with
+# GOMAXPROCS=4, so the snapshot swap, the striped route cache and the one
+# searcher pool — shared by readers, /analyze scans and the writer's label
+# update — race under real scheduler parallelism even on 1-core CI hosts.
 race:
 	$(GO) test -race ./internal/graph/ ./internal/metrics/ ./internal/exp/ ./internal/dynamic/ ./internal/service/ ./internal/analyze/ ./internal/wal/ ./internal/replica/ ./internal/labels/ .
-	GOMAXPROCS=4 $(GO) test -race -run 'TestConcurrentMutateWhileRoute' ./internal/service/
+	GOMAXPROCS=4 $(GO) test -race -run '^TestConcurrentMutateWhile(Route|Analyze)$$' ./internal/service/
 
 # Short native-fuzz pass over the untrusted-byte decode surfaces: the WAL
 # record/frame/checkpoint decoders (what a follower reads off the wire and
-# recovery reads off disk) and the netio instance parser (operator files).
+# recovery reads off disk), the netio instance parser (operator files), and
+# the daemon's HTTP request surface (mutation validation and every POST
+# body / divergence query string a client can send).
 # Each target explores for a few seconds on top of the committed seed
 # corpora in testdata/fuzz/; go only allows one -fuzz pattern per
 # invocation, hence one line per target. New crashers land in the
@@ -54,6 +58,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeState$$' -fuzztime $(FUZZ_TIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZ_TIME) ./internal/netio/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZ_TIME) ./internal/netio/
+	$(GO) test -run '^$$' -fuzz '^FuzzValidateOps$$' -fuzztime $(FUZZ_TIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime $(FUZZ_TIME) ./internal/service/
 
 # Coverage over the whole module: the test run prints the per-package
 # percentages (the trend worth reading in a CI log), the profile feeds the

@@ -11,10 +11,10 @@
 // so the same code runs on the mutable *graph.Graph builders use and the
 // frozen CSR snapshots the daemon serves. Nothing here mutates shared
 // state: fault sets are applied to working copies (internal/fault's
-// appliers), searches run on pooled Searcher scratch, and the expensive
-// scans fan out across a caller-supplied searcher pool with an optional
-// wall-clock cap, so an analysis query can never stall the writer or
-// another reader.
+// appliers), searches run on Searcher scratch from internal/graph's pool,
+// and the expensive scans fan out across GOMAXPROCS workers with an
+// optional wall-clock cap, so an analysis query can never stall the writer
+// or another reader.
 package analyze
 
 import (
@@ -81,40 +81,12 @@ func (v View) liveCount() int {
 	return live
 }
 
-// Searchers supplies reusable search scratch to the parallel scans. The
-// serving layer adapts its per-process searcher pool; the zero Options
-// default pulls from the package-level pool in internal/graph.
-type Searchers interface {
-	Acquire() *graph.Searcher
-	Release(*graph.Searcher)
-}
-
-// poolSearchers is the default Searchers, backed by graph's sync.Pool.
-type poolSearchers struct{ n int }
-
-func (p poolSearchers) Acquire() *graph.Searcher  { return graph.AcquireSearcher(p.n) }
-func (p poolSearchers) Release(s *graph.Searcher) { graph.ReleaseSearcher(s) }
-
 // Options tunes resource usage of a query; the zero value is ready to use.
 type Options struct {
-	// Parallelism bounds the worker goroutines of the edge scans
-	// (default GOMAXPROCS).
-	Parallelism int
-	// Searchers supplies search scratch (default: internal/graph's pool).
-	Searchers Searchers
 	// MaxDuration caps the wall-clock time of the stretch scans; when
 	// exceeded the report is returned with Truncated set and counts
 	// reflecting the edges actually checked. Zero means no cap.
 	MaxDuration time.Duration
-}
-
-func (o *Options) normalize(n int) {
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.Searchers == nil {
-		o.Searchers = poolSearchers{n: n}
-	}
 }
 
 // StretchWitness is one base-graph pair pinned as evidence by a stretch
@@ -146,18 +118,19 @@ func witnessWorse(a, b StretchWitness) bool {
 	return a.V < b.V
 }
 
-// scanParallel strides fn over 0..count-1 across workers, each holding one
-// pooled Searcher for its whole stripe. A non-zero deadline is checked
-// every few items; once it passes, workers stop picking up new items.
-// It returns how many items were processed and whether the scan was cut
-// short. With one worker (or few items) it runs inline on the caller's
-// goroutine.
-func scanParallel(opts Options, count int, deadline time.Time, fn func(srch *graph.Searcher, i int)) (processed int, truncated bool) {
+// scanParallel strides fn over 0..count-1 across GOMAXPROCS workers, each
+// holding one Searcher from graph's pool, sized for n vertices, for its
+// whole stripe. A non-zero maxDuration sets a deadline checked every few
+// items; once it passes, workers stop picking up new items. It returns how
+// many items were processed and whether the scan was cut short. With one
+// worker (or few items) it runs inline on the caller's goroutine.
+func scanParallel(n, count int, maxDuration time.Duration, fn func(srch *graph.Searcher, i int)) (processed int, truncated bool) {
 	const deadlineStride = 32
-	workers := opts.Parallelism
-	if workers > count {
-		workers = count
+	var deadline time.Time
+	if maxDuration > 0 {
+		deadline = time.Now().Add(maxDuration)
 	}
+	workers := min(runtime.GOMAXPROCS(0), count)
 	var expired atomic.Bool
 	checkDeadline := func(i int) bool {
 		if deadline.IsZero() {
@@ -173,8 +146,8 @@ func scanParallel(opts Options, count int, deadline time.Time, fn func(srch *gra
 		return false
 	}
 	if workers <= 1 {
-		srch := opts.Searchers.Acquire()
-		defer opts.Searchers.Release(srch)
+		srch := graph.AcquireSearcher(n)
+		defer graph.ReleaseSearcher(srch)
 		for i := 0; i < count; i++ {
 			if checkDeadline(i) {
 				return processed, true
@@ -190,8 +163,8 @@ func scanParallel(opts Options, count int, deadline time.Time, fn func(srch *gra
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			srch := opts.Searchers.Acquire()
-			defer opts.Searchers.Release(srch)
+			srch := graph.AcquireSearcher(n)
+			defer graph.ReleaseSearcher(srch)
 			for i := w; i < count; i += workers {
 				if checkDeadline(i) {
 					return

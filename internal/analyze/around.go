@@ -2,6 +2,8 @@ package analyze
 
 import (
 	"fmt"
+
+	"topoctl/internal/graph"
 )
 
 // AroundRequest asks for the k-hop neighborhood of a vertex.
@@ -82,7 +84,6 @@ type AroundReport struct {
 // vertex becomes a positioned node, every edge of the selected topology
 // with both endpoints in the ball becomes an edge.
 func Around(v View, req AroundRequest, opts Options) (*AroundReport, error) {
-	opts.normalize(v.n())
 	if !v.alive(req.Center) {
 		return nil, fmt.Errorf("%w: vertex %d", ErrUnknownVertex, req.Center)
 	}
@@ -100,7 +101,7 @@ func Around(v View, req AroundRequest, opts Options) (*AroundReport, error) {
 		return nil, fmt.Errorf("%w: unknown graph %q", ErrBadQuery, req.Graph)
 	}
 
-	srch := opts.Searchers.Acquire()
+	srch := graph.AcquireSearcher(v.n())
 	ball := srch.HopBall(topo, req.Center, req.Hops)
 	rep := &AroundReport{Center: req.Center, Hops: req.Hops, Graph: name}
 	if req.MaxNodes > 0 && len(ball) > req.MaxNodes {
@@ -144,7 +145,7 @@ func Around(v View, req AroundRequest, opts Options) (*AroundReport, error) {
 	}
 	// Release only after the last use of ball: HopBall's result aliases
 	// the searcher's scratch.
-	opts.Searchers.Release(srch)
+	graph.ReleaseSearcher(srch)
 
 	rep.Nodes, rep.Edges = len(nodes), len(edges)
 	rep.Elements = CytoElements{Nodes: nodes, Edges: edges}

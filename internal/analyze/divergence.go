@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"topoctl/internal/graph"
 )
@@ -63,7 +62,6 @@ type DivergenceReport struct {
 // Divergence diffs the spanner against the base graph and probes a
 // deterministic sample of base edges for their realized spanner stretch.
 func Divergence(v View, req DivergenceRequest, opts Options) (*DivergenceReport, error) {
-	opts.normalize(v.n())
 	if req.Sample < 0 || req.Buckets < 0 || req.MaxWitnesses < 0 {
 		return nil, fmt.Errorf("%w: negative knob", ErrBadQuery)
 	}
@@ -114,13 +112,9 @@ func Divergence(v View, req DivergenceRequest, opts Options) (*DivergenceReport,
 		rep.Exact = true
 	}
 
-	var deadline time.Time
-	if opts.MaxDuration > 0 {
-		deadline = time.Now().Add(opts.MaxDuration)
-	}
 	results := make([]StretchWitness, len(probe))
 	filled := make([]bool, len(probe))
-	rep.SampledEdges, rep.Truncated = scanParallel(opts, len(probe), deadline, func(srch *graph.Searcher, i int) {
+	rep.SampledEdges, rep.Truncated = scanParallel(v.n(), len(probe), opts.MaxDuration, func(srch *graph.Searcher, i int) {
 		e := probe[i]
 		w := StretchWitness{U: e.U, V: e.V, BaseWeight: e.W}
 		if d, ok := srch.AStarTarget(v.Spanner, v.Points, e.U, e.V, graph.Inf); ok {

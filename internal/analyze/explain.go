@@ -52,7 +52,6 @@ const oracleTol = 1e-9
 // held for this pair, and whether the label oracle (if any) agrees with
 // the search.
 func Explain(v View, src, dst int, opts Options) (*RouteExplanation, error) {
-	opts.normalize(v.n())
 	if !v.alive(src) {
 		return nil, fmt.Errorf("%w: vertex %d", ErrUnknownVertex, src)
 	}
@@ -61,8 +60,8 @@ func Explain(v View, src, dst int, opts Options) (*RouteExplanation, error) {
 	}
 	exp := &RouteExplanation{Src: src, Dst: dst, Bound: v.T}
 
-	srch := opts.Searchers.Acquire()
-	defer opts.Searchers.Release(srch)
+	srch := graph.AcquireSearcher(v.n())
+	defer graph.ReleaseSearcher(srch)
 
 	// The same kernel and orientation /route serves (service.Snapshot.Route):
 	// both searches run from the smaller endpoint id, and the path is

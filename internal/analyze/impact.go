@@ -3,7 +3,6 @@ package analyze
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"topoctl/internal/fault"
 	"topoctl/internal/geom"
@@ -65,7 +64,6 @@ type ImpactReport struct {
 // component, and surviving base-graph pairs whose spanner detour now
 // exceeds the stretch bound t.
 func Impact(v View, req ImpactRequest, opts Options) (*ImpactReport, error) {
-	opts.normalize(v.n())
 	faulted, err := resolveFaults(v, req)
 	if err != nil {
 		return nil, err
@@ -120,13 +118,9 @@ func Impact(v View, req ImpactRequest, opts Options) (*ImpactReport, error) {
 		}
 	}
 
-	var deadline time.Time
-	if opts.MaxDuration > 0 {
-		deadline = time.Now().Add(opts.MaxDuration)
-	}
 	results := make([]StretchWitness, len(check))
 	filled := make([]bool, len(check))
-	rep.BaseEdgesChecked, rep.Truncated = scanParallel(opts, len(check), deadline, func(srch *graph.Searcher, i int) {
+	rep.BaseEdgesChecked, rep.Truncated = scanParallel(v.n(), len(check), opts.MaxDuration, func(srch *graph.Searcher, i int) {
 		e := check[i]
 		w := StretchWitness{U: e.U, V: e.V, BaseWeight: e.W}
 		// Endpoints in different surviving fragments are unreachable; a

@@ -378,8 +378,12 @@ func (s *Searcher) HopsTo(g Topology, src, dst int) (int, bool) {
 	return 0, false
 }
 
-// searcherPool recycles Searchers across the Graph.Dijkstra* convenience
-// methods so their steady-state allocation count is zero.
+// searcherPool is the one pool of search scratch in the tree: builders,
+// metrics, labels, routing, the serving layer and analytics all borrow
+// from it, so their steady-state allocation count is zero. It allocates
+// nothing until first use, keeps warmed scratch per P, and lets the GC
+// drop idle searchers. A Searcher carries no graph state, so a borrowed
+// one serves any graph, of any snapshot version.
 var searcherPool = sync.Pool{New: func() interface{} { return new(Searcher) }}
 
 // AcquireSearcher returns a pooled Searcher sized for n-vertex graphs.

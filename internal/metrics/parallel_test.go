@@ -56,7 +56,7 @@ func TestStretchParallelDisconnected(t *testing.T) {
 
 // TestStretchConcurrentCallers runs several full verifications over the
 // same shared graphs at once — the pattern the parallel experiment harness
-// produces — so the race detector sees overlapping pooled Searchers.
+// produces — so the race detector sees overlapping pooled searchers.
 func TestStretchConcurrentCallers(t *testing.T) {
 	g, sp := stretchInstance(t, 100, 9)
 	want := StretchParallel(g, sp, 1)

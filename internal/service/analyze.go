@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"topoctl/internal/analyze"
-	"topoctl/internal/graph"
 )
 
 // Validation limits for the /analyze family. Analysis queries are the most
@@ -83,13 +82,6 @@ func (c *counters) analyzeStats() map[string]AnalyzeEndpointStats {
 	return out
 }
 
-// snapSearchers adapts the snapshot's pool access to analyze.Searchers, so
-// analysis scans reuse the same warmed scratch the route handlers do.
-type snapSearchers struct{ s *Snapshot }
-
-func (p snapSearchers) Acquire() *graph.Searcher  { return p.s.acquire() }
-func (p snapSearchers) Release(s *graph.Searcher) { p.s.release(s) }
-
 // analyzeView bundles this snapshot's frozen state for the analyze
 // package. The oracle is attached only when present — assigning a nil
 // *labels.Oracle into the interface field would make it non-nil.
@@ -107,13 +99,10 @@ func (s *Snapshot) analyzeView() analyze.View {
 	return v
 }
 
-// analyzeOptions is the per-query resource budget: the shared searcher
-// pool and the configured wall-clock cap.
+// analyzeOptions is the per-query resource budget: the configured
+// wall-clock cap.
 func (s *Snapshot) analyzeOptions() analyze.Options {
-	return analyze.Options{
-		Searchers:   snapSearchers{s},
-		MaxDuration: s.analyzeTimeout,
-	}
+	return analyze.Options{MaxDuration: s.analyzeTimeout}
 }
 
 func (s *Snapshot) observeAnalyze(ep analyzeEndpoint, start time.Time) {

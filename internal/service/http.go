@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -410,11 +411,17 @@ func (e *envelopeWriter) flush() {
 	e.rw.Write(append(raw, '\n'))
 }
 
+// decodeJSON decodes exactly one JSON value from the request body: a
+// second value or any other non-whitespace after the first is rejected, so
+// `{"src":0,"dst":1} junk` never passes for `{"src":0,"dst":1}`.
 func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bad request body: trailing data after the JSON value")
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -151,4 +152,45 @@ func TestHTTPRouteStretchWithinBound(t *testing.T) {
 		t.Fatalf("stats stretch estimate = %v", stats.StretchEstimate)
 	}
 	_ = fmt.Sprintf("%+v", stats)
+}
+
+// TestTrailingDataRejected pins that a JSON body is exactly one value:
+// each endpoint answers its bare body (trailing whitespace allowed) with
+// 200, and the same body followed by junk or by a second value with 400 and
+// the error envelope.
+func TestTrailingDataRejected(t *testing.T) {
+	svc := testService(t, 32, Options{})
+	h := svc.Handler()
+	for _, tc := range []struct{ path, body string }{
+		{"/route", `{"src":0,"dst":1}`},
+		{"/distance", `{"src":0,"dst":1}`},
+		{"/mutate", `{"ops":[{"op":"move","id":5,"point":[1,1]}]}`},
+		{"/analyze/impact", `{"vertices":[3]}`},
+		{"/analyze/around", `{"center":0,"hops":1}`},
+		{"/analyze/route", `{"src":0,"dst":1}`},
+	} {
+		for _, c := range []struct {
+			suffix string
+			want   int
+		}{
+			{" \n\t", http.StatusOK},
+			{" junk", http.StatusBadRequest},
+			{`{"src":5}`, http.StatusBadRequest},
+			{tc.body, http.StatusBadRequest},
+			{"}", http.StatusBadRequest},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body+c.suffix)))
+			if rec.Code != c.want {
+				t.Fatalf("POST %s %q: status %d, want %d (%s)", tc.path, tc.body+c.suffix, rec.Code, c.want, rec.Body)
+			}
+			if c.want == http.StatusOK {
+				continue
+			}
+			var e errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("POST %s %q: body %q is not the error envelope", tc.path, tc.body+c.suffix, rec.Body)
+			}
+		}
+	}
 }

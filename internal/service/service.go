@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,10 +70,6 @@ type Options struct {
 	// CacheSize bounds the per-snapshot route cache (default 8192 entries;
 	// <0 disables growth past the minimum).
 	CacheSize int
-	// Searchers caps the shared searcher pool (default GOMAXPROCS). The
-	// pool is lazy: nothing is allocated until a query actually checks a
-	// searcher out, so an idle service costs nothing.
-	Searchers int
 	// StretchSample bounds the base-edge sample behind the /stats live
 	// stretch estimate (default 256; the estimate is exact below it).
 	StretchSample int
@@ -83,15 +78,16 @@ type Options struct {
 	// /distance queries answer from an allocation-free label intersection
 	// instead of an A* search, falling back to the search when
 	// the oracle cannot certify (after removals, until its rebuild
-	// horizon). Off by default — label construction costs a few
-	// milliseconds per rebuild, which embedded/test users may not want.
+	// horizon). Off by default — a full label build costs 0.29 s at
+	// n=4096 and 4.0 s at n=16384 (≈90 % of a boot at either size), which
+	// embedded/test users may not want.
 	Labels bool
 	// LabelsMaxN caps the deployment size the oracle is built for: label
-	// construction grows roughly quadratically in the vertex count (413ms
-	// and 1744 B/vtx at n=4096), so a million-vertex boot must not sink
-	// into it silently. Above the cap Labels is ignored and /distance
-	// falls back to the search core. Zero means DefaultLabelsMaxN;
-	// negative removes the cap.
+	// construction grows roughly quadratically in the vertex count (0.29 s
+	// at n=4096, 4.0 s at n=16384; 1744 B/vtx at n=4096), so a
+	// million-vertex boot must not sink into it silently. Above the cap
+	// Labels is ignored and /distance falls back to the search core. Zero
+	// means DefaultLabelsMaxN; negative removes the cap.
 	LabelsMaxN int
 	// Seed drives the deterministic stretch-sample shuffle.
 	Seed int64
@@ -122,9 +118,6 @@ func (o *Options) normalize() {
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 8192
-	}
-	if o.Searchers <= 0 {
-		o.Searchers = runtime.GOMAXPROCS(0)
 	}
 	if o.StretchSample <= 0 {
 		o.StretchSample = 256
@@ -193,14 +186,13 @@ type counters struct {
 // a single writer goroutine applies mutation batches. All exported methods
 // are safe for concurrent use.
 type Service struct {
-	opts      Options
-	snap      atomic.Pointer[Snapshot]
-	searchers *searcherPool
-	ctr       counters
-	start     time.Time
-	ready     atomic.Bool
-	follower  bool
-	repl      atomic.Pointer[ReplicaStatus]
+	opts     Options
+	snap     atomic.Pointer[Snapshot]
+	ctr      counters
+	start    time.Time
+	ready    atomic.Bool
+	follower bool
+	repl     atomic.Pointer[ReplicaStatus]
 
 	// oracle is the current hub-label distance oracle (nil when disabled
 	// or on followers). It is owned by the writer: publish() builds or
@@ -270,7 +262,6 @@ func NewFromEngine(eng *dynamic.Engine, opts Options) (*Service, error) {
 	}
 	s := &Service{
 		opts:      opts,
-		searchers: newSearcherPool(opts.Searchers),
 		start:     time.Now(),
 		reqs:      make(chan *mutateReq),
 		stop:      make(chan struct{}),
@@ -293,11 +284,10 @@ func NewFollower(opts Options) *Service {
 		opts.Dim = 2
 	}
 	s := &Service{
-		opts:      opts,
-		follower:  true,
-		searchers: newSearcherPool(opts.Searchers),
-		start:     time.Now(),
-		stop:      make(chan struct{}),
+		opts:     opts,
+		follower: true,
+		start:    time.Now(),
+		stop:     make(chan struct{}),
 	}
 	return s
 }
@@ -538,7 +528,6 @@ func (s *Service) install(version uint64, points []geom.Point, alive []bool, liv
 		Base:           base,
 		Spanner:        sp,
 		router:         router,
-		searchers:      s.searchers,
 		cache:          newRouteCache(s.opts.CacheSize, &s.ctr),
 		ctr:            &s.ctr,
 		live:           live,

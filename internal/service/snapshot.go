@@ -16,14 +16,15 @@ import (
 // Snapshot is one immutable, internally consistent view of the topology:
 // slot-indexed node positions, the base connectivity graph and maintained
 // t-spanner as frozen CSR graphs (graph.Frozen), a router over the
-// spanner, a fresh LRU route cache, and a reference to the service's
-// searcher pool. Readers load the current snapshot with a single atomic
-// pointer read and then work entirely against frozen state — a concurrent
-// mutation batch swaps in a successor snapshot but can never alter this
-// one, so every answer a snapshot gives is consistent with exactly one
-// topology version (no torn reads by construction). Because the graphs are
-// frozen at export, successive snapshots share the storage of every
-// adjacency row the mutation batch did not touch.
+// spanner, and a fresh LRU route cache. Readers load the current snapshot
+// with a single atomic pointer read and then work entirely against frozen
+// state — a concurrent mutation batch swaps in a successor snapshot but can
+// never alter this one, so every answer a snapshot gives is consistent with
+// exactly one topology version (no torn reads by construction). Because the
+// graphs are frozen at export, successive snapshots share the storage of
+// every adjacency row the mutation batch did not touch. Searches borrow
+// scratch from graph.AcquireSearcher: a Searcher carries no graph state, so
+// the warmed scratch of each P serves every snapshot version in turn.
 type Snapshot struct {
 	// Version increments with every applied mutation batch (1 = initial).
 	Version uint64
@@ -38,10 +39,9 @@ type Snapshot struct {
 	// Spanner is the maintained t-spanner routes are forwarded on.
 	Spanner *graph.Frozen
 
-	router    *routing.Router
-	searchers *searcherPool // shared with the service; see acquire
-	cache     *routeCache
-	ctr       *counters // service-lifetime counters, shared across snapshots
+	router *routing.Router
+	cache  *routeCache
+	ctr    *counters // service-lifetime counters, shared across snapshots
 
 	// oracle is the hub-label distance oracle over Spanner, nil when
 	// Options.Labels is off (then Distance always searches). Immutable,
@@ -136,8 +136,8 @@ func (s *Snapshot) Route(scheme routing.Scheme, src, dst int) (RouteResult, erro
 // then, for a delivered route, the base-graph optimum the stretch field
 // divides by — both goal-directed A* over the snapshot's points.
 func (s *Snapshot) route(scheme routing.Scheme, src, dst int) (RouteResult, error) {
-	srch := s.acquire()
-	defer s.release(srch)
+	srch := graph.AcquireSearcher(len(s.Alive))
+	defer graph.ReleaseSearcher(srch)
 	rt, err := s.router.RouteWith(srch, scheme, src, dst)
 	if err != nil {
 		return RouteResult{}, err
@@ -181,9 +181,9 @@ func (s *Snapshot) Distance(src, dst int) (DistanceResult, error) {
 	if err := s.checkNode(dst); err != nil {
 		return DistanceResult{}, err
 	}
-	srch := s.acquire()
+	srch := graph.AcquireSearcher(len(s.Alive))
 	d, fromLabels, err := s.router.Distance(srch, src, dst)
-	s.release(srch)
+	graph.ReleaseSearcher(srch)
 	if err != nil {
 		return DistanceResult{}, err
 	}
@@ -263,19 +263,4 @@ func (s *Snapshot) checkNode(id int) error {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
 	return nil
-}
-
-// acquire takes a Searcher from the service-wide lazy pool (allocating
-// on demand when empty — never at construction, never blocking). Under
-// steady load each P keeps reusing the same warmed scratch arrays, and
-// because Searchers carry no graph state they migrate freely across
-// snapshot generations.
-func (s *Snapshot) acquire() *graph.Searcher {
-	return s.searchers.acquire(len(s.Alive))
-}
-
-// release returns a Searcher to the pool, dropping it when the pool is
-// already full.
-func (s *Snapshot) release(srch *graph.Searcher) {
-	s.searchers.release(srch)
 }
