@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check vet fmt test race fuzz-short cover bench bench-json bench-save bench-compare bench-check serve-smoke recover-smoke build-large-smoke ci
+.PHONY: all build check vet fmt test race fuzz-short cover bench bench-json bench-save bench-compare bench-check bench-quick serve-smoke recover-smoke build-large-smoke ci
 
 all: check
 
@@ -123,6 +123,13 @@ bench-compare:
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench -short ./...
 
+# One quick end-to-end run of the benchmark of record: it boots daemons
+# built from the checkout, drives route load, a churn schedule on a WAL
+# with the label oracle maintained per commit, and a kill -9 recovery.
+# bench-check runs -short and skips all of that.
+bench-quick:
+	$(GO) test -C bench -run '^TestQuickEndToEnd$$' -count=1 ./...
+
 # End-to-end smoke of the topology daemon: boot it on SMOKE_ADDR, poll
 # /healthz until live, route one packet, read /stats, and shut it down.
 SMOKE_ADDR ?= 127.0.0.1:7079
@@ -200,4 +207,4 @@ recover-smoke:
 build-large-smoke:
 	BUILD_LARGE=1 $(GO) test -run '^TestBuildLargeSmoke$$' -v -timeout 300s .
 
-ci: check race bench bench-check serve-smoke recover-smoke build-large-smoke
+ci: check race bench bench-check bench-quick serve-smoke recover-smoke build-large-smoke

@@ -270,7 +270,7 @@ func BenchmarkRouteLabel(b *testing.B) {
 
 // BenchmarkLabelBuild measures full hub-label construction at the freeze
 // boundary — the cost a labels-enabled topoctld pays per oracle rebuild
-// (stale horizon), not per mutation (additions maintain incrementally).
+// (stale horizon), not per mutation.
 func BenchmarkLabelBuild(b *testing.B) {
 	for _, n := range []int{512, 1024, 4096} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

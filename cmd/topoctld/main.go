@@ -237,7 +237,15 @@ func buildLeader(sf *serveFlags, wf *walFlags) (*service.Service, *replica.Leade
 		T: sf.t, Radius: sf.radius, Dim: sf.d,
 		CacheSize: sf.cache, StretchSample: sf.sample, Seed: sf.seed,
 		Labels: sf.labels, LabelsMaxN: sf.labelsMax,
-		OnPublish: ld.OnPublish,
+		OnPublish: func(snap *service.Snapshot, applied []service.Op, touched []int) {
+			ld.OnPublish(snap, applied, touched)
+			// Fail-stop: the hook runs before the batch's reply is
+			// released, so exiting here acknowledges no mutation the log
+			// did not record. A restart recovers the last durable epoch.
+			if err := ld.Err(); err != nil {
+				log.Fatalf("wal: epoch %d not logged, stopping: %v", snap.Version, err)
+			}
+		},
 	}
 	var svc *service.Service
 	if recovered != nil {

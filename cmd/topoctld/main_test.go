@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -30,11 +31,17 @@ func buildBinary(t *testing.T) string {
 	return bin
 }
 
+// daemon is a running daemon process and the unread rest of its stderr.
+type daemon struct {
+	cmd    *exec.Cmd
+	stderr io.Reader
+}
+
 // daemons maps a running daemon's base URL to its process so tests can
-// kill one abruptly (crash-recovery scenarios).
+// kill one abruptly (crash-recovery scenarios) or watch it exit.
 var (
 	daemonsMu sync.Mutex
-	daemons   = map[string]*exec.Cmd{}
+	daemons   = map[string]daemon{}
 )
 
 // startDaemon launches the daemon on an ephemeral port and waits for
@@ -86,7 +93,7 @@ func startDaemon(t *testing.T, bin string, extra ...string) string {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
 				daemonsMu.Lock()
-				daemons[base] = cmd
+				daemons[base] = daemon{cmd: cmd, stderr: stderr}
 				daemonsMu.Unlock()
 				return base
 			}
@@ -285,19 +292,67 @@ func TestDaemonWALRecoveryAndFollower(t *testing.T) {
 	}
 }
 
+// TestDaemonWALFailStop removes a durable daemon's WAL directory from
+// under it: the next checkpoint fails, and the daemon must stop before
+// acknowledging the batch rather than keep answering 200 for mutations
+// it can no longer log.
+func TestDaemonWALFailStop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and boots a daemon")
+	}
+	bin := buildBinary(t)
+	walDir := filepath.Join(t.TempDir(), "wal")
+	base := startDaemon(t, bin, "-wal", walDir, "-fsync", "always", "-checkpoint-every", "1")
+	if err := os.RemoveAll(walDir); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		resp, err := http.Post(base+"/mutate", "application/json",
+			strings.NewReader(`{"ops":[{"op":"move","id":5,"point":[1.0,1.0]}]}`))
+		if err != nil {
+			continue // the daemon is gone: nothing was acknowledged
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			t.Fatalf("mutation %d acknowledged after the WAL directory vanished", i)
+		}
+	}
+	d := takeDaemon(t, base)
+	hung := time.AfterFunc(10*time.Second, func() { d.cmd.Process.Kill() })
+	logged, _ := io.ReadAll(d.stderr)
+	err := d.cmd.Wait()
+	if !hung.Stop() {
+		t.Fatalf("daemon kept running after a WAL failure; log:\n%s", logged)
+	}
+	if err == nil {
+		t.Fatalf("daemon exited cleanly after a WAL failure; log:\n%s", logged)
+	}
+	if !strings.Contains(string(logged), "epoch 2") {
+		t.Fatalf("exit log does not name the failed epoch:\n%s", logged)
+	}
+}
+
 // killDaemon SIGKILLs the daemon serving base (looked up from the
 // registry startDaemon maintains) and waits for the port to die.
 func killDaemon(t *testing.T, base string) {
 	t.Helper()
+	d := takeDaemon(t, base)
+	d.cmd.Process.Kill()
+	d.cmd.Wait()
+}
+
+// takeDaemon removes the daemon serving base from the registry and
+// returns it.
+func takeDaemon(t *testing.T, base string) daemon {
+	t.Helper()
 	daemonsMu.Lock()
-	cmd := daemons[base]
+	d, ok := daemons[base]
 	delete(daemons, base)
 	daemonsMu.Unlock()
-	if cmd == nil {
+	if !ok {
 		t.Fatalf("no daemon registered for %s", base)
 	}
-	cmd.Process.Kill()
-	cmd.Wait()
+	return d
 }
 
 // startFollowerDaemon launches `topoctld follow` against leader and waits

@@ -1,11 +1,11 @@
 package labels
 
-// The differential conformance harness this PR is anchored on: the hub-label
-// oracle must agree with the reference search kernels on every answer it
-// certifies, over fuzzed random graphs (both *Graph and *Frozen
-// representations) and fuzzed Join/Leave/Move chains with per-commit
-// incremental label maintenance. The oracle is allowed to decline (stale
-// mode → caller falls back to Dijkstra) but never to be wrong.
+// The differential conformance harness: the hub-label oracle must agree
+// with the reference search kernels on every answer it certifies, over
+// fuzzed random graphs (both *Graph and *Frozen representations) and fuzzed
+// Join/Leave/Move chains with per-commit label maintenance. The oracle is
+// allowed to decline (stale mode → caller falls back to its search) but
+// never to be wrong.
 
 import (
 	"math"
@@ -35,7 +35,7 @@ func checkPairs(t *testing.T, tag string, o *Oracle, topo graph.Topology, srch *
 	for _, p := range pairs {
 		d, ok := o.Query(p[0], p[1])
 		if !ok {
-			t.Fatalf("%s: oracle declined Query(%d,%d) without any removal", tag, p[0], p[1])
+			t.Fatalf("%s: fresh oracle declined Query(%d,%d)", tag, p[0], p[1])
 		}
 		ref, refOK := srch.DijkstraTargetUni(topo, p[0], p[1], graph.Inf)
 		if !refOK {
@@ -87,19 +87,21 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestDifferentialAdditionChains fuzzes chains of pure edge additions —
-// the case the oracle must absorb exactly via its patch set, never going
-// stale — re-verifying against the reference after every commit.
+// TestDifferentialAdditionChains fuzzes chains of pure edge additions,
+// maintaining the oracle per commit and re-verifying against the reference
+// after every commit. Each change leaves the oracle stale; at the rebuild
+// horizon (every other commit here) Update's own rebuild is checked.
 func TestDifferentialAdditionChains(t *testing.T) {
 	chains := 60
 	if testing.Short() {
 		chains = 12
 	}
 	rng := rand.New(rand.NewSource(11))
+	opts := Options{RebuildAfter: 2}
 	for c := 0; c < chains; c++ {
 		n := 8 + rng.Intn(33)
 		g := randomGraph(rng, n, 0.08)
-		o := Build(g, Options{PatchLimit: 8})
+		o := Build(g, opts)
 		srch := graph.AcquireSearcher(n)
 		for step := 0; step < 6; step++ {
 			g = g.Clone()
@@ -115,9 +117,8 @@ func TestDifferentialAdditionChains(t *testing.T) {
 			}
 			o = o.Update(g, touched)
 			if o.Stats().Stale {
-				// Portal overflow (PatchLimit 8) — declining is sound;
-				// rebuild and keep going.
-				o = Build(g, Options{PatchLimit: 8})
+				// Declining is sound; rebuild and keep going.
+				o = Build(g, opts)
 			}
 			checkPairs(t, "chain", o, g, srch, samplePairs(rng, n, 40))
 		}
@@ -130,7 +131,7 @@ func TestDifferentialAdditionChains(t *testing.T) {
 // touched-row deltas graph.ApplyRows consumes (via ExportFrozen /
 // LastExportTouched), and pins every certified answer against
 // DijkstraTarget on the exported spanner. Declines must coincide with
-// commits that removed edges (stale mode) and heal at the rebuild horizon.
+// stale mode and heal at the rebuild horizon.
 func TestDifferentialMutationChains(t *testing.T) {
 	chains := 10
 	opsPerChain := 70
@@ -149,15 +150,15 @@ func TestDifferentialMutationChains(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, _, sp := eng.ExportFrozen()
-		// Tight RebuildAfter/PatchLimit so chains of this length cross
-		// both the stale→rebuild horizon and portal overflow.
-		opts := Options{RebuildAfter: 4, PatchLimit: 6}
+		// Tight RebuildAfter so chains of this length cross the
+		// stale→rebuild horizon many times.
+		opts := Options{RebuildAfter: 4}
 		o := Build(sp, opts)
 		srch := graph.AcquireSearcher(sp.N())
 
 		for step := 0; step < opsPerChain; step++ {
 			switch rng.Intn(4) {
-			case 0, 1: // join-heavy keeps the additions-only patch path hot
+			case 0, 1: // join-heavy
 				p := geom.Point{rng.Float64() * side, rng.Float64() * side}
 				if _, err := eng.Join(p); err != nil {
 					t.Fatal(err)

@@ -42,13 +42,8 @@ func (l *Leader) Genesis(t, radius float64, dim int, snap *service.Snapshot) err
 	}
 	st := &wal.State{
 		Epoch: snap.Version, T: t, Radius: radius, Dim: dim,
-		Points: snap.Points, Alive: snap.Alive,
+		Points: snap.Points, Alive: snap.Alive, Live: snap.Live(),
 		Base: snap.Base, Spanner: snap.Spanner,
-	}
-	for _, a := range snap.Alive {
-		if a {
-			st.Live++
-		}
 	}
 	if err := l.rec.Bootstrap(st); err != nil {
 		return err
@@ -61,7 +56,8 @@ func (l *Leader) Genesis(t, radius float64, dim int, snap *service.Snapshot) err
 // committed batch. On a WAL failure (disk gone, wedged filesystem) the
 // leader keeps serving but the log stops advancing; the error is latched
 // and surfaced by Err, and every later publish is dropped — a follower
-// re-bootstrapping will resume from the last durable epoch.
+// re-bootstrapping will resume from the last durable epoch. A caller that
+// promises durability checks Err after each call and stops on failure.
 func (l *Leader) OnPublish(snap *service.Snapshot, applied []service.Op, touched []int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -88,14 +84,8 @@ func (l *Leader) OnPublish(snap *service.Snapshot, applied []service.Op, touched
 			ops[i].Kind = wal.OpMove
 		}
 	}
-	live := 0
-	for _, a := range snap.Alive {
-		if a {
-			live++
-		}
-	}
 	f := wal.BuildFrame(snap.Version, l.st.Chain, ops, touched,
-		snap.Points, snap.Alive, live, snap.Base, snap.Spanner)
+		snap.Points, snap.Alive, snap.Live(), snap.Base, snap.Spanner)
 	if err := l.st.Apply(f); err != nil {
 		l.err = fmt.Errorf("replica: shadow state rejected own frame: %w", err)
 		return

@@ -74,11 +74,11 @@ type Options struct {
 	// stretch estimate (default 256; the estimate is exact below it).
 	StretchSample int
 	// Labels enables the hub-label distance oracle (internal/labels): the
-	// writer builds exact per-vertex label sets at every publish and
-	// /distance queries answer from an allocation-free label intersection
-	// instead of an A* search, falling back to the search when
-	// the oracle cannot certify (after removals, until its rebuild
-	// horizon). Off by default — a full label build costs 0.29 s at
+	// writer builds exact per-vertex label sets at boot and at every
+	// rebuild horizon, and /distance queries answer from an
+	// allocation-free label intersection instead of an A* search, falling
+	// back to the search when the oracle cannot certify (after any
+	// graph-changing commit, until its rebuild horizon). Off by default — a full label build costs 0.29 s at
 	// n=4096 and 4.0 s at n=16384 (≈90 % of a boot at either size), which
 	// embedded/test users may not want.
 	Labels bool
@@ -195,8 +195,8 @@ type Service struct {
 	repl     atomic.Pointer[ReplicaStatus]
 
 	// oracle is the current hub-label distance oracle (nil when disabled
-	// or on followers). It is owned by the writer: publish() builds or
-	// incrementally updates it before each snapshot swap, and readers only
+	// or on followers). It is owned by the writer: publish() builds it or
+	// derives its successor before each snapshot swap, and readers only
 	// ever see it through the immutable snapshot they loaded.
 	oracle *labels.Oracle
 
@@ -484,10 +484,10 @@ func (s *Service) publish(eng *dynamic.Engine) *Snapshot {
 		version = old.Version + 1
 	}
 	if s.opts.Labels {
-		// Maintain the hub-label oracle from the same touched-row deltas
-		// the frozen export consumed: additions-only batches extend it in
-		// place (structurally shared with the predecessor), removals flip
-		// it stale (queries fall back to search) until its rebuild horizon.
+		// Derive the hub-label oracle from the same touched-row delta the
+		// frozen export consumed: an unchanged graph keeps it, any change
+		// leaves it stale (queries fall back to search) until its rebuild
+		// horizon rebuilds it on this snapshot.
 		if s.oracle == nil {
 			s.oracle = labels.Build(sp, labels.Options{})
 		} else {
