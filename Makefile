@@ -131,7 +131,8 @@ bench-quick:
 	$(GO) test -C bench -run '^TestQuickEndToEnd$$' -count=1 ./...
 
 # End-to-end smoke of the topology daemon: boot it on SMOKE_ADDR, poll
-# /healthz until live, route one packet, read /stats, and shut it down.
+# /healthz until live, route one packet, check that /stats reports
+# 1 <= stretch_estimate <= stretch_bound, and shut it down.
 SMOKE_ADDR ?= 127.0.0.1:7079
 serve-smoke:
 	@set -e; \
@@ -151,7 +152,12 @@ serve-smoke:
 	fi; \
 	curl -fsS http://$(SMOKE_ADDR)/healthz; \
 	curl -fsS -X POST -d '{"scheme":"shortest-path","src":0,"dst":13}' http://$(SMOKE_ADDR)/route; \
-	curl -fsS http://$(SMOKE_ADDR)/stats; \
+	stats=$$(curl -fsS http://$(SMOKE_ADDR)/stats); echo "$$stats"; \
+	est=$$(echo "$$stats" | grep -o '"stretch_estimate":[^,}]*' | cut -d: -f2); \
+	bound=$$(echo "$$stats" | grep -o '"stretch_bound":[^,}]*' | cut -d: -f2); \
+	if ! awk -v e="$$est" -v b="$$bound" 'BEGIN { exit !(e != "" && e + 0 >= 1 && e + 0 <= b + 0) }'; then \
+		echo "stretch_estimate $$est outside [1, stretch_bound $$bound]"; exit 1; \
+	fi; \
 	curl -fsS -X POST -d '{"vertices":[3]}' http://$(SMOKE_ADDR)/analyze/impact >/dev/null; \
 	curl -fsS -X POST -d '{"center":0,"hops":2}' http://$(SMOKE_ADDR)/analyze/around >/dev/null; \
 	curl -fsS -X POST -d '{"src":0,"dst":13}' http://$(SMOKE_ADDR)/analyze/route; \

@@ -83,8 +83,8 @@ func benchInstance(b *testing.B, n int) *ubg.Instance {
 // repo targets. The default unit-box instance of benchInstance is nearly
 // complete past n≈512, so the large point-to-point benchmarks use this
 // instead: constant density keeps the edge count linear in n and the
-// shortest paths long, which is the regime the bidirectional search core is
-// built for.
+// shortest paths long, the regime of the serving path's point-to-point
+// searches.
 func benchInstanceDensity(b *testing.B, n int, deg float64) *ubg.Instance {
 	b.Helper()
 	inst, err := ubg.GenerateConnected(
@@ -220,10 +220,12 @@ func labelQueries(n int, mix string) []routing.Query {
 
 // BenchmarkRouteLabel measures the point-to-point distance primitive with
 // and without the hub-label oracle, at constant density (expected degree
-// 8) and under both uniform and zipfian query mixes. The labels arm is the
-// acceptance target: ≥5× under the bidi arm at n=4096 with 0 allocs/op.
-// label-B/vtx reports the oracle's storage cost, fallbacks/op how many
-// queries the oracle declined (0 for a freshly built oracle).
+// 8) and under both uniform and zipfian query mixes. The astar arm is the
+// search a labels-off daemon runs (a router declared Euclidean, no
+// oracle); the bidi arm is the blind bidirectional kernel. The labels arm
+// is the acceptance target: ≥5× under the astar arm at n=4096 with 0
+// allocs/op. label-B/vtx reports the oracle's storage cost, fallbacks/op
+// how many queries the oracle declined (0 for a freshly built oracle).
 func BenchmarkRouteLabel(b *testing.B) {
 	for _, n := range []int{512, 1024, 4096} {
 		inst := benchInstanceDensity(b, n, 8)
@@ -232,15 +234,18 @@ func BenchmarkRouteLabel(b *testing.B) {
 		st := oracle.Stats()
 		for _, mix := range []string{"uniform", "zipf"} {
 			queries := labelQueries(n, mix)
-			for _, arm := range []string{"labels", "bidi"} {
+			for _, arm := range []string{"labels", "astar", "bidi"} {
 				b.Run(fmt.Sprintf("n=%d/mix=%s/%s", n, mix, arm), func(b *testing.B) {
 					router, err := routing.NewRouter(sp, inst.Points)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if arm == "labels" {
+					switch arm {
+					case "labels":
 						router.SetDistanceOracle(oracle)
 						b.ReportMetric(st.BytesPerVertex, "label-B/vtx")
+					case "astar":
+						router.SetEuclidean()
 					}
 					srch := graph.NewSearcher(n)
 					fallbacks := 0

@@ -124,7 +124,6 @@ type serveFlags struct {
 	t         float64
 	radius    float64
 	cache     int
-	sample    int
 	labels    bool
 	labelsMax int
 }
@@ -139,7 +138,6 @@ func addServeFlags(fs *flag.FlagSet) *serveFlags {
 	fs.Float64Var(&sf.t, "t", 1.5, "spanner stretch bound (> 1)")
 	fs.Float64Var(&sf.radius, "radius", 1, "connectivity radius of the maintained base graph")
 	fs.IntVar(&sf.cache, "cache", 8192, "route cache capacity per snapshot")
-	fs.IntVar(&sf.sample, "stretch-sample", 256, "base-edge sample size for the /stats stretch estimate")
 	fs.BoolVar(&sf.labels, "labels", true, "maintain the hub-label distance oracle (exact /distance answers without a search)")
 	fs.IntVar(&sf.labelsMax, "labels-max", 0, "largest deployment the oracle is built for (label builds grow ~quadratically; 0 = library default, negative = no cap)")
 	return sf
@@ -172,14 +170,12 @@ func (sf *serveFlags) newService() (*service.Service, error) {
 	// service.New infers the dimension from the points; -d only matters
 	// for generation.
 	return service.New(pts, service.Options{
-		T:             sf.t,
-		Radius:        sf.radius,
-		Dim:           sf.d,
-		CacheSize:     sf.cache,
-		StretchSample: sf.sample,
-		Seed:          sf.seed,
-		Labels:        sf.labels,
-		LabelsMaxN:    sf.labelsMax,
+		T:          sf.t,
+		Radius:     sf.radius,
+		Dim:        sf.d,
+		CacheSize:  sf.cache,
+		Labels:     sf.labels,
+		LabelsMaxN: sf.labelsMax,
 	})
 }
 
@@ -235,8 +231,7 @@ func buildLeader(sf *serveFlags, wf *walFlags) (*service.Service, *replica.Leade
 	ld := replica.NewLeader(rec, recovered)
 	opts := service.Options{
 		T: sf.t, Radius: sf.radius, Dim: sf.d,
-		CacheSize: sf.cache, StretchSample: sf.sample, Seed: sf.seed,
-		Labels: sf.labels, LabelsMaxN: sf.labelsMax,
+		CacheSize: sf.cache, Labels: sf.labels, LabelsMaxN: sf.labelsMax,
 		OnPublish: func(snap *service.Snapshot, applied []service.Op, touched []int) {
 			ld.OnPublish(snap, applied, touched)
 			// Fail-stop: the hook runs before the batch's reply is
@@ -361,7 +356,6 @@ func cmdFollow(args []string) error {
 	addr := fs.String("addr", ":7078", "listen address")
 	leader := fs.String("leader", "", "leader base URL (required), e.g. http://127.0.0.1:7077")
 	cache := fs.Int("cache", 8192, "route cache capacity per snapshot")
-	sample := fs.Int("stretch-sample", 256, "base-edge sample size for the /stats stretch estimate")
 	pprofAddr := fs.String("pprof", "", "pprof side-listener address (e.g. 127.0.0.1:6060); empty disables profiling")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -372,7 +366,7 @@ func cmdFollow(args []string) error {
 	if err := startPprof(*pprofAddr); err != nil {
 		return err
 	}
-	fol := service.NewFollower(service.Options{CacheSize: *cache, StretchSample: *sample})
+	fol := service.NewFollower(service.Options{CacheSize: *cache})
 	defer fol.Close()
 	cl, err := replica.New(replica.Options{
 		Leader:  *leader,

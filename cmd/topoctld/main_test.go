@@ -209,7 +209,9 @@ func TestDaemonServesGzipInstance(t *testing.T) {
 // mutates, kills it with SIGKILL, restarts on the same directory, and
 // asserts the acknowledged version survived. A follower process then
 // replicates the recovered leader; its /readyz flips from 503 to 200
-// once the first snapshot is applied.
+// once the first snapshot is applied, and at that version it reports the
+// leader's stretch probe (n=256 has more base edges than the probe draws,
+// so both must draw the same sample).
 func TestDaemonWALRecoveryAndFollower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and boots daemons")
@@ -217,7 +219,7 @@ func TestDaemonWALRecoveryAndFollower(t *testing.T) {
 	bin := buildBinary(t)
 	walDir := t.TempDir()
 
-	base := startDaemon(t, bin, "-wal", walDir, "-fsync", "always")
+	base := startDaemon(t, bin, "-n", "256", "-wal", walDir, "-fsync", "always")
 	resp, err := http.Post(base+"/mutate", "application/json",
 		strings.NewReader(`{"ops":[{"op":"move","id":5,"point":[1.0,1.0]},{"op":"leave","id":9}]}`))
 	if err != nil {
@@ -265,6 +267,14 @@ func TestDaemonWALRecoveryAndFollower(t *testing.T) {
 		}
 		resp.Body.Close()
 		if v, _ := fst["version"].(float64); v >= acked {
+			if st["base_edges"].(float64) <= 256 || st["stretch_exact"] != false {
+				t.Fatalf("leader probe covers every base edge: %v", st)
+			}
+			for _, key := range []string{"stretch_estimate", "stretch_sampled"} {
+				if fst[key] != st[key] {
+					t.Fatalf("version %v: follower %s %v, leader %v", v, key, fst[key], st[key])
+				}
+			}
 			break
 		}
 		if time.Now().After(deadline) {
@@ -412,8 +422,9 @@ func startFollowerDaemon(t *testing.T, bin, leader string) string {
 }
 
 // TestCLIErrors: bad usage must exit non-zero, with the named diagnostic on
-// stderr where one is pinned. The removed shard flags are in the table so a
-// stale deployment script fails loudly instead of silently serving unsharded.
+// stderr where one is pinned. The removed shard and stretch-sampling flags are
+// in the table so a stale deployment script fails loudly instead of silently
+// serving without them.
 func TestCLIErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a binary")
@@ -427,6 +438,8 @@ func TestCLIErrors(t *testing.T) {
 		{args: []string{"serve", "-in", "/nonexistent.topo.gz"}},
 		{args: []string{"serve", "-shards", "4"}, stderr: "flag provided but not defined: -shards"},
 		{args: []string{"serve", "-portal-refresh", "2"}, stderr: "flag provided but not defined: -portal-refresh"},
+		{args: []string{"serve", "-stretch-sample", "4096"}, stderr: "flag provided but not defined: -stretch-sample"},
+		{args: []string{"follow", "-leader", "http://127.0.0.1:1", "-stretch-sample", "4096"}, stderr: "flag provided but not defined: -stretch-sample"},
 		{args: []string{"bench", "-addr", "http://127.0.0.1:1", "-duration", "100ms"}},
 		{args: []string{"bench", "-self", "-scheme", "warp"}},
 	} {

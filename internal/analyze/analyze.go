@@ -3,7 +3,9 @@
 // impact (which vertices go dark and which pairs lose their stretch
 // guarantee if a vertex set or region dies), k-hop subgraph extraction
 // shaped for a Cytoscape-style viewer, per-hop route explanation against
-// the base-graph optimum, and spanner-vs-base divergence reports.
+// the base-graph optimum, and spanner-vs-base divergence reports. The
+// divergence report's stretch probe (ProbeStretch) is also the one behind
+// topoctld's /stats stretch estimate.
 //
 // Every query is a pure function over a View — an immutable bundle of the
 // topology state one serving snapshot holds (positions, liveness, base

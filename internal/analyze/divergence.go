@@ -2,10 +2,7 @@ package analyze
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-
-	"topoctl/internal/graph"
 )
 
 // DivergenceRequest tunes the spanner-vs-base comparison.
@@ -59,15 +56,15 @@ type DivergenceReport struct {
 	Truncated bool `json:"truncated"`
 }
 
-// Divergence diffs the spanner against the base graph and probes a
-// deterministic sample of base edges for their realized spanner stretch.
+// Divergence diffs the spanner against the base graph and runs the
+// stretch probe (ProbeStretch) over a deterministic sample of base edges.
 func Divergence(v View, req DivergenceRequest, opts Options) (*DivergenceReport, error) {
 	if req.Sample < 0 || req.Buckets < 0 || req.MaxWitnesses < 0 {
 		return nil, fmt.Errorf("%w: negative knob", ErrBadQuery)
 	}
 	sample := req.Sample
 	if sample == 0 {
-		sample = 256
+		sample = DefaultSample
 	}
 	buckets := req.Buckets
 	if buckets == 0 {
@@ -78,59 +75,25 @@ func Divergence(v View, req DivergenceRequest, opts Options) (*DivergenceReport,
 		maxWitnesses = 8
 	}
 
-	rep := &DivergenceReport{WorstStretch: 1}
-	baseEdges := graph.SortedEdges(v.Base)
-	rep.BaseEdges = len(baseEdges)
-	rep.SpannerEdges = v.Spanner.M()
-	for _, e := range baseEdges {
-		rep.BaseWeight += e.W
-		if v.Spanner.HasEdge(e.U, e.V) {
-			rep.SharedEdges++
-		} else {
-			rep.BaseOnly++
+	rep := &DivergenceReport{BaseEdges: v.Base.M(), SpannerEdges: v.Spanner.M()}
+	for u := 0; u < v.Base.N(); u++ {
+		for _, h := range v.Base.Neighbors(u) {
+			if u < h.To && v.Spanner.HasEdge(u, h.To) {
+				rep.SharedEdges++
+			}
 		}
 	}
-	rep.SpannerWeight = v.Spanner.TotalWeight()
+	rep.BaseOnly = rep.BaseEdges - rep.SharedEdges
 	rep.SpannerOnly = rep.SpannerEdges - rep.SharedEdges
+	rep.BaseWeight = v.Base.TotalWeight()
+	rep.SpannerWeight = v.Spanner.TotalWeight()
 	if rep.BaseWeight > 0 {
 		rep.WeightRatio = rep.SpannerWeight / rep.BaseWeight
 	}
 
-	// Deterministic sample: partial Fisher–Yates over a copy of the sorted
-	// edge list, so the same seed probes the same pairs on either
-	// representation.
-	probe := baseEdges
-	if sample < len(baseEdges) {
-		rng := rand.New(rand.NewSource(req.Seed))
-		probe = append([]graph.Edge(nil), baseEdges...)
-		for i := 0; i < sample; i++ {
-			j := i + rng.Intn(len(probe)-i)
-			probe[i], probe[j] = probe[j], probe[i]
-		}
-		probe = probe[:sample]
-	} else {
-		rep.Exact = true
-	}
-
-	results := make([]StretchWitness, len(probe))
-	filled := make([]bool, len(probe))
-	rep.SampledEdges, rep.Truncated = scanParallel(v.n(), len(probe), opts.MaxDuration, func(srch *graph.Searcher, i int) {
-		e := probe[i]
-		w := StretchWitness{U: e.U, V: e.V, BaseWeight: e.W}
-		if d, ok := srch.AStarTarget(v.Spanner, v.Points, e.U, e.V, graph.Inf); ok {
-			w.Reachable, w.Distance = true, d
-			if e.W > 0 {
-				w.Stretch = d / e.W
-			} else {
-				w.Stretch = 1
-			}
-		}
-		results[i] = w
-		filled[i] = true
-	})
-	if rep.Truncated {
-		rep.Exact = false
-	}
+	probe := ProbeStretch(v, sample, req.Seed, opts)
+	rep.SampledEdges, rep.Exact, rep.Truncated = len(probe.Checked), probe.Exact, probe.Truncated
+	rep.WorstStretch, rep.DisconnectedPairs = probe.Worst()
 
 	hist := make([]HistBucket, buckets)
 	span := v.T - 1
@@ -141,15 +104,10 @@ func Divergence(v View, req DivergenceRequest, opts Options) (*DivergenceReport,
 		hist[b].Lo = 1 + span*float64(b)/float64(buckets)
 		hist[b].Hi = 1 + span*float64(b+1)/float64(buckets)
 	}
-	var probed []StretchWitness
-	for i, w := range results {
-		if !filled[i] {
-			continue
-		}
-		probed = append(probed, w)
+	for _, w := range probe.Checked {
 		switch {
 		case !w.Reachable:
-			rep.DisconnectedPairs++
+			// Counted in DisconnectedPairs.
 		case w.Stretch > v.T:
 			rep.OverBound++
 		default:
@@ -162,11 +120,9 @@ func Divergence(v View, req DivergenceRequest, opts Options) (*DivergenceReport,
 			}
 			hist[b].Count++
 		}
-		if w.Reachable && w.Stretch > rep.WorstStretch {
-			rep.WorstStretch = w.Stretch
-		}
 	}
 	rep.Histogram = hist
+	probed := probe.Checked
 	sort.Slice(probed, func(i, j int) bool { return witnessWorse(probed[i], probed[j]) })
 	if len(probed) > maxWitnesses {
 		probed = probed[:maxWitnesses]

@@ -209,8 +209,11 @@ func certifyExplain(snap *Snapshot, src, dst int) error {
 	return nil
 }
 
+// certifyDivergence also races the readers on the snapshot's memoized
+// /stats probe: each must see the probe the divergence report runs at the
+// default sample and seed Options.Seed (0 here) + version.
 func certifyDivergence(snap *Snapshot) error {
-	res, err := snap.AnalyzeDivergence(analyze.DivergenceRequest{Sample: 32})
+	res, err := snap.AnalyzeDivergence(analyze.DivergenceRequest{Seed: int64(snap.Version)})
 	if err != nil {
 		return fmt.Errorf("divergence on v%d: %w", snap.Version, err)
 	}
@@ -220,6 +223,9 @@ func certifyDivergence(snap *Snapshot) error {
 	if res.BaseEdges != snap.Base.M() || res.SpannerEdges != snap.Spanner.M() {
 		return fmt.Errorf("v%d: divergence counts %d/%d, snapshot %d/%d",
 			snap.Version, res.BaseEdges, res.SpannerEdges, snap.Base.M(), snap.Spanner.M())
+	}
+	if worst, _ := snap.stretchProbe().Worst(); worst != res.WorstStretch {
+		return fmt.Errorf("v%d: /stats probe worst %v, divergence worst %v", snap.Version, worst, res.WorstStretch)
 	}
 	return nil
 }

@@ -30,11 +30,11 @@ package service
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"topoctl/internal/analyze"
 	"topoctl/internal/dynamic"
 	"topoctl/internal/geom"
 	"topoctl/internal/graph"
@@ -70,9 +70,6 @@ type Options struct {
 	// CacheSize bounds the per-snapshot route cache (default 8192 entries;
 	// <0 disables growth past the minimum).
 	CacheSize int
-	// StretchSample bounds the base-edge sample behind the /stats live
-	// stretch estimate (default 256; the estimate is exact below it).
-	StretchSample int
 	// Labels enables the hub-label distance oracle (internal/labels): the
 	// writer builds exact per-vertex label sets at boot and at every
 	// rebuild horizon, and /distance queries answer from an
@@ -89,7 +86,11 @@ type Options struct {
 	// Labels is ignored and /distance falls back to the search core. Zero
 	// means DefaultLabelsMaxN; negative removes the cap.
 	LabelsMaxN int
-	// Seed drives the deterministic stretch-sample shuffle.
+	// Seed offsets the /stats stretch probe's seed: the snapshot at version
+	// v probes with seed Seed+v, the sample
+	// /analyze/divergence?seed=<Seed+v> draws. A leader and its followers
+	// report the same estimate for a version only under the same Seed; the
+	// daemon leaves it at 0 on both.
 	Seed int64
 	// AnalyzeTimeout caps the wall-clock time of one /analyze scan
 	// (default 5s; negative disables the cap). A capped scan returns a
@@ -118,9 +119,6 @@ func (o *Options) normalize() {
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 8192
-	}
-	if o.StretchSample <= 0 {
-		o.StretchSample = 256
 	}
 	if o.AnalyzeTimeout == 0 {
 		o.AnalyzeTimeout = 5 * time.Second
@@ -531,7 +529,6 @@ func (s *Service) install(version uint64, points []geom.Point, alive []bool, liv
 		cache:          newRouteCache(s.opts.CacheSize, &s.ctr),
 		ctr:            &s.ctr,
 		live:           live,
-		stretchSample:  s.opts.StretchSample,
 		seed:           s.opts.Seed,
 		oracle:         s.oracle,
 		analyzeTimeout: s.opts.AnalyzeTimeout,
@@ -577,16 +574,16 @@ type Stats struct {
 	SpannerWeight float64 `json:"spanner_weight"`
 	MaxDegree     int     `json:"max_degree"`
 	// StretchBound is the configured t; StretchEstimate the worst stretch
-	// observed over a base-edge sample of this snapshot (exact when
-	// StretchExact; -1 when a sampled base edge had no spanner path at
-	// all, i.e. the spanner is disconnected).
+	// the snapshot's stretch probe observed over a 256-edge sample of base
+	// edges (exact when StretchExact; -1 when a probed base edge had no
+	// spanner path at all, i.e. the spanner is disconnected).
 	StretchBound    float64 `json:"stretch_bound"`
 	StretchEstimate float64 `json:"stretch_estimate"`
 	StretchExact    bool    `json:"stretch_exact"`
-	// StretchSampled / StretchViolationBound qualify a non-exact estimate:
-	// the number of base edges evaluated, and the fraction of base edges
-	// that may exceed the estimate (with confidence StretchConfidence).
-	// Zero when StretchExact.
+	// StretchSampled is the number of base edges the probe checked;
+	// StretchViolationBound the fraction of base edges that may exceed the
+	// estimate, with confidence StretchConfidence (zero when
+	// StretchExact).
 	StretchSampled        int     `json:"stretch_sampled,omitempty"`
 	StretchViolationBound float64 `json:"stretch_violation_bound,omitempty"`
 	StretchConfidence     float64 `json:"stretch_confidence,omitempty"`
@@ -643,10 +640,10 @@ func (s *Service) Stats() Stats {
 			UptimeSeconds: time.Since(s.start).Seconds(),
 		}
 	}
-	detail := snap.StretchDetail()
-	est, exact := detail.Estimate, detail.Exact
-	if math.IsInf(est, 1) {
-		est = -1 // JSON has no Inf; -1 flags a disconnected sampled edge
+	probe := snap.stretchProbe()
+	est, disconnected := probe.Worst()
+	if disconnected > 0 {
+		est = -1 // flags a probed edge with no spanner path
 	}
 	var lst labels.Stats
 	if snap.oracle != nil {
@@ -662,10 +659,10 @@ func (s *Service) Stats() Stats {
 		MaxDegree:             snap.Spanner.MaxDegree(),
 		StretchBound:          snap.T,
 		StretchEstimate:       est,
-		StretchExact:          exact,
-		StretchSampled:        detail.Sampled,
-		StretchViolationBound: detail.ViolationFraction,
-		StretchConfidence:     detail.Confidence,
+		StretchExact:          probe.Exact,
+		StretchSampled:        len(probe.Checked),
+		StretchViolationBound: probe.ViolationBound(),
+		StretchConfidence:     analyze.ProbeConfidence,
 		BBoxLo:                snap.bboxLo,
 		BBoxHi:                snap.bboxHi,
 		Routes:                s.ctr.routes.Load(),

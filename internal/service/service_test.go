@@ -2,11 +2,15 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"topoctl/internal/geom"
 	"topoctl/internal/graph"
+	"topoctl/internal/metrics"
 	"topoctl/internal/routing"
 	"topoctl/internal/ubg"
 )
@@ -154,7 +158,7 @@ func TestMutateSwapsSnapshotAndInvalidatesCache(t *testing.T) {
 }
 
 func TestNeighborsAndStats(t *testing.T) {
-	svc := testService(t, 80, Options{StretchSample: 2048})
+	svc := testService(t, 56, Options{})
 	snap := svc.Snapshot()
 	pt, nbrs, baseDeg, err := snap.Neighbors(5)
 	if err != nil {
@@ -174,15 +178,18 @@ func TestNeighborsAndStats(t *testing.T) {
 	}
 
 	st := svc.Stats()
-	if st.Nodes != 80 || st.SpannerEdges != snap.Spanner.M() || st.BaseEdges != snap.Base.M() {
+	if st.Nodes != 56 || st.SpannerEdges != snap.Spanner.M() || st.BaseEdges != snap.Base.M() {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.StretchEstimate < 1 || st.StretchEstimate > st.StretchBound+1e-9 {
 		t.Fatalf("stretch estimate %v outside [1, %v]", st.StretchEstimate, st.StretchBound)
 	}
-	// The sample (2048) exceeds the base edge count: the value is exact.
-	if !st.StretchExact {
-		t.Fatalf("stretch over %d base edges should be exact", st.BaseEdges)
+	// The probe (256 edges) covers the base edge set: the value is exact.
+	if st.BaseEdges > 256 || !st.StretchExact || st.StretchSampled != st.BaseEdges || st.StretchViolationBound != 0 {
+		t.Fatalf("stretch over %d base edges should be exact: %+v", st.BaseEdges, st)
+	}
+	if exact := metrics.Stretch(snap.Base, snap.Spanner); math.Abs(st.StretchEstimate-exact) > 1e-12 {
+		t.Fatalf("exact stretch estimate %v, metrics.Stretch %v", st.StretchEstimate, exact)
 	}
 	if st.BBoxHi[0] <= st.BBoxLo[0] || st.BBoxHi[1] <= st.BBoxLo[1] {
 		t.Fatalf("degenerate bbox %v..%v", st.BBoxLo, st.BBoxHi)
@@ -222,5 +229,54 @@ func TestThreeDimensionalDeployment(t *testing.T) {
 	}
 	if _, err := svc.Mutate([]Op{{Kind: OpJoin, Point: geom.Point{1, 1, 1}}}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStatsStretchIsTheDivergenceProbe: past 256 base edges /stats samples,
+// and its estimate is the worst stretch /analyze/divergence reports for
+// the same sample size and seed Options.Seed + version.
+func TestStatsStretchIsTheDivergenceProbe(t *testing.T) {
+	svc := testService(t, 160, Options{Seed: 7})
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	if _, err := svc.Mutate([]Op{{Kind: OpMove, ID: 3, Point: geom.Point{0.5, 0.5}}}); err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	getJSON(t, ts.URL+"/stats", http.StatusOK, &st)
+	if st.BaseEdges <= 256 || st.StretchExact || st.StretchSampled != 256 {
+		t.Fatalf("want a 256-edge sample of more base edges: %+v", st)
+	}
+	if want := math.Log(100) / 256; math.Abs(st.StretchViolationBound-want) > 1e-12 || st.StretchConfidence != 0.99 {
+		t.Fatalf("violation bound %v at confidence %v, want %v at 0.99", st.StretchViolationBound, st.StretchConfidence, want)
+	}
+	var div AnalyzeDivergenceResponse
+	getJSON(t, fmt.Sprintf("%s/analyze/divergence?sample=256&seed=%d", ts.URL, 7+st.Version), http.StatusOK, &div)
+	if div.Version != st.Version || div.SampledEdges != 256 || div.DisconnectedPairs != 0 {
+		t.Fatalf("divergence: %+v", div.DivergenceReport)
+	}
+	if st.StretchEstimate != div.WorstStretch {
+		t.Fatalf("/stats stretch_estimate %v, divergence worst_stretch %v", st.StretchEstimate, div.WorstStretch)
+	}
+}
+
+// TestStatsReportsDisconnectedSpanner: a spanner missing a bridge makes
+// /stats report -1.
+func TestStatsReportsDisconnectedSpanner(t *testing.T) {
+	base := graph.New(4)
+	base.AddEdge(0, 1, 1)
+	base.AddEdge(1, 2, 1)
+	base.AddEdge(2, 3, 1)
+	sp := graph.New(4)
+	sp.AddEdge(0, 1, 1)
+	sp.AddEdge(2, 3, 1) // 1-2 severed
+	pts := []geom.Point{{0, 0}, {1, 0}, {2, 0}, {3, 0}}
+	fol := NewFollower(Options{})
+	t.Cleanup(fol.Close)
+	if err := fol.PublishFrozen(1, pts, []bool{true, true, true, true}, 4, graph.Freeze(base), graph.Freeze(sp)); err != nil {
+		t.Fatal(err)
+	}
+	if st := fol.Stats(); st.StretchEstimate != -1 || !st.StretchExact {
+		t.Fatalf("disconnected spanner: stretch_estimate %v exact %v, want -1 exact", st.StretchEstimate, st.StretchExact)
 	}
 }

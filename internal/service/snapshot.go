@@ -6,10 +6,10 @@ import (
 	"sync"
 	"time"
 
+	"topoctl/internal/analyze"
 	"topoctl/internal/geom"
 	"topoctl/internal/graph"
 	"topoctl/internal/labels"
-	"topoctl/internal/metrics"
 	"topoctl/internal/routing"
 )
 
@@ -55,13 +55,11 @@ type Snapshot struct {
 	// Options.AnalyzeTimeout.
 	analyzeTimeout time.Duration
 
-	// The live stretch estimate is computed lazily on first demand (a
-	// /stats call), not on the swap path, and memoized for the snapshot's
-	// lifetime.
-	stretchOnce   sync.Once
-	stretchRes    metrics.StretchSample
-	stretchSample int
-	seed          int64
+	// The /stats stretch probe runs lazily on first demand, not on the
+	// swap path, and is memoized for the snapshot's lifetime.
+	stretchOnce sync.Once
+	stretch     analyze.StretchProbe
+	seed        int64
 }
 
 // RouteResult is one answered route query, stamped with the snapshot
@@ -232,29 +230,14 @@ func (s *Snapshot) Neighbors(id int) (geom.Point, []Neighbor, int, error) {
 // Live returns the number of live nodes at this version.
 func (s *Snapshot) Live() int { return s.live }
 
-// StretchEstimate measures the worst observed stretch of the spanner over
-// a deterministic sample of base edges (exact when the base graph has at
-// most the configured sample size of edges). The measurement is
-// metrics.StretchSampled — a seeded partial Fisher–Yates draw over edge
-// ranks with O(k) memory, so a million-edge base graph never materializes
-// its edge list just to be spot-checked. The first call on a snapshot
-// computes it; later calls return the memoized value. The second result
-// reports whether the value is exact; StretchDetail exposes the
-// confidence bound the sample size buys.
-func (s *Snapshot) StretchEstimate() (float64, bool) {
+// stretchProbe returns this snapshot's /stats stretch probe: the probe
+// /analyze/divergence?sample=256&seed=<Options.Seed+Version> runs, without
+// the edge diff. The first call computes it; later calls share the result.
+func (s *Snapshot) stretchProbe() *analyze.StretchProbe {
 	s.stretchOnce.Do(func() {
-		s.stretchRes = metrics.StretchSampled(s.Base, s.Spanner, s.stretchSample, s.seed+int64(s.Version))
+		s.stretch = analyze.ProbeStretch(s.analyzeView(), analyze.DefaultSample, s.seed+int64(s.Version), s.analyzeOptions())
 	})
-	return s.stretchRes.Estimate, s.stretchRes.Exact
-}
-
-// StretchDetail returns the full sampled-stretch result for this snapshot,
-// including the population size, sample size, and the one-sided confidence
-// bound (at most ViolationFraction of base edges may exceed Estimate, with
-// probability Confidence). Memoized together with StretchEstimate.
-func (s *Snapshot) StretchDetail() metrics.StretchSample {
-	s.StretchEstimate()
-	return s.stretchRes
+	return &s.stretch
 }
 
 // checkNode validates that id names a live node in this snapshot.

@@ -12,9 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"topoctl/internal/analyze"
 	"topoctl/internal/dynamic"
 	"topoctl/internal/geom"
-	"topoctl/internal/metrics"
 	"topoctl/internal/ubg"
 )
 
@@ -57,18 +57,19 @@ func TestBuildLargeSmoke(t *testing.T) {
 		t.Fatalf("implausible spanner: %d edges of %d base", sp.M(), base.M())
 	}
 
-	// Sampled verification: 4096 draws bound stretch violations to ≤0.12%
-	// of base edges at 99% confidence, and the observed maximum must obey
-	// the configured bound.
-	res := metrics.StretchSampled(base, sp, 4096, 1)
-	if res.Disconnected {
-		t.Fatal("sampled a base edge with no spanner path")
+	// Sampled verification: the stretch probe on 4096 edges bounds stretch
+	// violations to ≤0.12% of base edges at 99% confidence, and the
+	// observed maximum must obey the configured bound.
+	probe := analyze.ProbeStretch(analyze.View{Points: pts, Base: base, Spanner: sp, T: stretchT}, 4096, 1, analyze.Options{})
+	worst, disconnected := probe.Worst()
+	if disconnected > 0 {
+		t.Fatalf("%d sampled base edges have no spanner path", disconnected)
 	}
-	if res.Estimate > stretchT+1e-9 {
-		t.Fatalf("sampled stretch %.4f exceeds bound %v", res.Estimate, stretchT)
+	if worst > stretchT+1e-9 {
+		t.Fatalf("sampled stretch %.4f exceeds bound %v", worst, stretchT)
 	}
 	t.Logf("n=%d m=%d: build %v, engine+spanner %v, sampled stretch %.4f over %d edges (≤%.2f%% may exceed, %.0f%% confidence)",
 		n, f.M(), buildDone.Sub(start).Round(time.Millisecond),
 		engineDone.Sub(buildDone).Round(time.Millisecond),
-		res.Estimate, res.Sampled, 100*res.ViolationFraction, 100*res.Confidence)
+		worst, len(probe.Checked), 100*probe.ViolationBound(), 100*analyze.ProbeConfidence)
 }
