@@ -77,7 +77,7 @@ cover:
 # the -cpu=2 rows show what a second core buys (BenchmarkServiceRouteParallel
 # is the read path's scaling row). A -cpu value above the physical core
 # count only measures timesharing overhead.
-BENCH_PATTERN = BenchmarkSeqGreedy|BenchmarkStretchVerification|BenchmarkCoreBuild|BenchmarkUBGBuild|BenchmarkChurn|BenchmarkService|BenchmarkRouteUncached|BenchmarkRouteLabel|BenchmarkLabelBuild|BenchmarkAnalyze
+BENCH_PATTERN = BenchmarkSeqGreedy|BenchmarkStretchVerification|BenchmarkCoreBuild|BenchmarkDistBuild|BenchmarkUBGBuild|BenchmarkChurn|BenchmarkService|BenchmarkRouteUncached|BenchmarkRouteLabel|BenchmarkLabelBuild|BenchmarkAnalyze
 BENCH_PKGS = . ./internal/service/
 BENCH_CPU ?= 1,2
 bench:

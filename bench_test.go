@@ -97,11 +97,22 @@ func benchInstanceDensity(b *testing.B, n int, deg float64) *ubg.Instance {
 	return inst
 }
 
+// buildBenchInstance is the instance the builder benchmarks run on: the
+// historical dense unit-box series below n=1024, an expected-degree-8
+// instance from there on, where the per-phase cover, cluster graph and
+// redundancy scan (not the phase-0 clique greedy) dominate a build.
+func buildBenchInstance(b *testing.B, n int) *ubg.Instance {
+	if n >= 1024 {
+		return benchInstanceDensity(b, n, 8)
+	}
+	return benchInstance(b, n)
+}
+
 // BenchmarkCoreBuild measures the sequential relaxed greedy across n.
 func BenchmarkCoreBuild(b *testing.B) {
-	for _, n := range []int{64, 128, 256} {
+	for _, n := range []int{64, 128, 256, 2048} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			inst := benchInstance(b, n)
+			inst := buildBenchInstance(b, n)
 			p, err := core.NewParams(0.5, 0.75, 2)
 			if err != nil {
 				b.Fatal(err)
@@ -118,9 +129,9 @@ func BenchmarkCoreBuild(b *testing.B) {
 
 // BenchmarkDistBuild measures the distributed pipeline (simulation included).
 func BenchmarkDistBuild(b *testing.B) {
-	for _, n := range []int{64, 128} {
+	for _, n := range []int{64, 128, 2048} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			inst := benchInstance(b, n)
+			inst := buildBenchInstance(b, n)
 			p, err := core.NewParams(0.5, 0.75, 2)
 			if err != nil {
 				b.Fatal(err)

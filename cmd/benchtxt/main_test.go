@@ -97,7 +97,7 @@ func TestCommittedBaselineConverts(t *testing.T) {
 		}
 	}
 	families := []string{
-		"BenchmarkSeqGreedy", "BenchmarkStretchVerification", "BenchmarkCoreBuild",
+		"BenchmarkSeqGreedy", "BenchmarkStretchVerification", "BenchmarkCoreBuild", "BenchmarkDistBuild",
 		"BenchmarkUBGBuild", "BenchmarkChurn", "BenchmarkService",
 		"BenchmarkRouteUncached", "BenchmarkRouteLabel", "BenchmarkLabelBuild",
 	}

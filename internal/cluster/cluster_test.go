@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -268,7 +269,7 @@ func TestClusterGraphIntraEdgesMatchCoverDistances(t *testing.T) {
 	cov := GreedyCover(sp, 0.25)
 	cg := BuildClusterGraph(sp, cov, 0.5, 0.7, 0)
 	for _, ctr := range cov.Centers {
-		for _, v := range cov.Members[ctr] {
+		for _, v := range cov.Members(ctr) {
 			if v == ctr {
 				continue
 			}
@@ -296,12 +297,12 @@ func TestCentersBySize(t *testing.T) {
 			t.Fatalf("center %d repeated", c)
 		}
 		seen[c] = true
-		if _, ok := cov.Members[c]; !ok {
+		if !cov.IsCenter(c) || len(cov.Members(c)) == 0 {
 			t.Fatalf("ordered vertex %d is not a center", c)
 		}
 		if i > 0 {
 			prev := order[i-1]
-			sp1, s := len(cov.Members[prev]), len(cov.Members[c])
+			sp1, s := len(cov.Members(prev)), len(cov.Members(c))
 			if sp1 < s || (sp1 == s && prev > c) {
 				t.Fatalf("order violated at %d: center %d (size %d) before %d (size %d)", i, prev, sp1, c, s)
 			}
@@ -311,6 +312,91 @@ func TestCentersBySize(t *testing.T) {
 	for i := 1; i < len(cov.Centers); i++ {
 		if cov.Centers[i-1] >= cov.Centers[i] {
 			t.Fatal("CentersBySize disturbed Cover.Centers ordering")
+		}
+	}
+}
+
+// checkCSR verifies the membership CSR against Center: the Members groups
+// partition [0, n) with v in group Center[v], each group is sorted, Centers
+// is ascending and exactly the vertices with a non-empty group.
+func checkCSR(t *testing.T, name string, cov *Cover) {
+	t.Helper()
+	n := len(cov.Center)
+	claimed := make([]bool, n)
+	for v := 0; v < n; v++ {
+		mem := cov.Members(v)
+		if !cov.IsCenter(v) {
+			if len(mem) != 0 {
+				t.Fatalf("%s: non-center %d has members %v", name, v, mem)
+			}
+			continue
+		}
+		for i, x := range mem {
+			if i > 0 && mem[i-1] >= x {
+				t.Fatalf("%s: members of %d not sorted: %v", name, v, mem)
+			}
+			if claimed[x] {
+				t.Fatalf("%s: vertex %d in two groups", name, x)
+			}
+			claimed[x] = true
+			if cov.Center[x] != v {
+				t.Fatalf("%s: vertex %d listed under %d but Center says %d", name, x, v, cov.Center[x])
+			}
+		}
+	}
+	for v, ok := range claimed {
+		if !ok {
+			t.Fatalf("%s: vertex %d in no group", name, v)
+		}
+	}
+	var centers []int
+	for v := 0; v < n; v++ {
+		if cov.IsCenter(v) {
+			centers = append(centers, v)
+		}
+	}
+	if fmt.Sprint(cov.Centers) != fmt.Sprint(centers) {
+		t.Fatalf("%s: Centers %v, want the ascending center set %v", name, cov.Centers, centers)
+	}
+}
+
+// TestCoverMembersCSR checks the membership contract of both
+// constructions, including a hand-built center set in which center 1 lies
+// inside center 0's ball and the higher-ID center 2 claims both their
+// neighbourhoods, so the "centers own themselves" rule has to run.
+func TestCoverMembersCSR(t *testing.T) {
+	sp := testSpanner(t, 90, 608)
+	for _, radius := range []float64{0, 0.05, 0.2, 0.5, 1e9} {
+		checkCSR(t, fmt.Sprintf("greedy/r=%v", radius), GreedyCover(sp, radius))
+	}
+	all := make([]int, sp.N())
+	for v := range all {
+		all[v] = v
+	}
+	cov, err := CoverFromCenters(sp, 0.3, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCSR(t, "from-centers/all", cov)
+
+	// Path 0-1-2-3-4 with unit edges, radius 2: center 2 reaches every
+	// vertex and outbids 0 and 1 for all of them, so 0 and 1 keep only
+	// themselves.
+	g := graph.New(5)
+	for v := 0; v < 4; v++ {
+		g.AddEdge(v, v+1, 1)
+	}
+	cov, err = CoverFromCenters(g, 2, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCSR(t, "from-centers/overlapping", cov)
+	if want := "[0 1 2]"; fmt.Sprint(cov.Centers) != want {
+		t.Fatalf("Centers %v, want %s", cov.Centers, want)
+	}
+	for ctr, want := range map[int]string{0: "[0]", 1: "[1]", 2: "[2 3 4]", 3: "[]", 4: "[]"} {
+		if got := fmt.Sprint(cov.Members(ctr)); got != want {
+			t.Errorf("Members(%d) = %s, want %s", ctr, got, want)
 		}
 	}
 }

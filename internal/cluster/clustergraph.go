@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"sort"
+
 	"topoctl/internal/graph"
 )
 
@@ -51,94 +53,101 @@ func BuildClusterGraph(gp graph.Topology, cov *Cover, w, crossBound, rescueBound
 	// Intra-cluster edges: center -> member with the cover's recorded
 	// shortest-path distance.
 	for _, ctr := range cov.Centers {
-		for _, v := range cov.Members[ctr] {
+		for _, v := range cov.Members(ctr) {
 			if v != ctr {
 				cg.H.AddEdge(ctr, v, cov.Dist[v])
 			}
 		}
 	}
 
-	// Candidate inter-cluster pairs from condition (ii): a G'-edge with
-	// endpoints in different clusters; remember the lightest crossing
-	// weight for the rescue bound.
-	crossing := make(map[[2]int]float64)
-	for u := 0; u < n; u++ {
-		cu := cov.Center[u]
-		for _, h := range gp.Neighbors(u) {
-			if u >= h.To {
-				continue
-			}
-			cv := cov.Center[h.To]
-			if cu == cv {
-				continue
-			}
-			a, b := cu, cv
-			if a > b {
-				a, b = b, a
-			}
-			key := [2]int{a, b}
-			if cur, ok := crossing[key]; !ok || h.W < cur {
-				crossing[key] = h.W
-			}
-		}
+	// Inter-cluster edges, one turn per center a in increasing order. The
+	// scratch arrays are stamped with a+1, so no reset runs between turns:
+	// crossW[b] is the lightest G'-edge between a's cluster and b's when
+	// crossAt[b] == a+1 (condition (ii)), and accAt[b] == a+1 marks {a, b}
+	// as already in H.
+	crossW := make([]float64, n)
+	crossAt := make([]int, n)
+	accAt := make([]int, n)
+	var crossing []int // the centers b with crossAt[b] == a+1
+	type rescuePair struct {
+		lo, hi   int
+		minCross float64
 	}
-
-	// One bounded Dijkstra per center discovers condition (i) pairs
-	// (centers within distance w) and the in-range condition (ii) pairs.
-	isCenter := make([]bool, n)
-	for _, ctr := range cov.Centers {
-		isCenter[ctr] = true
-	}
-	type interEdge struct {
-		a, b int
-		w    float64
-	}
-	var inters []interEdge
-	seen := make(map[[2]int]bool)
+	var rescue []rescuePair
 	s := graph.AcquireSearcher(n)
 	defer graph.ReleaseSearcher(s)
 	for _, a := range cov.Centers {
+		stamp := a + 1
+		crossing = crossing[:0]
+		for _, u := range cov.Members(a) {
+			for _, h := range gp.Neighbors(u) {
+				b := cov.Center[h.To]
+				switch {
+				case b == a:
+				case crossAt[b] != stamp:
+					crossAt[b], crossW[b] = stamp, h.W
+					crossing = append(crossing, b)
+				case h.W < crossW[b]:
+					crossW[b] = h.W
+				}
+			}
+		}
+		// A pair accepted on its smaller center's turn is not offered
+		// again. H's row of a holds a's members and the partners accepted
+		// so far; Lemma 6 keeps it short.
+		for _, h := range cg.H.Neighbors(a) {
+			accAt[h.To] = stamp
+		}
+		// One bounded Dijkstra per center discovers condition (i) pairs
+		// (centers within distance w) and the in-range condition (ii)
+		// pairs; the weight is this turn's distance.
 		for _, vd := range s.Ball(gp, a, crossBound) {
-			if vd.V == a || !isCenter[vd.V] {
+			b := vd.V
+			if b == a || !cov.IsCenter(b) || accAt[b] == stamp {
 				continue
 			}
-			lo, hi := a, vd.V
-			if lo > hi {
-				lo, hi = hi, lo
+			if vd.D <= w || crossAt[b] == stamp {
+				accAt[b] = stamp
+				cg.addInter(min(a, b), max(a, b), vd.D)
 			}
-			key := [2]int{lo, hi}
-			if seen[key] {
-				continue
-			}
-			_, isCrossing := crossing[key]
-			if vd.D <= w || isCrossing {
-				seen[key] = true
-				inters = append(inters, interEdge{a: lo, b: hi, w: vd.D})
+		}
+		// A crossing pair has now had both turns; if neither accepted it,
+		// its center distance exceeds crossBound (possible only via long
+		// phase-0 edges) and it goes to the rescue pass.
+		for _, b := range crossing {
+			if b < a && accAt[b] != stamp {
+				rescue = append(rescue, rescuePair{lo: b, hi: a, minCross: crossW[b]})
 			}
 		}
 	}
-	// Rescue pass: crossing pairs whose center distance exceeds crossBound
-	// (possible only via long phase-0 edges).
-	for key, minCross := range crossing {
-		if seen[key] {
-			continue
+	// Rescue pass, in (lo, hi) order so H's rows come out the same on every
+	// run.
+	sort.Slice(rescue, func(i, j int) bool {
+		if rescue[i].lo != rescue[j].lo {
+			return rescue[i].lo < rescue[j].lo
 		}
-		bound := (crossBound - w) + minCross
+		return rescue[i].hi < rescue[j].hi
+	})
+	for _, p := range rescue {
+		bound := (crossBound - w) + p.minCross
 		if rescueBound > 0 && bound > rescueBound {
 			bound = rescueBound
 		}
-		if d, ok := s.DijkstraTarget(gp, key[0], key[1], bound); ok {
-			inters = append(inters, interEdge{a: key[0], b: key[1], w: d})
-		}
-	}
-	for _, e := range inters {
-		cg.H.AddEdge(e.a, e.b, e.w)
-		cg.InterEdges++
-		if e.w > cg.MaxInterWeight {
-			cg.MaxInterWeight = e.w
+		if d, ok := s.DijkstraTarget(gp, p.lo, p.hi, bound); ok {
+			cg.addInter(p.lo, p.hi, d)
 		}
 	}
 	return cg
+}
+
+// addInter inserts the inter-cluster edge {a, b} into H and updates the
+// Lemma 5 and 6 counters.
+func (cg *ClusterGraph) addInter(a, b int, w float64) {
+	cg.H.AddEdge(a, b, w)
+	cg.InterEdges++
+	if w > cg.MaxInterWeight {
+		cg.MaxInterWeight = w
+	}
 }
 
 // Query reports whether H contains a path between x and y of length at most

@@ -5,6 +5,12 @@
 // distributed construction are provided; they produce different covers but
 // both satisfy the cover contract (radius bound, full coverage, separated
 // centers), which is what all downstream steps rely on.
+//
+// Every per-phase structure here is a flat slice indexed by vertex: a
+// cover's membership is a CSR built by one counting pass over Center, and
+// the cluster graph's construction stamps per-center scratch arrays instead
+// of keying maps by center pair. Theorem 9 keeps each phase local, so the
+// searches are cheap and the bookkeeping around them must be too.
 package cluster
 
 import (
@@ -31,26 +37,50 @@ type Cover struct {
 	Dist []float64
 	// Centers lists all cluster centers in increasing vertex order.
 	Centers []int
-	// Members maps each center to its member vertices (including itself),
-	// sorted.
-	Members map[int][]int
+	// members and start are the membership CSR: the members of center c
+	// are members[start[c]:start[c+1]], in increasing vertex order; the
+	// range is empty for non-centers. start has N()+1 entries.
+	members []int
+	start   []int
 }
 
 // IsCenter reports whether v is a cluster center.
 func (c *Cover) IsCenter(v int) bool { return c.Center[v] == v }
 
-// finalize populates Centers and Members from Center.
+// Members returns the member vertices of center ctr (including ctr
+// itself) in increasing order; it is empty if ctr is not a center. The
+// slice aliases the cover and must not be modified.
+func (c *Cover) Members(ctr int) []int {
+	return c.members[c.start[ctr]:c.start[ctr+1]:c.start[ctr+1]]
+}
+
+// finalize builds the membership CSR and Centers from Center with one
+// counting pass: filling members in vertex order leaves every group
+// sorted, and scanning the counts in vertex order lists Centers ascending.
 func (c *Cover) finalize() {
-	c.Members = make(map[int][]int)
-	for v, ctr := range c.Center {
-		c.Members[ctr] = append(c.Members[ctr], v)
+	n := len(c.Center)
+	c.start = make([]int, n+1)
+	for _, ctr := range c.Center {
+		c.start[ctr]++
 	}
 	c.Centers = c.Centers[:0]
-	for ctr, mem := range c.Members {
-		sort.Ints(mem)
-		c.Centers = append(c.Centers, ctr)
+	sum := 0
+	for v, cnt := range c.start[:n] {
+		if cnt > 0 {
+			c.Centers = append(c.Centers, v)
+		}
+		c.start[v] = sum
+		sum += cnt
 	}
-	sort.Ints(c.Centers)
+	c.members = make([]int, n)
+	for v, ctr := range c.Center {
+		c.members[c.start[ctr]] = v
+		c.start[ctr]++
+	}
+	// Each start[ctr] has advanced to the end of its group, which is where
+	// the next group begins: shift by one to restore the offsets.
+	copy(c.start[1:], c.start[:n])
+	c.start[0] = 0
 }
 
 // GreedyCover builds a cluster cover of g with the given radius by
@@ -90,7 +120,7 @@ func GreedyCover(g graph.Topology, radius float64) *Cover {
 func (c *Cover) CentersBySize() []int {
 	out := append([]int(nil), c.Centers...)
 	sort.Slice(out, func(i, j int) bool {
-		si, sj := len(c.Members[out[i]]), len(c.Members[out[j]])
+		si, sj := len(c.Members(out[i])), len(c.Members(out[j]))
 		if si != sj {
 			return si > sj
 		}
@@ -151,28 +181,31 @@ func (c *Cover) Check(g graph.Topology) []string {
 			out = append(out, fmt.Sprintf("vertex %d at distance %v > radius %v", v, c.Dist[v], c.Radius))
 		}
 	}
-	s := graph.AcquireSearcher(g.N())
+	n := g.N()
+	s := graph.AcquireSearcher(n)
 	defer graph.ReleaseSearcher(s)
+	// ballD[v] is v's distance from the current center ctr when
+	// inBall[v] == ctr+1.
+	ballD, inBall := make([]float64, n), make([]int, n)
 	for _, ctr := range c.Centers {
-		ball := make(map[int]float64)
 		for _, vd := range s.Ball(g, ctr, c.Radius) {
-			ball[vd.V] = vd.D
+			ballD[vd.V], inBall[vd.V] = vd.D, ctr+1
 		}
 		for _, other := range c.Centers {
 			if other == ctr {
 				continue
 			}
-			if d, ok := ball[other]; ok && d <= c.Radius+eps {
+			if d := ballD[other]; inBall[other] == ctr+1 && d <= c.Radius+eps {
 				out = append(out, fmt.Sprintf("centers %d and %d within radius (%v)", ctr, other, d))
 			}
 		}
 		// Member distances must match shortest paths.
-		for _, v := range c.Members[ctr] {
-			d, ok := ball[v]
-			if !ok {
+		for _, v := range c.Members(ctr) {
+			if inBall[v] != ctr+1 {
 				out = append(out, fmt.Sprintf("member %d unreachable from center %d within radius", v, ctr))
 				continue
 			}
+			d := ballD[v]
 			if diff := c.Dist[v] - d; diff > eps || diff < -eps {
 				out = append(out, fmt.Sprintf("member %d distance %v != shortest path %v", v, c.Dist[v], d))
 			}

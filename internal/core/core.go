@@ -159,25 +159,21 @@ func (b *builder) run() {
 
 	// Remaining bins in increasing order, skipping empty ones (pure
 	// optimization: an empty phase performs no queries and no updates).
-	var phases []int
-	for i := range byBin {
-		if i > 0 {
-			phases = append(phases, i)
+	for i := 1; i < len(byBin); i++ {
+		if len(byBin[i]) > 0 {
+			b.stats.NonEmptyPhases++
+			b.phase(i, byBin[i])
 		}
-	}
-	sort.Ints(phases)
-	for _, i := range phases {
-		b.stats.NonEmptyPhases++
-		b.phase(i, byBin[i])
 	}
 }
 
 // BinEdges distributes the edges of g (Euclidean weights) into the bin
-// schedule, annotating each with its metric weight. Edge order within a
-// bin is irrelevant (every consumer sorts or groups deterministically), so
-// the unsorted edge enumeration suffices.
-func BinEdges(g *graph.Graph, bins Bins, m Metric) map[int][]EdgeInfo {
-	byBin := make(map[int][]EdgeInfo)
+// schedule, annotating each with its metric weight: byBin[i] holds bin i's
+// edges, for i in [0, bins.M]. Edge order within a bin is irrelevant (every
+// consumer sorts or groups deterministically), so the unsorted edge
+// enumeration suffices.
+func BinEdges(g *graph.Graph, bins Bins, m Metric) [][]EdgeInfo {
+	byBin := make([][]EdgeInfo, bins.M+1)
 	for _, e := range g.EdgesUnordered() {
 		i := bins.Index(e.W)
 		byBin[i] = append(byBin[i], EdgeInfo{U: e.U, V: e.V, Dist: e.W, W: m.Weight(e.W)})

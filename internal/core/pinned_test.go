@@ -1,0 +1,77 @@
+package core
+
+import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"slices"
+	"testing"
+
+	"topoctl/internal/geom"
+	"topoctl/internal/graph"
+	"topoctl/internal/ubg"
+)
+
+// spannerDigest is the SHA-256 of g's edge list in sorted (U, V) order,
+// each endpoint as a little-endian uint32. Weights are left out: the pin is
+// on which edges the builder keeps, the same style as the cost-model pin.
+func spannerDigest(g *graph.Graph) string {
+	h := sha256.New()
+	var buf [8]byte
+	es := g.EdgesUnordered()
+	slices.SortFunc(es, func(a, b graph.Edge) int { return cmp.Or(a.U-b.U, a.V-b.V) })
+	for _, e := range es {
+		binary.LittleEndian.PutUint32(buf[:4], uint32(e.U))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(e.V))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// pinnedInstance is the build-8k instance shape at size n: a uniform cloud
+// at expected α-degree 8, α = 0.75, every grey-zone pair connected.
+func pinnedInstance(t testing.TB, n int, seed int64) *ubg.Instance {
+	t.Helper()
+	inst, err := ubg.GenerateConnected(
+		geom.CloudConfig{Kind: geom.CloudUniform, N: n, Dim: 2, Seed: seed, Side: ubg.DensitySide(n, 2, 0.75, 8)},
+		ubg.Config{Alpha: 0.75, Model: ubg.ModelAll, Seed: seed},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// TestBuildPinned freezes the sequential builder's output, edge for edge,
+// on expected-degree-8 instances at ε = 0.5. A change to how a phase
+// computes its cover, cluster graph or redundant pairs must reproduce these
+// digests; a deliberate change to the algorithm must update them here.
+func TestBuildPinned(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		seed   int64
+		edges  int
+		digest string
+	}{
+		{256, 1, 422, "ab5945bd2b528bf50daa44651ae6239103af0c3a20229d62c6cded0daee7d308"},
+		{256, 2, 424, "74fa8b00f0d17924f44fc5d4263eb1fcd384720f1443cd69494119a4a3f19b89"},
+		{1024, 1, 1845, "082a78fc67fce57b1b2e419f20563ed44f538d9ba22abacc36eede920809aaa8"},
+		{1024, 2, 1768, "ca448f9a0b7c34bddd37c9e272045dba8f511215efe715f3019977392456755c"},
+	} {
+		t.Run(fmt.Sprintf("n=%d/seed=%d", tc.n, tc.seed), func(t *testing.T) {
+			inst := pinnedInstance(t, tc.n, tc.seed)
+			res, err := Build(inst.Points, inst.G, Options{Params: mustParams(t, 0.5, 0.75, 2)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Spanner.M(); got != tc.edges {
+				t.Errorf("spanner has %d edges, pinned %d", got, tc.edges)
+			}
+			if got := spannerDigest(res.Spanner); got != tc.digest {
+				t.Errorf("spanner digest %s, pinned %s", got, tc.digest)
+			}
+		})
+	}
+}

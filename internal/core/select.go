@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"topoctl/internal/cluster"
@@ -192,39 +193,63 @@ func sortEdgeInfos(es []EdgeInfo) {
 //	sp_H(u,u') + sp_H(v,v') + w  <= t1·w'.
 //
 // bound caps the Dijkstra searches: any distance relevant to the conditions
-// is at most t1·W_i.
+// is at most t1·W_i. Both pairings use a distance from u, so the sum is
+// finite only if u' or v' lies within bound of u: edge i is tested only
+// against the later edges with an endpoint in u's ball, which is exact.
+// Pairs come out in (i, j) order.
 func FindRedundantPairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) [][2]int {
-	s := graph.AcquireSearcher(h.N())
+	n := h.N()
+	s := graph.AcquireSearcher(n)
 	defer graph.ReleaseSearcher(s)
-	endpoints := make(map[int]map[int]float64)
-	for _, e := range added {
+	// incident[v] lists, in increasing order, the added edges with an
+	// endpoint at v; balls[v] is endpoint v's ball within bound.
+	incident := make([][]int, n)
+	balls := make([][]graph.VertexDist, n)
+	for i, e := range added {
 		for _, v := range [2]int{e.U, e.V} {
-			if _, ok := endpoints[v]; !ok {
-				ball := s.Ball(h, v, bound)
-				m := make(map[int]float64, len(ball))
-				for _, vd := range ball {
-					m[vd.V] = vd.D
-				}
-				endpoints[v] = m
+			incident[v] = append(incident[v], i)
+			if balls[v] == nil {
+				balls[v] = slices.Clone(s.Ball(h, v, bound))
 			}
 		}
 	}
-	dist := func(x, y int) float64 {
-		if d, ok := endpoints[x][y]; ok {
-			return d
-		}
-		return math.Inf(1)
+	// distU and distV hold edge i's distances from u and v, Inf outside
+	// the balls; each turn resets what it set.
+	distU, distV := make([]float64, n), make([]float64, n)
+	for v := range distU {
+		distU[v], distV[v] = math.Inf(1), math.Inf(1)
 	}
 	var pairs [][2]int
-	for i := 0; i < len(added); i++ {
-		for j := i + 1; j < len(added); j++ {
-			a, c := added[i], added[j]
-			s1 := dist(a.U, c.U) + dist(a.V, c.V)
-			s2 := dist(a.U, c.V) + dist(a.V, c.U)
+	var cands []int
+	for i, a := range added {
+		ballU, ballV := balls[a.U], balls[a.V]
+		cands = cands[:0]
+		for _, vd := range ballU {
+			distU[vd.V] = vd.D
+			for _, j := range incident[vd.V] {
+				if j > i {
+					cands = append(cands, j)
+				}
+			}
+		}
+		for _, vd := range ballV {
+			distV[vd.V] = vd.D
+		}
+		sort.Ints(cands)
+		for _, j := range slices.Compact(cands) {
+			c := added[j]
+			s1 := distU[c.U] + distV[c.V]
+			s2 := distU[c.V] + distV[c.U]
 			s := math.Min(s1, s2)
 			if s+c.W <= t1*a.W && s+a.W <= t1*c.W {
 				pairs = append(pairs, [2]int{i, j})
 			}
+		}
+		for _, vd := range ballU {
+			distU[vd.V] = math.Inf(1)
+		}
+		for _, vd := range ballV {
+			distV[vd.V] = math.Inf(1)
 		}
 	}
 	return pairs

@@ -28,7 +28,6 @@ package dist
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"topoctl/internal/cluster"
 	"topoctl/internal/core"
@@ -168,18 +167,13 @@ func (b *builder) run() {
 		})
 	}
 
-	// Remaining non-empty bins in increasing order (BinEdges only creates
-	// entries for non-empty bins; empty bins run no protocol step).
-	var order []int
-	for i := range byBin {
-		if i > 0 {
-			order = append(order, i)
+	// Remaining non-empty bins in increasing order (empty bins run no
+	// protocol step).
+	for i := 1; i < len(byBin); i++ {
+		if len(byBin[i]) > 0 {
+			b.stats.NonEmptyPhases++
+			b.phase(i, bins, byBin[i])
 		}
-	}
-	sort.Ints(order)
-	for _, i := range order {
-		b.stats.NonEmptyPhases++
-		b.phase(i, bins, byBin[i])
 	}
 }
 
@@ -323,7 +317,7 @@ func (b *builder) runMIS(adj [][]int) ([]bool, int) {
 func (b *builder) coverHopRadius(cov *cluster.Cover) int {
 	maxHop := 1
 	for _, c := range cov.Centers {
-		if len(cov.Members[c]) <= 1 {
+		if len(cov.Members(c)) <= 1 {
 			continue
 		}
 		// Depth N() is unbounded: no hop distance reaches it.

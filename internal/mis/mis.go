@@ -136,27 +136,3 @@ func Validate(adj [][]int, in []bool) []string {
 	sort.Strings(violations)
 	return violations
 }
-
-// FromEdgePairs builds symmetric adjacency lists over n vertices from an
-// unordered pair list, dropping duplicates and self-loops.
-func FromEdgePairs(n int, pairs [][2]int) [][]int {
-	seen := make(map[[2]int]bool)
-	adj := make([][]int, n)
-	for _, p := range pairs {
-		a, b := p[0], p[1]
-		if a == b {
-			continue
-		}
-		if a > b {
-			a, b = b, a
-		}
-		k := [2]int{a, b}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-	return adj
-}

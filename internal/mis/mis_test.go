@@ -16,7 +16,31 @@ func randomAdj(rng *rand.Rand, n int, p float64) [][]int {
 			}
 		}
 	}
-	return FromEdgePairs(n, pairs)
+	return fromEdgePairs(n, pairs)
+}
+
+// fromEdgePairs builds symmetric adjacency lists over n vertices from an
+// unordered pair list, dropping duplicates and self-loops.
+func fromEdgePairs(n int, pairs [][2]int) [][]int {
+	seen := make(map[[2]int]bool)
+	adj := make([][]int, n)
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		if a == b {
+			continue
+		}
+		if a > b {
+			a, b = b, a
+		}
+		k := [2]int{a, b}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		adj[a] = append(adj[a], b)
+		adj[b] = append(adj[b], a)
+	}
+	return adj
 }
 
 // TestLubyProducesValidMISProperty is the main contract test: independence
@@ -69,7 +93,7 @@ func TestLubyCompleteGraphPicksOne(t *testing.T) {
 			pairs = append(pairs, [2]int{u, v})
 		}
 	}
-	adj := FromEdgePairs(n, pairs)
+	adj := fromEdgePairs(n, pairs)
 	rng := rand.New(rand.NewSource(2))
 	res := Luby(adj, rng)
 	count := 0
@@ -86,7 +110,7 @@ func TestLubyCompleteGraphPicksOne(t *testing.T) {
 func TestGreedyIsLexicographicallyFirst(t *testing.T) {
 	// Path 0-1-2-3: greedy by ID picks {0, 2} and then 3 is blocked by 2;
 	// wait: 3's only neighbor is 2 which is in — so MIS = {0, 2}.
-	adj := FromEdgePairs(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
+	adj := fromEdgePairs(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	in := Greedy(adj)
 	want := []bool{true, false, true, false}
 	for v := range want {
@@ -125,7 +149,7 @@ func TestLubyRoundsGrowSlowly(t *testing.T) {
 }
 
 func TestValidateDetectsViolations(t *testing.T) {
-	adj := FromEdgePairs(3, [][2]int{{0, 1}, {1, 2}})
+	adj := fromEdgePairs(3, [][2]int{{0, 1}, {1, 2}})
 	// Adjacent MIS vertices.
 	if errs := Validate(adj, []bool{true, true, false}); len(errs) == 0 {
 		t.Error("adjacent MIS vertices not detected")
@@ -141,7 +165,7 @@ func TestValidateDetectsViolations(t *testing.T) {
 }
 
 func TestFromEdgePairsDedup(t *testing.T) {
-	adj := FromEdgePairs(3, [][2]int{{0, 1}, {1, 0}, {0, 1}, {2, 2}})
+	adj := fromEdgePairs(3, [][2]int{{0, 1}, {1, 0}, {0, 1}, {2, 2}})
 	if len(adj[0]) != 1 || len(adj[1]) != 1 || len(adj[2]) != 0 {
 		t.Errorf("dedup failed: %v", adj)
 	}
