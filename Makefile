@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check vet fmt test race fuzz-short cover bench bench-json bench-save bench-compare bench-check bench-quick serve-smoke recover-smoke build-large-smoke ci
+.PHONY: all build check vet fmt test loc race fuzz-short cover bench bench-json bench-save bench-compare bench-check bench-quick serve-smoke recover-smoke build-large-smoke ci
 
 all: check
 
@@ -23,6 +23,23 @@ test: build
 	$(GO) test ./...
 
 check: vet fmt test
+
+# Non-test Go lines per package of this module and bench/, in two groups:
+# production-linked packages (what `go list -deps` reaches from cmd/...,
+# examples/... and the bench module) and test-support packages (reachable
+# only from tests, such as graph/graphtest and wal/faultfs). Each group
+# ends with its total and the share under internal/.
+LOC_FILES = {{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}
+loc:
+	@{ { $(GO) list -deps ./cmd/... ./examples/... && $(GO) list -C bench -deps ./...; } | sed 's/^/P /' && \
+	  { $(GO) list -f '$(LOC_FILES)' ./... && $(GO) list -C bench -f '$(LOC_FILES)' ./...; } | sed 's/^/F /'; } | \
+	awk '$$1 == "P" { prod[$$2] = 1; next } \
+	  { n = 0; for (i = 3; i <= NF; i++) { while ((getline l < $$i) > 0) n++; close($$i) } lines[$$2] = n; pkg[++k] = $$2 } \
+	  END { for (g = 1; g <= 2; g++) { \
+	    print (g == 1 ? "production-linked" : "test-support") " packages (non-test Go lines):"; tot = 0; in_ = 0; \
+	    for (j = 1; j <= k; j++) { p = pkg[j]; if ((p in prod) != (g == 1)) continue; \
+	      printf "  %6d  %s\n", lines[p], p; tot += lines[p]; if (p ~ /\/internal\//) in_ += lines[p] } \
+	    printf "  %6d  total (%d under internal/)\n", tot, in_ } }'
 
 # Race-detector pass over the packages that exercise concurrency
 # (parallel stretch verification, the searchers every layer borrows from

@@ -1,8 +1,8 @@
 package topoctl
 
-// Benchmark harness: one benchmark per experiment of DESIGN.md §4 (the
-// tables recorded in EXPERIMENTS.md), plus micro-benchmarks for the core
-// building blocks. Experiment benchmarks run the exp suite in Quick mode so
+// Benchmark harness: one benchmark per experiment table of internal/exp
+// (one per theorem or figure of the paper), plus micro-benchmarks for the
+// core building blocks. Experiment benchmarks run the exp suite in Quick mode so
 // `go test -bench=.` regenerates every table's workload; run
 // `go run ./cmd/experiments` for the full-size tables.
 
@@ -465,18 +465,6 @@ func BenchmarkNetIORoundTrip(b *testing.B) {
 		}
 		if _, err := netio.Read(&buf); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEdgeConnectivity measures the fault-structure verifier.
-func BenchmarkEdgeConnectivity(b *testing.B) {
-	inst := benchInstance(b, 96)
-	sp := greedy.Spanner(inst.G, 1.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if metrics.EdgeConnectivity(sp) < 1 {
-			b.Fatal("disconnected spanner")
 		}
 	}
 }

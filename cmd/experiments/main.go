@@ -1,5 +1,5 @@
-// Command experiments regenerates every table in EXPERIMENTS.md: the full
-// theorem-validation and figure-validation suite of DESIGN.md §4. It is
+// Command experiments regenerates every experiment table of internal/exp:
+// one table per theorem or figure of the paper it validates. It is
 // also the churn scenario runner for the incremental maintenance engine
 // (internal/dynamic).
 //
@@ -10,9 +10,8 @@
 //	            [-churn-departure R] [-churn-mobility R] [-churn-batch K]
 //	            [-churn-epsilon E] [-churn-check K] [-seed N]
 //
-// Output is plain text, one table per experiment, identical in format to
-// the blocks recorded in EXPERIMENTS.md; -churn prints the scenario result
-// table instead. Identical flags (including -seed) reproduce identical
+// Output is plain text, one table per experiment; -churn prints the
+// scenario result table instead. Identical flags (including -seed) reproduce identical
 // churn streams and topologies.
 package main
 

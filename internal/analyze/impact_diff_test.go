@@ -1,11 +1,13 @@
 package analyze
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"topoctl/internal/graph"
+	"topoctl/internal/graph/graphtest"
 	"topoctl/internal/greedy"
 )
 
@@ -135,9 +137,8 @@ func checkImpactBruteForce(t *testing.T, trial int, g, sp *graph.Graph, tt float
 			trial, rep.Unreachable, rep.UnreachableCount, wantUnreachable)
 	}
 
-	// Stretch claims: fresh unidirectional Dijkstra per surviving base
-	// edge on the fault-applied spanner.
-	srch := graph.NewSearcher(n)
+	// Stretch claims: fresh reference Dijkstra per surviving base edge on
+	// the fault-applied spanner.
 	wantChecked, wantOver, wantDisc := 0, 0, 0
 	wantWorst := 1.0
 	for _, e := range graph.SortedEdges(g) {
@@ -145,8 +146,8 @@ func checkImpactBruteForce(t *testing.T, trial int, g, sp *graph.Graph, tt float
 			continue
 		}
 		wantChecked++
-		d, ok := srch.DijkstraTargetUni(sf, e.U, e.V, graph.Inf)
-		if !ok {
+		d := graphtest.Dijkstra(sf, e.U)[e.V]
+		if math.IsInf(d, 1) {
 			wantDisc++
 			continue
 		}
@@ -164,7 +165,7 @@ func checkImpactBruteForce(t *testing.T, trial int, g, sp *graph.Graph, tt float
 			wantChecked, wantOver, wantDisc)
 	}
 	// Distances from the serving kernel may differ from the
-	// unidirectional reference in the last ulp (different association
+	// reference in the last ulp (different association
 	// order), so float comparisons are relative.
 	if !close(rep.WorstStretch, wantWorst) {
 		t.Fatalf("trial %d: worst stretch %v, want %v", trial, rep.WorstStretch, wantWorst)
@@ -173,8 +174,8 @@ func checkImpactBruteForce(t *testing.T, trial int, g, sp *graph.Graph, tt float
 		t.Fatalf("trial %d: %d witnesses, want %d", trial, len(rep.Witnesses), want)
 	}
 	for _, w := range rep.Witnesses {
-		d, ok := srch.DijkstraTargetUni(sf, w.U, w.V, graph.Inf)
-		if ok != w.Reachable || (ok && !close(d, w.Distance)) {
+		d := graphtest.Dijkstra(sf, w.U)[w.V]
+		if ok := !math.IsInf(d, 1); ok != w.Reachable || (ok && !close(d, w.Distance)) {
 			t.Fatalf("trial %d: witness %+v, reference %v/%v", trial, w, d, ok)
 		}
 	}

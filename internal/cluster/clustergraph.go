@@ -150,14 +150,6 @@ func (cg *ClusterGraph) addInter(a, b int, w float64) {
 	}
 }
 
-// Query reports whether H contains a path between x and y of length at most
-// bound, and its length if so. This is the approximate shortest-path query
-// of §2.2.4: a "yes" is always safe (paths in H are no shorter than in G'),
-// and a "no" is at most a (1+6δ)/(1−2δ) overestimate by Lemma 7.
-func (cg *ClusterGraph) Query(x, y int, bound float64) (float64, bool) {
-	return cg.H.DijkstraTarget(x, y, bound)
-}
-
 // MaxInterDegree returns the maximum number of inter-cluster edges incident
 // to any single center (the Lemma 6 quantity).
 func (cg *ClusterGraph) MaxInterDegree() int {

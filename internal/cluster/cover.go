@@ -164,52 +164,3 @@ func CoverFromCenters(g graph.Topology, radius float64, centers []int) (*Cover, 
 	c.finalize()
 	return c, nil
 }
-
-// Check verifies the cover contract against g and returns a list of
-// violations (empty means the cover is valid): every vertex covered, all
-// member distances within radius and consistent with shortest paths, and
-// centers pairwise more than radius apart.
-func (c *Cover) Check(g graph.Topology) []string {
-	var out []string
-	const eps = 1e-9
-	for v, ctr := range c.Center {
-		if ctr == -1 {
-			out = append(out, fmt.Sprintf("vertex %d uncovered", v))
-			continue
-		}
-		if c.Dist[v] > c.Radius+eps {
-			out = append(out, fmt.Sprintf("vertex %d at distance %v > radius %v", v, c.Dist[v], c.Radius))
-		}
-	}
-	n := g.N()
-	s := graph.AcquireSearcher(n)
-	defer graph.ReleaseSearcher(s)
-	// ballD[v] is v's distance from the current center ctr when
-	// inBall[v] == ctr+1.
-	ballD, inBall := make([]float64, n), make([]int, n)
-	for _, ctr := range c.Centers {
-		for _, vd := range s.Ball(g, ctr, c.Radius) {
-			ballD[vd.V], inBall[vd.V] = vd.D, ctr+1
-		}
-		for _, other := range c.Centers {
-			if other == ctr {
-				continue
-			}
-			if d := ballD[other]; inBall[other] == ctr+1 && d <= c.Radius+eps {
-				out = append(out, fmt.Sprintf("centers %d and %d within radius (%v)", ctr, other, d))
-			}
-		}
-		// Member distances must match shortest paths.
-		for _, v := range c.Members(ctr) {
-			if inBall[v] != ctr+1 {
-				out = append(out, fmt.Sprintf("member %d unreachable from center %d within radius", v, ctr))
-				continue
-			}
-			d := ballD[v]
-			if diff := c.Dist[v] - d; diff > eps || diff < -eps {
-				out = append(out, fmt.Sprintf("member %d distance %v != shortest path %v", v, c.Dist[v], d))
-			}
-		}
-	}
-	return out
-}

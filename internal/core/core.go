@@ -70,7 +70,7 @@ type Stats struct {
 	// (e.g. a phase-0 clique spanner) already retained them.
 	AlreadyInSpanner int
 	// SameCluster counts bin edges with both endpoints in one cluster
-	// (always already t-spanned; see DESIGN.md §3.3 step 2).
+	// (always already t-spanned through their center; paper §2.2.2).
 	SameCluster int
 	// Covered counts edges dropped by the Czumaj–Zhao filter.
 	Covered int

@@ -41,17 +41,3 @@ func (m Metric) Weight(d float64) float64 {
 
 // IsEuclidean reports whether the metric is the identity.
 func (m Metric) IsEuclidean() bool { return m.Coeff == 1 && m.Gamma == 1 }
-
-// HopBound returns an upper bound on the number of hops of any path in an
-// α-UBG whose total weight (under this metric) is at most l.
-//
-// Derivation (generalizing §2.2.4): any two vertices two hops apart on a
-// shortest path are more than α apart in Euclidean space, so consecutive
-// edge pairs have Euclidean lengths a+b > α and hence weight
-// c(a^γ + b^γ) >= c·2^{1−γ}(a+b)^γ > c·2^{1−γ}·α^γ. A path of weight l
-// therefore has at most ⌈2l/(c·2^{1−γ}α^γ)⌉ + 1 hops. For γ = 1 this is the
-// paper's ⌈2l/α⌉ + 1.
-func (m Metric) HopBound(l, alpha float64) int {
-	pairWeight := m.Coeff * math.Pow(2, 1-m.Gamma) * math.Pow(alpha, m.Gamma)
-	return int(math.Ceil(2*l/pairWeight)) + 1
-}

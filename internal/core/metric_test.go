@@ -52,42 +52,3 @@ func TestMetricWeightMonotone(t *testing.T) {
 		}
 	}
 }
-
-// TestHopBoundEuclidean reproduces the paper's §2.2.4 bound: a path of
-// length l in an α-UBG has at most ⌈2l/α⌉+1 hops.
-func TestHopBoundEuclidean(t *testing.T) {
-	m := EuclideanMetric
-	if got := m.HopBound(1.0, 0.5); got != 5 {
-		t.Errorf("HopBound(1, 0.5) = %d, want 5", got)
-	}
-	if got := m.HopBound(0.3, 0.75); got != 2 {
-		t.Errorf("HopBound(0.3, 0.75) = %d, want 2", got)
-	}
-}
-
-// TestHopBoundIsConservative: simulate worst-case paths (alternating just
-// over α/2 edge lengths) and check the bound holds under the energy metric
-// too.
-func TestHopBoundIsConservative(t *testing.T) {
-	alpha := 0.6
-	for _, m := range []Metric{EuclideanMetric, {Coeff: 1, Gamma: 2}, {Coeff: 2, Gamma: 3}} {
-		// Build a chain of h hops each of Euclidean length alpha/2 + ε —
-		// the densest packing that keeps two-hop separation > alpha.
-		edge := alpha/2 + 1e-6
-		for h := 1; h <= 40; h++ {
-			weight := float64(h) * m.Weight(edge)
-			if got := m.HopBound(weight, alpha); got < h {
-				t.Fatalf("%+v: HopBound(%v) = %d < actual %d hops", m, weight, got, h)
-			}
-		}
-	}
-}
-
-func TestHopBoundGammaFormula(t *testing.T) {
-	// γ=2, c=1, α=1: pair weight = 2^{-1}·1 = 0.5, so HopBound(l) =
-	// ceil(4l)+1.
-	m := Metric{Coeff: 1, Gamma: 2}
-	if got := m.HopBound(1, 1); got != 5 {
-		t.Errorf("HopBound = %d, want 5", got)
-	}
-}

@@ -169,7 +169,7 @@ func T4Rounds(cfg Config) (*Table, error) {
 		Header: []string{"n", "rounds", "messages", "phases", "rounds/log²n", "rounds/(logn·log*n)"},
 		Notes: []string{
 			"Luby MIS (O(log n) w.h.p.) substitutes the O(log* n) KMW MIS; the paper's bound predicts rounds/(log n·log* n) constant, ours predicts rounds/log² n approximately constant — both normalizations are shown",
-			"empty bins cost no rounds: no node has a query to initiate, so no protocol step runs (DESIGN.md §3.4)",
+			"empty bins cost no rounds: no node has a query to initiate, so no step of PROCESS-LONG-EDGES (§3.2) runs",
 		},
 	}
 	for _, n := range cfg.distSizes() {

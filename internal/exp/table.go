@@ -1,7 +1,6 @@
-// Package exp implements the experiment suite of DESIGN.md §4: one
-// regenerable table per theorem/figure of the paper. Each experiment
-// returns a Table that cmd/experiments renders (these are the tables
-// recorded in EXPERIMENTS.md) and bench_test.go wraps one benchmark around
+// Package exp implements the experiment suite: one regenerable table per
+// theorem/figure of the paper. Each experiment returns a Table that
+// cmd/experiments renders and bench_test.go wraps one benchmark around
 // each.
 package exp
 
@@ -83,7 +82,7 @@ func (t *Table) Render() string {
 // Config scales the experiment suite.
 type Config struct {
 	// Quick shrinks instance sizes for fast benchmark iterations; the full
-	// configuration is what EXPERIMENTS.md records.
+	// configuration is what cmd/experiments runs without -quick.
 	Quick bool
 	// Seed offsets all instance seeds (default 0 = the recorded tables).
 	Seed int64

@@ -142,9 +142,6 @@ func (g *CellGrid) appendKey(dst []byte, p Point) []byte {
 // Cells returns the number of non-empty cells.
 func (g *CellGrid) Cells() int { return len(g.start) - 1 }
 
-// Len returns the number of indexed points.
-func (g *CellGrid) Len() int { return len(g.ids) }
-
 // CellIDs returns the point ids bucketed in cell c. The slice aliases the
 // grid's slab: read-only.
 func (g *CellGrid) CellIDs(c int) []int32 {

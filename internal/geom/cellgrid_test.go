@@ -27,9 +27,6 @@ func TestCellGridPartition(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 5} {
 		pts := randPoints(t, 500, d, int64(d)*7, 5)
 		g := NewCellGrid(pts, 0.9)
-		if g.Len() != len(pts) {
-			t.Fatalf("d=%d: Len = %d, want %d", d, g.Len(), len(pts))
-		}
 		seen := make([]bool, len(pts))
 		for c := 0; c < g.Cells(); c++ {
 			ids := g.CellIDs(c)
@@ -63,8 +60,8 @@ func TestCellGridPartition(t *testing.T) {
 
 func TestCellGridEmpty(t *testing.T) {
 	g := NewCellGrid(nil, 1)
-	if g.Cells() != 0 || g.Len() != 0 {
-		t.Fatalf("empty grid: Cells=%d Len=%d", g.Cells(), g.Len())
+	if g.Cells() != 0 {
+		t.Fatalf("empty grid: Cells=%d", g.Cells())
 	}
 }
 

@@ -115,6 +115,3 @@ func (cp *ConePartition) Assign(v Point) int {
 func (cp *ConePartition) AssignEdge(p, q Point) int {
 	return cp.Assign(Sub(q, p))
 }
-
-// NumCones returns the number of cones in the partition.
-func (cp *ConePartition) NumCones() int { return len(cp.Axes) }

@@ -44,7 +44,7 @@ func TestConePartition2DConeCount(t *testing.T) {
 	}
 	for _, tc := range tests {
 		cp := NewConePartition(2, tc.theta)
-		if got := cp.NumCones(); got != tc.want {
+		if got := len(cp.Axes); got != tc.want {
 			t.Errorf("theta=%v: cones = %d, want %d", tc.theta, got, tc.want)
 		}
 	}
@@ -72,8 +72,8 @@ func TestConePartition3DSameConeAngle(t *testing.T) {
 			}
 		}
 	}
-	if cp.NumCones() < 6 {
-		t.Errorf("suspiciously few cones for theta=%v in 3d: %d", theta, cp.NumCones())
+	if len(cp.Axes) < 6 {
+		t.Errorf("suspiciously few cones for theta=%v in 3d: %d", theta, len(cp.Axes))
 	}
 }
 

@@ -85,14 +85,6 @@ func (g *DynamicGrid) Move(id int, p Point) {
 	g.Add(id, p)
 }
 
-// Point returns the indexed position of id (nil if absent).
-func (g *DynamicGrid) Point(id int) Point {
-	if id < 0 || id >= len(g.points) {
-		return nil
-	}
-	return g.points[id]
-}
-
 func (g *DynamicGrid) point(id int) Point {
 	if id < 0 || id >= len(g.points) || g.points[id] == nil {
 		panic("geom: unknown grid id")
@@ -114,6 +106,3 @@ func (g *DynamicGrid) NeighborsAppend(dst []int, p Point, radius float64, self i
 	}
 	return g.scanAppend(dst, g.points, p, radius, self)
 }
-
-// Len returns the number of indexed points.
-func (g *DynamicGrid) Len() int { return g.count }

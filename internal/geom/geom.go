@@ -52,18 +52,6 @@ func Sub(p, q Point) Point {
 	return v
 }
 
-// Add returns p + q.
-func Add(p, q Point) Point {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(p), len(q)))
-	}
-	v := make(Point, len(p))
-	for i := range p {
-		v[i] = p[i] + q[i]
-	}
-	return v
-}
-
 // Scale returns s * p.
 func Scale(p Point, s float64) Point {
 	v := make(Point, len(p))
@@ -140,9 +128,4 @@ func Midpoint(p, q Point) Point {
 		m[i] = (p[i] + q[i]) / 2
 	}
 	return m
-}
-
-// Within reports whether |pq| <= r, computed without a square root.
-func Within(p, q Point, r float64) bool {
-	return DistSq(p, q) <= r*r
 }

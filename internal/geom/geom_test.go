@@ -135,9 +135,6 @@ func TestVectorOps(t *testing.T) {
 	if got := Sub(q, p); got[0] != 3 || got[1] != 3 || got[2] != 3 {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := Add(p, q); got[0] != 5 || got[1] != 7 || got[2] != 9 {
-		t.Errorf("Add = %v", got)
-	}
 	if got := Scale(p, 2); got[0] != 2 || got[1] != 4 || got[2] != 6 {
 		t.Errorf("Scale = %v", got)
 	}
@@ -163,15 +160,6 @@ func TestNormalize(t *testing.T) {
 		}
 	}()
 	Normalize(Point{0, 0})
-}
-
-func TestWithin(t *testing.T) {
-	if !Within(Point{0, 0}, Point{3, 4}, 5) {
-		t.Error("Within should include boundary")
-	}
-	if Within(Point{0, 0}, Point{3, 4}, 4.999) {
-		t.Error("Within should exclude outside")
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {

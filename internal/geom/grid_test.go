@@ -92,9 +92,6 @@ func TestGridEmpty(t *testing.T) {
 	// Before the first Add the grid has no dimension yet; a query must
 	// answer empty rather than trip the dimension check.
 	grid := NewDynamicGrid(1.0)
-	if grid.Len() != 0 {
-		t.Errorf("Len = %d", grid.Len())
-	}
 	if got := grid.NeighborsAppend(nil, Point{0, 0}, 1, -1); got != nil {
 		t.Errorf("Neighbors on empty grid = %v", got)
 	}

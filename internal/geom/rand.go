@@ -5,8 +5,8 @@ import (
 	"math/rand"
 )
 
-// Cloud describes a synthetic point-cloud workload. The experiments in
-// EXPERIMENTS.md are all driven by clouds generated here with fixed seeds so
+// Cloud describes a synthetic point-cloud workload. The experiment tables
+// (internal/exp) are all driven by clouds generated here with fixed seeds so
 // every table is exactly regenerable.
 type Cloud int
 

@@ -176,14 +176,6 @@ func (f *Frozen) EdgesUnordered() []Edge {
 	return es
 }
 
-// Edges returns all undirected edges sorted by weight then
-// lexicographically, matching Graph.Edges.
-func (f *Frozen) Edges() []Edge {
-	es := f.EdgesUnordered()
-	SortEdgesCanonical(es)
-	return es
-}
-
 // MaxDegree returns the maximum vertex degree (0 for an empty graph).
 func (f *Frozen) MaxDegree() int {
 	max := 0

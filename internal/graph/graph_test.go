@@ -146,23 +146,6 @@ func TestFromEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIsSubgraphOf(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	h := New(3)
-	h.AddEdge(0, 1, 1)
-	h.AddEdge(1, 2, 1)
-	if !g.IsSubgraphOf(h) {
-		t.Error("g should be a subgraph of h")
-	}
-	if h.IsSubgraphOf(g) {
-		t.Error("h should not be a subgraph of g")
-	}
-	if g.IsSubgraphOf(New(4)) {
-		t.Error("different vertex counts should fail")
-	}
-}
-
 func TestGrowKeepsEdges(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 1)

@@ -7,12 +7,11 @@ import "sort"
 type UnionFind struct {
 	parent []int
 	rank   []int
-	count  int
 }
 
 // NewUnionFind returns a union-find over n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n), count: n}
+	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n)}
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}
@@ -42,15 +41,8 @@ func (uf *UnionFind) Union(x, y int) bool {
 	if uf.rank[rx] == uf.rank[ry] {
 		uf.rank[rx]++
 	}
-	uf.count--
 	return true
 }
-
-// Count returns the number of disjoint sets.
-func (uf *UnionFind) Count() int { return uf.count }
-
-// Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }
 
 // MST returns a minimum spanning forest of g as an edge list (Kruskal).
 // For a connected graph this is a minimum spanning tree. Ties are broken
@@ -119,20 +111,4 @@ func (g *Graph) Connected() bool {
 	reached := len(s.HopBall(g, 0, g.n)) // depth n is unbounded: no hop distance reaches it
 	ReleaseSearcher(s)
 	return reached == g.n
-}
-
-// IsSubgraphOf reports whether every edge of g appears in h (with any
-// weight). Both graphs must have the same vertex count.
-func (g *Graph) IsSubgraphOf(h *Graph) bool {
-	if g.n != h.n {
-		return false
-	}
-	for u, hs := range g.adj {
-		for _, e := range hs {
-			if u < e.To && !h.HasEdge(u, e.To) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -68,7 +68,7 @@ func heapPop(hp *[]heapItem) heapItem {
 // or the last ResetStats. Settled is the number of vertices expanded
 // (popped from a frontier and relaxed) across all searches — the quantity
 // the bidirectional kernels halve relative to the unidirectional ones,
-// pinned by test rather than benchmark noise. BFS dequeues (HopsTo) count
+// pinned by test rather than benchmark noise. BFS dequeues (HopBall) count
 // as settles too.
 type SearchStats struct {
 	Searches int64
@@ -229,32 +229,6 @@ func (s *Searcher) relax(row []Halfedge, d, bound float64) {
 	}
 }
 
-// DijkstraTargetUni is the unidirectional bounded point-to-point kernel:
-// the shortest-path distance from src to dst in g, abandoning the search
-// once all frontier labels exceed bound; the boolean reports whether a path
-// of length at most bound exists. It settles the full distance ball around
-// src up to min(d(src,dst), bound).
-//
-// The production kernel is the bidirectional DijkstraTarget, which answers
-// the same query while settling roughly half the vertices (two half-radius
-// balls); this one is retained as the independent reference the
-// differential tests and the settled-work comparison (Stats) pin the
-// bidirectional kernel against.
-func (s *Searcher) DijkstraTargetUni(g Topology, src, dst int, bound float64) (float64, bool) {
-	if src == dst {
-		return 0, true
-	}
-	rv := viewOf(g)
-	s.start(g.N(), src)
-	for v, d, ok := s.settle(); ok; v, d, ok = s.settle() {
-		if v == dst {
-			return d, true
-		}
-		s.relax(rv.row(v), d, bound)
-	}
-	return Inf, false
-}
-
 // Ball runs a bounded Dijkstra from src and returns every vertex within
 // distance bound (inclusive) with its distance, in settling order. The
 // returned slice is owned by the Searcher and valid only until its next
@@ -268,21 +242,6 @@ func (s *Searcher) Ball(g Topology, src int, bound float64) []VertexDist {
 		s.relax(rv.row(v), d, bound)
 	}
 	return s.ball
-}
-
-// Dijkstra fills out with the shortest-path distance from src to every
-// vertex (Inf for unreachable ones), skipping expansion beyond bound.
-// len(out) must be g.N().
-func (s *Searcher) Dijkstra(g Topology, src int, bound float64, out []float64) {
-	rv := viewOf(g)
-	s.start(g.N(), src)
-	for i := range out {
-		out[i] = Inf
-	}
-	for v, d, ok := s.settle(); ok; v, d, ok = s.settle() {
-		out[v] = d
-		s.relax(rv.row(v), d, bound)
-	}
 }
 
 // DijkstraPruned runs a bounded Dijkstra from src, invoking visit on every
@@ -349,33 +308,6 @@ func (s *Searcher) HopBall(g Topology, src, maxHops int) []VertexHop {
 		}
 	}
 	return s.hball
-}
-
-// HopsTo returns the hop distance (unweighted) from src to dst, with early
-// exit as soon as dst enters the BFS frontier.
-func (s *Searcher) HopsTo(g Topology, src, dst int) (int, bool) {
-	if src == dst {
-		return 0, true
-	}
-	rv := viewOf(g)
-	s.startBFS(g.N(), src)
-	for i := 0; i < len(s.queue); i++ {
-		v := s.queue[i]
-		hv := s.hops[v]
-		s.stats.Settled++
-		for _, h := range rv.row(int(v)) {
-			if s.seen[h.To] == s.epoch {
-				continue
-			}
-			if h.To == dst {
-				return int(hv) + 1, true
-			}
-			s.seen[h.To] = s.epoch
-			s.hops[h.To] = hv + 1
-			s.queue = append(s.queue, int32(h.To))
-		}
-	}
-	return 0, false
 }
 
 // searcherPool is the one pool of search scratch in the tree: builders,

@@ -1,57 +1,26 @@
 package graph_test
 
 // Differential tests pinning the allocation-free Searcher against the
-// O(n³) FloydWarshall reference and an independent map-based Dijkstra (the
-// implementation the Searcher replaced), on random α-UBG instances.
+// O(n³) Floyd–Warshall reference and the independent heap-based Dijkstra
+// in graphtest, on random α-UBG instances.
 
 import (
-	"container/heap"
 	"math"
 	"testing"
 
 	"topoctl/internal/geom"
 	"topoctl/internal/graph"
+	"topoctl/internal/graph/graphtest"
 	"topoctl/internal/ubg"
 )
 
-// refItem / refPQ reproduce the retired container/heap implementation so
-// the differential test keeps an independent oracle.
-type refItem struct {
-	v    int
-	dist float64
-}
-
-type refPQ []refItem
-
-func (q refPQ) Len() int            { return len(q) }
-func (q refPQ) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q refPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *refPQ) Push(x interface{}) { *q = append(*q, x.(refItem)) }
-func (q *refPQ) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
-// refBounded is the old map-based bounded Dijkstra, verbatim in behavior.
-func refBounded(g *graph.Graph, src int, bound float64) map[int]float64 {
+// refBall is every vertex within distance bound of src, with its distance,
+// by the graphtest reference Dijkstra.
+func refBall(g graph.Topology, src int, bound float64) map[int]float64 {
 	out := make(map[int]float64)
-	visited := make(map[int]bool)
-	q := refPQ{{v: src, dist: 0}}
-	for len(q) > 0 {
-		it := heap.Pop(&q).(refItem)
-		if visited[it.v] {
-			continue
-		}
-		visited[it.v] = true
-		out[it.v] = it.dist
-		for _, h := range g.Neighbors(it.v) {
-			nd := it.dist + h.W
-			if nd <= bound && !visited[h.To] {
-				heap.Push(&q, refItem{v: h.To, dist: nd})
-			}
+	for v, d := range graphtest.Dijkstra(g, src) {
+		if d <= bound {
+			out[v] = d
 		}
 	}
 	return out
@@ -73,15 +42,14 @@ func TestSearcherMatchesFloydWarshall(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		inst := randomUBG(t, 40, seed)
 		g := inst.G
-		fw := g.FloydWarshall()
+		fw := graphtest.FloydWarshall(g)
 		s := graph.NewSearcher(g.N())
 
-		dist := make([]float64, g.N())
 		for src := 0; src < g.N(); src++ {
-			s.Dijkstra(g, src, graph.Inf, dist)
+			dist := searcherDist(s, g, src)
 			for v := 0; v < g.N(); v++ {
 				if math.Abs(dist[v]-fw[src][v]) > 1e-12 {
-					t.Fatalf("seed %d: Dijkstra(%d)[%d] = %v, FW %v", seed, src, v, dist[v], fw[src][v])
+					t.Fatalf("seed %d: Ball(%d)[%d] = %v, FW %v", seed, src, v, dist[v], fw[src][v])
 				}
 			}
 			for dst := 0; dst < g.N(); dst += 3 {
@@ -122,7 +90,7 @@ func TestSearcherBallMatchesMapReference(t *testing.T) {
 	s := graph.NewSearcher(g.N())
 	for src := 0; src < g.N(); src++ {
 		for _, bound := range []float64{0.1, 0.4, 1.1, math.Inf(1)} {
-			want := refBounded(g, src, bound)
+			want := refBall(g, src, bound)
 			ball := s.Ball(g, src, bound)
 			if len(ball) != len(want) {
 				t.Fatalf("Ball(%d, %v): %d vertices, reference %d", src, bound, len(ball), len(want))
@@ -145,7 +113,7 @@ func TestSearcherReuseAcrossGraphs(t *testing.T) {
 	s := graph.NewSearcher(1)
 	for round := 0; round < 3; round++ {
 		for _, g := range []*graph.Graph{small, big, small} {
-			fw := g.FloydWarshall()
+			fw := graphtest.FloydWarshall(g)
 			for src := 0; src < g.N(); src += 5 {
 				for dst := 0; dst < g.N(); dst += 7 {
 					d, ok := s.DijkstraTarget(g, src, dst, math.Inf(1))
@@ -153,41 +121,6 @@ func TestSearcherReuseAcrossGraphs(t *testing.T) {
 						t.Fatalf("round %d: reused searcher %d->%d = (%v, %v), FW %v", round, src, dst, d, ok, fw[src][dst])
 					}
 				}
-			}
-		}
-	}
-}
-
-// refHops is an independent unbounded BFS: map-based level expansion
-// sharing nothing with the Searcher.
-func refHops(g *graph.Graph, src int) map[int]int {
-	hops := map[int]int{src: 0}
-	for frontier := []int{src}; len(frontier) > 0; {
-		var next []int
-		for _, u := range frontier {
-			for _, h := range g.Neighbors(u) {
-				if _, seen := hops[h.To]; !seen {
-					hops[h.To] = hops[u] + 1
-					next = append(next, h.To)
-				}
-			}
-		}
-		frontier = next
-	}
-	return hops
-}
-
-func TestSearcherHopsTo(t *testing.T) {
-	inst := randomUBG(t, 50, 21)
-	g := inst.G
-	s := graph.NewSearcher(g.N())
-	for src := 0; src < g.N(); src += 4 {
-		want := refHops(g, src)
-		for dst := 0; dst < g.N(); dst += 3 {
-			h, ok := s.HopsTo(g, src, dst)
-			wh, wok := want[dst]
-			if ok != wok || (ok && h != wh) {
-				t.Fatalf("HopsTo(%d, %d) = (%d, %v), reference %d %v", src, dst, h, ok, wh, wok)
 			}
 		}
 	}
@@ -223,7 +156,7 @@ func TestDijkstraPruned(t *testing.T) {
 	inst := randomUBG(t, 80, 901)
 	srch := graph.NewSearcher(inst.G.N())
 	for _, topo := range []graph.Topology{inst.G, graph.Freeze(inst.G)} {
-		ref := refBounded(inst.G, 3, math.Inf(1))
+		ref := refBall(inst.G, 3, math.Inf(1))
 		got := make(map[int]float64)
 		last := -1.0
 		srch.DijkstraPruned(topo, 3, graph.Inf, func(v int, d float64) bool {
@@ -258,7 +191,7 @@ func TestDijkstraPruned(t *testing.T) {
 	}
 
 	// The bound must cut expansion exactly like the bounded reference.
-	ref := refBounded(inst.G, 3, 0.9)
+	ref := refBall(inst.G, 3, 0.9)
 	count = 0
 	srch.DijkstraPruned(inst.G, 3, 0.9, func(v int, d float64) bool {
 		count++

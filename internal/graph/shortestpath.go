@@ -8,22 +8,12 @@ import (
 var Inf = math.Inf(1)
 
 // The methods below are conveniences over the reusable Searcher
-// (searcher.go) for one-off searches on a *Graph: each borrows a pooled
-// Searcher, so the steady-state allocation count is zero apart from the
-// distance slice Dijkstra returns. Anything that issues many searches, or
-// wants a ball (Searcher.Ball, Searcher.HopBall), holds its own Searcher
-// and reads the Searcher-owned result slice; there is no map-returning
-// form.
-
-// Dijkstra returns the shortest-path distances from src to every vertex
-// (Inf for unreachable vertices). Edge weights must be non-negative.
-func (g *Graph) Dijkstra(src int) []float64 {
-	s := AcquireSearcher(g.n)
-	dist := make([]float64, g.n)
-	s.Dijkstra(g, src, Inf, dist)
-	ReleaseSearcher(s)
-	return dist
-}
+// (searcher.go) for one-off point-to-point queries on a *Graph: each
+// borrows a pooled Searcher, so the steady-state allocation count is zero.
+// Anything that issues many searches, or wants a ball (Searcher.Ball,
+// Searcher.HopBall), holds its own Searcher and reads the Searcher-owned
+// result slice. The reference oracles the tests compare these kernels
+// against (Floyd–Warshall, a heap-based Dijkstra) live in graphtest.
 
 // DijkstraTarget returns the shortest-path distance from src to dst,
 // abandoning the search once no path of length at most bound can exist.
@@ -45,41 +35,4 @@ func (g *Graph) ReachableWithin(src, dst int, bound float64) bool {
 	ok := s.ReachableWithin(g, src, dst, bound)
 	ReleaseSearcher(s)
 	return ok
-}
-
-// FloydWarshall computes all-pairs shortest path distances; O(n^3), intended
-// for cross-checking Dijkstra in tests on small graphs.
-func (g *Graph) FloydWarshall() [][]float64 {
-	d := make([][]float64, g.n)
-	for i := range d {
-		d[i] = make([]float64, g.n)
-		for j := range d[i] {
-			if i == j {
-				d[i][j] = 0
-			} else {
-				d[i][j] = Inf
-			}
-		}
-	}
-	for u, hs := range g.adj {
-		for _, h := range hs {
-			if h.W < d[u][h.To] {
-				d[u][h.To] = h.W
-			}
-		}
-	}
-	for k := 0; k < g.n; k++ {
-		for i := 0; i < g.n; i++ {
-			dik := d[i][k]
-			if math.IsInf(dik, 1) {
-				continue
-			}
-			for j := 0; j < g.n; j++ {
-				if nd := dik + d[k][j]; nd < d[i][j] {
-					d[i][j] = nd
-				}
-			}
-		}
-	}
-	return d
 }

@@ -1,15 +1,19 @@
-package graph
+package graph_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"topoctl/internal/graph"
+	"topoctl/internal/graph/graphtest"
 )
 
 // randomGraph generates a random weighted graph for differential testing.
-func randomGraph(rng *rand.Rand, n int, p float64) *Graph {
-	g := New(n)
+func randomGraph(rng *rand.Rand, n int, p float64) *graph.Graph {
+	g := graph.New(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Float64() < p {
@@ -20,6 +24,19 @@ func randomGraph(rng *rand.Rand, n int, p float64) *Graph {
 	return g
 }
 
+// searcherDist is the Searcher's single-source distances: an unbounded
+// Ball, spread over a vertex-indexed slice (Inf where unreachable).
+func searcherDist(s *graph.Searcher, g graph.Topology, src int) []float64 {
+	d := make([]float64, g.N())
+	for v := range d {
+		d[v] = graph.Inf
+	}
+	for _, vd := range s.Ball(g, src, graph.Inf) {
+		d[vd.V] = vd.D
+	}
+	return d
+}
+
 // TestDijkstraMatchesFloydWarshallProperty is the core differential test:
 // single-source Dijkstra must agree with all-pairs Floyd–Warshall on random
 // graphs of varying density.
@@ -28,9 +45,9 @@ func TestDijkstraMatchesFloydWarshallProperty(t *testing.T) {
 	f := func(seed uint8) bool {
 		n := 2 + int(seed)%14
 		g := randomGraph(rng, n, 0.3)
-		fw := g.FloydWarshall()
+		fw := graphtest.FloydWarshall(g)
 		for src := 0; src < n; src++ {
-			d := g.Dijkstra(src)
+			d := searcherDist(graph.NewSearcher(0), g, src)
 			for v := 0; v < n; v++ {
 				a, b := d[v], fw[src][v]
 				if math.IsInf(a, 1) != math.IsInf(b, 1) {
@@ -53,24 +70,24 @@ func TestDijkstraMatchesFloydWarshallProperty(t *testing.T) {
 // distances, in nondecreasing settling order — on both representations.
 func TestBallIsTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	s := NewSearcher(20)
+	s := graph.NewSearcher(20)
 	for trial := 0; trial < 30; trial++ {
 		g := randomGraph(rng, 20, 0.25)
 		src := rng.Intn(20)
 		bound := rng.Float64() * 2
-		full := g.Dijkstra(src)
+		full := graphtest.Dijkstra(g, src)
 		within := 0
 		for _, d := range full {
 			if d <= bound {
 				within++
 			}
 		}
-		for _, topo := range []Topology{g, Freeze(g)} {
+		for _, topo := range []graph.Topology{g, graph.Freeze(g)} {
 			ball := s.Ball(topo, src, bound)
 			if len(ball) != within {
 				t.Fatalf("ball holds %d vertices, %d are within bound %v", len(ball), within, bound)
 			}
-			if ball[0] != (VertexDist{V: src}) {
+			if ball[0] != (graph.VertexDist{V: src}) {
 				t.Fatalf("ball starts at %+v, want the source %d at 0", ball[0], src)
 			}
 			for i, vd := range ball {
@@ -93,7 +110,7 @@ func TestDijkstraTargetAgreesWithFull(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		g := randomGraph(rng, 15, 0.3)
 		u, v := rng.Intn(15), rng.Intn(15)
-		full := g.Dijkstra(u)
+		full := graphtest.Dijkstra(g, u)
 		bound := rng.Float64() * 3
 		d, ok := g.DijkstraTarget(u, v, bound)
 		reachable := full[v] <= bound
@@ -107,7 +124,7 @@ func TestDijkstraTargetAgreesWithFull(t *testing.T) {
 }
 
 func TestDijkstraTargetSelf(t *testing.T) {
-	g := New(2)
+	g := graph.New(2)
 	if d, ok := g.DijkstraTarget(0, 0, 0); !ok || d != 0 {
 		t.Errorf("self target = %v, %v", d, ok)
 	}
@@ -115,12 +132,12 @@ func TestDijkstraTargetSelf(t *testing.T) {
 
 func TestDijkstraPathOnLine(t *testing.T) {
 	// 0 -1- 1 -1- 2 -1- 3, plus shortcut 0-3 weight 10.
-	g := New(4)
+	g := graph.New(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(0, 3, 10)
-	d := g.Dijkstra(0)
+	d := searcherDist(graph.NewSearcher(0), g, 0)
 	want := []float64{0, 1, 2, 3}
 	for i, w := range want {
 		if d[i] != w {
@@ -130,13 +147,41 @@ func TestDijkstraPathOnLine(t *testing.T) {
 }
 
 func TestUnreachableIsInf(t *testing.T) {
-	g := New(3)
+	g := graph.New(3)
 	g.AddEdge(0, 1, 1)
-	d := g.Dijkstra(0)
+	d := searcherDist(graph.NewSearcher(0), g, 0)
 	if !math.IsInf(d[2], 1) {
 		t.Errorf("unreachable distance = %v", d[2])
 	}
 	if _, ok := g.DijkstraTarget(0, 2, 1e18); ok {
 		t.Error("unreachable target reported reachable")
+	}
+}
+
+// TestDijkstraAfterMutations: shortest paths must remain consistent with
+// Floyd–Warshall after interleaved adds and removes (the spanner builders
+// mutate graphs between queries constantly).
+func TestDijkstraAfterMutations(t *testing.T) {
+	rng := rand.New(rand.NewSource(777))
+	g := graph.New(10)
+	for step := 0; step < 40; step++ {
+		u, v := rng.Intn(10), rng.Intn(10)
+		if u == v {
+			continue
+		}
+		if g.HasEdge(u, v) {
+			g.RemoveEdge(u, v)
+		} else {
+			g.AddEdge(u, v, 0.1+rng.Float64())
+		}
+		fw := graphtest.FloydWarshall(g)
+		src := rng.Intn(10)
+		d := searcherDist(graph.NewSearcher(0), g, src)
+		for x := 0; x < 10; x++ {
+			a, b := d[x], fw[src][x]
+			if fmt.Sprintf("%.9f", a) != fmt.Sprintf("%.9f", b) {
+				t.Fatalf("step %d: dist(%d,%d) = %v, want %v", step, src, x, a, b)
+			}
+		}
 	}
 }

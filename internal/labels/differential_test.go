@@ -15,6 +15,7 @@ import (
 	"topoctl/internal/dynamic"
 	"topoctl/internal/geom"
 	"topoctl/internal/graph"
+	"topoctl/internal/graph/graphtest"
 	"topoctl/internal/ubg"
 )
 
@@ -28,19 +29,20 @@ func distEqual(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*(1+math.Abs(b))
 }
 
-// checkPairs cross-checks the oracle against DijkstraTargetUni on topo for
+// checkPairs cross-checks the oracle against graphtest.Dijkstra on topo for
 // the given pairs. The oracle must certify (fresh oracles never decline).
-func checkPairs(t *testing.T, tag string, o *Oracle, topo graph.Topology, srch *graph.Searcher, pairs [][2]int) {
+func checkPairs(t *testing.T, tag string, o *Oracle, topo graph.Topology, pairs [][2]int) {
 	t.Helper()
+	dist := make([][]float64, topo.N()) // reference distances by source
 	for _, p := range pairs {
 		d, ok := o.Query(p[0], p[1])
 		if !ok {
 			t.Fatalf("%s: fresh oracle declined Query(%d,%d)", tag, p[0], p[1])
 		}
-		ref, refOK := srch.DijkstraTargetUni(topo, p[0], p[1], graph.Inf)
-		if !refOK {
-			ref = graph.Inf
+		if dist[p[0]] == nil {
+			dist[p[0]] = graphtest.Dijkstra(topo, p[0])
 		}
+		ref := dist[p[0]][p[1]]
 		if !distEqual(d, ref) {
 			t.Fatalf("%s: Query(%d,%d) = %v, reference %v", tag, p[0], p[1], d, ref)
 		}
@@ -80,10 +82,8 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 		f := graph.Freeze(g)
 		opts := Options{Radius: rng.Float64() * 3} // 0 exercises the default
 		pairs := samplePairs(rng, n, 60)
-		srch := graph.AcquireSearcher(n)
-		checkPairs(t, "graph", Build(g, opts), g, srch, pairs)
-		checkPairs(t, "frozen", Build(f, opts), f, srch, pairs)
-		graph.ReleaseSearcher(srch)
+		checkPairs(t, "graph", Build(g, opts), g, pairs)
+		checkPairs(t, "frozen", Build(f, opts), f, pairs)
 	}
 }
 
@@ -102,7 +102,6 @@ func TestDifferentialAdditionChains(t *testing.T) {
 		n := 8 + rng.Intn(33)
 		g := randomGraph(rng, n, 0.08)
 		o := Build(g, opts)
-		srch := graph.AcquireSearcher(n)
 		for step := 0; step < 6; step++ {
 			g = g.Clone()
 			var touched []int
@@ -120,9 +119,8 @@ func TestDifferentialAdditionChains(t *testing.T) {
 				// Declining is sound; rebuild and keep going.
 				o = Build(g, opts)
 			}
-			checkPairs(t, "chain", o, g, srch, samplePairs(rng, n, 40))
+			checkPairs(t, "chain", o, g, samplePairs(rng, n, 40))
 		}
-		graph.ReleaseSearcher(srch)
 	}
 }
 

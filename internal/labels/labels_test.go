@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"topoctl/internal/graph"
+	"topoctl/internal/graph/graphtest"
 )
 
 // pathGraph returns 0-1-2-...-(n-1) with unit weights.
@@ -105,11 +106,11 @@ func TestUpdateAnyChangeGoesStale(t *testing.T) {
 			if st := o2.Stats(); !st.Stale || st.StaleCommits != 1 {
 				t.Fatalf("successor stats = %+v, want stale after one commit", st)
 			}
-			srch := graph.NewSearcher(g.N())
 			for s := 0; s < g.N(); s++ {
+				dist := graphtest.Dijkstra(g, s)
 				for u := 0; u < g.N(); u++ {
 					d, ok := o.Query(s, u)
-					ref, _ := srch.DijkstraTargetUni(g, s, u, graph.Inf)
+					ref := dist[u]
 					if !ok || d != ref {
 						t.Fatalf("receiver Query(%d,%d) = %v, %v; want %v certified", s, u, d, ok, ref)
 					}

@@ -72,25 +72,6 @@ func StretchVsWeights(g, sp graph.Topology, weight func(u, v int, euclid float64
 	})
 }
 
-// HopStretch returns the maximum ratio, over edges {u,v} of g, of the
-// minimum hop count between u and v in sp to 1 (the hop count in g). This
-// is the latency analogue of Stretch: a weight-spanner can still force
-// many short hops, which matters when per-hop processing dominates
-// propagation delay. +Inf if some edge's endpoints are disconnected in sp.
-func HopStretch(g, sp graph.Topology) float64 {
-	workers := runtime.GOMAXPROCS(0)
-	return worstOverEdges(g.EdgesUnordered(), workers, func(s *graph.Searcher, e graph.Edge) float64 {
-		if sp.HasEdge(e.U, e.V) {
-			return 1
-		}
-		h, ok := s.HopsTo(sp, e.U, e.V)
-		if !ok {
-			return math.Inf(1)
-		}
-		return float64(h)
-	})
-}
-
 // worstOverEdges evaluates eval on every edge and returns the maximum (at
 // least 1), fanning the edges out over min(workers, len(edges)) goroutines
 // with one Searcher each. A worker stops early once it observes +Inf —

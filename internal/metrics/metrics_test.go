@@ -7,6 +7,7 @@ import (
 
 	"topoctl/internal/geom"
 	"topoctl/internal/graph"
+	"topoctl/internal/graph/graphtest"
 	"topoctl/internal/greedy"
 	"topoctl/internal/ubg"
 )
@@ -26,8 +27,8 @@ func metInstance(t testing.TB, n int, seed int64) *ubg.Instance {
 // bruteForceStretch computes stretch over all connected pairs via
 // Floyd–Warshall — the reference for the edge-restricted Stretch.
 func bruteForceStretch(g, sp *graph.Graph) float64 {
-	dg := g.FloydWarshall()
-	ds := sp.FloydWarshall()
+	dg := graphtest.FloydWarshall(g)
+	ds := graphtest.FloydWarshall(sp)
 	worst := 1.0
 	for u := 0; u < g.N(); u++ {
 		for v := u + 1; v < g.N(); v++ {
@@ -204,37 +205,5 @@ func TestStretchRandomizedAgainstBrute(t *testing.T) {
 		if math.Abs(fast-slow) > 1e-9 {
 			t.Fatalf("trial %d: %v != %v", trial, fast, slow)
 		}
-	}
-}
-
-func TestHopStretch(t *testing.T) {
-	// Base: triangle; spanner: path 0-1-2 (edge 0-2 needs 2 hops).
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(0, 2, 1.5)
-	sp := graph.New(3)
-	sp.AddEdge(0, 1, 1)
-	sp.AddEdge(1, 2, 1)
-	if got := HopStretch(g, sp); got != 2 {
-		t.Errorf("HopStretch = %v, want 2", got)
-	}
-	if got := HopStretch(g, g); got != 1 {
-		t.Errorf("self HopStretch = %v, want 1", got)
-	}
-	// Disconnected spanner.
-	empty := graph.New(3)
-	if got := HopStretch(g, empty); !math.IsInf(got, 1) {
-		t.Errorf("disconnected HopStretch = %v, want +Inf", got)
-	}
-}
-
-// TestHopStretchOnGreedySpanner: sanity band on a real instance.
-func TestHopStretchOnGreedySpanner(t *testing.T) {
-	inst := metInstance(t, 60, 65_000)
-	sp := greedy.Spanner(inst.G, 1.5)
-	hs := HopStretch(inst.G, sp)
-	if hs < 1 || hs > 50 {
-		t.Errorf("hop stretch %v implausible", hs)
 	}
 }

@@ -76,29 +76,3 @@ func TestStretchConcurrentCallers(t *testing.T) {
 		}
 	}
 }
-
-func TestHopStretchParallelMatchesDirect(t *testing.T) {
-	g, sp := stretchInstance(t, 80, 13)
-	got := HopStretch(g, sp)
-	// Reference: one full sequential BFS per edge (HopBall at unbounded
-	// depth — a different kernel from the early-exit HopsTo under test).
-	worst := 1.0
-	search := graph.NewSearcher(sp.N())
-	for _, e := range g.Edges() {
-		if sp.HasEdge(e.U, e.V) {
-			continue
-		}
-		h := math.Inf(1)
-		for _, vh := range search.HopBall(sp, e.U, sp.N()) {
-			if vh.V == e.V {
-				h = float64(vh.Hops)
-			}
-		}
-		if h > worst {
-			worst = h
-		}
-	}
-	if got != worst {
-		t.Fatalf("HopStretch %v != reference %v", got, worst)
-	}
-}

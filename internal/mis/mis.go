@@ -3,18 +3,15 @@
 // The paper invokes the O(log* n)-round MIS algorithm of Kuhn, Moscibroda
 // and Wattenhofer [11] on derived graphs that are unit ball graphs of
 // constant doubling dimension (Lemmas 15 and 20). Reimplementing the full
-// KMW machinery is out of scope (it is a separate paper); as documented in
-// DESIGN.md we substitute Luby's classical randomized distributed MIS, which
+// KMW machinery is out of scope (it is a separate paper), so this package
+// substitutes Luby's classical randomized distributed MIS, which
 // terminates in O(log n) rounds with high probability and provides the same
 // independence/maximality contract. The spanner's output quality does not
 // depend on which MIS is used — only the round count does — and the
 // experiment harness reports measured rounds alongside both analytic curves.
 package mis
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Result is the outcome of a distributed MIS computation.
 type Result struct {
@@ -106,33 +103,4 @@ func Greedy(adj [][]int) []bool {
 		}
 	}
 	return in
-}
-
-// Validate checks that in encodes a maximal independent set of the graph:
-// no two MIS vertices are adjacent, and every non-MIS vertex has an MIS
-// neighbor. It returns a list of violation descriptions (empty means valid).
-func Validate(adj [][]int, in []bool) []string {
-	var violations []string
-	for v := range adj {
-		if in[v] {
-			for _, w := range adj[v] {
-				if in[w] && v < w {
-					violations = append(violations, "adjacent MIS vertices")
-				}
-			}
-			continue
-		}
-		dominated := false
-		for _, w := range adj[v] {
-			if in[w] {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			violations = append(violations, "undominated non-MIS vertex")
-		}
-	}
-	sort.Strings(violations)
-	return violations
 }

@@ -2,6 +2,7 @@ package mis
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -169,4 +170,33 @@ func TestFromEdgePairsDedup(t *testing.T) {
 	if len(adj[0]) != 1 || len(adj[1]) != 1 || len(adj[2]) != 0 {
 		t.Errorf("dedup failed: %v", adj)
 	}
+}
+
+// Validate checks that in encodes a maximal independent set of the graph:
+// no two MIS vertices are adjacent, and every non-MIS vertex has an MIS
+// neighbor. It returns a list of violation descriptions (empty means valid).
+func Validate(adj [][]int, in []bool) []string {
+	var violations []string
+	for v := range adj {
+		if in[v] {
+			for _, w := range adj[v] {
+				if in[w] && v < w {
+					violations = append(violations, "adjacent MIS vertices")
+				}
+			}
+			continue
+		}
+		dominated := false
+		for _, w := range adj[v] {
+			if in[w] {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			violations = append(violations, "undominated non-MIS vertex")
+		}
+	}
+	sort.Strings(violations)
+	return violations
 }

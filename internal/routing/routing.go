@@ -272,14 +272,6 @@ type Stats struct {
 	AvgStretch float64
 }
 
-// DeliveryRate returns delivered/queries (1 for an empty workload).
-func (s Stats) DeliveryRate() float64 {
-	if s.Queries == 0 {
-		return 1
-	}
-	return float64(s.Delivered) / float64(s.Queries)
-}
-
 // Query is a source/destination pair.
 type Query struct{ S, T int }
 

@@ -310,9 +310,6 @@ func (s *Service) PublishFrozen(version uint64, points []geom.Point, alive []boo
 // frame for followers. GET /readyz is this, as an HTTP status.
 func (s *Service) Ready() bool { return s.ready.Load() }
 
-// Follower reports whether this service is a read-only replica.
-func (s *Service) Follower() bool { return s.follower }
-
 // ReplicaStatus describes a follower's replication link, for /healthz
 // and /stats. The zero value means "leader".
 type ReplicaStatus struct {

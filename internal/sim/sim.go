@@ -11,8 +11,8 @@
 // per-node state, of its k-hop neighborhood. Synchronous flooding is
 // deterministic, so the simulator never runs the protocol: Gather charges
 // exactly the rounds/messages/words the flood would use (an exact account,
-// not an estimate), and View computes, by BFS and on demand, what one node
-// holds afterwards.
+// not an estimate). The algorithms compute each phase centrally; only the
+// tests materialize what one node holds after a gather.
 package sim
 
 import (
@@ -47,9 +47,6 @@ type StepCost struct {
 func NewNetwork(g *graph.Graph) *Network {
 	return &Network{g: g, search: graph.NewSearcher(g.N()), perStep: make(map[string]*StepCost)}
 }
-
-// G returns the underlying communication graph.
-func (nw *Network) G() *graph.Graph { return nw.g }
 
 // Rounds returns the total number of communication rounds consumed.
 func (nw *Network) Rounds() int { return nw.rounds }
@@ -90,31 +87,12 @@ func (nw *Network) NeighborExchange(step string, wordsPer int64) {
 	nw.Charge(step, 1, m, m*wordsPer)
 }
 
-// LocalView is the knowledge a node has after a k-hop gather: the hop
-// distance of every known vertex and the full adjacency (with weights) of
-// every known vertex. Known vertices are exactly those within k hops of the
-// root; since adjacency of a vertex at hop k is known, edges to hop-(k+1)
-// vertices are visible as "dangling" endpoints, matching what flooding
-// delivers.
-type LocalView struct {
-	Root  int
-	Depth int
-	// Hops maps known vertex -> hop distance from Root (<= Depth).
-	Hops map[int]int
-}
-
-// Knows reports whether vertex v is inside the view.
-func (lv *LocalView) Knows(v int) bool {
-	_, ok := lv.Hops[v]
-	return ok
-}
-
 // Gather charges a k-hop flooding gather (k < 1 is treated as 1). The
 // protocol being accounted: in round 1 every node sends its own record (one
 // word per incident edge plus one) to all neighbors; in each later round
 // every node forwards the records it learned in the previous round to all
 // neighbors. After k rounds node u holds the records of every vertex within
-// k hops — View(u, k).
+// k hops.
 //
 // Rounds charged: k. Messages: for every ordered pair (w, x) of neighbors
 // and every record origin v, w forwards v's record to x in the round after w
@@ -135,41 +113,6 @@ func (nw *Network) Gather(step string, k int) {
 		}
 	}
 	nw.Charge(step, k, messages, words)
-}
-
-// View returns what node root holds after a depth-k Gather. It charges
-// nothing: Gather accounts the flood for every node at once, and a view is
-// only materialized for a node whose local computation is actually run
-// against it.
-func (nw *Network) View(root, k int) *LocalView {
-	ball := nw.search.HopBall(nw.g, root, k)
-	lv := &LocalView{Root: root, Depth: k, Hops: make(map[int]int, len(ball))}
-	for _, vh := range ball {
-		lv.Hops[vh.V] = vh.Hops
-	}
-	return lv
-}
-
-// Subgraph materializes the view as a standalone graph over the original
-// vertex IDs: it contains every edge of the communication graph whose both
-// endpoints are known to the view, so a computation run against it cannot
-// read past the node's k-hop horizon. Nothing forces computations through
-// it yet: dist.Build computes each phase centrally on the whole spanner and
-// charges the gather that would have delivered the views (ROADMAP item 8
-// owns running the per-node computations on them).
-func (lv *LocalView) Subgraph(g *graph.Graph) *graph.Graph {
-	sub := graph.New(g.N())
-	for v := 0; v < g.N(); v++ { // id order, not map order: the result is deterministic
-		if !lv.Knows(v) {
-			continue
-		}
-		for _, h := range g.Neighbors(v) {
-			if v < h.To && lv.Knows(h.To) {
-				sub.AddEdge(v, h.To, h.W)
-			}
-		}
-	}
-	return sub
 }
 
 // String summarizes the network counters.

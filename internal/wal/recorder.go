@@ -234,16 +234,6 @@ func (r *Recorder) Append(f *Frame, st *State) error {
 	return nil
 }
 
-// Checkpoint forces a full-snapshot checkpoint of st and rotates the log.
-func (r *Recorder) Checkpoint(st *State) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return fmt.Errorf("wal: checkpoint on closed recorder")
-	}
-	return r.checkpointLocked(st)
-}
-
 // checkpointLocked writes checkpoint-<epoch>, rotates to a fresh log, and
 // prunes generations beyond Keep. The checkpoint file is written to a
 // temp name, synced, then renamed — a crash mid-write leaves the previous

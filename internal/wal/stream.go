@@ -21,12 +21,6 @@ import (
 // responses, letting a catching-up follower report its lag.
 const EpochHeader = "X-Topoctl-Epoch"
 
-func (r *Recorder) epochNow() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch
-}
-
 // HandleCheckpoint serves the latest checkpoint record.
 func (r *Recorder) HandleCheckpoint(w http.ResponseWriter, req *http.Request) {
 	r.mu.Lock()
@@ -90,7 +84,8 @@ func (r *Recorder) HandleStream(w http.ResponseWriter, req *http.Request) {
 	}()
 
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(EpochHeader, strconv.FormatUint(r.epochNow(), 10))
+	epoch, _ := r.Epoch()
+	w.Header().Set(EpochHeader, strconv.FormatUint(epoch, 10))
 	flusher, _ := w.(http.Flusher)
 	// Flush the headers now: with an empty backlog the first frame may be
 	// far off, and the subscriber should learn promptly that the stream is

@@ -1,0 +1,11 @@
+package main
+
+import (
+	"fmt"
+
+	"fixture/internal/shape"
+)
+
+func main() {
+	fmt.Println(shape.Unit().Area())
+}
