@@ -153,15 +153,11 @@ func (cg *ClusterGraph) addInter(a, b int, w float64) {
 // MaxInterDegree returns the maximum number of inter-cluster edges incident
 // to any single center (the Lemma 6 quantity).
 func (cg *ClusterGraph) MaxInterDegree() int {
-	isCenter := make([]bool, cg.H.N())
-	for _, ctr := range cg.Cover.Centers {
-		isCenter[ctr] = true
-	}
 	max := 0
 	for _, ctr := range cg.Cover.Centers {
 		deg := 0
 		for _, h := range cg.H.Neighbors(ctr) {
-			if isCenter[h.To] {
+			if cg.Cover.IsCenter(h.To) {
 				deg++
 			}
 		}

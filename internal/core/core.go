@@ -43,7 +43,7 @@ type Options struct {
 	// rejected only when the partial spanner already packs k+1 disjoint
 	// t-paths, and redundancy removal is skipped (a removed edge's
 	// surviving counterpart is a single point of failure). Disjointness is
-	// packed on the partial spanner, not the cluster graph — see NeedsEdge.
+	// packed on the partial spanner, not the cluster graph — see needsEdge.
 	FaultK int
 	// FaultVertexMode switches FaultK to vertex faults (internally
 	// vertex-disjoint path packing), the strictly stronger guarantee.
@@ -107,6 +107,41 @@ type Result struct {
 // Euclidean lengths (as produced by internal/ubg); the output spanner's
 // weights are in opts.Metric units.
 func Build(points []geom.Point, g *graph.Graph, opts Options) (*Result, error) {
+	return Run(points, g, opts, sequential{})
+}
+
+// Protocol is what the distributed algorithm (§3) changes in the phase
+// loop: lazy updating makes every other step of a phase a local
+// computation on the spanner frozen at the end of the previous phase, so
+// the §2 and §3 builds share one driver, Run, and differ only here.
+type Protocol interface {
+	// Cover builds the step-(i) cluster cover of the frozen spanner sp.
+	Cover(sp *graph.Graph, radius float64) *cluster.Cover
+	// MIS returns a maximal independent set of the step-(v) conflict
+	// graph over a phase's additions. Run calls it only when the phase
+	// has a mutually redundant pair, after that phase's Cover.
+	MIS(conflict [][]int) []bool
+	// Done reports a finished non-empty phase, once per bin in bin order:
+	// the bin, its input edge count, the cover its steps ran on (nil for
+	// bin 0 and for EagerUpdates phases, which build none), and how many
+	// of its edges the spanner kept after redundancy removal.
+	Done(bin, edges int, cov *cluster.Cover, kept int)
+}
+
+// sequential is §2's protocol: greedy peeling, the greedy MIS, and no
+// accounting.
+type sequential struct{}
+
+func (sequential) Cover(sp *graph.Graph, radius float64) *cluster.Cover {
+	return cluster.GreedyCover(sp, radius)
+}
+func (sequential) MIS(conflict [][]int) []bool        { return mis.Greedy(conflict) }
+func (sequential) Done(int, int, *cluster.Cover, int) {}
+
+// Run is the phase driver of both builds: it validates the input, bins the
+// edges, runs phase 0 and then steps (i)–(v) of every non-empty bin, with
+// the cover, the redundancy MIS and the per-phase report left to proto.
+func Run(points []geom.Point, g *graph.Graph, opts Options, proto Protocol) (*Result, error) {
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -125,6 +160,7 @@ func Build(points []geom.Point, g *graph.Graph, opts Options) (*Result, error) {
 		opts:   opts,
 		p:      opts.Params,
 		sp:     graph.New(g.N()),
+		proto:  proto,
 	}
 	if opts.BinRatio > 1 {
 		b.p.R = opts.BinRatio
@@ -142,6 +178,7 @@ type builder struct {
 	sp     *graph.Graph // output spanner, metric weights
 	bins   Bins
 	stats  Stats
+	proto  Protocol
 }
 
 func (b *builder) run() {
@@ -150,29 +187,33 @@ func (b *builder) run() {
 	b.stats.Phases = b.bins.M + 1
 
 	// Distribute edges into bins by Euclidean length.
-	byBin := BinEdges(b.g, b.bins, b.opts.Metric)
+	byBin := binEdges(b.g, b.bins, b.opts.Metric)
 	b.stats.EdgesTotal = b.g.M()
 	b.stats.EdgesShort = len(byBin[0])
 
-	added := Phase0(b.points, b.sp, byBin[0], b.p.T, b.opts.Metric, b.opts.FaultK, b.opts.faultMode())
-	b.stats.Added += added
+	if len(byBin[0]) > 0 {
+		added := phase0(b.points, b.sp, byBin[0], b.p.T, b.opts.Metric, b.opts.FaultK, b.opts.faultMode())
+		b.stats.Added += added
+		b.proto.Done(0, len(byBin[0]), nil, added)
+	}
 
 	// Remaining bins in increasing order, skipping empty ones (pure
 	// optimization: an empty phase performs no queries and no updates).
 	for i := 1; i < len(byBin); i++ {
 		if len(byBin[i]) > 0 {
 			b.stats.NonEmptyPhases++
-			b.phase(i, byBin[i])
+			cov, kept := b.phase(i, byBin[i])
+			b.proto.Done(i, len(byBin[i]), cov, kept)
 		}
 	}
 }
 
-// BinEdges distributes the edges of g (Euclidean weights) into the bin
+// binEdges distributes the edges of g (Euclidean weights) into the bin
 // schedule, annotating each with its metric weight: byBin[i] holds bin i's
 // edges, for i in [0, bins.M]. Edge order within a bin is irrelevant (every
 // consumer sorts or groups deterministically), so the unsorted edge
 // enumeration suffices.
-func BinEdges(g *graph.Graph, bins Bins, m Metric) [][]EdgeInfo {
+func binEdges(g *graph.Graph, bins Bins, m Metric) [][]EdgeInfo {
 	byBin := make([][]EdgeInfo, bins.M+1)
 	for _, e := range g.EdgesUnordered() {
 		i := bins.Index(e.W)
@@ -181,16 +222,12 @@ func BinEdges(g *graph.Graph, bins Bins, m Metric) [][]EdgeInfo {
 	return byBin
 }
 
-// Phase0 implements PROCESS-SHORT-EDGES (§2.1): the connected components of
+// phase0 implements PROCESS-SHORT-EDGES (§2.1): the connected components of
 // the bin-0 graph are cliques in G (Lemma 1); each is t-spanned by
 // SEQ-GREEDY over its full clique (the k-fault-tolerant greedy when
 // faultK > 0). Retained edges are inserted into sp with metric weights;
-// the number added is returned. Exported because the distributed algorithm
-// runs the identical local computation per component (Theorem 14).
-func Phase0(points []geom.Point, sp *graph.Graph, short []EdgeInfo, t float64, m Metric, faultK int, faultMode fault.Mode) int {
-	if len(short) == 0 {
-		return 0
-	}
+// the number added is returned.
+func phase0(points []geom.Point, sp *graph.Graph, short []EdgeInfo, t float64, m Metric, faultK int, faultMode fault.Mode) int {
 	g0 := graph.New(sp.N())
 	for _, e := range short {
 		g0.AddEdge(e.U, e.V, e.Dist)
@@ -212,11 +249,11 @@ func Phase0(points []geom.Point, sp *graph.Graph, short []EdgeInfo, t float64, m
 	return added
 }
 
-// phase implements PROCESS-LONG-EDGES (§2.2) for one bin.
-func (b *builder) phase(i int, edges []EdgeInfo) {
+// phase implements PROCESS-LONG-EDGES (§2.2) for one bin. It returns the
+// cover its steps ran on and the number of the bin's edges it kept.
+func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 	if b.opts.EagerUpdates {
-		b.phaseEager(edges)
-		return
+		return nil, b.phaseEager(edges)
 	}
 
 	wPrev := b.opts.Metric.Weight(b.bins.Ceiling(i - 1)) // W_{i-1}, metric units
@@ -224,7 +261,7 @@ func (b *builder) phase(i int, edges []EdgeInfo) {
 	crossBound := (2*b.p.Delta + 1) * wPrev
 
 	// Step (i): cluster cover of G'_{i-1}.
-	cov := cluster.GreedyCover(b.sp, radius)
+	cov := b.proto.Cover(b.sp, radius)
 
 	// Step (iii) [built before queries are answered]: cluster graph H_{i-1}.
 	// Inter-edges heavier than t·W_i can never serve a query in this phase.
@@ -237,7 +274,7 @@ func (b *builder) phase(i int, edges []EdgeInfo) {
 	// Step (ii): select query edges. Fault-tolerant builds disable the
 	// covered-edge filter: coverage rests on a single spanner edge {u,z},
 	// a single point of failure.
-	queries, st := SelectQueries(b.points, b.sp, cov, edges, SelectOpts{
+	queries, st := selectQueries(b.points, b.sp, cov, edges, selectOpts{
 		T: b.p.T, Theta: b.p.Theta, Alpha: b.p.Alpha,
 		DisableCoveredFilter: b.opts.DisableCoveredFilter || b.opts.FaultK > 0,
 		DisableQueryFilter:   b.opts.DisableQueryFilter,
@@ -254,10 +291,10 @@ func (b *builder) phase(i int, edges []EdgeInfo) {
 	for _, q := range queries {
 		b.stats.Queried++
 		if b.opts.FaultK > 0 {
-			if !NeedsEdge(b.sp, q, b.p.T, b.opts.FaultK, b.opts.faultMode()) {
+			if !needsEdge(b.sp, q, b.p.T, b.opts.FaultK, b.opts.faultMode()) {
 				continue
 			}
-		} else if !NeedsEdge(cg.H, q, b.p.T, 0, fault.EdgeFaults) {
+		} else if !needsEdge(cg.H, q, b.p.T, 0, fault.EdgeFaults) {
 			continue
 		}
 		added = append(added, q)
@@ -270,14 +307,17 @@ func (b *builder) phase(i int, edges []EdgeInfo) {
 	// Step (v): remove mutually redundant edges among this phase's
 	// additions. Skipped for fault-tolerant builds: a removed edge relies
 	// on exactly one surviving counterpart, a single point of failure.
+	removed := 0
 	if !b.opts.DisableRedundancy && b.opts.FaultK == 0 && len(added) > 1 {
 		bound := b.p.T1 * b.opts.Metric.Weight(b.bins.Ceiling(i))
-		pairs := FindRedundantPairs(cg.H, added, b.p.T1, bound)
-		b.stats.RemovedRedundant += RemoveNonMIS(b.sp, added, pairs, mis.Greedy)
+		pairs := findRedundantPairs(cg.H, added, b.p.T1, bound)
+		removed = removeNonMIS(b.sp, added, pairs, b.proto.MIS)
+		b.stats.RemovedRedundant += removed
 	}
+	return cov, len(added) - removed
 }
 
-func (b *builder) absorbSelectStats(st SelectStats) {
+func (b *builder) absorbSelectStats(st selectStats) {
 	b.stats.AlreadyInSpanner += st.AlreadyInSpanner
 	b.stats.SameCluster += st.SameCluster
 	b.stats.Covered += st.Covered
@@ -287,15 +327,15 @@ func (b *builder) absorbSelectStats(st SelectStats) {
 	}
 }
 
-// NeedsEdge is the query-answering rule shared by the sequential and
-// distributed implementations: edge q must be added unless graph h already
-// contains a t-path (faultK = 0), or k+1 disjoint t-paths under the given
-// fault mode (faultK = k > 0, the §1.6.1 extension). For faultK = 0
-// callers pass the frozen cluster graph H; for faultK > 0 they must pass
-// the partial spanner itself, because disjointness on H does not certify
-// disjointness in G'. Both searches stay inside the metric ball of radius
-// t·w(q) around the endpoints, so the computation remains local (Theorem 9).
-func NeedsEdge(h *graph.Graph, q EdgeInfo, t float64, faultK int, mode fault.Mode) bool {
+// needsEdge is the query-answering rule of step (iv): edge q must be
+// added unless graph h already contains a t-path (faultK = 0), or k+1
+// disjoint t-paths under the given fault mode (faultK = k > 0, the §1.6.1
+// extension). For faultK = 0 callers pass the frozen cluster graph H; for
+// faultK > 0 they must pass the partial spanner itself, because
+// disjointness on H does not certify disjointness in G'. Both searches
+// stay inside the metric ball of radius t·w(q) around the endpoints, so
+// the computation remains local (Theorem 9).
+func needsEdge(h *graph.Graph, q EdgeInfo, t float64, faultK int, mode fault.Mode) bool {
 	bound := t * q.W
 	if faultK == 0 {
 		return !h.ReachableWithin(q.U, q.V, bound)
@@ -303,15 +343,13 @@ func NeedsEdge(h *graph.Graph, q EdgeInfo, t float64, faultK int, mode fault.Mod
 	return !fault.DisjointPathsAtLeast(h, q.U, q.V, bound, faultK+1, mode)
 }
 
-// RemoveNonMIS builds the conflict graph over added edges from the given
+// removeNonMIS builds the conflict graph over added edges from the given
 // redundant pairs, computes an MIS with the supplied backend, and removes
 // from sp every conflicted edge outside the MIS. It returns the number of
 // removed edges. Removed edges form an independent set's complement within
 // the conflict graph, so every removed edge retains a surviving mutually
-// redundant counterpart — the property Theorem 10's proof needs. Exported
-// because the distributed implementation runs the identical removal rule
-// with its own (round-counted) MIS backend.
-func RemoveNonMIS(sp *graph.Graph, added []EdgeInfo, pairs [][2]int, misFn func([][]int) []bool) int {
+// redundant counterpart — the property Theorem 10's proof needs.
+func removeNonMIS(sp *graph.Graph, added []EdgeInfo, pairs [][2]int, misFn func([][]int) []bool) int {
 	if len(pairs) == 0 {
 		return 0
 	}
@@ -333,8 +371,9 @@ func RemoveNonMIS(sp *graph.Graph, added []EdgeInfo, pairs [][2]int, misFn func(
 
 // phaseEager is the non-lazy ablation arm: candidates are tested one by one
 // with exact queries on the live spanner (cover filtering still applies so
-// the comparison isolates the lazy-update ingredient).
-func (b *builder) phaseEager(edges []EdgeInfo) {
+// the comparison isolates the lazy-update ingredient). It returns the
+// number of edges added.
+func (b *builder) phaseEager(edges []EdgeInfo) int {
 	sort.Slice(edges, func(x, y int) bool {
 		a, c := edges[x], edges[y]
 		if a.W != c.W {
@@ -345,6 +384,7 @@ func (b *builder) phaseEager(edges []EdgeInfo) {
 		}
 		return a.V < c.V
 	})
+	added := 0
 	for _, e := range edges {
 		if b.sp.HasEdge(e.U, e.V) {
 			b.stats.AlreadyInSpanner++
@@ -360,5 +400,7 @@ func (b *builder) phaseEager(edges []EdgeInfo) {
 		}
 		b.sp.AddEdge(e.U, e.V, e.W)
 		b.stats.Added++
+		added++
 	}
+	return added
 }

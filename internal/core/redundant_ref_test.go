@@ -15,7 +15,7 @@ import (
 )
 
 // refFindRedundantPairs is the map-based all-pairs scan the local
-// FindRedundantPairs replaced, kept verbatim as the differential reference.
+// findRedundantPairs replaced, kept verbatim as the differential reference.
 func refFindRedundantPairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) [][2]int {
 	s := graph.AcquireSearcher(h.N())
 	defer graph.ReleaseSearcher(s)
@@ -54,15 +54,15 @@ func refFindRedundantPairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) 
 }
 
 // replayPhases re-runs Build's lazy phases (no ablations, no fault
-// tolerance) step by step from the exported pieces, calling check on every
-// phase's redundancy input and then removing the pairs FindRedundantPairs
+// tolerance) step by step from the same pieces, calling check on every
+// phase's redundancy input and then removing the pairs findRedundantPairs
 // reports, exactly as Build does. It returns the spanner it arrives at.
 func replayPhases(pts []geom.Point, g *graph.Graph, p Params, check func(h *graph.Graph, added []EdgeInfo, t1, bound float64)) *graph.Graph {
 	m := EuclideanMetric
 	sp := graph.New(g.N())
 	bins := NewBins(g.N(), p)
-	byBin := BinEdges(g, bins, m)
-	Phase0(pts, sp, byBin[0], p.T, m, 0, fault.EdgeFaults)
+	byBin := binEdges(g, bins, m)
+	phase0(pts, sp, byBin[0], p.T, m, 0, fault.EdgeFaults)
 	for i := 1; i < len(byBin); i++ {
 		if len(byBin[i]) == 0 {
 			continue
@@ -70,10 +70,10 @@ func replayPhases(pts []geom.Point, g *graph.Graph, p Params, check func(h *grap
 		wPrev := m.Weight(bins.Ceiling(i - 1))
 		cov := cluster.GreedyCover(sp, p.Delta*wPrev)
 		cg := cluster.BuildClusterGraph(sp, cov, wPrev, (2*p.Delta+1)*wPrev, p.T*m.Weight(bins.Ceiling(i)))
-		queries, _ := SelectQueries(pts, sp, cov, byBin[i], SelectOpts{T: p.T, Theta: p.Theta, Alpha: p.Alpha})
+		queries, _ := selectQueries(pts, sp, cov, byBin[i], selectOpts{T: p.T, Theta: p.Theta, Alpha: p.Alpha})
 		var added []EdgeInfo
 		for _, q := range queries {
-			if NeedsEdge(cg.H, q, p.T, 0, fault.EdgeFaults) {
+			if needsEdge(cg.H, q, p.T, 0, fault.EdgeFaults) {
 				added = append(added, q)
 			}
 		}
@@ -83,7 +83,7 @@ func replayPhases(pts []geom.Point, g *graph.Graph, p Params, check func(h *grap
 		if len(added) > 1 {
 			bound := p.T1 * m.Weight(bins.Ceiling(i))
 			check(cg.H, added, p.T1, bound)
-			RemoveNonMIS(sp, added, FindRedundantPairs(cg.H, added, p.T1, bound), mis.Greedy)
+			removeNonMIS(sp, added, findRedundantPairs(cg.H, added, p.T1, bound), mis.Greedy)
 		}
 	}
 	return sp
@@ -103,7 +103,7 @@ func TestFindRedundantPairsMatchesReference(t *testing.T) {
 			inst := pinnedInstance(t, tc.n, tc.seed)
 			p := mustParams(t, tc.eps, 0.75, 2)
 			sp := replayPhases(inst.Points, inst.G, p, func(h *graph.Graph, added []EdgeInfo, t1, bound float64) {
-				got := FindRedundantPairs(h, added, t1, bound)
+				got := findRedundantPairs(h, added, t1, bound)
 				want := refFindRedundantPairs(h, added, t1, bound)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%d added edges: pairs %v, reference %v", len(added), got, want)
@@ -153,7 +153,7 @@ func TestFindRedundantPairsMatchesReferenceRandom(t *testing.T) {
 		}
 		for _, t1 := range []float64{1.1, 1.5, 3} {
 			for _, bound := range []float64{0.1, 0.5, math.Inf(1)} {
-				got := FindRedundantPairs(h, added, t1, bound)
+				got := findRedundantPairs(h, added, t1, bound)
 				want := refFindRedundantPairs(h, added, t1, bound)
 				if !slices.Equal(got, want) {
 					t.Fatalf("rep %d, t1=%v, bound=%v: pairs %v, reference %v", rep, t1, bound, got, want)

@@ -21,8 +21,8 @@ type EdgeInfo struct {
 	W float64
 }
 
-// SelectOpts parameterizes query-edge selection.
-type SelectOpts struct {
+// selectOpts parameterizes query-edge selection.
+type selectOpts struct {
 	// T, Theta, Alpha are the stretch, covered-edge angle and UBG radius.
 	T, Theta, Alpha float64
 	// DisableCoveredFilter and DisableQueryFilter are ablation switches
@@ -36,8 +36,8 @@ type SelectOpts struct {
 	PerPairExtra int
 }
 
-// SelectStats reports what the selection filtered.
-type SelectStats struct {
+// selectStats reports what the selection filtered.
+type selectStats struct {
 	AlreadyInSpanner int
 	SameCluster      int
 	Covered          int
@@ -80,17 +80,17 @@ func coveredAt(points []geom.Point, sp *graph.Graph, u, v int, duv, alpha, theta
 	return false
 }
 
-// SelectQueries implements §2.2.2: it drops edges already in the spanner,
+// selectQueries implements §2.2.2: it drops edges already in the spanner,
 // intra-cluster edges (always already t-spanned), and covered edges, then
 // keeps exactly one query edge per cluster pair — the minimizer of
 // t·w(x,y) − sp(a,x) − sp(b,y) (formula (1)) with deterministic
 // lexicographic tie-breaking, so independent executions (e.g. the two
 // cluster heads of a pair in the distributed algorithm) select the same
 // edge. The result is sorted deterministically.
-func SelectQueries(points []geom.Point, sp *graph.Graph, cov *cluster.Cover, edges []EdgeInfo, o SelectOpts) ([]EdgeInfo, SelectStats) {
+func selectQueries(points []geom.Point, sp *graph.Graph, cov *cluster.Cover, edges []EdgeInfo, o selectOpts) ([]EdgeInfo, selectStats) {
 	type key struct{ a, b int }
 	keep := 1 + o.PerPairExtra
-	var st SelectStats
+	var st selectStats
 	perPair := make(map[key][]scoredEdge)
 	var all, sameCluster []EdgeInfo
 	for _, e := range edges {
@@ -184,7 +184,7 @@ func sortEdgeInfos(es []EdgeInfo) {
 	})
 }
 
-// FindRedundantPairs implements the mutual-redundancy test of §2.2.5 over
+// findRedundantPairs implements the mutual-redundancy test of §2.2.5 over
 // the edges added in one phase, measuring distances on the frozen cluster
 // graph h exactly as the queries were. Pair (i, j) is reported when, for
 // the better of the two endpoint pairings (the d_J minimum of Lemma 20),
@@ -197,7 +197,7 @@ func sortEdgeInfos(es []EdgeInfo) {
 // finite only if u' or v' lies within bound of u: edge i is tested only
 // against the later edges with an endpoint in u's ball, which is exact.
 // Pairs come out in (i, j) order.
-func FindRedundantPairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) [][2]int {
+func findRedundantPairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) [][2]int {
 	n := h.N()
 	s := graph.AcquireSearcher(n)
 	defer graph.ReleaseSearcher(s)

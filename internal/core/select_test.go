@@ -77,7 +77,7 @@ func TestSelectQueriesOnePerClusterPair(t *testing.T) {
 		d := geom.Dist(fx.points[pr[0]], fx.points[pr[1]])
 		edges = append(edges, EdgeInfo{U: pr[0], V: pr[1], Dist: d, W: d})
 	}
-	got, st := SelectQueries(fx.points, fx.sp, fx.cov, edges, SelectOpts{
+	got, st := selectQueries(fx.points, fx.sp, fx.cov, edges, selectOpts{
 		T: 1.5, Theta: 0.15, Alpha: 1.0, DisableCoveredFilter: true,
 	})
 	if len(got) != 1 {
@@ -101,7 +101,7 @@ func TestSelectQueriesOnePerClusterPair(t *testing.T) {
 func TestSelectQueriesSkipsSameCluster(t *testing.T) {
 	fx := newSelectFixture(t)
 	d := geom.Dist(fx.points[1], fx.points[2])
-	got, st := SelectQueries(fx.points, fx.sp, fx.cov, []EdgeInfo{{U: 1, V: 2, Dist: d, W: d}}, SelectOpts{
+	got, st := selectQueries(fx.points, fx.sp, fx.cov, []EdgeInfo{{U: 1, V: 2, Dist: d, W: d}}, selectOpts{
 		T: 1.5, Theta: 0.15, Alpha: 1.0,
 	})
 	if len(got) != 0 || st.SameCluster != 1 {
@@ -111,7 +111,7 @@ func TestSelectQueriesSkipsSameCluster(t *testing.T) {
 
 func TestSelectQueriesSkipsSpannerEdges(t *testing.T) {
 	fx := newSelectFixture(t)
-	got, st := SelectQueries(fx.points, fx.sp, fx.cov, []EdgeInfo{{U: 0, V: 1, Dist: 0.02, W: 0.02}}, SelectOpts{
+	got, st := selectQueries(fx.points, fx.sp, fx.cov, []EdgeInfo{{U: 0, V: 1, Dist: 0.02, W: 0.02}}, selectOpts{
 		T: 1.5, Theta: 0.15, Alpha: 1.0,
 	})
 	if len(got) != 0 || st.AlreadyInSpanner != 1 {
@@ -197,7 +197,7 @@ func TestFindRedundantPairsDetectsMutualRedundancy(t *testing.T) {
 		{U: 0, V: 1, Dist: 0.5, W: 0.5},
 		{U: 2, V: 3, Dist: 0.5, W: 0.5},
 	}
-	pairs := FindRedundantPairs(h, added, 1.25, 1.0)
+	pairs := findRedundantPairs(h, added, 1.25, 1.0)
 	if len(pairs) != 1 {
 		t.Fatalf("pairs = %v, want one", pairs)
 	}
@@ -213,7 +213,7 @@ func TestFindRedundantPairsCrossPairing(t *testing.T) {
 		{U: 0, V: 1, Dist: 0.5, W: 0.5},
 		{U: 3, V: 2, Dist: 0.5, W: 0.5},
 	}
-	pairs := FindRedundantPairs(h, added, 1.25, 1.0)
+	pairs := findRedundantPairs(h, added, 1.25, 1.0)
 	if len(pairs) != 1 {
 		t.Fatalf("cross-pairing missed: %v", pairs)
 	}
@@ -228,7 +228,7 @@ func TestFindRedundantPairsRespectsT1(t *testing.T) {
 		{U: 0, V: 1, Dist: 0.5, W: 0.5},
 		{U: 2, V: 3, Dist: 0.5, W: 0.5},
 	}
-	if pairs := FindRedundantPairs(h, added, 1.25, 1.0); len(pairs) != 0 {
+	if pairs := findRedundantPairs(h, added, 1.25, 1.0); len(pairs) != 0 {
 		t.Fatalf("non-redundant pair flagged: %v", pairs)
 	}
 }
@@ -239,7 +239,7 @@ func TestFindRedundantPairsDisconnected(t *testing.T) {
 		{U: 0, V: 1, Dist: 0.5, W: 0.5},
 		{U: 2, V: 3, Dist: 0.5, W: 0.5},
 	}
-	if pairs := FindRedundantPairs(h, added, 1.25, 1.0); len(pairs) != 0 {
+	if pairs := findRedundantPairs(h, added, 1.25, 1.0); len(pairs) != 0 {
 		t.Fatalf("disconnected endpoints flagged: %v", pairs)
 	}
 }

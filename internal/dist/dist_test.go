@@ -65,6 +65,9 @@ func TestDistMatchesCore(t *testing.T) {
 			if got := fmt.Sprint(res.Spanner.Edges()); got != want {
 				t.Fatalf("distributed spanner (greedy MIS) diverged from sequential\n got: %s\nwant: %s", got, want)
 			}
+			if res.Stats != seq.Stats {
+				t.Fatalf("distributed stats (greedy MIS) diverged from sequential\n got: %+v\nwant: %+v", res.Stats, seq.Stats)
+			}
 			if s := metrics.Stretch(inst.G, res.Spanner); s > p.T+1e-9 {
 				t.Fatalf("greedy MIS: stretch %v exceeds t=%v", s, p.T)
 			}
@@ -154,23 +157,72 @@ func TestDistCommunicationDeterministicAndPositive(t *testing.T) {
 }
 
 // TestDistStatsMatchCoreCounters checks the shared work counters: the
-// distributed build reports the same added-edge totals as its spanner.
+// distributed build reports the same added-edge totals as its spanner, and
+// core's driver reports every non-empty bin exactly once — phase 0 when it
+// has edges — with the edges it kept net of redundancy removal. The second
+// instance packs 48 points into a quarter-side square, so bin 0 is
+// populated (the unit square leaves it empty at this n).
 func TestDistStatsMatchCoreCounters(t *testing.T) {
-	inst := distInstance(t, 48, 0.75, 6)
+	dense, err := ubg.GenerateConnected(
+		geom.CloudConfig{Kind: geom.CloudUniform, N: 48, Dim: 2, Seed: 1, Side: 0.25},
+		ubg.Config{Alpha: 0.75, Model: ubg.ModelAll, Seed: 1},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, err := core.NewParams(0.5, 0.75, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Build(inst.Points, inst.G, Options{Params: p, Seed: 1})
+	for _, inst := range []*ubg.Instance{distInstance(t, 48, 0.75, 6), dense} {
+		res, err := Build(inst.Points, inst.G, Options{Params: p, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Spanner.M(), res.Stats.Added-res.Stats.RemovedRedundant; got != want {
+			t.Fatalf("spanner has %d edges but stats say %d added - %d removed",
+				got, res.Stats.Added, res.Stats.RemovedRedundant)
+		}
+		if res.Stats.Phases <= 0 || res.Stats.EdgesTotal != inst.G.M() {
+			t.Fatalf("stats inconsistent: %+v", res.Stats)
+		}
+		kept := 0
+		for _, pc := range res.Phases {
+			kept += pc.Added
+		}
+		if kept != res.Spanner.M() {
+			t.Fatalf("phase costs add %d edges, spanner has %d", kept, res.Spanner.M())
+		}
+		want := res.Stats.NonEmptyPhases
+		if res.Stats.EdgesShort > 0 {
+			want++
+		}
+		if len(res.Phases) != want {
+			t.Fatalf("%d phase costs, want %d (NonEmptyPhases %d, EdgesShort %d)",
+				len(res.Phases), want, res.Stats.NonEmptyPhases, res.Stats.EdgesShort)
+		}
+	}
+}
+
+// TestBuildInputValidation: the distributed build rejects what core.Run
+// rejects — invalid params, an invalid metric, and a point count that does
+// not match the graph.
+func TestBuildInputValidation(t *testing.T) {
+	inst := distInstance(t, 20, 0.75, 14)
+	good, err := core.NewParams(0.5, 0.75, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.Spanner.M(), res.Stats.Added-res.Stats.RemovedRedundant; got != want {
-		t.Fatalf("spanner has %d edges but stats say %d added - %d removed",
-			got, res.Stats.Added, res.Stats.RemovedRedundant)
+	if _, err := Build(inst.Points[:10], inst.G, Options{Params: good}); err == nil {
+		t.Error("mismatched point count accepted")
 	}
-	if res.Stats.Phases <= 0 || res.Stats.EdgesTotal != inst.G.M() {
-		t.Fatalf("stats inconsistent: %+v", res.Stats)
+	bad := good
+	bad.R = 0.5
+	if _, err := Build(inst.Points, inst.G, Options{Params: bad}); err == nil {
+		t.Error("invalid params accepted")
+	}
+	if _, err := Build(inst.Points, inst.G, Options{Params: good, Metric: core.Metric{Coeff: -1, Gamma: 1}}); err == nil {
+		t.Error("invalid metric accepted")
 	}
 }
 
