@@ -85,7 +85,7 @@ func benchInstance(b *testing.B, n int) *ubg.Instance {
 // instead: constant density keeps the edge count linear in n and the
 // shortest paths long, the regime of the serving path's point-to-point
 // searches.
-func benchInstanceDensity(b *testing.B, n int, deg float64) *ubg.Instance {
+func benchInstanceDensity(b testing.TB, n int, deg float64) *ubg.Instance {
 	b.Helper()
 	inst, err := ubg.GenerateConnected(
 		geom.CloudConfig{Kind: geom.CloudUniform, N: n, Dim: 2, Side: ubg.DensitySide(n, 2, 1, deg), Seed: 1},

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"topoctl/internal/geom"
@@ -29,7 +30,7 @@ func testSpanner(t *testing.T, n int, seed int64) *graph.Graph {
 func TestGreedyCoverContract(t *testing.T) {
 	sp := testSpanner(t, 90, 600)
 	for _, radius := range []float64{0.05, 0.2, 0.5, 1.5} {
-		cov := GreedyCover(sp, radius)
+		cov := GreedyCover(sp, radius, nil)
 		if errs := cov.Check(sp); len(errs) > 0 {
 			t.Errorf("radius %v: %v", radius, errs)
 		}
@@ -39,12 +40,12 @@ func TestGreedyCoverContract(t *testing.T) {
 func TestGreedyCoverExtremes(t *testing.T) {
 	sp := testSpanner(t, 50, 601)
 	// Radius 0: every vertex is its own center.
-	cov := GreedyCover(sp, 0)
+	cov := GreedyCover(sp, 0, nil)
 	if len(cov.Centers) != sp.N() {
 		t.Errorf("radius 0: %d centers, want %d", len(cov.Centers), sp.N())
 	}
 	// Huge radius on a connected graph: one center.
-	cov = GreedyCover(sp, 1e9)
+	cov = GreedyCover(sp, 1e9, nil)
 	if len(cov.Centers) != 1 {
 		t.Errorf("huge radius: %d centers, want 1", len(cov.Centers))
 	}
@@ -57,7 +58,7 @@ func TestGreedyCoverDisconnected(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(2, 3, 1)
-	cov := GreedyCover(g, 10)
+	cov := GreedyCover(g, 10, nil)
 	if len(cov.Centers) != 2 {
 		t.Errorf("disconnected cover: %d centers, want 2", len(cov.Centers))
 	}
@@ -90,7 +91,7 @@ func TestCoverFromCentersMatchesPaperRule(t *testing.T) {
 			centers = append(centers, v)
 		}
 	}
-	cov, err := CoverFromCenters(sp, radius, centers)
+	cov, err := CoverFromCenters(sp, radius, centers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestCoverFromCentersRejectsNonDominating(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 1)
 	// Vertex 2 isolated; centers {0} cannot cover it.
-	if _, err := CoverFromCenters(g, 5, []int{0}); err == nil {
+	if _, err := CoverFromCenters(g, 5, []int{0}, nil); err == nil {
 		t.Error("non-dominating center set accepted")
 	}
 }
@@ -138,8 +139,8 @@ func TestClusterGraphLemma5InterWeightBound(t *testing.T) {
 	sp := greedy.Spanner(inst.G, 1.5)
 	delta := 0.1
 	for _, w := range []float64{0.3, 0.4, 0.8} {
-		cov := GreedyCover(sp, delta*w)
-		cg := BuildClusterGraph(sp, cov, w, (2*delta+1)*w, 0)
+		cov := GreedyCover(sp, delta*w, nil)
+		cg := BuildClusterGraph(sp, cov, w, (2*delta+1)*w, 0, nil)
 		if cg.MaxInterWeight > (2*delta+1)*w+1e-9 {
 			t.Errorf("w=%v: inter weight %v exceeds Lemma 5 bound %v", w, cg.MaxInterWeight, (2*delta+1)*w)
 		}
@@ -157,8 +158,8 @@ func TestClusterGraphRescuePass(t *testing.T) {
 	g.AddEdge(1, 2, 0.8)
 	delta := 0.1
 	w := 0.1
-	cov := GreedyCover(g, delta*w)
-	cg := BuildClusterGraph(g, cov, w, (2*delta+1)*w, 0)
+	cov := GreedyCover(g, delta*w, nil)
+	cg := BuildClusterGraph(g, cov, w, (2*delta+1)*w, 0, nil)
 	// Centers of 1 and 2 differ; the crossing edge must yield an H inter-
 	// edge despite sp(center(1), center(2)) ≈ 0.8 > crossBound.
 	a, b := cov.Center[1], cov.Center[2]
@@ -169,7 +170,7 @@ func TestClusterGraphRescuePass(t *testing.T) {
 		t.Errorf("rescue inter-edge missing or mis-weighted: %v %v", wgt, ok)
 	}
 	// With a rescueBound below the edge weight the rescue must be skipped.
-	cg2 := BuildClusterGraph(g, cov, w, (2*delta+1)*w, 0.5)
+	cg2 := BuildClusterGraph(g, cov, w, (2*delta+1)*w, 0.5, nil)
 	if _, ok := cg2.H.EdgeWeight(a, b); ok {
 		t.Error("rescueBound did not cap the rescue search")
 	}
@@ -194,8 +195,8 @@ func TestClusterGraphLemma7Distortion(t *testing.T) {
 	sp := greedy.Spanner(inst.G, 1.5)
 	delta := 0.08
 	w := 0.35
-	cov := GreedyCover(sp, delta*w)
-	cg := BuildClusterGraph(sp, cov, w, (2*delta+1)*w, 0)
+	cov := GreedyCover(sp, delta*w, nil)
+	cg := BuildClusterGraph(sp, cov, w, (2*delta+1)*w, 0, nil)
 	factor := (1 + 6*delta) / (1 - 2*delta)
 	checked := 0
 	search := graph.NewSearcher(sp.N())
@@ -227,6 +228,22 @@ func TestClusterGraphLemma7Distortion(t *testing.T) {
 	}
 }
 
+// maxInterDegree returns the maximum number of inter-cluster edges
+// incident to any single center of cg (the Lemma 6 quantity).
+func maxInterDegree(cg *ClusterGraph) int {
+	best := 0
+	for _, ctr := range cg.Cover.Centers {
+		deg := 0
+		for _, h := range cg.H.Neighbors(ctr) {
+			if cg.Cover.IsCenter(h.To) {
+				deg++
+			}
+		}
+		best = max(best, deg)
+	}
+	return best
+}
+
 // TestClusterGraphLemma6InterDegreeConstant: inter-cluster degree must not
 // grow with n.
 func TestClusterGraphLemma6InterDegreeConstant(t *testing.T) {
@@ -235,9 +252,9 @@ func TestClusterGraphLemma6InterDegreeConstant(t *testing.T) {
 	var degs []int
 	for _, n := range []int{60, 120, 240} {
 		sp := testSpanner(t, n, 605)
-		cov := GreedyCover(sp, delta*w)
-		cg := BuildClusterGraph(sp, cov, w, (2*delta+1)*w, 0)
-		degs = append(degs, cg.MaxInterDegree())
+		cov := GreedyCover(sp, delta*w, nil)
+		cg := BuildClusterGraph(sp, cov, w, (2*delta+1)*w, 0, nil)
+		degs = append(degs, maxInterDegree(cg))
 	}
 	if degs[2] > 3*degs[0]+6 {
 		t.Errorf("inter-cluster degree grows with n: %v", degs)
@@ -250,8 +267,8 @@ func TestClusterGraphQueryConsistentWithSpanner(t *testing.T) {
 	sp := testSpanner(t, 80, 606)
 	delta := 0.1
 	w := 0.4
-	cov := GreedyCover(sp, delta*w)
-	cg := BuildClusterGraph(sp, cov, w, (2*delta+1)*w, 0)
+	cov := GreedyCover(sp, delta*w, nil)
+	cg := BuildClusterGraph(sp, cov, w, (2*delta+1)*w, 0, nil)
 	for u := 0; u < sp.N(); u += 5 {
 		for v := u + 3; v < sp.N(); v += 11 {
 			bound := 1.5 * w
@@ -266,8 +283,8 @@ func TestClusterGraphQueryConsistentWithSpanner(t *testing.T) {
 
 func TestClusterGraphIntraEdgesMatchCoverDistances(t *testing.T) {
 	sp := testSpanner(t, 70, 607)
-	cov := GreedyCover(sp, 0.25)
-	cg := BuildClusterGraph(sp, cov, 0.5, 0.7, 0)
+	cov := GreedyCover(sp, 0.25, nil)
+	cg := BuildClusterGraph(sp, cov, 0.5, 0.7, 0, nil)
 	for _, ctr := range cov.Centers {
 		for _, v := range cov.Members(ctr) {
 			if v == ctr {
@@ -286,7 +303,7 @@ func TestClusterGraphIntraEdgesMatchCoverDistances(t *testing.T) {
 
 func TestCentersBySize(t *testing.T) {
 	sp := testSpanner(t, 90, 604)
-	cov := GreedyCover(sp, 0.3)
+	cov := GreedyCover(sp, 0.3, nil)
 	order := cov.CentersBySize()
 	if len(order) != len(cov.Centers) {
 		t.Fatalf("CentersBySize returned %d centers, cover has %d", len(order), len(cov.Centers))
@@ -363,17 +380,23 @@ func checkCSR(t *testing.T, name string, cov *Cover) {
 // TestCoverMembersCSR checks the membership contract of both
 // constructions, including a hand-built center set in which center 1 lies
 // inside center 0's ball and the higher-ID center 2 claims both their
-// neighbourhoods, so the "centers own themselves" rule has to run.
+// neighbourhoods, so the "centers own themselves" rule has to run. Every
+// cover after the first is built into the previous one's storage, across
+// radii, constructions and vertex counts, and must equal a fresh build.
 func TestCoverMembersCSR(t *testing.T) {
 	sp := testSpanner(t, 90, 608)
-	for _, radius := range []float64{0, 0.05, 0.2, 0.5, 1e9} {
-		checkCSR(t, fmt.Sprintf("greedy/r=%v", radius), GreedyCover(sp, radius))
+	var reuse Cover
+	for _, radius := range []float64{0, 0.05, 0.2, 0.5, 1e9, 0.05} {
+		name := fmt.Sprintf("greedy/r=%v", radius)
+		cov := GreedyCover(sp, radius, &reuse)
+		checkCSR(t, name, cov)
+		checkSameCover(t, name, cov, GreedyCover(sp, radius, nil))
 	}
 	all := make([]int, sp.N())
 	for v := range all {
 		all[v] = v
 	}
-	cov, err := CoverFromCenters(sp, 0.3, all)
+	cov, err := CoverFromCenters(sp, 0.3, all, &reuse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +409,7 @@ func TestCoverMembersCSR(t *testing.T) {
 	for v := 0; v < 4; v++ {
 		g.AddEdge(v, v+1, 1)
 	}
-	cov, err = CoverFromCenters(g, 2, []int{0, 1, 2})
+	cov, err = CoverFromCenters(g, 2, []int{0, 1, 2}, &reuse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +420,21 @@ func TestCoverMembersCSR(t *testing.T) {
 	for ctr, want := range map[int]string{0: "[0]", 1: "[1]", 2: "[2 3 4]", 3: "[]", 4: "[]"} {
 		if got := fmt.Sprint(cov.Members(ctr)); got != want {
 			t.Errorf("Members(%d) = %s, want %s", ctr, got, want)
+		}
+	}
+}
+
+// checkSameCover fails unless got and want are the same cover: radius,
+// assignment, distances, centers and membership.
+func checkSameCover(t *testing.T, name string, got, want *Cover) {
+	t.Helper()
+	if got.Radius != want.Radius || !slices.Equal(got.Center, want.Center) ||
+		!slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Centers, want.Centers) {
+		t.Fatalf("%s: reused cover differs from a fresh one", name)
+	}
+	for _, c := range want.Centers {
+		if !slices.Equal(got.Members(c), want.Members(c)) {
+			t.Fatalf("%s: members of %d are %v, fresh cover has %v", name, c, got.Members(c), want.Members(c))
 		}
 	}
 }
@@ -448,4 +486,55 @@ func (c *Cover) Check(g graph.Topology) []string {
 		}
 	}
 	return out
+}
+
+// TestAllSingletonClusterGraphMatchesSpanner pins what lets a builder skip
+// H in a phase whose cover is all singletons. Every H edge then weighs a G'
+// distance, so H-distances are at least G'-distances; every G' edge whose
+// G' distance is within the rescue bound t·W_i is an H edge at that
+// distance, so within that bound they are also at most G'-distances. Balls
+// of radius t·W_i must therefore hold the same vertices on H and on G',
+// at distances equal up to float reassociation.
+func TestAllSingletonClusterGraphMatchesSpanner(t *testing.T) {
+	// The ε = 0.5 constants: t, δ and the bin ratio r (W_i = r·W_{i-1}).
+	const tStretch, delta, r = 1.5, 0.0147, 1.0287
+	sh, sg := graph.NewSearcher(0), graph.NewSearcher(0)
+	compared := 0
+	for _, tc := range []struct {
+		n    int
+		seed int64
+	}{{60, 620}, {120, 621}, {200, 622}} {
+		sp := testSpanner(t, tc.n, tc.seed)
+		cov := GreedyCover(sp, 0, nil)
+		if len(cov.Centers) != sp.N() {
+			t.Fatalf("n=%d: radius-0 cover has %d centers", tc.n, len(cov.Centers))
+		}
+		for _, w := range []float64{0.02, 0.05, 0.1, 0.2, 0.4} {
+			bound := tStretch * r * w
+			cg := BuildClusterGraph(sp, cov, w, (2*delta+1)*w, bound, nil)
+			for u := 0; u < sp.N(); u++ {
+				want := map[int]float64{}
+				for _, vd := range sg.Ball(sp, u, bound) {
+					want[vd.V] = vd.D
+				}
+				got := sh.Ball(cg.H, u, bound)
+				if len(got) != len(want) {
+					t.Fatalf("n=%d w=%v: ball of %d holds %d vertices in H, %d in G'", tc.n, w, u, len(got), len(want))
+				}
+				for _, vd := range got {
+					d, ok := want[vd.V]
+					if !ok {
+						t.Fatalf("n=%d w=%v: %d is in %d's H ball but not its G' ball", tc.n, w, vd.V, u)
+					}
+					if math.Abs(vd.D-d) > 1e-12*d {
+						t.Fatalf("n=%d w=%v: H distance %d→%d is %v, G' distance %v", tc.n, w, u, vd.V, vd.D, d)
+					}
+				}
+				compared += len(got) - 1
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no ball reached a second vertex")
+	}
 }

@@ -31,6 +31,22 @@ type ClusterGraph struct {
 	// MaxInterWeight is the largest inter-cluster edge weight seen (for
 	// Lemma 5 checks).
 	MaxInterWeight float64
+
+	// Construction scratch, kept across rebuilds. crossW, crossAt and
+	// accAt are stamped; every build draws its stamps above stampBase, so
+	// none of them is ever cleared.
+	crossW         []float64
+	crossAt, accAt []int
+	stampBase      int
+	crossing       []int
+	rescue         []rescuePair
+}
+
+// rescuePair is a crossing pair {lo, hi} whose center distance exceeds the
+// Lemma 5 bound, with the weight of its lightest crossing G'-edge.
+type rescuePair struct {
+	lo, hi   int
+	minCross float64
 }
 
 // BuildClusterGraph constructs H for the partial spanner gp under the given
@@ -46,9 +62,20 @@ type ClusterGraph struct {
 // edges heavier than rescueBound can never participate in a query answer
 // (queries are bounded by t·W_i), so omitting them is sound and keeps the
 // construction local. Pass rescueBound <= 0 to disable the cap.
-func BuildClusterGraph(gp graph.Topology, cov *Cover, w, crossBound, rescueBound float64) *ClusterGraph {
+//
+// H is built into cg, overwriting it and reusing its storage (H's rows keep
+// their capacity), and cg is returned; pass nil for a new cluster graph.
+func BuildClusterGraph(gp graph.Topology, cov *Cover, w, crossBound, rescueBound float64, cg *ClusterGraph) *ClusterGraph {
 	n := gp.N()
-	cg := &ClusterGraph{H: graph.New(n), Cover: cov, W: w}
+	if cg == nil {
+		cg = new(ClusterGraph)
+	}
+	if cg.H != nil && cg.H.N() == n {
+		cg.H.Reset()
+	} else {
+		cg.H = graph.New(n)
+	}
+	cg.Cover, cg.W, cg.InterEdges, cg.MaxInterWeight = cov, w, 0, 0
 
 	// Intra-cluster edges: center -> member with the cover's recorded
 	// shortest-path distance.
@@ -61,23 +88,23 @@ func BuildClusterGraph(gp graph.Topology, cov *Cover, w, crossBound, rescueBound
 	}
 
 	// Inter-cluster edges, one turn per center a in increasing order. The
-	// scratch arrays are stamped with a+1, so no reset runs between turns:
-	// crossW[b] is the lightest G'-edge between a's cluster and b's when
-	// crossAt[b] == a+1 (condition (ii)), and accAt[b] == a+1 marks {a, b}
-	// as already in H.
-	crossW := make([]float64, n)
-	crossAt := make([]int, n)
-	accAt := make([]int, n)
-	var crossing []int // the centers b with crossAt[b] == a+1
-	type rescuePair struct {
-		lo, hi   int
-		minCross float64
+	// scratch arrays are stamped with base+a+1, so no reset runs between
+	// turns or builds: crossW[b] is the lightest G'-edge between a's
+	// cluster and b's when crossAt[b] == base+a+1 (condition (ii)), and
+	// accAt[b] == base+a+1 marks {a, b} as already in H.
+	if len(cg.crossAt) < n {
+		cg.crossW, cg.crossAt, cg.accAt = make([]float64, n), make([]int, n), make([]int, n)
+		cg.stampBase = 0
 	}
-	var rescue []rescuePair
+	base := cg.stampBase
+	cg.stampBase += n
+	crossW, crossAt, accAt := cg.crossW, cg.crossAt, cg.accAt
+	crossing := cg.crossing[:0] // the centers b with crossAt[b] == base+a+1
+	rescue := cg.rescue[:0]
 	s := graph.AcquireSearcher(n)
 	defer graph.ReleaseSearcher(s)
 	for _, a := range cov.Centers {
-		stamp := a + 1
+		stamp := base + a + 1
 		crossing = crossing[:0]
 		for _, u := range cov.Members(a) {
 			for _, h := range gp.Neighbors(u) {
@@ -120,6 +147,7 @@ func BuildClusterGraph(gp graph.Topology, cov *Cover, w, crossBound, rescueBound
 			}
 		}
 	}
+	cg.crossing, cg.rescue = crossing, rescue
 	// Rescue pass, in (lo, hi) order so H's rows come out the same on every
 	// run.
 	sort.Slice(rescue, func(i, j int) bool {
@@ -148,22 +176,4 @@ func (cg *ClusterGraph) addInter(a, b int, w float64) {
 	if w > cg.MaxInterWeight {
 		cg.MaxInterWeight = w
 	}
-}
-
-// MaxInterDegree returns the maximum number of inter-cluster edges incident
-// to any single center (the Lemma 6 quantity).
-func (cg *ClusterGraph) MaxInterDegree() int {
-	max := 0
-	for _, ctr := range cg.Cover.Centers {
-		deg := 0
-		for _, h := range cg.H.Neighbors(ctr) {
-			if cg.Cover.IsCenter(h.To) {
-				deg++
-			}
-		}
-		if deg > max {
-			max = deg
-		}
-	}
-	return max
 }

@@ -116,9 +116,9 @@ func refBuildClusterGraph(gp graph.Topology, cov *Cover, w, crossBound, rescueBo
 
 // checkAgainstRef builds H both ways and requires the same edges with
 // bit-equal weights and the same counters.
-func checkAgainstRef(t *testing.T, gp *graph.Graph, cov *Cover, w, crossBound, rescueBound float64) {
+func checkAgainstRef(t *testing.T, gp *graph.Graph, cov *Cover, w, crossBound, rescueBound float64, reuse *ClusterGraph) {
 	t.Helper()
-	got := BuildClusterGraph(gp, cov, w, crossBound, rescueBound)
+	got := BuildClusterGraph(gp, cov, w, crossBound, rescueBound, reuse)
 	want := refBuildClusterGraph(gp, cov, w, crossBound, rescueBound)
 	ge, we := graph.SortedEdges(got.H), graph.SortedEdges(want.H)
 	if len(ge) != len(we) {
@@ -158,9 +158,13 @@ func rescueFixture(clumps int) *graph.Graph {
 // reference on random greedy spanners over several phase radii — small w
 // makes the spanner's long edges cross far-apart clusters, so the rescue
 // pass runs — and on the rescue fixtures, with and without a rescue cap.
+// Every build reuses one cover and one cluster graph, across vertex counts,
+// as a builder's phases do.
 func TestClusterGraphMatchesReference(t *testing.T) {
 	const delta = 0.1
 	rescued := 0
+	var covReuse Cover
+	var reuse ClusterGraph
 	for _, tc := range []struct {
 		n    int
 		seed int64
@@ -175,15 +179,15 @@ func TestClusterGraphMatchesReference(t *testing.T) {
 		sp := greedy.Spanner(inst.G, 1.5)
 		for _, w := range []float64{0.02, 0.05, 0.1, 0.2, 0.4, 0.8} {
 			t.Run(fmt.Sprintf("n=%d/w=%v", tc.n, w), func(t *testing.T) {
-				cov := GreedyCover(sp, delta*w)
+				cov := GreedyCover(sp, delta*w, &covReuse)
 				crossBound := (2*delta + 1) * w
 				for _, rescueBound := range []float64{0, 1.5 * w, 4 * w} {
-					checkAgainstRef(t, sp, cov, w, crossBound, rescueBound)
+					checkAgainstRef(t, sp, cov, w, crossBound, rescueBound, &reuse)
 				}
 				// A rescue bound below every distance disables the rescue
 				// pass; the difference counts the rescue edges.
-				rescued += BuildClusterGraph(sp, cov, w, crossBound, 0).InterEdges -
-					BuildClusterGraph(sp, cov, w, crossBound, 1e-12).InterEdges
+				rescued += BuildClusterGraph(sp, cov, w, crossBound, 0, nil).InterEdges -
+					BuildClusterGraph(sp, cov, w, crossBound, 1e-12, nil).InterEdges
 			})
 		}
 	}
@@ -192,9 +196,9 @@ func TestClusterGraphMatchesReference(t *testing.T) {
 	}
 	for _, clumps := range []int{2, 5} {
 		g := rescueFixture(clumps)
-		cov := GreedyCover(g, delta*0.1)
+		cov := GreedyCover(g, delta*0.1, &covReuse)
 		for _, rescueBound := range []float64{0, 0.5, 0.85} {
-			checkAgainstRef(t, g, cov, 0.1, (2*delta+1)*0.1, rescueBound)
+			checkAgainstRef(t, g, cov, 0.1, (2*delta+1)*0.1, rescueBound, &reuse)
 		}
 	}
 }
@@ -217,12 +221,12 @@ func TestClusterGraphDedupeTurns(t *testing.T) {
 		for i, w := range tc.ws {
 			g.AddEdge(i, i+1, w)
 		}
-		cov := GreedyCover(g, 0)
-		cg := BuildClusterGraph(g, cov, 0.6, 1, 0)
+		cov := GreedyCover(g, 0, nil)
+		cg := BuildClusterGraph(g, cov, 0.6, 1, 0, nil)
 		if got, ok := cg.H.EdgeWeight(0, 3); !ok || got != tc.want {
 			t.Errorf("path %v: H edge {0,3} = %v (present %v), want weight %v", tc.ws, got, ok, tc.want)
 		}
-		checkAgainstRef(t, g, cov, 0.6, 1, 0)
+		checkAgainstRef(t, g, cov, 0.6, 1, 0, nil)
 	}
 }
 
@@ -231,13 +235,13 @@ func TestClusterGraphDedupeTurns(t *testing.T) {
 // map, so its row order is not reproducible.
 func TestClusterGraphRowsDeterministic(t *testing.T) {
 	g := rescueFixture(5)
-	cov := GreedyCover(g, 0.01)
-	first := BuildClusterGraph(g, cov, 0.1, 0.12, 0)
+	cov := GreedyCover(g, 0.01, nil)
+	first := BuildClusterGraph(g, cov, 0.1, 0.12, 0, nil)
 	if first.InterEdges < 2 {
 		t.Fatalf("fixture yields %d inter-cluster edges (all rescued), want >= 2", first.InterEdges)
 	}
 	for rep := 0; rep < 10; rep++ {
-		again := BuildClusterGraph(g, cov, 0.1, 0.12, 0)
+		again := BuildClusterGraph(g, cov, 0.1, 0.12, 0, nil)
 		for v := 0; v < g.N(); v++ {
 			if !slices.Equal(first.H.Neighbors(v), again.H.Neighbors(v)) {
 				t.Fatalf("build %d: row %d is %v, first build %v", rep, v, again.H.Neighbors(v), first.H.Neighbors(v))

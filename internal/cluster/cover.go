@@ -9,12 +9,15 @@
 // Every per-phase structure here is a flat slice indexed by vertex: a
 // cover's membership is a CSR built by one counting pass over Center, and
 // the cluster graph's construction stamps per-center scratch arrays instead
-// of keying maps by center pair. Theorem 9 keeps each phase local, so the
+// of keying maps by center pair. Both are rebuilt in place: a builder
+// passes the same cover and cluster graph every phase, so their storage is
+// allocated once per build. Theorem 9 keeps each phase local, so the
 // searches are cheap and the bookkeeping around them must be too.
 package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"topoctl/internal/graph"
@@ -54,12 +57,29 @@ func (c *Cover) Members(ctr int) []int {
 	return c.members[c.start[ctr]:c.start[ctr+1]:c.start[ctr+1]]
 }
 
+// reset readies c, reusing its storage, for a rebuild over n vertices at
+// the given radius with every vertex unassigned, and returns it; a nil c
+// is allocated.
+func (c *Cover) reset(n int, radius float64) *Cover {
+	if c == nil {
+		c = new(Cover)
+	}
+	c.Radius = radius
+	c.Center = slices.Grow(c.Center[:0], n)[:n]
+	c.Dist = slices.Grow(c.Dist[:0], n)[:n]
+	for i := range c.Center {
+		c.Center[i] = -1
+	}
+	return c
+}
+
 // finalize builds the membership CSR and Centers from Center with one
 // counting pass: filling members in vertex order leaves every group
 // sorted, and scanning the counts in vertex order lists Centers ascending.
 func (c *Cover) finalize() {
 	n := len(c.Center)
-	c.start = make([]int, n+1)
+	c.start = slices.Grow(c.start[:0], n+1)[:n+1]
+	clear(c.start)
 	for _, ctr := range c.Center {
 		c.start[ctr]++
 	}
@@ -72,7 +92,7 @@ func (c *Cover) finalize() {
 		c.start[v] = sum
 		sum += cnt
 	}
-	c.members = make([]int, n)
+	c.members = slices.Grow(c.members[:0], n)[:n]
 	for v, ctr := range c.Center {
 		c.members[c.start[ctr]] = v
 		c.start[ctr]++
@@ -89,12 +109,12 @@ func (c *Cover) finalize() {
 // shortest-path distance radius of u. Centers are pairwise more than radius
 // apart because a later center was, by construction, not claimed by any
 // earlier one.
-func GreedyCover(g graph.Topology, radius float64) *Cover {
+//
+// The cover is built into c, overwriting it and reusing its storage, and
+// returned; pass nil for a new cover.
+func GreedyCover(g graph.Topology, radius float64, c *Cover) *Cover {
 	n := g.N()
-	c := &Cover{Radius: radius, Center: make([]int, n), Dist: make([]float64, n)}
-	for i := range c.Center {
-		c.Center[i] = -1
-	}
+	c = c.reset(n, radius)
 	s := graph.AcquireSearcher(n)
 	defer graph.ReleaseSearcher(s)
 	for u := 0; u < n; u++ {
@@ -133,13 +153,11 @@ func (c *Cover) CentersBySize() []int {
 // attaches to the center with the highest ID among those within radius
 // (matching the paper's distributed attachment rule, §3.2.1). It returns an
 // error if some vertex is not within radius of any center — i.e. the center
-// set is not dominating at this radius.
-func CoverFromCenters(g graph.Topology, radius float64, centers []int) (*Cover, error) {
+// set is not dominating at this radius. Like GreedyCover it builds into c
+// (nil for a new cover); on error c's contents are unspecified.
+func CoverFromCenters(g graph.Topology, radius float64, centers []int, c *Cover) (*Cover, error) {
 	n := g.N()
-	c := &Cover{Radius: radius, Center: make([]int, n), Dist: make([]float64, n)}
-	for i := range c.Center {
-		c.Center[i] = -1
-	}
+	c = c.reset(n, radius)
 	s := graph.AcquireSearcher(n)
 	defer graph.ReleaseSearcher(s)
 	for _, ctr := range centers {

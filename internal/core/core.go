@@ -82,9 +82,6 @@ type Stats struct {
 	Added int
 	// RemovedRedundant counts edges deleted by redundancy removal.
 	RemovedRedundant int
-	// MaxInterDegree is the largest cluster-graph inter-cluster degree
-	// observed (Lemma 6 quantity).
-	MaxInterDegree int
 	// MaxQueryEdgesPerCluster is the largest number of selected query
 	// edges incident to one cluster in any phase (Lemma 4 quantity).
 	MaxQueryEdgesPerCluster int
@@ -115,8 +112,10 @@ func Build(points []geom.Point, g *graph.Graph, opts Options) (*Result, error) {
 // computation on the spanner frozen at the end of the previous phase, so
 // the §2 and §3 builds share one driver, Run, and differ only here.
 type Protocol interface {
-	// Cover builds the step-(i) cluster cover of the frozen spanner sp.
-	Cover(sp *graph.Graph, radius float64) *cluster.Cover
+	// Cover builds the step-(i) cluster cover of the frozen spanner sp
+	// into cov, reusing its storage: Run passes the same cover every
+	// phase of a build.
+	Cover(sp *graph.Graph, radius float64, cov *cluster.Cover)
 	// MIS returns a maximal independent set of the step-(v) conflict
 	// graph over a phase's additions. Run calls it only when the phase
 	// has a mutually redundant pair, after that phase's Cover.
@@ -132,8 +131,8 @@ type Protocol interface {
 // accounting.
 type sequential struct{}
 
-func (sequential) Cover(sp *graph.Graph, radius float64) *cluster.Cover {
-	return cluster.GreedyCover(sp, radius)
+func (sequential) Cover(sp *graph.Graph, radius float64, cov *cluster.Cover) {
+	cluster.GreedyCover(sp, radius, cov)
 }
 func (sequential) MIS(conflict [][]int) []bool        { return mis.Greedy(conflict) }
 func (sequential) Done(int, int, *cluster.Cover, int) {}
@@ -169,16 +168,22 @@ func Run(points []geom.Point, g *graph.Graph, opts Options, proto Protocol) (*Re
 	return &Result{Spanner: b.sp, Params: b.p, Bins: b.bins, Stats: b.stats}, nil
 }
 
-// builder carries the mutable state of one build.
+// builder carries the mutable state of one build. cov, cg and redundant
+// are per-phase structures whose storage the build's phases share, so a
+// phase allocates in proportion to its bin, not to n. They are per build,
+// never package-level: builds run in parallel.
 type builder struct {
-	points []geom.Point
-	g      *graph.Graph // input α-UBG, Euclidean weights
-	opts   Options
-	p      Params
-	sp     *graph.Graph // output spanner, metric weights
-	bins   Bins
-	stats  Stats
-	proto  Protocol
+	points    []geom.Point
+	g         *graph.Graph // input α-UBG, Euclidean weights
+	opts      Options
+	p         Params
+	sp        *graph.Graph // output spanner, metric weights
+	bins      Bins
+	stats     Stats
+	proto     Protocol
+	cov       cluster.Cover
+	cg        cluster.ClusterGraph
+	redundant redundancyScan
 }
 
 func (b *builder) run() {
@@ -261,14 +266,21 @@ func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 	crossBound := (2*b.p.Delta + 1) * wPrev
 
 	// Step (i): cluster cover of G'_{i-1}.
-	cov := b.proto.Cover(b.sp, radius)
+	cov := &b.cov
+	b.proto.Cover(b.sp, radius, cov)
 
 	// Step (iii) [built before queries are answered]: cluster graph H_{i-1}.
 	// Inter-edges heavier than t·W_i can never serve a query in this phase.
-	rescueBound := b.p.T * b.opts.Metric.Weight(b.bins.Ceiling(i))
-	cg := cluster.BuildClusterGraph(b.sp, cov, wPrev, crossBound, rescueBound)
-	if d := cg.MaxInterDegree(); d > b.stats.MaxInterDegree {
-		b.stats.MaxInterDegree = d
+	// When every vertex is its own center, H and G'_{i-1} agree on every
+	// distance up to t·W_i: every H edge weighs a G' distance, and every
+	// G' edge whose G' distance is within t·W_i is an H edge at that
+	// distance. Every query bound t·w(q) and the redundancy bound t1·W_i
+	// are within t·W_i, so such a phase reads G'_{i-1} itself. So do
+	// fault-tolerant builds, which query G' and skip step (v).
+	h := b.sp
+	if len(cov.Centers) < b.sp.N() && b.opts.FaultK == 0 {
+		rescueBound := b.p.T * b.opts.Metric.Weight(b.bins.Ceiling(i))
+		h = cluster.BuildClusterGraph(b.sp, cov, wPrev, crossBound, rescueBound, &b.cg).H
 	}
 
 	// Step (ii): select query edges. Fault-tolerant builds disable the
@@ -282,38 +294,36 @@ func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 	})
 	b.absorbSelectStats(st)
 
-	// Step (iv): answer shortest path queries on H_{i-1}; lazy updates —
-	// the spanner is only modified after every query has been answered.
+	// Step (iv): answer shortest path queries on h; lazy updates — the
+	// spanner is only modified after every query has been answered.
 	// Fault-tolerant builds pack disjoint paths on the partial spanner
 	// itself: edge-disjoint H-paths do not certify edge-disjoint G'-paths
 	// (distinct H edges can expand to overlapping G' segments).
 	var added []EdgeInfo
 	for _, q := range queries {
 		b.stats.Queried++
-		if b.opts.FaultK > 0 {
-			if !needsEdge(b.sp, q, b.p.T, b.opts.FaultK, b.opts.faultMode()) {
-				continue
-			}
-		} else if !needsEdge(cg.H, q, b.p.T, 0, fault.EdgeFaults) {
+		if !needsEdge(h, q, b.p.T, b.opts.FaultK, b.opts.faultMode()) {
 			continue
 		}
 		added = append(added, q)
+	}
+
+	// Step (v), measured on h before the additions reach the spanner (h
+	// may be G'_{i-1} itself): find the mutually redundant edges among
+	// this phase's additions. Skipped for fault-tolerant builds: a removed
+	// edge relies on exactly one surviving counterpart, a single point of
+	// failure.
+	var pairs [][2]int
+	if !b.opts.DisableRedundancy && b.opts.FaultK == 0 && len(added) > 1 {
+		bound := b.p.T1 * b.opts.Metric.Weight(b.bins.Ceiling(i))
+		pairs = b.redundant.pairs(h, added, b.p.T1, bound)
 	}
 	for _, e := range added {
 		b.sp.AddEdge(e.U, e.V, e.W)
 		b.stats.Added++
 	}
-
-	// Step (v): remove mutually redundant edges among this phase's
-	// additions. Skipped for fault-tolerant builds: a removed edge relies
-	// on exactly one surviving counterpart, a single point of failure.
-	removed := 0
-	if !b.opts.DisableRedundancy && b.opts.FaultK == 0 && len(added) > 1 {
-		bound := b.p.T1 * b.opts.Metric.Weight(b.bins.Ceiling(i))
-		pairs := findRedundantPairs(cg.H, added, b.p.T1, bound)
-		removed = removeNonMIS(b.sp, added, pairs, b.proto.MIS)
-		b.stats.RemovedRedundant += removed
-	}
+	removed := removeNonMIS(b.sp, added, pairs, b.proto.MIS)
+	b.stats.RemovedRedundant += removed
 	return cov, len(added) - removed
 }
 
@@ -330,7 +340,8 @@ func (b *builder) absorbSelectStats(st selectStats) {
 // needsEdge is the query-answering rule of step (iv): edge q must be
 // added unless graph h already contains a t-path (faultK = 0), or k+1
 // disjoint t-paths under the given fault mode (faultK = k > 0, the §1.6.1
-// extension). For faultK = 0 callers pass the frozen cluster graph H; for
+// extension). For faultK = 0 callers pass the frozen cluster graph H (or
+// the partial spanner, in a phase whose cover is all singletons); for
 // faultK > 0 they must pass the partial spanner itself, because
 // disjointness on H does not certify disjointness in G'. Both searches
 // stay inside the metric ball of radius t·w(q) around the endpoints, so

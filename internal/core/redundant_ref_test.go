@@ -15,7 +15,8 @@ import (
 )
 
 // refFindRedundantPairs is the map-based all-pairs scan the local
-// findRedundantPairs replaced, kept verbatim as the differential reference.
+// redundancyScan.pairs replaced, kept verbatim as the differential
+// reference.
 func refFindRedundantPairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) [][2]int {
 	s := graph.AcquireSearcher(h.N())
 	defer graph.ReleaseSearcher(s)
@@ -55,21 +56,25 @@ func refFindRedundantPairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) 
 
 // replayPhases re-runs Build's lazy phases (no ablations, no fault
 // tolerance) step by step from the same pieces, calling check on every
-// phase's redundancy input and then removing the pairs findRedundantPairs
-// reports, exactly as Build does. It returns the spanner it arrives at.
+// phase's redundancy input and then removing the pairs redundancyScan
+// reports, as Build does. It returns the spanner it arrives at. Unlike
+// Build it builds H in every phase, so landing on Build's spanner also
+// checks the phases with an all-singleton cover, where Build reads
+// G'_{i-1} instead.
 func replayPhases(pts []geom.Point, g *graph.Graph, p Params, check func(h *graph.Graph, added []EdgeInfo, t1, bound float64)) *graph.Graph {
 	m := EuclideanMetric
 	sp := graph.New(g.N())
 	bins := NewBins(g.N(), p)
 	byBin := binEdges(g, bins, m)
 	phase0(pts, sp, byBin[0], p.T, m, 0, fault.EdgeFaults)
+	var scan redundancyScan
 	for i := 1; i < len(byBin); i++ {
 		if len(byBin[i]) == 0 {
 			continue
 		}
 		wPrev := m.Weight(bins.Ceiling(i - 1))
-		cov := cluster.GreedyCover(sp, p.Delta*wPrev)
-		cg := cluster.BuildClusterGraph(sp, cov, wPrev, (2*p.Delta+1)*wPrev, p.T*m.Weight(bins.Ceiling(i)))
+		cov := cluster.GreedyCover(sp, p.Delta*wPrev, nil)
+		cg := cluster.BuildClusterGraph(sp, cov, wPrev, (2*p.Delta+1)*wPrev, p.T*m.Weight(bins.Ceiling(i)), nil)
 		queries, _ := selectQueries(pts, sp, cov, byBin[i], selectOpts{T: p.T, Theta: p.Theta, Alpha: p.Alpha})
 		var added []EdgeInfo
 		for _, q := range queries {
@@ -83,7 +88,7 @@ func replayPhases(pts []geom.Point, g *graph.Graph, p Params, check func(h *grap
 		if len(added) > 1 {
 			bound := p.T1 * m.Weight(bins.Ceiling(i))
 			check(cg.H, added, p.T1, bound)
-			removeNonMIS(sp, added, findRedundantPairs(cg.H, added, p.T1, bound), mis.Greedy)
+			removeNonMIS(sp, added, scan.pairs(cg.H, added, p.T1, bound), mis.Greedy)
 		}
 	}
 	return sp
@@ -102,8 +107,9 @@ func TestFindRedundantPairsMatchesReference(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d/seed=%d/eps=%v", tc.n, tc.seed, tc.eps), func(t *testing.T) {
 			inst := pinnedInstance(t, tc.n, tc.seed)
 			p := mustParams(t, tc.eps, 0.75, 2)
+			var scan redundancyScan
 			sp := replayPhases(inst.Points, inst.G, p, func(h *graph.Graph, added []EdgeInfo, t1, bound float64) {
-				got := findRedundantPairs(h, added, t1, bound)
+				got := scan.pairs(h, added, t1, bound)
 				want := refFindRedundantPairs(h, added, t1, bound)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%d added edges: pairs %v, reference %v", len(added), got, want)
@@ -130,6 +136,7 @@ func TestFindRedundantPairsMatchesReference(t *testing.T) {
 func TestFindRedundantPairsMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	total := 0
+	var scan redundancyScan // shared across sizes, as across a build's phases
 	for rep := 0; rep < 40; rep++ {
 		n := 20 + rng.Intn(60)
 		pts := make([]geom.Point, n)
@@ -153,7 +160,7 @@ func TestFindRedundantPairsMatchesReferenceRandom(t *testing.T) {
 		}
 		for _, t1 := range []float64{1.1, 1.5, 3} {
 			for _, bound := range []float64{0.1, 0.5, math.Inf(1)} {
-				got := findRedundantPairs(h, added, t1, bound)
+				got := scan.pairs(h, added, t1, bound)
 				want := refFindRedundantPairs(h, added, t1, bound)
 				if !slices.Equal(got, want) {
 					t.Fatalf("rep %d, t1=%v, bound=%v: pairs %v, reference %v", rep, t1, bound, got, want)

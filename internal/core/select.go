@@ -184,10 +184,36 @@ func sortEdgeInfos(es []EdgeInfo) {
 	})
 }
 
-// findRedundantPairs implements the mutual-redundancy test of §2.2.5 over
-// the edges added in one phase, measuring distances on the frozen cluster
-// graph h exactly as the queries were. Pair (i, j) is reported when, for
-// the better of the two endpoint pairings (the d_J minimum of Lemma 20),
+// redundancyScan is the scratch of step (v)'s mutual-redundancy test,
+// kept across a build's phases. Every phase resets only the entries of its
+// added edges' endpoints, so a phase costs its bin, not n.
+type redundancyScan struct {
+	// incident[v] lists, in increasing order, the added edges with an
+	// endpoint at v. Endpoint v's ball within the bound is
+	// slab[ballLo[v]:ballHi[v]]; ballHi[v] == 0 means not yet searched
+	// (a ball holds at least v itself).
+	incident       [][]int
+	ballLo, ballHi []int
+	slab           []graph.VertexDist
+	// distU and distV hold an edge's distances from its endpoints, Inf
+	// outside their balls; each turn resets what it set.
+	distU, distV []float64
+}
+
+// grow sizes the scan for n-vertex graphs.
+func (r *redundancyScan) grow(n int) {
+	r.incident = make([][]int, n)
+	r.ballLo, r.ballHi = make([]int, n), make([]int, n)
+	r.distU, r.distV = make([]float64, n), make([]float64, n)
+	for v := range r.distU {
+		r.distU[v], r.distV[v] = math.Inf(1), math.Inf(1)
+	}
+}
+
+// pairs implements the mutual-redundancy test of §2.2.5 over the edges
+// added in one phase, measuring distances on the frozen graph h exactly as
+// the queries were. Pair (i, j) is reported when, for the better of the
+// two endpoint pairings (the d_J minimum of Lemma 20),
 //
 //	sp_H(u,u') + sp_H(v,v') + w' <= t1·w  and
 //	sp_H(u,u') + sp_H(v,v') + w  <= t1·w'.
@@ -197,36 +223,34 @@ func sortEdgeInfos(es []EdgeInfo) {
 // finite only if u' or v' lies within bound of u: edge i is tested only
 // against the later edges with an endpoint in u's ball, which is exact.
 // Pairs come out in (i, j) order.
-func findRedundantPairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) [][2]int {
+func (r *redundancyScan) pairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) [][2]int {
 	n := h.N()
+	if len(r.distU) < n {
+		r.grow(n)
+	}
 	s := graph.AcquireSearcher(n)
 	defer graph.ReleaseSearcher(s)
-	// incident[v] lists, in increasing order, the added edges with an
-	// endpoint at v; balls[v] is endpoint v's ball within bound.
-	incident := make([][]int, n)
-	balls := make([][]graph.VertexDist, n)
+	r.slab = r.slab[:0]
 	for i, e := range added {
 		for _, v := range [2]int{e.U, e.V} {
-			incident[v] = append(incident[v], i)
-			if balls[v] == nil {
-				balls[v] = slices.Clone(s.Ball(h, v, bound))
+			r.incident[v] = append(r.incident[v], i)
+			if r.ballHi[v] == 0 {
+				r.ballLo[v] = len(r.slab)
+				r.slab = append(r.slab, s.Ball(h, v, bound)...)
+				r.ballHi[v] = len(r.slab)
 			}
 		}
 	}
-	// distU and distV hold edge i's distances from u and v, Inf outside
-	// the balls; each turn resets what it set.
-	distU, distV := make([]float64, n), make([]float64, n)
-	for v := range distU {
-		distU[v], distV[v] = math.Inf(1), math.Inf(1)
-	}
+	distU, distV := r.distU, r.distV
 	var pairs [][2]int
 	var cands []int
 	for i, a := range added {
-		ballU, ballV := balls[a.U], balls[a.V]
+		ballU := r.slab[r.ballLo[a.U]:r.ballHi[a.U]]
+		ballV := r.slab[r.ballLo[a.V]:r.ballHi[a.V]]
 		cands = cands[:0]
 		for _, vd := range ballU {
 			distU[vd.V] = vd.D
-			for _, j := range incident[vd.V] {
+			for _, j := range r.incident[vd.V] {
 				if j > i {
 					cands = append(cands, j)
 				}
@@ -251,6 +275,10 @@ func findRedundantPairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) [][
 		for _, vd := range ballV {
 			distV[vd.V] = math.Inf(1)
 		}
+	}
+	for _, e := range added {
+		r.incident[e.U], r.incident[e.V] = r.incident[e.U][:0], r.incident[e.V][:0]
+		r.ballHi[e.U], r.ballHi[e.V] = 0, 0
 	}
 	return pairs
 }

@@ -66,7 +66,7 @@ func newSelectFixture(t *testing.T) *selectFixture {
 	sp.AddEdge(0, 2, 0.02)
 	sp.AddEdge(3, 4, 0.02)
 	sp.AddEdge(3, 5, 0.02)
-	cov := cluster.GreedyCover(sp, 0.05)
+	cov := cluster.GreedyCover(sp, 0.05, nil)
 	return &selectFixture{points: points, sp: sp, cov: cov}
 }
 
@@ -197,7 +197,7 @@ func TestFindRedundantPairsDetectsMutualRedundancy(t *testing.T) {
 		{U: 0, V: 1, Dist: 0.5, W: 0.5},
 		{U: 2, V: 3, Dist: 0.5, W: 0.5},
 	}
-	pairs := findRedundantPairs(h, added, 1.25, 1.0)
+	pairs := new(redundancyScan).pairs(h, added, 1.25, 1.0)
 	if len(pairs) != 1 {
 		t.Fatalf("pairs = %v, want one", pairs)
 	}
@@ -213,7 +213,7 @@ func TestFindRedundantPairsCrossPairing(t *testing.T) {
 		{U: 0, V: 1, Dist: 0.5, W: 0.5},
 		{U: 3, V: 2, Dist: 0.5, W: 0.5},
 	}
-	pairs := findRedundantPairs(h, added, 1.25, 1.0)
+	pairs := new(redundancyScan).pairs(h, added, 1.25, 1.0)
 	if len(pairs) != 1 {
 		t.Fatalf("cross-pairing missed: %v", pairs)
 	}
@@ -228,7 +228,7 @@ func TestFindRedundantPairsRespectsT1(t *testing.T) {
 		{U: 0, V: 1, Dist: 0.5, W: 0.5},
 		{U: 2, V: 3, Dist: 0.5, W: 0.5},
 	}
-	if pairs := findRedundantPairs(h, added, 1.25, 1.0); len(pairs) != 0 {
+	if pairs := new(redundancyScan).pairs(h, added, 1.25, 1.0); len(pairs) != 0 {
 		t.Fatalf("non-redundant pair flagged: %v", pairs)
 	}
 }
@@ -239,7 +239,7 @@ func TestFindRedundantPairsDisconnected(t *testing.T) {
 		{U: 0, V: 1, Dist: 0.5, W: 0.5},
 		{U: 2, V: 3, Dist: 0.5, W: 0.5},
 	}
-	if pairs := findRedundantPairs(h, added, 1.25, 1.0); len(pairs) != 0 {
+	if pairs := new(redundancyScan).pairs(h, added, 1.25, 1.0); len(pairs) != 0 {
 		t.Fatalf("disconnected endpoints flagged: %v", pairs)
 	}
 }

@@ -126,6 +126,11 @@ type builder struct {
 	search *graph.Searcher
 	phases []PhaseCost
 
+	// Scratch the center election rebuilds every phase: the derived
+	// graph's adjacency lists and the elected centers.
+	derived [][]int
+	centers []int
+
 	// The MIS work of the phase in flight, charged by Done: the center
 	// election's rounds and derived degree sum, and the redundancy MIS's.
 	centerRounds, redRounds int
@@ -135,22 +140,20 @@ type builder struct {
 // Cover is step (i) (§3.2.1): elect centers as an MIS of the derived graph
 // connecting vertices within spanner distance radius, then attach every
 // vertex to the highest-ID center in range.
-func (b *builder) Cover(sp *graph.Graph, radius float64) *cluster.Cover {
+func (b *builder) Cover(sp *graph.Graph, radius float64, cov *cluster.Cover) {
 	adj, degSum := b.derivedGraph(sp, radius)
 	inMIS, rounds := b.runMIS(adj)
 	b.centerRounds, b.centerDeg = rounds, degSum
-	var centers []int
+	b.centers = b.centers[:0]
 	for v, in := range inMIS {
 		if in {
-			centers = append(centers, v)
+			b.centers = append(b.centers, v)
 		}
 	}
 	// An MIS is dominating, so attachment cannot fail.
-	cov, err := cluster.CoverFromCenters(sp, radius, centers)
-	if err != nil {
+	if _, err := cluster.CoverFromCenters(sp, radius, b.centers, cov); err != nil {
 		panic(fmt.Sprintf("dist: MIS cover not dominating: %v", err))
 	}
-	return cov
 }
 
 // MIS is step (v)'s MIS on the conflict graph over a phase's additions.
@@ -199,11 +202,16 @@ func (b *builder) Done(bin, edges int, cov *cluster.Cover, kept int) {
 
 // derivedGraph connects every pair of vertices within spanner distance
 // radius, returning adjacency lists and the degree sum (2× derived edges).
+// The lists are the builder's, rebuilt in place every phase.
 func (b *builder) derivedGraph(sp *graph.Graph, radius float64) ([][]int, int64) {
 	n := sp.N()
-	adj := make([][]int, n)
+	if len(b.derived) != n {
+		b.derived = make([][]int, n)
+	}
+	adj := b.derived
 	var degSum int64
 	for u := 0; u < n; u++ {
+		adj[u] = adj[u][:0]
 		for _, vd := range b.search.Ball(sp, u, radius) {
 			if vd.V != u {
 				adj[u] = append(adj[u], vd.V)
@@ -228,19 +236,35 @@ func (b *builder) runMIS(adj [][]int) ([]bool, int) {
 // coverHopRadius measures the flooding depth the phase actually needs: the
 // maximum hop distance (in the communication graph) from any cluster head
 // to one of its members. Clusters are metric balls of the partial spanner,
-// so this stays small — the locality the paper's Theorem 9 argues.
+// so this stays small — the locality the paper's Theorem 9 argues — and
+// so do the searches: a cluster's hop radius is the least depth whose hop
+// ball holds all its members, and only a depth above the running maximum
+// can raise the answer, so each cluster searches from that depth up until
+// its members are all seen.
 func (b *builder) coverHopRadius(cov *cluster.Cover) int {
 	maxHop := 1
 	for _, c := range cov.Centers {
-		if len(cov.Members(c)) <= 1 {
+		members := len(cov.Members(c))
+		if members <= 1 {
 			continue
 		}
-		// Depth N() is unbounded: no hop distance reaches it.
-		for _, vh := range b.search.HopBall(b.g, c, b.g.N()) {
-			if cov.Center[vh.V] == c && vh.Hops > maxHop {
-				maxHop = vh.Hops
-			}
+		// Members are joined to c by spanner edges, which are edges of
+		// the communication graph, so no member lies N() hops out.
+		for maxHop < b.g.N() && b.membersWithin(cov, c, maxHop) < members {
+			maxHop++
 		}
 	}
 	return maxHop
+}
+
+// membersWithin counts the members of center c's cluster within maxHops
+// hops of c in the communication graph.
+func (b *builder) membersWithin(cov *cluster.Cover, c, maxHops int) int {
+	seen := 0
+	for _, vh := range b.search.HopBall(b.g, c, maxHops) {
+		if cov.Center[vh.V] == c {
+			seen++
+		}
+	}
+	return seen
 }

@@ -80,8 +80,8 @@ func F2ClusterGraph(cfg Config) (*Table, error) {
 	w := 0.35
 	search := graph.NewSearcher(sp.N())
 	for _, delta := range []float64{0.02, 0.05, 0.1, 0.2} {
-		cov := cluster.GreedyCover(sp, delta*w)
-		cg := cluster.BuildClusterGraph(sp, cov, w, (2*delta+1)*w, 0)
+		cov := cluster.GreedyCover(sp, delta*w, nil)
+		cg := cluster.BuildClusterGraph(sp, cov, w, (2*delta+1)*w, 0, nil)
 		// Measure distortion on query-edge-like pairs: Lemma 7 speaks about
 		// endpoints of bin-i edges, i.e. pairs at Euclidean distance in
 		// (W_{i-1}, W_i] — shorter pairs are outside its precondition.

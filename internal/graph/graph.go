@@ -209,6 +209,17 @@ func (g *Graph) TotalWeight() float64 {
 	return s
 }
 
+// Reset removes every edge and keeps the vertex set. Each adjacency row
+// keeps its capacity, so a graph rebuilt many times over the same vertices
+// (a builder's per-phase cluster graph) stops allocating once its rows
+// have grown.
+func (g *Graph) Reset() {
+	for u := range g.adj {
+		g.adj[u] = g.adj[u][:0]
+	}
+	g.m = 0
+}
+
 // Grow extends the vertex set to 0..n-1, keeping all existing edges. It is
 // a no-op when the graph already has at least n vertices. Grow is what lets
 // long-lived dynamic topologies (internal/dynamic) admit new nodes without

@@ -196,3 +196,24 @@ func TestPathWeight(t *testing.T) {
 		}
 	}
 }
+
+func TestResetKeepsVerticesAndRowCapacity(t *testing.T) {
+	g := New(3)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 2)
+	g.Reset()
+	if g.N() != 3 || g.M() != 0 || g.Degree(1) != 0 || g.HasEdge(0, 1) {
+		t.Fatalf("after Reset: n=%d m=%d deg(1)=%d", g.N(), g.M(), g.Degree(1))
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		g.AddEdge(0, 1, 3)
+		g.AddEdge(1, 2, 4)
+		g.Reset()
+	}); allocs != 0 {
+		t.Errorf("refilling reset rows allocates %v times, want 0", allocs)
+	}
+	g.AddEdge(2, 0, 5)
+	if w, ok := g.EdgeWeight(0, 2); !ok || w != 5 || g.M() != 1 {
+		t.Errorf("edge added after Reset: weight %v (present %v), m=%d", w, ok, g.M())
+	}
+}

@@ -164,7 +164,7 @@ func hubOrder(g graph.Topology, radius float64) []int {
 	}
 	order := make([]int, 0, n)
 	placed := make([]bool, n)
-	cov := cluster.GreedyCover(g, radius)
+	cov := cluster.GreedyCover(g, radius, nil)
 	for _, c := range cov.CentersBySize() {
 		order = append(order, c)
 		placed[c] = true
