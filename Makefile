@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check vet fmt test loc race fuzz-short cover bench bench-json bench-save bench-compare bench-check bench-quick serve-smoke recover-smoke build-large-smoke ci
+.PHONY: all build check vet fmt test loc race fuzz-short cover bench bench-check bench-quick serve-smoke recover-smoke build-large-smoke ci
 
 all: check
 
@@ -88,7 +88,8 @@ cover:
 	@echo "wrote $(COVER_PROFILE); open with: $(GO) tool cover -html=$(COVER_PROFILE)"
 
 # Benchmark smoke: one iteration of each micro-benchmark with allocation
-# accounting, to catch perf regressions that change allocs/op. BENCH_CPU
+# accounting, the local tool for reading ns/op and allocs/op (the gated
+# work counters are TestWorkBudget's, run by `make test`). BENCH_CPU
 # runs every benchmark at 1 and 2 procs — the cores the CI runner and the
 # dev sandbox actually have: the -cpu=1 rows guard the sequential hot path,
 # the -cpu=2 rows show what a second core buys (BenchmarkServiceRouteParallel
@@ -99,40 +100,6 @@ BENCH_PKGS = . ./internal/service/
 BENCH_CPU ?= 1,2
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime=10x -cpu=$(BENCH_CPU) $(BENCH_PKGS)
-
-# Machine-readable benchmark output (one JSON event per line, go test -json
-# framing) for trend tracking; pipe to a file or a collector. The recipe is
-# @-silenced so stdout is pure JSON.
-bench-json:
-	@$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime=10x -cpu=$(BENCH_CPU) -json $(BENCH_PKGS)
-
-# Old-vs-new benchmark workflow (see README "Comparing benchmarks across
-# changes"): `make bench-save` on the baseline tree writes $(BENCH_OLD);
-# `make bench-compare` on the changed tree writes $(BENCH_NEW) and runs
-# benchstat over the pair. BENCH_COUNT samples per side give benchstat
-# enough runs for its significance test.
-BENCH_OLD ?= bench.old.txt
-BENCH_NEW ?= bench.new.txt
-BENCH_COUNT ?= 5
-# The runs write to a temp file first: a failed bench run (compile error,
-# b.Fatal) must fail the target and must not clobber a good baseline —
-# piping through tee would swallow go test's exit status under plain sh.
-bench-save:
-	@$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) -cpu=$(BENCH_CPU) $(BENCH_PKGS) > $(BENCH_OLD).tmp || \
-		{ cat $(BENCH_OLD).tmp; rm -f $(BENCH_OLD).tmp; echo "bench-save failed; $(BENCH_OLD) left untouched"; exit 1; }
-	@mv $(BENCH_OLD).tmp $(BENCH_OLD)
-	@cat $(BENCH_OLD)
-bench-compare:
-	@$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) -cpu=$(BENCH_CPU) $(BENCH_PKGS) > $(BENCH_NEW).tmp || \
-		{ cat $(BENCH_NEW).tmp; rm -f $(BENCH_NEW).tmp; echo "bench-compare failed; $(BENCH_NEW) left untouched"; exit 1; }
-	@mv $(BENCH_NEW).tmp $(BENCH_NEW)
-	@cat $(BENCH_NEW)
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(BENCH_OLD) $(BENCH_NEW); \
-	else \
-		echo "benchstat not found: wrote $(BENCH_OLD) / $(BENCH_NEW);"; \
-		echo "install it with: go install golang.org/x/perf/cmd/benchstat@latest"; \
-	fi
 
 # The benchmark of record lives in bench/, its own module outside the root
 # `go test ./...`, yet it imports internal/* packages: vet it and run its

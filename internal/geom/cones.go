@@ -68,7 +68,7 @@ func sphericalCode(d int, sep float64) []Point {
 		v := randomUnitVector(rng, d)
 		covered := false
 		for _, a := range code {
-			if Dot(v, a) >= cosSep {
+			if dot(v, a) >= cosSep {
 				covered = true
 				break
 			}
@@ -93,7 +93,7 @@ func randomUnitVector(rng *rand.Rand, d int) Point {
 			n += v[i] * v[i]
 		}
 		if n > 1e-12 {
-			return Scale(v, 1/math.Sqrt(n))
+			return scale(v, 1/math.Sqrt(n))
 		}
 	}
 }
@@ -101,10 +101,10 @@ func randomUnitVector(rng *rand.Rand, d int) Point {
 // Assign returns the index of the cone (axis) to which direction v belongs:
 // the axis maximizing the inner product with v. v must be non-zero.
 func (cp *ConePartition) Assign(v Point) int {
-	u := Normalize(v)
+	u := normalize(v)
 	best, bestDot := 0, math.Inf(-1)
 	for i, a := range cp.Axes {
-		if dt := Dot(u, a); dt > bestDot {
+		if dt := dot(u, a); dt > bestDot {
 			best, bestDot = i, dt
 		}
 	}
@@ -113,5 +113,5 @@ func (cp *ConePartition) Assign(v Point) int {
 
 // AssignEdge returns the cone index of the direction from p toward q.
 func (cp *ConePartition) AssignEdge(p, q Point) int {
-	return cp.Assign(Sub(q, p))
+	return cp.Assign(sub(q, p))
 }

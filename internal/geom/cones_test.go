@@ -86,7 +86,7 @@ func TestConePartitionCovering3D(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		v := randomUnitVector(rng, 3)
 		axis := cp.Axes[cp.Assign(v)]
-		if ang := math.Acos(clampUnit(Dot(v, axis))); ang > theta/2+1e-6 {
+		if ang := math.Acos(clampUnit(dot(v, axis))); ang > theta/2+1e-6 {
 			t.Fatalf("direction %v is %v from nearest axis, want <= %v", v, ang, theta/2)
 		}
 	}
@@ -132,8 +132,8 @@ func TestRandomUnitVectorIsUnit(t *testing.T) {
 	for d := 2; d <= 5; d++ {
 		for i := 0; i < 50; i++ {
 			v := randomUnitVector(rng, d)
-			if math.Abs(Norm(v)-1) > 1e-9 {
-				t.Fatalf("d=%d: norm %v", d, Norm(v))
+			if math.Abs(norm(v)-1) > 1e-9 {
+				t.Fatalf("d=%d: norm %v", d, norm(v))
 			}
 		}
 	}

@@ -40,8 +40,8 @@ func (p Point) String() string {
 	return s + ")"
 }
 
-// Sub returns p - q as a vector.
-func Sub(p, q Point) Point {
+// sub returns p - q as a vector.
+func sub(p, q Point) Point {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(p), len(q)))
 	}
@@ -52,8 +52,8 @@ func Sub(p, q Point) Point {
 	return v
 }
 
-// Scale returns s * p.
-func Scale(p Point, s float64) Point {
+// scale returns s * p.
+func scale(p Point, s float64) Point {
 	v := make(Point, len(p))
 	for i := range p {
 		v[i] = s * p[i]
@@ -61,8 +61,8 @@ func Scale(p Point, s float64) Point {
 	return v
 }
 
-// Dot returns the inner product of p and q.
-func Dot(p, q Point) float64 {
+// dot returns the inner product of p and q.
+func dot(p, q Point) float64 {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(p), len(q)))
 	}
@@ -73,8 +73,8 @@ func Dot(p, q Point) float64 {
 	return s
 }
 
-// Norm returns the Euclidean norm of p interpreted as a vector.
-func Norm(p Point) float64 { return math.Sqrt(Dot(p, p)) }
+// norm returns the Euclidean norm of p interpreted as a vector.
+func norm(p Point) float64 { return math.Sqrt(dot(p, p)) }
 
 // DistSq returns the squared Euclidean distance between p and q.
 func DistSq(p, q Point) float64 {
@@ -96,13 +96,13 @@ func Dist(p, q Point) float64 { return math.Sqrt(DistSq(p, q)) }
 // between rays apex→a and apex→b. The result is in [0, π]. If either ray is
 // degenerate (a == apex or b == apex) the angle is defined to be 0.
 func Angle(apex, a, b Point) float64 {
-	u := Sub(a, apex)
-	v := Sub(b, apex)
-	nu, nv := Norm(u), Norm(v)
+	u := sub(a, apex)
+	v := sub(b, apex)
+	nu, nv := norm(u), norm(v)
 	if nu == 0 || nv == 0 {
 		return 0
 	}
-	c := Dot(u, v) / (nu * nv)
+	c := dot(u, v) / (nu * nv)
 	// Clamp against floating-point drift before acos.
 	if c > 1 {
 		c = 1
@@ -112,13 +112,13 @@ func Angle(apex, a, b Point) float64 {
 	return math.Acos(c)
 }
 
-// Normalize returns p scaled to unit norm. Panics if p is the zero vector.
-func Normalize(p Point) Point {
-	n := Norm(p)
+// normalize returns p scaled to unit norm. Panics if p is the zero vector.
+func normalize(p Point) Point {
+	n := norm(p)
 	if n == 0 {
 		panic("geom: cannot normalize zero vector")
 	}
-	return Scale(p, 1/n)
+	return scale(p, 1/n)
 }
 
 // Midpoint returns the midpoint of segment pq.

@@ -132,17 +132,17 @@ func TestAngleLawOfCosinesConsistency(t *testing.T) {
 
 func TestVectorOps(t *testing.T) {
 	p, q := Point{1, 2, 3}, Point{4, 5, 6}
-	if got := Sub(q, p); got[0] != 3 || got[1] != 3 || got[2] != 3 {
-		t.Errorf("Sub = %v", got)
+	if got := sub(q, p); got[0] != 3 || got[1] != 3 || got[2] != 3 {
+		t.Errorf("sub = %v", got)
 	}
-	if got := Scale(p, 2); got[0] != 2 || got[1] != 4 || got[2] != 6 {
-		t.Errorf("Scale = %v", got)
+	if got := scale(p, 2); got[0] != 2 || got[1] != 4 || got[2] != 6 {
+		t.Errorf("scale = %v", got)
 	}
-	if got := Dot(p, q); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
+	if got := dot(p, q); got != 32 {
+		t.Errorf("dot = %v, want 32", got)
 	}
-	if got := Norm(Point{3, 4}); got != 5 {
-		t.Errorf("Norm = %v, want 5", got)
+	if got := norm(Point{3, 4}); got != 5 {
+		t.Errorf("norm = %v, want 5", got)
 	}
 	if got := Midpoint(Point{0, 0}, Point{2, 4}); got[0] != 1 || got[1] != 2 {
 		t.Errorf("Midpoint = %v", got)
@@ -150,16 +150,16 @@ func TestVectorOps(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
-	v := Normalize(Point{3, 4})
-	if !almostEqual(Norm(v), 1, 1e-12) {
-		t.Errorf("Normalize norm = %v", Norm(v))
+	v := normalize(Point{3, 4})
+	if !almostEqual(norm(v), 1, 1e-12) {
+		t.Errorf("normalize norm = %v", norm(v))
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on zero vector")
 		}
 	}()
-	Normalize(Point{0, 0})
+	normalize(Point{0, 0})
 }
 
 func TestCloneIndependence(t *testing.T) {

@@ -34,7 +34,7 @@ package graph
 // plane and ~1/4 in 3-D (nothing in a degenerate 1-D corridor, and less
 // near deployment boundaries, where clipped balls grow quasi-linearly).
 // TestBidiSettlesFewer pins the aggregate settled-vertex ratio across 2-D
-// and 3-D workloads; benchstat shows the wall-clock consequence.
+// and 3-D workloads; `make bench` shows the wall-clock consequence.
 //
 // The loop is written once, over a rowView (searcher.go): the topology is
 // resolved to its concrete representation once per search and each settled

@@ -166,6 +166,9 @@ func (r *Router) Route(scheme Scheme, s, t int) (Route, error) {
 // the same Searcher to consecutive calls and skip the package-level pool
 // entirely.
 func (r *Router) RouteWith(srch *graph.Searcher, scheme Scheme, s, t int) (Route, error) {
+	if scheme < SchemeShortestPath || scheme > SchemeCompass {
+		return Route{}, fmt.Errorf("routing: unknown scheme %d", scheme)
+	}
 	if s < 0 || s >= r.g.N() || t < 0 || t >= r.g.N() {
 		return Route{}, fmt.Errorf("%w: endpoints (%d,%d), n=%d", ErrOutOfRange, s, t, r.g.N())
 	}
@@ -177,10 +180,8 @@ func (r *Router) RouteWith(srch *graph.Searcher, scheme Scheme, s, t int) (Route
 		return r.shortest(srch, s, t), nil
 	case SchemeGreedy:
 		return r.greedy(s, t), nil
-	case SchemeCompass:
-		return r.compass(s, t), nil
 	default:
-		return Route{}, fmt.Errorf("routing: unknown scheme %d", scheme)
+		return r.compass(s, t), nil
 	}
 }
 

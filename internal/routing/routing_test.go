@@ -367,6 +367,9 @@ func TestRouteOutOfRange(t *testing.T) {
 	if _, err := r.Route(Scheme(99), 0, 1); err == nil || errors.Is(err, ErrOutOfRange) {
 		t.Errorf("unknown scheme: err = %v, want non-range error", err)
 	}
+	if route, err := r.Route(Scheme(99), 2, 2); err == nil || errors.Is(err, ErrOutOfRange) {
+		t.Errorf("unknown scheme, s == t: route = %+v, err = %v, want non-range error", route, err)
+	}
 }
 
 func TestRouteWithReusesSearcher(t *testing.T) {

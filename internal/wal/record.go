@@ -53,38 +53,35 @@ func encodeRecord(kind uint8, payload []byte) []byte {
 	return append(b, comp...)
 }
 
-// recordReader iterates the records of one log or checkpoint stream,
-// tracking the byte offset of the last fully valid record so recovery can
-// truncate a torn tail exactly at the record boundary.
-type recordReader struct {
-	r *bufio1
-	// Good is the offset just past the last record returned without error.
-	Good int64
+// RecordReader iterates the records of one log or checkpoint file, or of
+// a follower's replication stream, which carries the same envelope. It
+// counts the bytes it consumes and keeps the offset just past the last
+// record it returned without error, so recovery can truncate a torn tail
+// exactly at the record boundary.
+type RecordReader struct {
+	r    io.Reader
+	n    int64 // bytes consumed
+	good int64 // offset just past the last fully valid record
 }
 
-// bufio1 is the minimal buffered reader recordReader needs: io.ReadFull
-// semantics over an io.Reader with a byte count.
-type bufio1 struct {
-	r io.Reader
-	n int64
+// NewRecordReader scans records from r.
+func NewRecordReader(r io.Reader) *RecordReader {
+	return &RecordReader{r: r}
 }
 
-func (b *bufio1) full(p []byte) error {
-	n, err := io.ReadFull(b.r, p)
-	b.n += int64(n)
+// full fills p with io.ReadFull semantics, counting the bytes read.
+func (rr *RecordReader) full(p []byte) error {
+	n, err := io.ReadFull(rr.r, p)
+	rr.n += int64(n)
 	return err
-}
-
-func newRecordReader(r io.Reader) *recordReader {
-	return &recordReader{r: &bufio1{r: r}}
 }
 
 // next returns the kind and decompressed payload of the next record.
 // io.EOF means a clean end exactly at a record boundary; ErrTorn means the
 // stream ended mid-record; ErrCorrupt means the bytes are wrong.
-func (rr *recordReader) next() (kind uint8, payload []byte, err error) {
+func (rr *RecordReader) next() (kind uint8, payload []byte, err error) {
 	hdr := make([]byte, recordHdrSize)
-	if err := rr.r.full(hdr); err != nil {
+	if err := rr.full(hdr); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
@@ -105,7 +102,7 @@ func (rr *recordReader) next() (kind uint8, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: implausible record length %d", ErrCorrupt, clen)
 	}
 	comp := make([]byte, clen)
-	if err := rr.r.full(comp); err != nil {
+	if err := rr.full(comp); err != nil {
 		return 0, nil, fmt.Errorf("%w: body cut short: %v", ErrTorn, err)
 	}
 	if got := crc32.ChecksumIEEE(comp); got != crc {
@@ -122,27 +119,15 @@ func (rr *recordReader) next() (kind uint8, payload []byte, err error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	rr.Good = rr.r.n
+	rr.good = rr.n
 	return kind, payload, nil
-}
-
-// RecordReader is the exported face of the record scanner, for consumers
-// outside the package (the follower client reads the same envelope
-// format off the replication stream that the recorder writes to disk).
-type RecordReader struct {
-	rr *recordReader
-}
-
-// NewRecordReader scans records from r.
-func NewRecordReader(r io.Reader) *RecordReader {
-	return &RecordReader{rr: newRecordReader(r)}
 }
 
 // NextFrame returns the next frame record. io.EOF means a clean end;
 // ErrTorn a mid-record cut; ErrCorrupt damaged bytes or an unexpected
 // record kind.
-func (r *RecordReader) NextFrame() (*Frame, error) {
-	kind, payload, err := r.rr.next()
+func (rr *RecordReader) NextFrame() (*Frame, error) {
+	kind, payload, err := rr.next()
 	if err != nil {
 		return nil, err
 	}
@@ -153,8 +138,8 @@ func (r *RecordReader) NextFrame() (*Frame, error) {
 }
 
 // NextCheckpoint returns the next checkpoint record's state.
-func (r *RecordReader) NextCheckpoint() (*State, error) {
-	kind, payload, err := r.rr.next()
+func (rr *RecordReader) NextCheckpoint() (*State, error) {
+	kind, payload, err := rr.next()
 	if err != nil {
 		return nil, err
 	}

@@ -445,12 +445,7 @@ func loadCheckpoint(fs FS, name string, epoch uint64) *State {
 		return nil
 	}
 	defer f.Close()
-	rr := newRecordReader(f)
-	kind, payload, err := rr.next()
-	if err != nil || kind != kindCheckpoint {
-		return nil
-	}
-	st, err := DecodeState(payload)
+	st, err := NewRecordReader(f).NextCheckpoint()
 	if err != nil || st.Epoch != epoch {
 		return nil
 	}
@@ -465,22 +460,15 @@ func replayLog(fs FS, name string, st *State) (done bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	rr := newRecordReader(f)
+	rr := NewRecordReader(f)
 	for {
-		kind, payload, rerr := rr.next()
+		frame, rerr := rr.NextFrame()
 		if rerr == io.EOF {
 			f.Close()
 			return false, nil
 		}
 		if rerr != nil {
-			break // torn or corrupt: truncate at the last good boundary
-		}
-		if kind != kindFrame {
-			break
-		}
-		frame, derr := DecodeFrame(payload)
-		if derr != nil {
-			break
+			break // torn, corrupt or not a frame: truncate at the last good boundary
 		}
 		if aerr := st.Apply(frame); aerr != nil {
 			// An epoch gap or chain mismatch means the record is not a
@@ -488,7 +476,7 @@ func replayLog(fs FS, name string, st *State) (done bool, err error) {
 			break
 		}
 	}
-	good := rr.Good
+	good := rr.good
 	f.Close()
 	if size, serr := fs.Size(name); serr == nil && size > good {
 		if terr := fs.Truncate(name, good); terr != nil {

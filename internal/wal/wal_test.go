@@ -57,7 +57,7 @@ func TestRecordRoundtrip(t *testing.T) {
 	for _, p := range payloads {
 		buf.Write(encodeRecord(kindFrame, p))
 	}
-	rr := newRecordReader(bytes.NewReader(buf.Bytes()))
+	rr := NewRecordReader(bytes.NewReader(buf.Bytes()))
 	for i, want := range payloads {
 		kind, got, err := rr.next()
 		if err != nil || kind != kindFrame {
@@ -70,8 +70,8 @@ func TestRecordRoundtrip(t *testing.T) {
 	if _, _, err := rr.next(); err != io.EOF {
 		t.Fatalf("clean end: err=%v, want io.EOF", err)
 	}
-	if rr.Good != int64(buf.Len()) {
-		t.Fatalf("Good=%d, want %d", rr.Good, buf.Len())
+	if rr.good != int64(buf.Len()) {
+		t.Fatalf("good=%d, want %d", rr.good, buf.Len())
 	}
 }
 
@@ -79,9 +79,9 @@ func TestRecordTornTail(t *testing.T) {
 	rec := encodeRecord(kindFrame, []byte("first"))
 	full := append(append([]byte{}, rec...), encodeRecord(kindFrame, []byte("second"))...)
 	// Every strict prefix that cuts into the second record must yield the
-	// first record, then ErrTorn/ErrCorrupt with Good at the boundary.
+	// first record, then ErrTorn/ErrCorrupt with good at the boundary.
 	for cut := len(rec) + 1; cut < len(full); cut++ {
-		rr := newRecordReader(bytes.NewReader(full[:cut]))
+		rr := NewRecordReader(bytes.NewReader(full[:cut]))
 		if _, _, err := rr.next(); err != nil {
 			t.Fatalf("cut %d: first record unreadable: %v", cut, err)
 		}
@@ -89,8 +89,8 @@ func TestRecordTornTail(t *testing.T) {
 		if !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("cut %d: err=%v, want torn or corrupt", cut, err)
 		}
-		if rr.Good != int64(len(rec)) {
-			t.Fatalf("cut %d: Good=%d, want %d", cut, rr.Good, len(rec))
+		if rr.good != int64(len(rec)) {
+			t.Fatalf("cut %d: good=%d, want %d", cut, rr.good, len(rec))
 		}
 	}
 }
@@ -100,7 +100,7 @@ func TestRecordBitFlip(t *testing.T) {
 	for off := 0; off < len(rec); off++ {
 		mut := append([]byte{}, rec...)
 		mut[off] ^= 0x10
-		rr := newRecordReader(bytes.NewReader(mut))
+		rr := NewRecordReader(bytes.NewReader(mut))
 		_, got, err := rr.next()
 		if err == nil && bytes.Equal(got, []byte("payload under test")) {
 			t.Fatalf("bit flip at %d went undetected", off)

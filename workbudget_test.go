@@ -1,74 +1,158 @@
 package topoctl
 
 import (
+	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 
 	"topoctl/internal/core"
 	"topoctl/internal/dist"
+	"topoctl/internal/geom"
+	"topoctl/internal/graph"
+	"topoctl/internal/greedy"
+	"topoctl/internal/labels"
+	"topoctl/internal/routing"
+	"topoctl/internal/service"
 )
+
+// counts maps a counter's name to its value (or, in a row, its ceiling).
+type counts map[string]float64
 
 // TestWorkBudget gates counters that, unlike wall time, do not depend on
 // machine load: each row runs a workload at fixed seeds and fails when a
 // counter exceeds its ceiling. A ceiling is the value measured when the row
-// was last tightened plus the stated headroom, which absorbs the few
-// allocations sync.Pool reuse moves from run to run. A change that lowers a
-// counter tightens its ceiling; raising one is a decision to record with
-// its reason.
+// was last tightened plus the stated headroom: allocation and byte counts
+// get 10 %, which absorbs the few allocations sync.Pool reuse moves from
+// run to run; search and label counts are deterministic and get none. A
+// change that lowers a counter tightens its ceiling; raising one is a
+// decision to record with its reason.
 //
 // The builder rows run core.Build and dist.Build once each at n=2,048 on
 // the builders' benchmark instance (BenchmarkCoreBuild/n=2048: uniform
-// plane, α = 0.75, expected degree 8, ε = 0.5, seed 1).
+// plane, α = 0.75, expected degree 8, ε = 0.5, seed 1). The serving rows
+// run at n=4,096 on BenchmarkRouteUncached/n=4096's instance (expected
+// degree 8, seed 1) and its frozen greedy 1.5-spanner.
 func TestWorkBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	inst := benchInstanceDensity(t, 2048, 8)
+	small := benchInstanceDensity(t, 2048, 8)
 	p, err := core.NewParams(0.5, 0.75, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := benchInstanceDensity(t, 4096, 8)
+	sp := graph.Freeze(greedy.Spanner(inst.G, 1.5))
 	for _, row := range []struct {
-		name                string
-		maxAllocs, maxBytes uint64
-		build               func() error
+		name    string
+		count   func() (counts, error)
+		ceiling counts
 	}{
 		// Measured: 76,348 allocations, 7.15 MB. Headroom 10 %.
-		{"core.Build/n=2048", 84_000, 7_900_000, func() error {
-			_, err := core.Build(inst.Points, inst.G, core.Options{Params: p})
+		{"core.Build/n=2048", workOf(func() error {
+			_, err := core.Build(small.Points, small.G, core.Options{Params: p})
 			return err
-		}},
+		}), counts{"allocations": 84_000, "bytes": 7_900_000}},
 		// Measured: 79,354 allocations, 24.6 MB. Headroom 10 %.
-		{"dist.Build/n=2048", 87_000, 27_100_000, func() error {
-			_, err := dist.Build(inst.Points, inst.G, dist.Options{Params: p, Seed: 1})
+		{"dist.Build/n=2048", workOf(func() error {
+			_, err := dist.Build(small.Points, small.G, dist.Options{Params: p, Seed: 1})
 			return err
-		}},
+		}), counts{"allocations": 87_000, "bytes": 27_100_000}},
+		// Measured: 99,987 settled over 256 queries, 390.57 per query.
+		{"uncached A* route/n=4096", func() (counts, error) {
+			return settledPerRoute(sp, inst.Points)
+		}, counts{"settled/query": 390.6}},
+		// Measured: 99 allocations, 1,394,528 bytes. Headroom 10 %.
+		{"service commit, one move/n=4096", func() (counts, error) {
+			return commitWork(inst.Points)
+		}, counts{"allocations": 109, "bytes": 1_534_000}},
+		// Measured: 144.68 entries per vertex.
+		{"labels.Build/n=4096", func() (counts, error) {
+			st := labels.Build(sp, labels.Options{}).Stats()
+			return counts{"entries/vertex": float64(st.Entries) / float64(st.Vertices)}, nil
+		}, counts{"entries/vertex": 144.7}},
 	} {
-		allocs, bytes, err := workOf(row.build)
+		got, err := row.count()
 		if err != nil {
 			t.Fatalf("%s: %v", row.name, err)
 		}
-		t.Logf("%s: %d allocations, %d bytes", row.name, allocs, bytes)
-		if allocs > row.maxAllocs {
-			t.Errorf("%s: %d allocations per build, ceiling %d", row.name, allocs, row.maxAllocs)
-		}
-		if bytes > row.maxBytes {
-			t.Errorf("%s: %d bytes allocated per build, ceiling %d", row.name, bytes, row.maxBytes)
+		for _, name := range slices.Sorted(maps.Keys(row.ceiling)) {
+			t.Logf("%s: %s %.2f", row.name, name, got[name])
+			if got[name] > row.ceiling[name] {
+				t.Errorf("%s: %s %.2f, ceiling %.2f", row.name, name, got[name], row.ceiling[name])
+			}
 		}
 	}
 }
 
-// workOf runs f once to warm the searcher pool, then again from a
-// collected heap, and returns the second run's allocation count and bytes.
-func workOf(f func() error) (allocs, bytes uint64, err error) {
-	if err := f(); err != nil {
-		return 0, 0, err
+// settledPerRoute routes BenchmarkRouteUncached's 256 query pairs over sp
+// on a router declared Euclidean, so each route is one A* search, and
+// returns the vertices settled per query.
+func settledPerRoute(sp *graph.Frozen, points []geom.Point) (counts, error) {
+	router, err := routing.NewRouter(sp, points)
+	if err != nil {
+		return nil, err
 	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err = f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, err
+	router.SetEuclidean()
+	queries := routing.RandomQueries(sp.N(), 256, 7)
+	srch := graph.NewSearcher(sp.N())
+	for _, q := range queries {
+		rt, err := router.RouteWith(srch, routing.SchemeShortestPath, q.S, q.T)
+		if err != nil {
+			return nil, err
+		}
+		if !rt.Delivered {
+			return nil, fmt.Errorf("undelivered %d->%d", q.S, q.T)
+		}
+	}
+	return counts{"settled/query": float64(srch.Stats().Settled) / float64(len(queries))}, nil
+}
+
+// commitWork boots a labels-off Service over points and returns the work
+// of one Mutate holding a single move of vertex 0: the writer's repair,
+// the frozen export and the fresh snapshot with its route cache.
+func commitWork(points []geom.Point) (counts, error) {
+	svc, err := service.New(points, service.Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer svc.Close()
+	var batches [2][]service.Op
+	for i := range batches {
+		to := slices.Clone(points[0])
+		to[0] += 0.01 * float64(i+1)
+		batches[i] = []service.Op{{Kind: service.OpMove, ID: 0, Point: to}}
+	}
+	commits := 0
+	return workOf(func() error {
+		res, err := svc.Mutate(batches[commits%2])
+		commits++
+		if err == nil && res.Applied != 1 {
+			err = fmt.Errorf("move not applied: %+v", res.Results)
+		}
+		return err
+	})()
+}
+
+// workOf returns a counter that runs f once to warm the searcher pool,
+// then again from a collected heap, and reports the second run's
+// allocation count and bytes.
+func workOf(f func() error) func() (counts, error) {
+	return func() (counts, error) {
+		if err := f(); err != nil {
+			return nil, err
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := f()
+		runtime.ReadMemStats(&after)
+		return counts{
+			"allocations": float64(after.Mallocs - before.Mallocs),
+			"bytes":       float64(after.TotalAlloc - before.TotalAlloc),
+		}, err
+	}
 }
