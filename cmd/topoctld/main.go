@@ -255,11 +255,7 @@ func buildLeader(sf *serveFlags, wf *walFlags) (*service.Service, *replica.Leade
 			rec.Close(nil)
 			return nil, nil, nil, fmt.Errorf("wal recovery: %w", err)
 		}
-		svc, err = service.NewFromEngine(eng, opts)
-		if err != nil {
-			rec.Close(nil)
-			return nil, nil, nil, err
-		}
+		svc = service.NewFromEngine(eng, opts)
 		log.Printf("recovered epoch %d from %s (%d live nodes)", recovered.Epoch, wf.dir, recovered.Live)
 	} else {
 		pts, err := sf.points()

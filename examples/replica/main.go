@@ -55,8 +55,7 @@ func openLeader(dir string, pts []geom.Point) (*service.Service, *replica.Leader
 			return nil, nil, err
 		}
 		opts.InitialVersion = recovered.Epoch
-		svc, err := service.NewFromEngine(eng, opts)
-		return svc, ld, err
+		return service.NewFromEngine(eng, opts), ld, nil
 	}
 	svc, err := service.New(pts, opts)
 	if err != nil {

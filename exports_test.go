@@ -5,6 +5,7 @@ package topoctl
 // of an exported type, under internal/ must be referenced by some non-test
 // file of this module or of the bench/ module. Reference oracles belong in
 // a _test.go file or in a package only tests import (graph/graphtest).
+// TestKnobsHaveProductionSetters does the same for Options/Config fields.
 
 import (
 	"bytes"
@@ -21,36 +22,77 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
 func TestExportsHaveProductionCallers(t *testing.T) {
-	unused, err := unusedExports(".", "bench")
+	rep, err := rootReport()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(unused) > 0 {
+	if unused := rep.unusedExports; len(unused) > 0 {
 		t.Errorf("%d exported identifiers under internal/ have no caller outside _test.go files; "+
 			"move test oracles into test code and delete the rest:\n\t%s",
 			len(unused), strings.Join(unused, "\n\t"))
 	}
 }
 
-// TestExportGateFixture runs the gate on a small module pair with one
-// planted unused export next to every kind of identifier the gate must let
-// through: a String method, a method that satisfies the fixture's own
-// interface, a package only a test imports, and an export only the second
-// module calls.
-func TestExportGateFixture(t *testing.T) {
-	root := filepath.Join("testdata", "exportgate")
-	unused, err := unusedExports(root, filepath.Join(root, "bench"))
+// TestKnobsHaveProductionSetters keeps one-value options out of the
+// configuration structs: every exported field of an exported *Options or
+// *Config struct under internal/ must be written, as a composite-literal key
+// or on the left of an assignment, by some non-test file outside its own
+// package. A knob only tests or nothing sets is a constant.
+func TestKnobsHaveProductionSetters(t *testing.T) {
+	rep, err := rootReport()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{filepath.Join(root, "internal", "shape", "shape.go") + ":29: shape.Planted"}
-	if !slices.Equal(unused, want) {
-		t.Errorf("gate reported %q, want %q", unused, want)
+	if unset := rep.unsetKnobs; len(unset) > 0 {
+		t.Errorf("%d Options/Config fields under internal/ have no setter outside _test.go files and "+
+			"their own package; make each a constant, or an unexported field its own tests set:\n\t%s",
+			len(unset), strings.Join(unset, "\n\t"))
 	}
+}
+
+// TestExportGateFixture runs both gates on a small module pair. Beside one
+// planted unused export sits every kind of identifier the export gate must
+// let through: a String method, a method that satisfies the fixture's own
+// interface, a package only a test imports, and an export only the second
+// module calls. Beside one planted knob that only a test sets sit a knob
+// only the second module sets and one set by an assignment in another
+// package.
+func TestExportGateFixture(t *testing.T) {
+	root := filepath.Join("testdata", "exportgate")
+	rep, err := gate(root, filepath.Join(root, "bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := filepath.Join(root, "internal", "shape", "shape.go")
+	if got, want := rep.unusedExports, []string{shape + ":30: shape.Planted"}; !slices.Equal(got, want) {
+		t.Errorf("export gate reported %q, want %q", got, want)
+	}
+	if got, want := rep.unsetKnobs, []string{shape + ":36: shape.Options.Planted"}; !slices.Equal(got, want) {
+		t.Errorf("knob gate reported %q, want %q", got, want)
+	}
+}
+
+// report is what the two gates find in one set of modules.
+type report struct{ unusedExports, unsetKnobs []string }
+
+// rootReport runs both gates on this module and bench/ once, so the two
+// tests share one go list and type-check.
+var rootReport = sync.OnceValues(func() (report, error) { return gate(".", "bench") })
+
+// gate loads the modules and runs both gates. It keeps only the reports:
+// the type-checked program, standard library included, is garbage once it
+// returns, so it does not slow the collections of later tests.
+func gate(modules ...string) (report, error) {
+	p, err := load(modules...)
+	if err != nil {
+		return report{}, err
+	}
+	return report{p.unusedExports(), p.unsetKnobs()}, nil
 }
 
 // listedPackage is the part of `go list -json` the gate reads.
@@ -84,17 +126,21 @@ func goList(dir string) ([]*listedPackage, error) {
 	return pkgs, nil
 }
 
-// unusedExports type-checks the non-test files of the given modules (the
-// first is the one whose internal/ packages are audited; later ones, such
-// as bench/, only contribute callers) and returns "file:line: pkg.Name"
-// for every exported package-level function, or exported method of an
-// exported type, in an internal/ package of the first module that no
-// non-test file references. It exempts methods that satisfy an interface
-// declared anywhere in the import graph, and packages that no non-test
-// file imports. File names are relative to the working directory.
-func unusedExports(modules ...string) ([]string, error) {
+// program is the type-checked non-test code of a set of modules: the first
+// is the one whose internal/ packages are audited; later ones, such as
+// bench/, only contribute callers and setters.
+type program struct {
+	c     *checker
+	order []string
+	// audited holds the internal/ packages of the first module that some
+	// non-test file imports; a package only tests import is exempt.
+	audited map[string]bool
+}
+
+// load lists and type-checks the non-test files of the given modules.
+func load(modules ...string) (*program, error) {
 	byPath := map[string]*listedPackage{}
-	audited := map[string]bool{}
+	internal := map[string]bool{}
 	var order []string
 	for i, dir := range modules {
 		pkgs, err := goList(dir)
@@ -107,13 +153,15 @@ func unusedExports(modules ...string) ([]string, error) {
 			}
 			byPath[p.ImportPath] = p
 			order = append(order, p.ImportPath)
-			audited[p.ImportPath] = i == 0 && strings.Contains(p.ImportPath+"/", "/internal/")
+			internal[p.ImportPath] = i == 0 && strings.Contains(p.ImportPath+"/", "/internal/")
 		}
 	}
-	prodImported := map[string]bool{}
+	audited := map[string]bool{}
 	for _, p := range byPath {
 		for _, imp := range p.Imports {
-			prodImported[imp] = true
+			if internal[imp] {
+				audited[imp] = true
+			}
 		}
 	}
 
@@ -134,7 +182,15 @@ func unusedExports(modules ...string) ([]string, error) {
 			return nil, err
 		}
 	}
+	return &program{c: c, order: order, audited: audited}, nil
+}
 
+// unusedExports returns "file:line: pkg.Name" for every exported
+// package-level function, or exported method of an exported type, in an
+// audited package that no non-test file references. It exempts methods
+// that satisfy an interface declared anywhere in the import graph.
+func (p *program) unusedExports() []string {
+	c := p.c
 	// Candidates, keyed by their object; decl spans let a function's
 	// recursive calls to itself not count as callers.
 	type candidate struct {
@@ -143,8 +199,8 @@ func unusedExports(modules ...string) ([]string, error) {
 	}
 	cands := map[types.Object]candidate{}
 	ifaces := c.interfaces()
-	for _, path := range order {
-		if !audited[path] || !prodImported[path] {
+	for _, path := range p.order {
+		if !p.audited[path] {
 			continue
 		}
 		info := c.info[path]
@@ -177,21 +233,91 @@ func unusedExports(modules ...string) ([]string, error) {
 			}
 		}
 	}
-	wd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
 	var unused []string
 	for _, cd := range cands {
-		p := fset.Position(cd.pos)
-		file := p.Filename
+		unused = append(unused, p.where(cd.pos, cd.name))
+	}
+	slices.Sort(unused)
+	return unused
+}
+
+// unsetKnobs returns "file:line: pkg.Type.Field" for every exported,
+// non-embedded field of an exported struct type named *Options or *Config
+// in an audited package that no non-test file outside that package writes.
+// A write is a composite-literal key or a selector on the left of an
+// assignment.
+func (p *program) unsetKnobs() []string {
+	c := p.c
+	cands := map[*types.Var]string{}
+	for _, path := range p.order {
+		if !p.audited[path] {
+			continue
+		}
+		scope := c.pkgs[path].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Anonymous() {
+					cands[f] = c.pkgs[path].Name() + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+	for _, path := range p.order {
+		info := c.info[path]
+		written := func(id *ast.Ident) {
+			if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg().Path() != path {
+				delete(cands, v.Origin())
+			}
+		}
+		for _, f := range c.files[path] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								written(id)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							written(sel.Sel)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unset []string
+	for v, name := range cands {
+		unset = append(unset, p.where(v.Pos(), name))
+	}
+	slices.Sort(unset)
+	return unset
+}
+
+// where formats pos as "file:line: name", the file relative to the working
+// directory.
+func (p *program) where(pos token.Pos, name string) string {
+	at := p.c.fset.Position(pos)
+	file := at.Filename
+	if wd, err := os.Getwd(); err == nil {
 		if rel, err := filepath.Rel(wd, file); err == nil {
 			file = rel
 		}
-		unused = append(unused, fmt.Sprintf("%s:%d: %s", file, p.Line, cd.name))
 	}
-	slices.Sort(unused)
-	return unused, nil
+	return fmt.Sprintf("%s:%d: %s", file, at.Line, name)
 }
 
 // checker type-checks listed packages from source on first import and

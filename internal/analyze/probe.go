@@ -82,12 +82,14 @@ func (p StretchProbe) Worst() (worst float64, disconnected int) {
 // coupon argument: if a fraction F of the edges exceeds the sampled
 // maximum, k uniform draws all miss them with probability (1−F)^k ≤ e^{−Fk}
 // (drawing without replacement only lowers it), so with confidence 1−δ at
-// most F = ln(1/δ)/k of the edges exceed it.
+// most F = ln(1/δ)/k of the edges exceed it. A truncated probe bounds
+// nothing: the edges it checked are each worker's low-rank prefix, not a
+// uniform draw.
 func (p StretchProbe) ViolationBound() float64 {
 	switch {
 	case p.Exact:
 		return 0
-	case len(p.Checked) == 0:
+	case p.Truncated, len(p.Checked) == 0:
 		return 1
 	}
 	return math.Log(1/(1-ProbeConfidence)) / float64(len(p.Checked))

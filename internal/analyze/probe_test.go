@@ -149,3 +149,17 @@ func TestProbeStretchDisconnected(t *testing.T) {
 		t.Fatalf("divergence: %+v", rep)
 	}
 }
+
+// TestViolationBoundTruncated: a probe the time cap cut short checked a
+// low-rank prefix of each worker's stripe, not a uniform draw, so the
+// coupon bound does not apply and the bound is vacuous.
+func TestViolationBoundTruncated(t *testing.T) {
+	p := StretchProbe{Checked: make([]StretchWitness, 10), Truncated: true}
+	if got := p.ViolationBound(); got != 1 {
+		t.Fatalf("truncated probe of 10 edges: bound %v, want 1", got)
+	}
+	p.Truncated = false
+	if got, want := p.ViolationBound(), math.Log(100)/10; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("uniform probe of 10 edges: bound %v, want %v", got, want)
+	}
+}

@@ -8,6 +8,7 @@ package baseline
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"topoctl/internal/geom"
@@ -71,11 +72,12 @@ func Kinds() []Kind {
 	return []Kind{KindMST, KindYao, KindGabriel, KindRNG, KindXTC, KindLMST, KindGreedy}
 }
 
+// yaoTheta is Yao's cone angle, π/3: >= 6 cones in the plane, the
+// classical choice guaranteeing connectivity.
+const yaoTheta = math.Pi / 3
+
 // Options tunes baseline construction.
 type Options struct {
-	// Theta is the cone angle for Yao (default π/3, i.e. >= 6 cones in the
-	// plane, the classical choice guaranteeing connectivity).
-	Theta float64
 	// T is the stretch parameter for KindGreedy (default 1.5).
 	T float64
 }
@@ -84,9 +86,6 @@ type Options struct {
 // embedded at points. Edge weights of the result are copied from g
 // (Euclidean lengths).
 func Build(kind Kind, points []geom.Point, g graph.Topology, opts Options) (*graph.Graph, error) {
-	if opts.Theta <= 0 {
-		opts.Theta = 1.0471975511965976 // π/3
-	}
 	if opts.T <= 1 {
 		opts.T = 1.5
 	}
@@ -94,7 +93,7 @@ func Build(kind Kind, points []geom.Point, g graph.Topology, opts Options) (*gra
 	case KindMST:
 		return graph.FromEdges(g.N(), graph.MSTOf(g)), nil
 	case KindYao:
-		return Yao(points, g, opts.Theta), nil
+		return Yao(points, g, yaoTheta), nil
 	case KindGabriel:
 		return Gabriel(points, g), nil
 	case KindRNG:

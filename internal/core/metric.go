@@ -38,6 +38,3 @@ func (m Metric) Weight(d float64) float64 {
 	}
 	return m.Coeff * math.Pow(d, m.Gamma)
 }
-
-// IsEuclidean reports whether the metric is the identity.
-func (m Metric) IsEuclidean() bool { return m.Coeff == 1 && m.Gamma == 1 }

@@ -33,9 +33,6 @@ func TestMetricValidate(t *testing.T) {
 	if EuclideanMetric.Validate() != nil {
 		t.Error("Euclidean metric rejected")
 	}
-	if !EuclideanMetric.IsEuclidean() || (Metric{Coeff: 2, Gamma: 1}).IsEuclidean() {
-		t.Error("IsEuclidean wrong")
-	}
 }
 
 // TestMetricWeightMonotone: the metric must preserve the length order —

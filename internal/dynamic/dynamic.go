@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"sort"
 
-	"topoctl/internal/core"
 	"topoctl/internal/geom"
 	"topoctl/internal/graph"
 	"topoctl/internal/greedy"
@@ -59,10 +58,6 @@ type Options struct {
 	// maintains the ModelAll base graph — deterministic connectivity is
 	// what makes incremental edge updates well-defined.
 	Radius float64
-	// Metric maps Euclidean lengths to edge weights (default Euclidean;
-	// the §1.6.2 energy metric is supported — dirty balls are computed in
-	// metric units, so locality reasoning is metric-agnostic).
-	Metric core.Metric
 	// Dim is the embedding dimension, required only when the engine starts
 	// empty (otherwise inferred from the first point).
 	Dim int
@@ -78,10 +73,7 @@ func (o *Options) normalize() error {
 	if o.Radius < 0 {
 		return fmt.Errorf("dynamic: radius %v must be positive", o.Radius)
 	}
-	if o.Metric == (core.Metric{}) {
-		o.Metric = core.EuclideanMetric
-	}
-	return o.Metric.Validate()
+	return nil
 }
 
 // Stats counts the work the engine has done; the churn scenario runner and
@@ -114,7 +106,7 @@ type Engine struct {
 
 	grid *geom.DynamicGrid
 	base *graph.Graph // current base graph, Euclidean weights
-	sp   *graph.Graph // maintained spanner, metric weights
+	sp   *graph.Graph // maintained spanner, Euclidean weights
 
 	s       *graph.Searcher
 	nbrs    []int        // grid query scratch
@@ -136,8 +128,6 @@ type Engine struct {
 	expPoints   []geom.Point
 	expAlive    []bool
 	exportClean bool
-
-	maxW float64 // metric weight of a maximum-length base edge
 }
 
 // New builds an engine over the given initial points (may be empty; then
@@ -172,7 +162,6 @@ func New(points []geom.Point, opts Options) (*Engine, error) {
 		s:       graph.NewSearcher(cap),
 		dirty:   make(map[int]struct{}),
 		touched: make(map[int]struct{}),
-		maxW:    opts.Metric.Weight(opts.Radius),
 	}
 	for id := cap - 1; id >= len(points); id-- {
 		e.free = append(e.free, id)
@@ -207,9 +196,6 @@ func New(points []geom.Point, opts Options) (*Engine, error) {
 		}
 	}
 	es := e.base.EdgesUnordered()
-	for i := range es {
-		es[i].W = e.opts.Metric.Weight(es[i].W)
-	}
 	greedy.SortEdges(es)
 	greedy.RunCount(e.sp, es, e.opts.T)
 	return e, nil
@@ -267,7 +253,7 @@ func (e *Engine) IDs(dst []int) []int {
 // isolated vertices. The graph is owned by the engine: read-only.
 func (e *Engine) Base() *graph.Graph { return e.base }
 
-// Spanner returns the maintained spanner (metric weights). Owned by the
+// Spanner returns the maintained spanner (Euclidean weights). Owned by the
 // engine: read-only.
 func (e *Engine) Spanner() *graph.Graph { return e.sp }
 
@@ -422,7 +408,7 @@ func (e *Engine) Move(id int, p geom.Point) error {
 // and the sweep catches it, even though later sweeps (run against a
 // further-shrunken spanner, where distances have grown) might not.
 func (e *Engine) retire(id int) {
-	for _, vd := range e.s.Ball(e.sp, id, e.opts.T*e.maxW) {
+	for _, vd := range e.s.Ball(e.sp, id, e.opts.T*e.opts.Radius) {
 		if vd.V != id {
 			e.markDirty(vd.V)
 		}
@@ -511,7 +497,7 @@ func (e *Engine) repair() {
 			if _, dup := e.dirty[h.To]; dup && h.To < v {
 				continue // the lower-id dirty endpoint owns the edge
 			}
-			cands = append(cands, graph.NewEdge(v, h.To, e.opts.Metric.Weight(h.W)))
+			cands = append(cands, graph.NewEdge(v, h.To, h.W))
 		}
 	}
 	e.cands = cands

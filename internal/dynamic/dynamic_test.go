@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"topoctl/internal/core"
 	"topoctl/internal/geom"
 )
 
@@ -14,18 +13,17 @@ func testPoints(n int, side float64, seed int64) []geom.Point {
 }
 
 // checkInvariants verifies the two structural invariants the engine
-// maintains: the spanner is a subgraph of the current base graph (with
-// metric weights), and every base edge is t-spanned.
+// maintains: the spanner is a subgraph of the current base graph (with the
+// same weights), and every base edge is t-spanned.
 func checkInvariants(t *testing.T, e *Engine) {
 	t.Helper()
-	m := e.Options().Metric
 	for _, ed := range e.Spanner().EdgesUnordered() {
 		w, ok := e.Base().EdgeWeight(ed.U, ed.V)
 		if !ok {
 			t.Fatalf("spanner edge {%d,%d} not in base graph", ed.U, ed.V)
 		}
-		if got, want := ed.W, m.Weight(w); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("spanner edge {%d,%d} weight %v, want metric %v", ed.U, ed.V, got, want)
+		if math.Abs(ed.W-w) > 1e-12 {
+			t.Fatalf("spanner edge {%d,%d} weight %v, want base weight %v", ed.U, ed.V, ed.W, w)
 		}
 	}
 	if s := stretchOf(e); s > e.Options().T+1e-9 {
@@ -222,33 +220,6 @@ func TestEmptyEngineNeedsDim(t *testing.T) {
 	}
 	if _, err := e.Join(geom.Point{0, 0, 0}); err == nil {
 		t.Fatal("dimension mismatch accepted")
-	}
-}
-
-func TestEnergyMetricEngine(t *testing.T) {
-	pts := testPoints(50, 2.5, 9)
-	e, err := New(pts, Options{T: 1.5, Metric: core.Metric{Coeff: 1, Gamma: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(10))
-	for i := 0; i < 20; i++ {
-		ids := e.IDs(nil)
-		id := ids[rng.Intn(len(ids))]
-		p := e.Point(id).Clone()
-		p[0] += rng.NormFloat64() * 0.3
-		p[1] += rng.NormFloat64() * 0.3
-		if err := e.Move(id, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkInvariants(t, e)
-	// Spanner weights really are energy weights.
-	for _, ed := range e.Spanner().EdgesUnordered() {
-		d, _ := e.Base().EdgeWeight(ed.U, ed.V)
-		if math.Abs(ed.W-d*d) > 1e-12 {
-			t.Fatalf("edge {%d,%d}: weight %v, want %v", ed.U, ed.V, ed.W, d*d)
-		}
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // Restore reconstructs an Engine from previously exported state: the
-// slot-indexed points and liveness mask, the base graph (Euclidean
-// weights), and the maintained spanner (metric weights) — exactly what
-// WAL recovery produces after loading a checkpoint and replaying the log
-// tail. The engine takes ownership of all four arguments.
+// slot-indexed points and liveness mask, the base graph and the maintained
+// spanner (both with Euclidean weights) — exactly what WAL recovery
+// produces after loading a checkpoint and replaying the log tail. The
+// engine takes ownership of all four arguments.
 //
 // The rebuilt engine is operationally equivalent to the one that
 // exported the state: same topology, same slot assignments, and the
@@ -56,7 +56,6 @@ func Restore(points []geom.Point, alive []bool, base, sp *graph.Graph, opts Opti
 		s:       graph.NewSearcher(len(points)),
 		dirty:   make(map[int]struct{}),
 		touched: make(map[int]struct{}),
-		maxW:    opts.Metric.Weight(opts.Radius),
 	}
 	for id := len(points) - 1; id >= 0; id-- {
 		if alive[id] {

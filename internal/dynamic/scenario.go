@@ -13,30 +13,26 @@ import (
 )
 
 // ScenarioConfig parameterizes a reproducible churn workload: a node
-// population under a stream of joins, departures, and movements with
-// configurable relative rates. Identical configs produce identical
-// operation streams, results, and maintained topologies.
+// population on the plane's unit ball graph under a stream of joins,
+// departures, and movements with configurable relative rates. Identical
+// configs produce identical operation streams, results, and maintained
+// topologies.
+//
+// The deployment box is sized for an expected degree of ~8 (the density
+// ubg.GenerateConnected targets), a move is a Gaussian step of scale 0.25
+// per coordinate, and a departure drawn while the population is at
+// max(4, N/4) executes as a move instead.
 type ScenarioConfig struct {
 	// N is the initial node count.
 	N int
-	// Dim is the embedding dimension (default 2).
-	Dim int
-	// Side is the deployment box side (default: density for expected
-	// degree ~8 at the connectivity radius, matching ubg defaults).
-	Side float64
 	// T is the target stretch (default 1.5).
 	T float64
-	// Radius is the connectivity radius (default 1).
-	Radius float64
 	// Ops is the number of churn operations to run.
 	Ops int
 	// ArrivalRate, DepartureRate and MobilityRate are the relative weights
 	// of join, leave, and move operations (they need not sum to 1; all
 	// zero defaults to pure mobility).
 	ArrivalRate, DepartureRate, MobilityRate float64
-	// MoveSigma is the per-move Gaussian step scale in units of the
-	// connectivity radius (default 0.25).
-	MoveSigma float64
 	// Batch coalesces every Batch consecutive operations into one repair
 	// pass (<= 1 repairs after every operation).
 	Batch int
@@ -46,29 +42,22 @@ type ScenarioConfig struct {
 	// operations (0: verify only at the end). Checks are outside the
 	// repair timing.
 	CheckEvery int
-	// MinNodes floors the population: a departure drawn while the
-	// population is at the floor executes as a move instead (default
-	// max(4, N/4)).
-	MinNodes int
 }
+
+const (
+	// scenarioDim is the scenario's embedding dimension.
+	scenarioDim = 2
+	// moveSigma is the per-move Gaussian step scale, in units of the unit
+	// connectivity radius.
+	moveSigma = 0.25
+)
 
 func (c *ScenarioConfig) normalize() error {
 	if c.N < 2 {
 		return fmt.Errorf("dynamic: scenario needs N >= 2, got %d", c.N)
 	}
-	if c.Dim == 0 {
-		c.Dim = 2
-	}
 	if c.T == 0 {
 		c.T = 1.5
-	}
-	if c.Radius == 0 {
-		c.Radius = 1
-	}
-	if c.Side <= 0 {
-		// Expected degree ~8 under the connectivity radius, the same
-		// density target ubg.GenerateConnected uses.
-		c.Side = ubg.DensitySide(c.N, c.Dim, c.Radius, 8)
 	}
 	if c.ArrivalRate == 0 && c.DepartureRate == 0 && c.MobilityRate == 0 {
 		c.MobilityRate = 1
@@ -76,17 +65,8 @@ func (c *ScenarioConfig) normalize() error {
 	if c.ArrivalRate < 0 || c.DepartureRate < 0 || c.MobilityRate < 0 {
 		return fmt.Errorf("dynamic: negative churn rate")
 	}
-	if c.MoveSigma == 0 {
-		c.MoveSigma = 0.25
-	}
 	if c.Batch < 1 {
 		c.Batch = 1
-	}
-	if c.MinNodes == 0 {
-		c.MinNodes = c.N / 4
-		if c.MinNodes < 4 {
-			c.MinNodes = 4
-		}
 	}
 	return nil
 }
@@ -132,10 +112,12 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
+	side := ubg.DensitySide(cfg.N, scenarioDim, 1, 8)
+	minNodes := max(4, cfg.N/4)
 	pts := geom.GeneratePoints(geom.CloudConfig{
-		Kind: geom.CloudUniform, N: cfg.N, Dim: cfg.Dim, Side: cfg.Side, Seed: cfg.Seed,
+		Kind: geom.CloudUniform, N: cfg.N, Dim: scenarioDim, Side: side, Seed: cfg.Seed,
 	})
-	eng, err := New(pts, Options{T: cfg.T, Radius: cfg.Radius})
+	eng, err := New(pts, Options{T: cfg.T})
 	if err != nil {
 		return nil, err
 	}
@@ -145,9 +127,9 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	var ids []int // live-id scratch
 	total := cfg.ArrivalRate + cfg.DepartureRate + cfg.MobilityRate
 	randomPoint := func() geom.Point {
-		p := make(geom.Point, cfg.Dim)
+		p := make(geom.Point, scenarioDim)
 		for i := range p {
-			p[i] = rng.Float64() * cfg.Side
+			p[i] = rng.Float64() * side
 		}
 		return p
 	}
@@ -194,7 +176,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 				return nil, err
 			}
 			res.Joins++
-		case x < cfg.ArrivalRate+cfg.DepartureRate && eng.N() > cfg.MinNodes:
+		case x < cfg.ArrivalRate+cfg.DepartureRate && eng.N() > minNodes:
 			id := pickLive()
 			opStart = time.Now()
 			if err := eng.Leave(id); err != nil {
@@ -205,8 +187,8 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			id := pickLive()
 			p := eng.Point(id).Clone()
 			for i := range p {
-				p[i] += rng.NormFloat64() * cfg.MoveSigma * cfg.Radius
-				p[i] = math.Max(0, math.Min(cfg.Side, p[i]))
+				p[i] += rng.NormFloat64() * moveSigma
+				p[i] = math.Max(0, math.Min(side, p[i]))
 			}
 			opStart = time.Now()
 			if err := eng.Move(id, p); err != nil {
@@ -240,13 +222,5 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 }
 
 // stretchOf measures the exact stretch of the maintained spanner over the
-// current base graph, in the engine's metric.
-func stretchOf(e *Engine) float64 {
-	m := e.Options().Metric
-	if m.IsEuclidean() {
-		return metrics.Stretch(e.Base(), e.Spanner())
-	}
-	return metrics.StretchVsWeights(e.Base(), e.Spanner(), func(_, _ int, euclid float64) float64 {
-		return m.Weight(euclid)
-	})
-}
+// current base graph.
+func stretchOf(e *Engine) float64 { return metrics.Stretch(e.Base(), e.Spanner()) }

@@ -86,16 +86,11 @@ type Config struct {
 	Quick bool
 	// Seed offsets all instance seeds (default 0 = the recorded tables).
 	Seed int64
-	// Reps overrides the number of independent instances aggregated per
-	// table cell in the scaling experiments (default: 3 full, 1 quick).
-	Reps int
 }
 
-// reps returns the per-cell repetition count.
+// reps returns the number of independent instances aggregated per table
+// cell in the scaling experiments.
 func (c Config) reps() int {
-	if c.Reps > 0 {
-		return c.Reps
-	}
 	if c.Quick {
 		return 1
 	}

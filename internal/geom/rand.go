@@ -56,9 +56,10 @@ type CloudConfig struct {
 	Side float64
 	// Seed makes generation deterministic.
 	Seed int64
-	// Hotspots is the number of clusters for CloudClustered (default 5).
-	Hotspots int
 }
+
+// hotspots is the number of clusters of CloudClustered.
+const hotspots = 5
 
 // GeneratePoints produces a deterministic point cloud for the config.
 func GeneratePoints(cfg CloudConfig) []Point {
@@ -75,17 +76,13 @@ func GeneratePoints(cfg CloudConfig) []Point {
 	pts := make([]Point, cfg.N)
 	switch cfg.Kind {
 	case CloudClustered:
-		h := cfg.Hotspots
-		if h <= 0 {
-			h = 5
-		}
-		centers := make([]Point, h)
+		centers := make([]Point, hotspots)
 		for i := range centers {
 			centers[i] = uniformPoint(rng, cfg.Dim, cfg.Side)
 		}
-		sigma := cfg.Side / (3 * math.Sqrt(float64(h)))
+		sigma := cfg.Side / (3 * math.Sqrt(hotspots))
 		for i := range pts {
-			c := centers[rng.Intn(h)]
+			c := centers[rng.Intn(hotspots)]
 			p := make(Point, cfg.Dim)
 			for j := range p {
 				p[j] = clamp(c[j]+rng.NormFloat64()*sigma, 0, cfg.Side)

@@ -80,7 +80,7 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 		p := rng.Float64() * 0.3 // sparse through moderately dense, often disconnected
 		g := randomGraph(rng, n, p)
 		f := graph.Freeze(g)
-		opts := Options{Radius: rng.Float64() * 3} // 0 exercises the default
+		opts := Options{radius: rng.Float64() * 3} // 0 exercises the default
 		pairs := samplePairs(rng, n, 60)
 		checkPairs(t, "graph", Build(g, opts), g, pairs)
 		checkPairs(t, "frozen", Build(f, opts), f, pairs)
@@ -97,7 +97,7 @@ func TestDifferentialAdditionChains(t *testing.T) {
 		chains = 12
 	}
 	rng := rand.New(rand.NewSource(11))
-	opts := Options{RebuildAfter: 2}
+	opts := Options{rebuildAfter: 2}
 	for c := 0; c < chains; c++ {
 		n := 8 + rng.Intn(33)
 		g := randomGraph(rng, n, 0.08)
@@ -148,9 +148,9 @@ func TestDifferentialMutationChains(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, _, sp := eng.ExportFrozen()
-		// Tight RebuildAfter so chains of this length cross the
+		// Tight rebuildAfter so chains of this length cross the
 		// stale→rebuild horizon many times.
-		opts := Options{RebuildAfter: 4}
+		opts := Options{rebuildAfter: 4}
 		o := Build(sp, opts)
 		srch := graph.AcquireSearcher(sp.N())
 

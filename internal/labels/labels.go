@@ -28,7 +28,7 @@
 // no per-commit repair. Update hands back the receiver while the graph is
 // unchanged, and any commit that changes it yields a stale successor —
 // every query then reports "cannot certify" and the caller falls back to
-// its search (slower, never wrong) — until RebuildAfter stale commits
+// its search (slower, never wrong) — until rebuildAfter stale commits
 // trigger a full rebuild. Oracles are immutable: Update never modifies the
 // receiver, so concurrent readers of an older snapshot's oracle are never
 // disturbed.
@@ -41,22 +41,22 @@ import (
 	"topoctl/internal/graph"
 )
 
-// Options configures construction and maintenance policy.
+// Options configures construction and maintenance policy. Production
+// uses the zero value: the hub order is seeded by a cluster cover of
+// radius 4x the mean edge weight, and Update rebuilds on every 32nd
+// graph-changing commit since the last build.
 type Options struct {
-	// Radius is the cluster-cover radius used to seed the hub order
-	// (default: 4x the mean edge weight). It affects label size only,
-	// never correctness.
-	Radius float64
-	// RebuildAfter is the rebuild cadence: Update rebuilds from scratch on
-	// every RebuildAfter-th graph-changing commit since the last build and
-	// returns stale successors in between (default 32; 1 means rebuild on
-	// every commit).
-	RebuildAfter int
+	// radius overrides the cluster-cover radius; the package's tests vary
+	// it. It affects label size only, never correctness.
+	radius float64
+	// rebuildAfter overrides the rebuild cadence (default 32; 1 means
+	// rebuild on every commit); the package's tests shorten it.
+	rebuildAfter int
 }
 
 func (o *Options) normalize() {
-	if o.RebuildAfter <= 0 {
-		o.RebuildAfter = 32
+	if o.rebuildAfter <= 0 {
+		o.rebuildAfter = 32
 	}
 }
 
@@ -92,7 +92,7 @@ func Build(g graph.Topology, opts Options) *Oracle {
 	// Hub order: cover centers by decreasing member count, then the rest
 	// by decreasing degree (ties by id). Ranks are what labels store, so
 	// per-vertex runs come out sorted for free.
-	hubOf := hubOrder(g, opts.Radius)
+	hubOf := hubOrder(g, opts.radius)
 
 	// Temporary per-vertex lists; flattened into the slab below.
 	type entry struct {
@@ -227,13 +227,13 @@ func (o *Oracle) Query(s, t int) (float64, bool) {
 // is exactly this set). With nothing touched and the vertex count
 // unchanged the graph is the same, and Update returns the receiver. Any
 // other commit yields a stale successor, whose queries decline, or — on
-// every RebuildAfter-th such commit — a full rebuild on g. The receiver is
+// every rebuildAfter-th such commit — a full rebuild on g. The receiver is
 // never modified.
 func (o *Oracle) Update(g graph.Topology, touched []int) *Oracle {
 	if len(touched) == 0 && g.N() == o.n {
 		return o
 	}
-	if o.staleCount+1 >= o.opts.RebuildAfter {
+	if o.staleCount+1 >= o.opts.rebuildAfter {
 		return Build(g, o.opts)
 	}
 	return &Oracle{opts: o.opts, n: g.N(), staleCount: o.staleCount + 1}
@@ -251,7 +251,7 @@ type Stats struct {
 	// ranks + distances) divided by Vertices.
 	BytesPerVertex float64
 	// Stale reports fallback mode; StaleCommits how many commits it has
-	// persisted (rebuild at RebuildAfter).
+	// persisted (rebuild at rebuildAfter).
 	Stale        bool
 	StaleCommits int
 }

@@ -122,7 +122,7 @@ func TestUpdateAnyChangeGoesStale(t *testing.T) {
 
 func TestUpdateRemovalGoesStaleThenRebuilds(t *testing.T) {
 	g := pathGraph(8)
-	o := Build(g, Options{RebuildAfter: 3})
+	o := Build(g, Options{rebuildAfter: 3})
 
 	g = g.Clone()
 	g.RemoveEdge(3, 4)
@@ -134,13 +134,13 @@ func TestUpdateRemovalGoesStaleThenRebuilds(t *testing.T) {
 		t.Fatal("Update mutated its receiver: predecessor oracle went stale")
 	}
 
-	// Two more commits reach RebuildAfter and trigger a rebuild that
+	// Two more commits reach rebuildAfter and trigger a rebuild that
 	// reflects the removal exactly.
 	g = g.Clone()
 	g.AddEdge(0, 2, 1)
 	o3 := o2.Update(g, []int{0, 2})
 	if _, ok := o3.Query(0, 7); ok {
-		t.Fatal("stale oracle certified before RebuildAfter commits")
+		t.Fatal("stale oracle certified before rebuildAfter commits")
 	}
 	g = g.Clone()
 	g.AddEdge(5, 7, 1)

@@ -1,0 +1,16 @@
+package replica
+
+// Test-only methods, declared in package replica so that the external
+// replica_test package can call them too.
+
+import (
+	"time"
+
+	"topoctl/internal/wal"
+)
+
+// SetTestHooks shortens the reconnect backoff to [backoffMin, backoffMax]
+// and calls onApply with the state after every applied epoch.
+func (o *Options) SetTestHooks(backoffMin, backoffMax time.Duration, onApply func(st *wal.State)) {
+	o.backoffMin, o.backoffMax, o.onApply = backoffMin, backoffMax, onApply
+}

@@ -24,28 +24,28 @@ import (
 	"topoctl/internal/wal"
 )
 
-// Options configures a follower client.
+// Options configures a follower client. It reconnects over
+// http.DefaultClient (a connect timeout but no overall deadline, because
+// the stream is long-lived) with a backoff from 100ms to 5s: each retry
+// doubles the wait and adds up to 50% jitter so a herd of followers does
+// not reconnect in lockstep.
 type Options struct {
 	// Leader is the leader's base URL, e.g. "http://127.0.0.1:7080".
 	Leader string
 	// Service is the follower service snapshots are published into
 	// (service.NewFollower).
 	Service *service.Service
-	// Client is the HTTP client; nil means a default with sane timeouts
-	// for a long-lived stream (connect timeout but no overall deadline).
-	Client *http.Client
-	// BackoffMin/BackoffMax bound the reconnect backoff (defaults 100ms
-	// and 5s). Each retry doubles the wait and adds up to 50% jitter so a
-	// herd of followers does not reconnect in lockstep.
-	BackoffMin time.Duration
-	BackoffMax time.Duration
 	// Logf, when set, receives connection lifecycle messages.
 	Logf func(format string, args ...any)
-	// OnApply, when set, is called with the state after every applied
+
+	// backoffMin/backoffMax override the reconnect backoff bounds; tests
+	// shorten them.
+	backoffMin, backoffMax time.Duration
+	// onApply, when set, is called with the state after every applied
 	// epoch — bootstrap checkpoints included. The differential tests use
 	// it to compare follower state bodies against the leader's, byte for
 	// byte. The state is shared with the client: treat it as read-only.
-	OnApply func(st *wal.State)
+	onApply func(st *wal.State)
 }
 
 func (o *Options) normalize() error {
@@ -55,14 +55,11 @@ func (o *Options) normalize() error {
 	if o.Service == nil {
 		return errors.New("replica: Options.Service required")
 	}
-	if o.Client == nil {
-		o.Client = &http.Client{} // no overall timeout: the stream is long-lived
+	if o.backoffMin <= 0 {
+		o.backoffMin = 100 * time.Millisecond
 	}
-	if o.BackoffMin <= 0 {
-		o.BackoffMin = 100 * time.Millisecond
-	}
-	if o.BackoffMax < o.BackoffMin {
-		o.BackoffMax = 5 * time.Second
+	if o.backoffMax < o.backoffMin {
+		o.backoffMax = 5 * time.Second
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -95,7 +92,7 @@ func New(opts Options) (*Client, error) {
 // Run replicates until ctx is cancelled. It returns ctx.Err() on
 // cancellation; any other exit is a bug.
 func (c *Client) Run(ctx context.Context) error {
-	bo := newBackoff(c.opts.BackoffMin, c.opts.BackoffMax)
+	bo := newBackoff(c.opts.backoffMin, c.opts.backoffMax)
 	for {
 		err := c.connectOnce(ctx)
 		if ctx.Err() != nil {
@@ -216,8 +213,8 @@ func (c *Client) publish() error {
 	if err := c.opts.Service.PublishFrozen(st.Epoch, st.Points, st.Alive, st.Live, st.Base, st.Spanner); err != nil {
 		return fmt.Errorf("replica: publish epoch %d: %w", st.Epoch, err)
 	}
-	if c.opts.OnApply != nil {
-		c.opts.OnApply(st)
+	if c.opts.onApply != nil {
+		c.opts.onApply(st)
 	}
 	c.setStatus(true)
 	return nil
@@ -255,5 +252,5 @@ func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.opts.Client.Do(req)
+	return http.DefaultClient.Do(req)
 }

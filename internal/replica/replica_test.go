@@ -156,10 +156,7 @@ func startLeader(t *testing.T, fs wal.FS, pts []geom.Point, walOpts wal.Options)
 			t.Fatal(err)
 		}
 		opts.InitialVersion = recovered.Epoch
-		svc, err = service.NewFromEngine(eng, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		svc = service.NewFromEngine(eng, opts)
 		bodies.add(recovered.Epoch, recovered.Encode(), svc)
 	} else {
 		svc, err = service.New(pts, opts)
@@ -211,22 +208,21 @@ func randomOp(rng *rand.Rand, slots int) service.Op {
 func startFollower(t *testing.T, leaderURL string, bodies *bodyLog) (*service.Service, func()) {
 	t.Helper()
 	fol := service.NewFollower(service.Options{})
-	cl, err := replica.New(replica.Options{
-		Leader:     leaderURL,
-		Service:    fol,
-		BackoffMin: 2 * time.Millisecond,
-		BackoffMax: 20 * time.Millisecond,
-		OnApply: func(st *wal.State) {
-			if bodies != nil {
-				bodies.add(st.Epoch, st.Encode(), fol)
-			}
-		},
+	opts := replica.Options{
+		Leader:  leaderURL,
+		Service: fol,
 		Logf: func(format string, args ...any) {
 			if bodies != nil {
 				bodies.logf(format, args...)
 			}
 		},
+	}
+	opts.SetTestHooks(2*time.Millisecond, 20*time.Millisecond, func(st *wal.State) {
+		if bodies != nil {
+			bodies.add(st.Epoch, st.Encode(), fol)
+		}
 	})
+	cl, err := replica.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,10 +278,11 @@ func waitForEpoch(t *testing.T, fol *bodyLog, epoch uint64) {
 // /stats topology numbers (spanner weight, max degree, edge counts) match
 // what the leader served at that epoch bit for bit.
 func TestFollowerByteIdentical(t *testing.T) {
-	// Retain covers the whole test so the follower never falls out of the
-	// window: every epoch after its bootstrap point must be applied and
-	// compared, whether it arrives as backlog or on the live tail.
-	h := startLeader(t, faultfs.New(), testPoints(48), wal.Options{Sync: wal.SyncAlways, CheckpointEvery: 16, Retain: 128})
+	// The 128-frame ring (4×CheckpointEvery) covers the whole test so the
+	// follower never falls out of the window: every epoch after its
+	// bootstrap point must be applied and compared, whether it arrives as
+	// backlog or on the live tail.
+	h := startLeader(t, faultfs.New(), testPoints(48), wal.Options{Sync: wal.SyncAlways, CheckpointEvery: 32})
 	ts := httptest.NewServer(h.mux)
 	defer ts.Close()
 	defer h.ld.Close() // ends open stream handlers so ts.Close can finish
@@ -457,7 +454,7 @@ func (s *statusRecorder) Flush() {
 // epoch, and when connections resume the leader answers 410 — which must
 // trigger a checkpoint re-bootstrap and end in byte-identical convergence.
 func Test410MidStream(t *testing.T) {
-	h := startLeader(t, faultfs.New(), testPoints(48), wal.Options{Sync: wal.SyncAlways, CheckpointEvery: 4, Retain: 4})
+	h := startLeader(t, faultfs.New(), testPoints(48), wal.Options{Sync: wal.SyncAlways, CheckpointEvery: 4})
 
 	var mu sync.Mutex
 	conns, saw410 := 0, 0
@@ -514,10 +511,11 @@ func Test410MidStream(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// Churn far past Retain=4 while the follower cannot reconnect: its
-	// next resume point is guaranteed out of the window.
+	// Churn far past the 16-frame ring (4×CheckpointEvery) while the
+	// follower cannot reconnect: its next resume point is guaranteed out
+	// of the window.
 	rng := rand.New(rand.NewSource(19))
-	churn(t, h.svc, rng, 30)
+	churn(t, h.svc, rng, 42)
 	mu.Lock()
 	outage = false
 	mu.Unlock()
@@ -601,14 +599,14 @@ func TestEpochLagStalledLeader(t *testing.T) {
 // the in-memory ring answers Gone, and a live follower that far behind
 // re-bootstraps from the checkpoint and converges anyway.
 func TestRetentionGone(t *testing.T) {
-	h := startLeader(t, faultfs.New(), testPoints(48), wal.Options{Sync: wal.SyncAlways, CheckpointEvery: 4, Retain: 4})
+	h := startLeader(t, faultfs.New(), testPoints(48), wal.Options{Sync: wal.SyncAlways, CheckpointEvery: 4})
 	ts := httptest.NewServer(h.mux)
 	defer ts.Close()
 	defer h.ld.Close()
 	defer h.svc.Close()
 
 	rng := rand.New(rand.NewSource(13))
-	churn(t, h.svc, rng, 30)
+	churn(t, h.svc, rng, 42)
 
 	resp, err := http.Get(ts.URL + "/wal/stream?from=1")
 	if err != nil {
@@ -616,7 +614,7 @@ func TestRetentionGone(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("stream from epoch 1 after 30 epochs: status %d, want 410", resp.StatusCode)
+		t.Fatalf("stream from epoch 1 after 42 epochs: status %d, want 410", resp.StatusCode)
 	}
 
 	// A follower that bootstraps now and keeps up stays converged.

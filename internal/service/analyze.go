@@ -10,7 +10,7 @@ import (
 
 // Validation limits for the /analyze family. Analysis queries are the most
 // expensive reads the daemon serves, so every knob that scales work or
-// response size is capped here; the time cap (Options.AnalyzeTimeout)
+// response size is capped here; the time cap (analyzeTimeout)
 // backstops whatever the caps still let through.
 const (
 	// MaxFaultVertices bounds an impact request's explicit fault set.
@@ -99,10 +99,14 @@ func (s *Snapshot) analyzeView() analyze.View {
 	return v
 }
 
-// analyzeOptions is the per-query resource budget: the configured
-// wall-clock cap.
+// analyzeTimeout caps the wall-clock time of one /analyze scan. A capped
+// scan returns a partial report with its "truncated" flag set rather than
+// an error.
+const analyzeTimeout = 5 * time.Second
+
+// analyzeOptions is the per-query resource budget: the wall-clock cap.
 func (s *Snapshot) analyzeOptions() analyze.Options {
-	return analyze.Options{MaxDuration: s.analyzeTimeout}
+	return analyze.Options{MaxDuration: analyzeTimeout}
 }
 
 func (s *Snapshot) observeAnalyze(ep analyzeEndpoint, start time.Time) {

@@ -3,9 +3,6 @@ package service
 import (
 	"testing"
 
-	"topoctl/internal/core"
-	"topoctl/internal/dynamic"
-	"topoctl/internal/geom"
 	"topoctl/internal/routing"
 )
 
@@ -52,21 +49,5 @@ func TestExplainMatchesRoute(t *testing.T) {
 	}
 	if compared < 150 {
 		t.Fatalf("only %d delivered pairs compared", compared)
-	}
-}
-
-// TestNewFromEngineRejectsNonEuclidean: the serving searches are
-// goal-directed by straight-line distance, which an energy-metric engine
-// (w = d², less than d for d < 1) would make overestimate, so such an
-// engine is refused rather than served inexactly.
-func TestNewFromEngineRejectsNonEuclidean(t *testing.T) {
-	pts := []geom.Point{{0, 0}, {0.5, 0}, {0.5, 0.5}, {1, 0.2}}
-	eng, err := dynamic.New(pts, dynamic.Options{T: 1.5, Metric: core.Metric{Coeff: 1, Gamma: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc, err := NewFromEngine(eng, Options{}); err == nil {
-		svc.Close()
-		t.Fatal("NewFromEngine accepted an energy-metric engine")
 	}
 }

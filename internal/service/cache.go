@@ -48,7 +48,8 @@ type cacheEntry struct {
 
 // newRouteCache builds a cache with roughly the given total capacity,
 // counting hits, misses, and evictions into the provided service-lifetime
-// counters.
+// counters. Every commit publishes a fresh cache, so a shard allocates
+// nothing until its first put: its index and arena grow with use.
 func newRouteCache(capacity int, ctr *counters) *routeCache {
 	per := capacity / cacheShards
 	if per < 4 {
@@ -58,8 +59,6 @@ func newRouteCache(capacity int, ctr *counters) *routeCache {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.capacity = per
-		s.index = make(map[routeKey]int32, per)
-		s.entries = make([]cacheEntry, 0, per)
 		s.head, s.tail = -1, -1
 	}
 	return c
@@ -102,6 +101,9 @@ func (s *cacheShard) get(k routeKey) (RouteResult, bool) {
 func (s *cacheShard) put(k routeKey, v RouteResult) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.index == nil {
+		s.index = make(map[routeKey]int32)
+	}
 	if i, ok := s.index[k]; ok {
 		s.entries[i].val = v
 		s.touch(i)

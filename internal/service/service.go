@@ -92,10 +92,6 @@ type Options struct {
 	// report the same estimate for a version only under the same Seed; the
 	// daemon leaves it at 0 on both.
 	Seed int64
-	// AnalyzeTimeout caps the wall-clock time of one /analyze scan
-	// (default 5s; negative disables the cap). A capped scan returns a
-	// partial report with its "truncated" flag set rather than an error.
-	AnalyzeTimeout time.Duration
 	// InitialVersion stamps the first published snapshot (default 1). A
 	// daemon recovering from a WAL passes the recovered epoch so versions
 	// continue the pre-crash sequence instead of restarting at 1.
@@ -119,11 +115,6 @@ func (o *Options) normalize() {
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 8192
-	}
-	if o.AnalyzeTimeout == 0 {
-		o.AnalyzeTimeout = 5 * time.Second
-	} else if o.AnalyzeTimeout < 0 {
-		o.AnalyzeTimeout = 0 // no cap
 	}
 }
 
@@ -225,7 +216,7 @@ func New(points []geom.Point, opts Options) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewFromEngine(eng, opts)
+	return NewFromEngine(eng, opts), nil
 }
 
 // DefaultLabelsMaxN is the deployment size above which Options.Labels is
@@ -239,15 +230,10 @@ const DefaultLabelsMaxN = 16384
 // Radius, and dimension override the corresponding options; the caller
 // passes the recovered epoch as Options.InitialVersion so published
 // versions continue the pre-crash sequence. The service owns the engine
-// from here on. The engine must weigh edges by the Euclidean metric: the
-// route searches are goal-directed by straight-line distance, which the
-// energy metric would make overestimate.
-func NewFromEngine(eng *dynamic.Engine, opts Options) (*Service, error) {
+// from here on.
+func NewFromEngine(eng *dynamic.Engine, opts Options) *Service {
 	opts.normalize()
 	eopts := eng.Options()
-	if !eopts.Metric.IsEuclidean() {
-		return nil, fmt.Errorf("service: engine metric (c=%v, γ=%v) is not Euclidean", eopts.Metric.Coeff, eopts.Metric.Gamma)
-	}
 	opts.T, opts.Radius, opts.Dim = eopts.T, eopts.Radius, eng.Dim()
 	if opts.Labels {
 		max := opts.LabelsMaxN
@@ -268,7 +254,7 @@ func NewFromEngine(eng *dynamic.Engine, opts Options) (*Service, error) {
 	s.publish(eng)
 	s.ready.Store(true)
 	go s.writer(eng)
-	return s, nil
+	return s
 }
 
 // NewFollower starts a read-only service with no engine and no writer:
@@ -503,9 +489,9 @@ func (s *Service) publish(eng *dynamic.Engine) *Snapshot {
 // the single constructor behind the leader's publish and a follower's
 // PublishFrozen. The current label oracle (nil on followers and when
 // labels are off) is attached to the snapshot and its router. Every
-// topology a service serves is Euclidean-weighted (NewFromEngine checks
-// the leader's engine; followers apply the leader's rows), so the router
-// is declared Euclidean.
+// topology a service serves is Euclidean-weighted (the leader's dynamic
+// engine has no other metric; followers apply the leader's rows), so the
+// router is declared Euclidean.
 func (s *Service) install(version uint64, points []geom.Point, alive []bool, live int, base, sp *graph.Frozen) (*Snapshot, error) {
 	router, err := routing.NewRouter(sp, points)
 	if err != nil {
@@ -516,19 +502,18 @@ func (s *Service) install(version uint64, points []geom.Point, alive []bool, liv
 		router.SetDistanceOracle(s.oracle)
 	}
 	snap := &Snapshot{
-		Version:        version,
-		T:              s.opts.T,
-		Points:         points,
-		Alive:          alive,
-		Base:           base,
-		Spanner:        sp,
-		router:         router,
-		cache:          newRouteCache(s.opts.CacheSize, &s.ctr),
-		ctr:            &s.ctr,
-		live:           live,
-		seed:           s.opts.Seed,
-		oracle:         s.oracle,
-		analyzeTimeout: s.opts.AnalyzeTimeout,
+		Version: version,
+		T:       s.opts.T,
+		Points:  points,
+		Alive:   alive,
+		Base:    base,
+		Spanner: sp,
+		router:  router,
+		cache:   newRouteCache(s.opts.CacheSize, &s.ctr),
+		ctr:     &s.ctr,
+		live:    live,
+		seed:    s.opts.Seed,
+		oracle:  s.oracle,
 	}
 	snap.bboxLo, snap.bboxHi = bbox(points, s.opts.Dim)
 	s.snap.Store(snap)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"topoctl/internal/analyze"
 	"topoctl/internal/geom"
@@ -51,9 +50,6 @@ type Snapshot struct {
 	live   int
 	bboxLo geom.Point
 	bboxHi geom.Point
-	// analyzeTimeout caps each /analyze scan (0 = uncapped); see
-	// Options.AnalyzeTimeout.
-	analyzeTimeout time.Duration
 
 	// The /stats stretch probe runs lazily on first demand, not on the
 	// swap path, and is memoized for the snapshot's lifetime.

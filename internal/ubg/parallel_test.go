@@ -67,7 +67,7 @@ func TestBuildFrozenMatchesNaive(t *testing.T) {
 		{Alpha: 0.6, Model: ModelNone},
 		{Alpha: 0.5, Model: ModelBernoulli, P: 0.4, Seed: 9},
 		{Alpha: 0.5, Model: ModelFalloff, Seed: 11},
-		{Alpha: 0.5, Model: ModelObstacle, Seed: 13, Obstacles: 6},
+		{Alpha: 0.5, Model: ModelObstacle, Seed: 13},
 	}
 	for _, d := range []int{2, 3} {
 		pts := geom.GeneratePoints(geom.CloudConfig{Kind: geom.CloudUniform, N: 250, Dim: d, Seed: int64(41 + d), Side: 3})

@@ -71,9 +71,10 @@ type Config struct {
 	P float64
 	// Seed drives grey-zone randomness (Bernoulli/falloff/obstacles).
 	Seed int64
-	// Obstacles is the obstacle count for ModelObstacle (default 8).
-	Obstacles int
 }
+
+// obstacles is the obstacle count of ModelObstacle.
+const obstacles = 8
 
 // Validate checks config invariants.
 func (c Config) Validate() error {
@@ -113,16 +114,12 @@ func Build(points []geom.Point, cfg Config) (*graph.Graph, error) {
 // The draw sequence is pinned to cfg.Seed so obstacle instances are
 // reproducible across the sequential and parallel build paths.
 func obstacleSlabs(points []geom.Point, cfg Config) []slab {
-	nObs := cfg.Obstacles
-	if nObs <= 0 {
-		nObs = 8
-	}
 	d := points[0].Dim()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Obstacles live in the bounding box of the points.
 	lo, hi := boundingBox(points)
-	slabs := make([]slab, 0, nObs)
-	for i := 0; i < nObs; i++ {
+	slabs := make([]slab, 0, obstacles)
+	for i := 0; i < obstacles; i++ {
 		ax := rng.Intn(d)
 		bandAx := (ax + 1) % d
 		pos := lo[ax] + rng.Float64()*(hi[ax]-lo[ax])

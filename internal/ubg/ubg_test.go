@@ -177,7 +177,7 @@ func TestObstacleModelBlocksSomething(t *testing.T) {
 	all, _ := Build(pts, Config{Alpha: 0.4, Model: ModelAll})
 	blockedAny := false
 	for seed := int64(0); seed < 5; seed++ {
-		obs, _ := Build(pts, Config{Alpha: 0.4, Model: ModelObstacle, Seed: seed, Obstacles: 20})
+		obs, _ := Build(pts, Config{Alpha: 0.4, Model: ModelObstacle, Seed: seed})
 		if obs.M() < all.M() {
 			blockedAny = true
 			break

@@ -105,7 +105,7 @@ func advance(t *testing.T, r *wal.Recorder, st *wal.State, n int) {
 // fault filesystem and checks full recovery of epoch, chain, and body.
 func TestRecorderCycle(t *testing.T) {
 	fs := faultfs.New()
-	opts := wal.Options{Dir: "wal", FS: fs, Sync: wal.SyncAlways, CheckpointEvery: 4, Keep: 2}
+	opts := wal.Options{Dir: "wal", FS: fs, Sync: wal.SyncAlways, CheckpointEvery: 4}
 
 	r, st, err := wal.Open(opts)
 	if err != nil {
@@ -249,7 +249,7 @@ func TestMidRecordTear(t *testing.T) {
 // fall back to the previous generation and replay its log.
 func TestCheckpointFallback(t *testing.T) {
 	fs := faultfs.New()
-	opts := wal.Options{Dir: "wal", FS: fs, Sync: wal.SyncAlways, CheckpointEvery: 4, Keep: 2}
+	opts := wal.Options{Dir: "wal", FS: fs, Sync: wal.SyncAlways, CheckpointEvery: 4}
 	r, _, err := wal.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -320,11 +320,11 @@ func TestPartialCheckpointIgnored(t *testing.T) {
 	}
 }
 
-// TestPrune checks that old generations are deleted but Keep checkpoint
+// TestPrune checks that old generations are deleted but two checkpoint
 // generations (and their logs) survive.
 func TestPrune(t *testing.T) {
 	fs := faultfs.New()
-	opts := wal.Options{Dir: "wal", FS: fs, Sync: wal.SyncAlways, CheckpointEvery: 2, Keep: 2}
+	opts := wal.Options{Dir: "wal", FS: fs, Sync: wal.SyncAlways, CheckpointEvery: 2}
 	r, _, err := wal.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestPrune(t *testing.T) {
 		}
 	}
 	if ckpts != 2 {
-		t.Fatalf("%d checkpoints on disk, want Keep=2", ckpts)
+		t.Fatalf("%d checkpoints on disk, want 2", ckpts)
 	}
 	if logs != 2 {
 		t.Fatalf("%d logs on disk, want 2 (from the oldest kept checkpoint on)", logs)
@@ -362,7 +362,7 @@ func TestCrashPointMatrix(t *testing.T) {
 	// First measure the total bytes a clean run writes.
 	clean := faultfs.New()
 	opts := func(fs *faultfs.FS) wal.Options {
-		return wal.Options{Dir: "wal", FS: fs, Sync: wal.SyncAlways, CheckpointEvery: 3, Keep: 2}
+		return wal.Options{Dir: "wal", FS: fs, Sync: wal.SyncAlways, CheckpointEvery: 3}
 	}
 	r, _, err := wal.Open(opts(clean))
 	if err != nil {

@@ -19,7 +19,7 @@ const (
 	// SyncAlways fsyncs after every appended frame: a mutation reply
 	// implies durability. The safest and slowest policy.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background ticker (Options.SyncEvery): a
+	// SyncInterval fsyncs on a background ticker every syncEvery: a
 	// crash loses at most the last interval's frames; recovery truncates
 	// the torn tail and serves the last durable epoch.
 	SyncInterval
@@ -49,20 +49,21 @@ type Options struct {
 	FS FS
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval period (default 100ms).
-	SyncEvery time.Duration
 	// CheckpointEvery writes a full checkpoint and rotates the log every
-	// this many frames (default 64).
+	// this many frames (default 64). The last 4×CheckpointEvery frames stay
+	// in memory for follower streaming; a follower further behind than
+	// that re-bootstraps from the checkpoint.
 	CheckpointEvery int
-	// Retain is how many recent frames stay in memory for follower
-	// streaming (default 4×CheckpointEvery). A follower further behind
-	// than this re-bootstraps from the checkpoint.
-	Retain int
-	// Keep is how many checkpoint generations stay on disk (default 2,
-	// so a partial or bit-rotted newest checkpoint falls back to the
-	// previous one at the cost of a longer replay).
-	Keep int
 }
+
+const (
+	// syncEvery is the SyncInterval period.
+	syncEvery = 100 * time.Millisecond
+	// keepCheckpoints is how many checkpoint generations stay on disk, so
+	// a partial or bit-rotted newest checkpoint falls back to the previous
+	// one at the cost of a longer replay.
+	keepCheckpoints = 2
+)
 
 func (o *Options) normalize() error {
 	if o.Dir == "" {
@@ -71,17 +72,8 @@ func (o *Options) normalize() error {
 	if o.FS == nil {
 		o.FS = OS
 	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
-	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 64
-	}
-	if o.Retain <= 0 {
-		o.Retain = 4 * o.CheckpointEvery
-	}
-	if o.Keep <= 0 {
-		o.Keep = 2
 	}
 	return nil
 }
@@ -214,8 +206,8 @@ func (r *Recorder) Append(f *Frame, st *State) error {
 	}
 	r.epoch, r.chain = f.Epoch, f.Chain
 	r.ring = append(r.ring, ringEntry{epoch: f.Epoch, rec: rec})
-	if len(r.ring) > r.opts.Retain {
-		r.ring = append(r.ring[:0:0], r.ring[len(r.ring)-r.opts.Retain:]...)
+	if retain := 4 * r.opts.CheckpointEvery; len(r.ring) > retain {
+		r.ring = append(r.ring[:0:0], r.ring[len(r.ring)-retain:]...)
 	}
 	for sub := range r.subs {
 		select {
@@ -235,9 +227,9 @@ func (r *Recorder) Append(f *Frame, st *State) error {
 }
 
 // checkpointLocked writes checkpoint-<epoch>, rotates to a fresh log, and
-// prunes generations beyond Keep. The checkpoint file is written to a
-// temp name, synced, then renamed — a crash mid-write leaves the previous
-// checkpoint as the newest valid one.
+// prunes generations beyond keepCheckpoints. The checkpoint file is written
+// to a temp name, synced, then renamed — a crash mid-write leaves the
+// previous checkpoint as the newest valid one.
 func (r *Recorder) checkpointLocked(st *State) error {
 	fs := r.opts.FS
 	if st.Epoch != r.epoch {
@@ -287,8 +279,8 @@ func (r *Recorder) checkpointLocked(st *State) error {
 	return nil
 }
 
-// pruneLocked deletes checkpoints beyond the Keep newest and any log not
-// reachable from the oldest kept checkpoint.
+// pruneLocked deletes checkpoints beyond the keepCheckpoints newest and any
+// log not reachable from the oldest kept checkpoint.
 func (r *Recorder) pruneLocked(newest uint64) {
 	fs := r.opts.FS
 	names, err := fs.ReadDir(r.opts.Dir)
@@ -302,10 +294,10 @@ func (r *Recorder) pruneLocked(newest uint64) {
 		}
 	}
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
-	if len(ckpts) <= r.opts.Keep {
+	if len(ckpts) <= keepCheckpoints {
 		ckpts = ckpts[:0]
 	} else {
-		ckpts = ckpts[r.opts.Keep:] // the victims
+		ckpts = ckpts[keepCheckpoints:] // the victims
 	}
 	victims := map[string]struct{}{}
 	for _, e := range ckpts {
@@ -372,7 +364,7 @@ func (r *Recorder) Close(st *State) error {
 
 func (r *Recorder) syncLoop() {
 	defer close(r.syncDone)
-	tick := time.NewTicker(r.opts.SyncEvery)
+	tick := time.NewTicker(syncEvery)
 	defer tick.Stop()
 	for {
 		select {

@@ -7,5 +7,5 @@ import (
 )
 
 func main() {
-	fmt.Println(shape.Measure(shape.Unit()))
+	fmt.Println(shape.Measure(shape.Unit()), shape.Options{Bench: 1})
 }

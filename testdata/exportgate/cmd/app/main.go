@@ -7,5 +7,7 @@ import (
 )
 
 func main() {
-	fmt.Println(shape.Unit().Area())
+	var o shape.Options
+	o.Assigned = 1
+	fmt.Println(shape.Unit().Area(), o)
 }

@@ -1,6 +1,7 @@
-// Package shape is the audited package of the export gate's fixture: one
-// export is planted with no production caller; every other export is
-// either called from production code or exempt.
+// Package shape is the audited package of the export gates' fixture: one
+// export is planted with no production caller and one knob with no
+// production setter; every other export and knob is used from production
+// code or exempt.
 package shape
 
 import "fmt"
@@ -27,3 +28,17 @@ func Measure(s Shape) float64 { return s.Area() }
 
 // Planted is called only by a test: the one export the gate must report.
 func Planted() int { return 1 }
+
+// Options holds the fixture's knobs.
+type Options struct {
+	// Planted is set only by a test and by its own package: the one knob
+	// the gate must report.
+	Planted int
+	// Bench is set only by the second module, bench.
+	Bench int
+	// Assigned is set by an assignment in cmd/app.
+	Assigned int
+}
+
+// defaults writes Planted from inside its own package, which does not count.
+var defaults = Options{Planted: 2}

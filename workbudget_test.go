@@ -65,10 +65,10 @@ func TestWorkBudget(t *testing.T) {
 		{"uncached A* route/n=4096", func() (counts, error) {
 			return settledPerRoute(sp, inst.Points)
 		}, counts{"settled/query": 390.6}},
-		// Measured: 99 allocations, 1,394,528 bytes. Headroom 10 %.
+		// Measured: 19 allocations, 170,448 bytes. Headroom 10 %.
 		{"service commit, one move/n=4096", func() (counts, error) {
 			return commitWork(inst.Points)
-		}, counts{"allocations": 109, "bytes": 1_534_000}},
+		}, counts{"allocations": 21, "bytes": 187_500}},
 		// Measured: 144.68 entries per vertex.
 		{"labels.Build/n=4096", func() (counts, error) {
 			st := labels.Build(sp, labels.Options{}).Stats()
