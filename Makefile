@@ -43,11 +43,12 @@ loc:
 
 # Race-detector pass over the packages that exercise concurrency
 # (parallel stretch verification, the searchers every layer borrows from
-# internal/graph's pool, parallel experiment reps), the dynamic engine, the
-# serving layer — whose stress tests run ≥8 concurrent readers against a
-# live mutator and slam Close into live Mutate/Route traffic — and the
-# WAL + replication layer, whose stream subscribers race the log writer.
-# internal/labels rides along because its differential harness churns a
+# internal/graph's pool, parallel experiment reps), the grid-cell-parallel
+# CSR builder in internal/ubg that every engine boots through, the dynamic
+# engine, the serving layer — whose stress tests run ≥8 concurrent readers
+# against a live mutator and slam Close into live Mutate/Route traffic —
+# and the WAL + replication layer, whose stream subscribers race the log
+# writer. internal/labels rides along because its differential harness churns a
 # live dynamic engine while querying the oracle the same way concurrent
 # service readers do. internal/analyze is here for its parallel edge scans
 # and the differential impact fuzz. The second line re-runs the
@@ -56,7 +57,7 @@ loc:
 # searcher pool — shared by readers, /analyze scans and the writer's label
 # update — race under real scheduler parallelism even on 1-core CI hosts.
 race:
-	$(GO) test -race ./internal/graph/ ./internal/metrics/ ./internal/exp/ ./internal/dynamic/ ./internal/service/ ./internal/analyze/ ./internal/wal/ ./internal/replica/ ./internal/labels/ .
+	$(GO) test -race ./internal/graph/ ./internal/ubg/ ./internal/metrics/ ./internal/exp/ ./internal/dynamic/ ./internal/service/ ./internal/analyze/ ./internal/wal/ ./internal/replica/ ./internal/labels/ .
 	GOMAXPROCS=4 $(GO) test -race -run '^TestConcurrentMutateWhile(Route|Analyze)$$' ./internal/service/
 
 # Short native-fuzz pass over the untrusted-byte decode surfaces: the WAL

@@ -246,9 +246,9 @@ func phase0(points []geom.Point, sp *graph.Graph, short []EdgeInfo, t float64, m
 			return m.Weight(geom.Dist(points[u], points[v]))
 		})
 		if faultK > 0 {
-			added += len(fault.Run(sp, edges, t, faultK, faultMode))
+			added += fault.Run(sp, edges, t, faultK, faultMode)
 		} else {
-			added += len(greedy.Run(sp, edges, t))
+			added += greedy.Run(sp, edges, t)
 		}
 	}
 	return added

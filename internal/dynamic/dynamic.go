@@ -117,95 +117,40 @@ type Engine struct {
 	stats   Stats
 
 	// Delta-export state (ExportFrozen): the last published frozen
-	// snapshots, the vertices whose adjacency rows changed since then, and
-	// whether anything at all changed. expPoints/expAlive cache the last
-	// published slot metadata so a no-op export returns identical values.
+	// snapshots and the vertices whose adjacency rows changed since then.
 	touched     map[int]struct{}
 	lastTouched []int
 	rowScratch  []graph.RowUpdate
 	expBase     *graph.Frozen
 	expSp       *graph.Frozen
-	expPoints   []geom.Point
-	expAlive    []bool
-	exportClean bool
 }
 
 // New builds an engine over the given initial points (may be empty; then
-// opts.Dim must be set). The initial spanner is SEQ-GREEDY over the base
-// graph — the same acceptance rule incremental repair replays later.
+// opts.Dim must be set). The base graph is built grid-cell-parallel
+// straight into a frozen CSR slab (ubg.BuildRadius) and thawed, and the
+// initial spanner is SEQ-GREEDY over it — the same acceptance rule
+// incremental repair replays later. The engine then starts from that state
+// through Restore, so a fresh engine and one restored from its own first
+// export are the same engine and make the same future exports.
 func New(points []geom.Point, opts Options) (*Engine, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
-	dim := opts.Dim
-	if len(points) > 0 {
-		if dim != 0 && dim != points[0].Dim() {
-			return nil, fmt.Errorf("dynamic: Options.Dim %d conflicts with %d-dimensional points", dim, points[0].Dim())
-		}
-		dim = points[0].Dim()
-	}
-	if dim <= 0 {
-		return nil, fmt.Errorf("dynamic: empty engine needs Options.Dim")
-	}
-	cap := len(points)
-	if cap < 4 {
-		cap = 4
-	}
-	e := &Engine{
-		opts:    opts,
-		dim:     dim,
-		points:  make([]geom.Point, cap),
-		alive:   make([]bool, cap),
-		grid:    geom.NewDynamicGrid(opts.Radius),
-		base:    graph.New(cap),
-		sp:      graph.NewWithDegree(cap, 8),
-		s:       graph.NewSearcher(cap),
-		dirty:   make(map[int]struct{}),
-		touched: make(map[int]struct{}),
-	}
-	for id := cap - 1; id >= len(points); id-- {
-		e.free = append(e.free, id)
-	}
+	slots := max(len(points), 4)
+	pts := make([]geom.Point, slots)
+	alive := make([]bool, slots)
 	for id, p := range points {
-		if p.Dim() != dim {
-			return nil, fmt.Errorf("dynamic: point %d has dimension %d, want %d", id, p.Dim(), dim)
-		}
-		e.points[id] = p.Clone()
-		e.alive[id] = true
-		e.grid.Add(id, e.points[id])
-		e.n++
+		pts[id] = p.Clone()
+		alive[id] = true
 	}
-	if len(points) >= bulkBuildThreshold {
-		// Bulk load: build the base ball graph grid-cell-parallel straight
-		// into a frozen CSR slab and thaw it (O(1) allocations), instead of
-		// replaying len(points) sequential grid insert + edge-scan steps on
-		// the mutable graph. The deterministic per-pair acceptance makes the
-		// result identical to the incremental path's edge set. Nothing is
-		// marked touched: expBase is still nil, so the first ExportFrozen
-		// full-freezes regardless.
-		f, err := ubg.BuildRadius(e.points[:len(points)], e.opts.Radius)
-		if err != nil {
-			return nil, err
-		}
-		base := f.Thaw()
-		base.Grow(cap)
-		e.base = base
-	} else {
-		for id := range points {
-			e.addBaseEdges(id)
-		}
+	f, err := ubg.BuildRadius(points, opts.Radius)
+	if err != nil {
+		return nil, err
 	}
-	es := e.base.EdgesUnordered()
-	greedy.SortEdges(es)
-	greedy.RunCount(e.sp, es, e.opts.T)
-	return e, nil
+	base := f.Thaw()
+	base.Grow(slots)
+	return Restore(pts, alive, base, greedy.Spanner(base, opts.T), opts)
 }
-
-// bulkBuildThreshold is the initial-size cutoff above which New builds the
-// base graph through the parallel frozen-CSR path rather than per-point
-// incremental insertion. Below it the incremental path is already cheap
-// and its allocation pattern irrelevant.
-const bulkBuildThreshold = 2048
 
 // addBaseEdges links id to every live node within Radius (skipping edges
 // already present, so batch replays are idempotent).
@@ -265,24 +210,22 @@ func (e *Engine) Stats() Stats { return e.stats }
 // the first call freezes both graphs in full, and every later call hands
 // the touched adjacency rows to graph.ApplyRows — the same delta function
 // followers and WAL recovery run on frames — so untouched rows alias the
-// prior snapshot's storage and the slot metadata slices are fresh copies.
-// The cost — time and, more importantly, allocations — is proportional to
-// the repair the engine actually performed, not to n+m, which is what
-// keeps snapshot-per-commit publishing cheap under churn.
+// prior snapshot's storage. The cost — time and, more importantly,
+// allocations — is proportional to the repair the engine actually
+// performed plus two O(n) slot-metadata copies, not to n+m, which is what
+// keeps snapshot-per-commit publishing cheap under churn. When no row
+// changed since the previous call, ApplyRows returns the prior graphs
+// themselves, so a zero-net-change commit republishes them by pointer.
 //
-// When nothing changed since the previous ExportFrozen, the exact same
-// four values are returned (pointer-identical graphs and slices): a commit
-// with zero net effect publishes the prior snapshot unchanged.
+// The first call's full freeze leaves no spare capacity in either slab,
+// which a WAL leader's shadow state relies on when it forks from it (see
+// graph.ApplyRows).
 //
 // The returned points alias the engine's per-slot Point values. That is
 // safe to publish because the engine never mutates a Point in place — Join
 // and Move install fresh clones — but callers must treat them as
 // read-only, like everything else returned here.
 func (e *Engine) ExportFrozen() (points []geom.Point, alive []bool, base, sp *graph.Frozen) {
-	if e.exportClean && e.expBase != nil {
-		e.lastTouched = e.lastTouched[:0]
-		return e.expPoints, e.expAlive, e.expBase, e.expSp
-	}
 	e.lastTouched = e.lastTouched[:0]
 	for v := range e.touched {
 		e.lastTouched = append(e.lastTouched, v)
@@ -296,10 +239,7 @@ func (e *Engine) ExportFrozen() (points []geom.Point, alive []bool, base, sp *gr
 		e.expBase = graph.ApplyRows(e.expBase, n, e.touchedRows(e.base))
 		e.expSp = graph.ApplyRows(e.expSp, n, e.touchedRows(e.sp))
 	}
-	e.expPoints = append([]geom.Point(nil), e.points...)
-	e.expAlive = append([]bool(nil), e.alive...)
-	e.exportClean = true
-	return e.expPoints, e.expAlive, e.expBase, e.expSp
+	return append([]geom.Point(nil), e.points...), append([]bool(nil), e.alive...), e.expBase, e.expSp
 }
 
 // touchedRows returns g's current rows at the last export's touched
@@ -315,9 +255,9 @@ func (e *Engine) touchedRows(g *graph.Graph) []graph.RowUpdate {
 // LastExportTouched returns the vertices whose adjacency rows the most
 // recent ExportFrozen re-froze, sorted ascending — the row set a WAL
 // delta frame must carry so a replica applying it reproduces the export
-// exactly. Empty when the latest export republished the previous
-// snapshot unchanged. The slice is engine-owned scratch, valid until the
-// next ExportFrozen.
+// exactly. Empty after the first export, which freezes every row, and
+// after an export that no row change preceded. The slice is engine-owned
+// scratch, valid until the next ExportFrozen.
 func (e *Engine) LastExportTouched() []int { return e.lastTouched }
 
 // Options returns the normalized engine options.
@@ -352,7 +292,6 @@ func (e *Engine) Join(p geom.Point) (int, error) {
 	// A join breaks no existing certificate (nothing is removed); only the
 	// new node's own base edges need acceptance.
 	e.markDirty(id)
-	e.exportClean = false
 	e.stats.Joins++
 	e.afterOp()
 	return id, nil
@@ -369,7 +308,6 @@ func (e *Engine) Leave(id int) error {
 	e.alive[id] = false
 	e.n--
 	e.free = append(e.free, id)
-	e.exportClean = false
 	e.stats.Leaves++
 	e.afterOp()
 	return nil
@@ -388,7 +326,6 @@ func (e *Engine) Move(id int, p geom.Point) error {
 	e.grid.Move(id, e.points[id])
 	e.addBaseEdges(id)
 	e.markDirty(id)
-	e.exportClean = false
 	e.stats.Moves++
 	e.afterOp()
 	return nil
@@ -457,14 +394,8 @@ func (e *Engine) alloc() int {
 
 // touch records that v's adjacency row (in the base graph, the spanner, or
 // both) changed since the last ExportFrozen. Rows never touched between two
-// exports are shared, not rebuilt, by the delta export. Any touch also
-// invalidates the cached export directly — the ops set exportClean too, but
-// repair inside Commit mutates the spanner after the op returns, and an
-// export taken mid-batch must not be republished over those edges.
-func (e *Engine) touch(v int) {
-	e.touched[v] = struct{}{}
-	e.exportClean = false
-}
+// exports are shared, not rebuilt, by the delta export.
+func (e *Engine) touch(v int) { e.touched[v] = struct{}{} }
 
 func (e *Engine) markDirty(v int) {
 	if _, ok := e.dirty[v]; !ok {
@@ -501,7 +432,7 @@ func (e *Engine) repair() {
 		}
 	}
 	e.cands = cands
-	greedy.SortEdges(cands)
+	graph.SortEdgesCanonical(cands)
 	for _, ed := range cands {
 		if greedy.Accept(e.s, e.sp, ed, e.opts.T) {
 			e.sp.AddEdge(ed.U, ed.V, ed.W)

@@ -7,18 +7,22 @@ import (
 	"topoctl/internal/graph"
 )
 
-// Restore reconstructs an Engine from previously exported state: the
-// slot-indexed points and liveness mask, the base graph and the maintained
-// spanner (both with Euclidean weights) — exactly what WAL recovery
-// produces after loading a checkpoint and replaying the log tail. The
-// engine takes ownership of all four arguments.
+// Restore starts an Engine from the given state: the slot-indexed points
+// and liveness mask, the base graph and the maintained spanner (both with
+// Euclidean weights). It is the one constructor: New builds that state
+// and calls it, and WAL recovery calls it with what a checkpoint plus the
+// replayed log tail produce. The engine takes ownership of all four
+// arguments.
 //
-// The rebuilt engine is operationally equivalent to the one that
-// exported the state: same topology, same slot assignments, and the
-// spanner invariant holds because it held at export time and restore
-// changes no edges. The only non-replicated detail is the free-slot
-// reuse order, which is reset to "dead slots, lowest id first" — slot
-// choice for future joins is an allocation detail, not topology state.
+// So a fresh engine and one restored from its export make the same
+// exports from then on, row order included.
+// Two details are not part of the exported state and so are not
+// replicated: the free-slot reuse order, reset to "dead slots, lowest id
+// first", and the grid's bucket order, rebuilt in descending slot order.
+// Churn changes both, so an engine restored after churn may give future
+// joins other slots and write base rows in another order than the engine
+// that exported the state. The spanner invariant holds because it held at
+// export time and restore changes no edges.
 func Restore(points []geom.Point, alive []bool, base, sp *graph.Graph, opts Options) (*Engine, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
@@ -33,17 +37,17 @@ func Restore(points []geom.Point, alive []bool, base, sp *graph.Graph, opts Opti
 			continue
 		}
 		if points[id] == nil {
-			return nil, fmt.Errorf("dynamic: restore: live slot %d has no point", id)
+			return nil, fmt.Errorf("dynamic: live slot %d has no point", id)
 		}
 		if dim == 0 {
 			dim = points[id].Dim()
 		}
 		if points[id].Dim() != dim {
-			return nil, fmt.Errorf("dynamic: restore: slot %d has dimension %d, want %d", id, points[id].Dim(), dim)
+			return nil, fmt.Errorf("dynamic: slot %d has dimension %d, want %d", id, points[id].Dim(), dim)
 		}
 	}
 	if dim <= 0 {
-		return nil, fmt.Errorf("dynamic: restore of an empty deployment needs Options.Dim")
+		return nil, fmt.Errorf("dynamic: empty engine needs Options.Dim")
 	}
 	e := &Engine{
 		opts:    opts,

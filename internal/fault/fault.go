@@ -69,10 +69,11 @@ func Spanner(g *graph.Graph, t float64, k int, mode Mode) (*graph.Graph, error) 
 // Run is the fault-tolerant analogue of greedy.Run: it processes edges in
 // the given order against the mutable spanner sp, adding an edge unless sp
 // already contains k+1 pairwise disjoint paths of length at most t times
-// the edge weight. It returns the edges added. Phase 0 of the relaxed
-// algorithm reuses it per clique when building fault-tolerant spanners.
-func Run(sp *graph.Graph, edges []graph.Edge, t float64, k int, mode Mode) []graph.Edge {
-	var added []graph.Edge
+// the edge weight. It returns how many edges it added. Phase 0 of the
+// relaxed algorithm reuses it per clique when building fault-tolerant
+// spanners.
+func Run(sp *graph.Graph, edges []graph.Edge, t float64, k int, mode Mode) int {
+	added := 0
 	for _, e := range edges {
 		if sp.HasEdge(e.U, e.V) {
 			continue
@@ -81,7 +82,7 @@ func Run(sp *graph.Graph, edges []graph.Edge, t float64, k int, mode Mode) []gra
 			continue
 		}
 		sp.AddEdge(e.U, e.V, e.W)
-		added = append(added, e)
+		added++
 	}
 	return added
 }

@@ -20,31 +20,15 @@ import (
 // Run processes edges in the given order against the (mutable) spanner sp:
 // an edge is added unless sp already contains a path between its endpoints
 // of length at most t times the edge weight. Already-present edges are
-// skipped. It returns the edges actually added.
+// skipped. It returns how many edges it added, and allocates nothing beyond
+// what AddEdge needs for row growth.
 //
 // Run is the shared greedy core: SEQ-GREEDY is Run over all edges sorted by
 // weight starting from an empty spanner, and phase 0 of the relaxed
 // algorithm is Run over each short-edge clique.
-func Run(sp *graph.Graph, edges []graph.Edge, t float64) []graph.Edge {
+func Run(sp *graph.Graph, edges []graph.Edge, t float64) int {
 	// One Searcher serves every per-edge query: greedy makes O(m) of them,
 	// so sharing the scratch arrays keeps the loop allocation-free.
-	s := graph.AcquireSearcher(sp.N())
-	defer graph.ReleaseSearcher(s)
-	var added []graph.Edge
-	for _, e := range edges {
-		if !Accept(s, sp, e, t) {
-			continue
-		}
-		sp.AddEdge(e.U, e.V, e.W)
-		added = append(added, e)
-	}
-	return added
-}
-
-// RunCount is Run for callers that only need how many edges were added:
-// it never accumulates the added slice, so a full SEQ-GREEDY pass performs
-// zero allocations beyond what AddEdge needs for row growth.
-func RunCount(sp *graph.Graph, edges []graph.Edge, t float64) int {
 	s := graph.AcquireSearcher(sp.N())
 	defer graph.ReleaseSearcher(s)
 	added := 0
@@ -85,17 +69,8 @@ func Spanner(g graph.Topology, t float64) *graph.Graph {
 	// slab removes the per-row append growth that otherwise dominates the
 	// build's allocation count.
 	sp := graph.NewWithDegree(g.N(), 8)
-	RunCount(sp, graph.SortedEdges(g), t)
+	Run(sp, graph.SortedEdges(g), t)
 	return sp
-}
-
-// SortEdges sorts an edge slice in the canonical greedy order: by weight,
-// then (U, V) lexicographically for determinism. It is the same order as
-// graph.SortEdgesCanonical and delegates to it (generic sort, no
-// reflection) — candidate sorting is on the SEQ-GREEDY and repair hot
-// paths.
-func SortEdges(edges []graph.Edge) {
-	graph.SortEdgesCanonical(edges)
 }
 
 // CliqueEdges returns all pairwise edges among the given members, weighted
@@ -111,6 +86,6 @@ func CliqueEdges(members []int, weight func(u, v int) float64) []graph.Edge {
 			edges = append(edges, graph.NewEdge(u, v, weight(u, v)))
 		}
 	}
-	SortEdges(edges)
+	graph.SortEdgesCanonical(edges)
 	return edges
 }

@@ -3,6 +3,7 @@ package greedy
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"topoctl/internal/geom"
@@ -104,9 +105,8 @@ func TestSpannerDegreeBoundedOnClique(t *testing.T) {
 func TestRunSkipsExistingEdges(t *testing.T) {
 	sp := graph.New(3)
 	sp.AddEdge(0, 1, 1)
-	added := Run(sp, []graph.Edge{{U: 0, V: 1, W: 1}}, 2)
-	if len(added) != 0 {
-		t.Errorf("re-added existing edge: %v", added)
+	if added := Run(sp, []graph.Edge{{U: 0, V: 1, W: 1}}, 2); added != 0 {
+		t.Errorf("re-added existing edge: %d added", added)
 	}
 }
 
@@ -116,12 +116,12 @@ func TestRunRespectsExistingPaths(t *testing.T) {
 	sp.AddEdge(1, 2, 1)
 	// 0-2 weight 2: path 0-1-2 has length 2 <= t*2 for t >= 1.
 	added := Run(sp, []graph.Edge{{U: 0, V: 2, W: 2}}, 1.0001)
-	if len(added) != 0 {
+	if added != 0 {
 		t.Error("edge added despite existing t-path")
 	}
 	// But with weight 1.5 the path (2) exceeds t*1.5 for t = 1.2.
 	added = Run(sp, []graph.Edge{{U: 0, V: 2, W: 1.5}}, 1.2)
-	if len(added) != 1 {
+	if added != 1 || !sp.HasEdge(0, 2) {
 		t.Error("edge not added although no t-path exists")
 	}
 }
@@ -130,7 +130,7 @@ func TestSortEdgesDeterministic(t *testing.T) {
 	edges := []graph.Edge{
 		{U: 2, V: 3, W: 1}, {U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 0.5},
 	}
-	SortEdges(edges)
+	graph.SortEdgesCanonical(edges)
 	if edges[0].W != 0.5 || edges[1].U != 0 || edges[2].U != 2 {
 		t.Errorf("sort order wrong: %v", edges)
 	}
@@ -165,7 +165,8 @@ func TestSpannerWeightNearMST(t *testing.T) {
 }
 
 // TestAcceptMatchesRun pins the extracted acceptance rule against Run: an
-// edge is accepted exactly when Run would have added it at that point.
+// edge is accepted exactly when Run would have added it at that point, so
+// both loops build the same rows in the same order.
 func TestAcceptMatchesRun(t *testing.T) {
 	_, g := testInstance(t, 60, 7)
 	edges := g.Edges()
@@ -175,19 +176,19 @@ func TestAcceptMatchesRun(t *testing.T) {
 	refAdded := Run(ref, edges, tt)
 	s := graph.AcquireSearcher(g.N())
 	defer graph.ReleaseSearcher(s)
-	var added []graph.Edge
+	added := 0
 	for _, e := range edges {
 		if Accept(s, sp, e, tt) {
 			sp.AddEdge(e.U, e.V, e.W)
-			added = append(added, e)
+			added++
 		}
 	}
-	if len(added) != len(refAdded) {
-		t.Fatalf("Accept loop added %d edges, Run added %d", len(added), len(refAdded))
+	if added != refAdded || sp.M() != added {
+		t.Fatalf("Accept loop added %d edges (m=%d), Run added %d", added, sp.M(), refAdded)
 	}
-	for i := range added {
-		if added[i] != refAdded[i] {
-			t.Fatalf("edge %d differs: %v vs %v", i, added[i], refAdded[i])
+	for u := 0; u < g.N(); u++ {
+		if got, want := sp.Neighbors(u), ref.Neighbors(u); !slices.Equal(got, want) {
+			t.Fatalf("row %d differs: %v vs %v", u, got, want)
 		}
 	}
 	// Accept must not mutate the spanner.

@@ -810,7 +810,7 @@ func TestLeaderRestartFollowerResumes(t *testing.T) {
 // followers and recovery rebuild, and must say so.
 const (
 	goldenEpoch     = 143
-	goldenChainHead = "39c9bff1d011aefabbd89ff3bf4dd47cd5650f45ee7809bcdd91c6e6c03fc461"
+	goldenChainHead = "1e8df7afbdae76fa90ca54f590b88631c7acf870b6b2d73193abbe6fa383871b"
 )
 
 // TestGoldenChainHead boots a WAL leader over a fixed deployment, applies

@@ -98,6 +98,15 @@ func TestAnalyzeHTTPErrors(t *testing.T) {
 		analyze.ImpactRequest{Vertices: big}, http.StatusBadRequest, &e)
 	// Oversized divergence sample -> 400.
 	getJSON(t, ts.URL+"/analyze/divergence?sample=99999", http.StatusBadRequest, &e)
+	// Two bad parameters -> the 400 names the first in parse order, sample,
+	// on every request.
+	for i := 0; i < 16; i++ {
+		e.Error = ""
+		getJSON(t, ts.URL+"/analyze/divergence?sample=x&buckets=y", http.StatusBadRequest, &e)
+		if !strings.Contains(e.Error, "sample") {
+			t.Fatalf("request %d: error %q does not name sample", i, e.Error)
+		}
+	}
 }
 
 // TestErrorEnvelopeEverywhere pins the unified error shape: even responses

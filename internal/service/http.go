@@ -293,18 +293,19 @@ func (s *Service) handleAnalyzeRoute(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleAnalyzeDivergence(w http.ResponseWriter, r *http.Request) {
 	var req analyze.DivergenceRequest
 	q := r.URL.Query()
-	for name, dst := range map[string]*int{
-		"sample":    &req.Sample,
-		"buckets":   &req.Buckets,
-		"witnesses": &req.MaxWitnesses,
-	} {
-		if v := q.Get(name); v != "" {
+	// A fixed order, so a request with several bad parameters always names
+	// the same one.
+	for _, p := range [...]struct {
+		name string
+		dst  *int
+	}{{"sample", &req.Sample}, {"buckets", &req.Buckets}, {"witnesses", &req.MaxWitnesses}} {
+		if v := q.Get(p.name); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", name, err))
+				writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", p.name, err))
 				return
 			}
-			*dst = n
+			*p.dst = n
 		}
 	}
 	if v := q.Get("seed"); v != "" {
@@ -432,8 +433,8 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	// diagnosable 500, not a silent 200 with an empty body.
 	raw, err := json.Marshal(body)
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
-		return
+		status = http.StatusInternalServerError
+		raw, _ = json.Marshal(errorBody{Error: err.Error()}) // a string always encodes
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -192,5 +193,29 @@ func TestTrailingDataRejected(t *testing.T) {
 				t.Fatalf("POST %s %q: body %q is not the error envelope", tc.path, tc.body+c.suffix, rec.Body)
 			}
 		}
+	}
+}
+
+// TestWriteJSONUnencodable pins the 500 a value JSON cannot encode (a NaN
+// that slipped into a reply) turns into: one error envelope carrying the
+// marshal error once, not a JSON string wrapped in a second envelope.
+func TestWriteJSONUnencodable(t *testing.T) {
+	h := errorEnvelope(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, math.NaN())
+	}))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("content type %q", ct)
+	}
+	var e errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("body %q: %v", rec.Body, err)
+	}
+	if want := "json: unsupported value: NaN"; e.Error != want {
+		t.Fatalf("error %q, want %q", e.Error, want)
 	}
 }
