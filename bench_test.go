@@ -108,9 +108,10 @@ func buildBenchInstance(b *testing.B, n int) *ubg.Instance {
 	return benchInstance(b, n)
 }
 
-// BenchmarkCoreBuild measures the sequential relaxed greedy across n.
+// BenchmarkCoreBuild measures the sequential relaxed greedy across n;
+// n=8192 is the size the benchmark of record's build-8k workload builds.
 func BenchmarkCoreBuild(b *testing.B) {
-	for _, n := range []int{64, 128, 256, 2048} {
+	for _, n := range []int{64, 128, 256, 2048, 8192} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			inst := buildBenchInstance(b, n)
 			p, err := core.NewParams(0.5, 0.75, 2)
@@ -127,9 +128,10 @@ func BenchmarkCoreBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkDistBuild measures the distributed pipeline (simulation included).
+// BenchmarkDistBuild measures the distributed pipeline (simulation
+// included), at build-8k's size too.
 func BenchmarkDistBuild(b *testing.B) {
-	for _, n := range []int{64, 128, 2048} {
+	for _, n := range []int{64, 128, 2048, 8192} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			inst := buildBenchInstance(b, n)
 			p, err := core.NewParams(0.5, 0.75, 2)

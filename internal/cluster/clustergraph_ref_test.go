@@ -249,3 +249,63 @@ func TestClusterGraphRowsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRowAloneMatchesReference builds single rows on demand: for every
+// center c, a fresh Start and Row(c) alone must give c the row the
+// reference construction gives it, with bit-equal weights, although the
+// rows of c's partners are not built. It runs on the random spanners and
+// rescue fixtures of TestClusterGraphMatchesReference and on the
+// asymmetric-distance paths of TestClusterGraphDedupeTurns.
+func TestRowAloneMatchesReference(t *testing.T) {
+	const delta = 0.1
+	check := func(name string, gp *graph.Graph, cov *Cover, w, crossBound, rescueBound float64) {
+		t.Helper()
+		want := refBuildClusterGraph(gp, cov, w, crossBound, rescueBound)
+		var cg ClusterGraph
+		for _, c := range cov.Centers {
+			cg.Start(gp, cov, w, crossBound, rescueBound)
+			cg.Row(c)
+			got, ref := slices.Clone(cg.H.Neighbors(c)), slices.Clone(want.H.Neighbors(c))
+			byTo := func(a, b graph.Halfedge) int { return a.To - b.To }
+			slices.SortFunc(got, byTo)
+			slices.SortFunc(ref, byTo)
+			if !slices.EqualFunc(got, ref, func(a, b graph.Halfedge) bool {
+				return a.To == b.To && math.Float64bits(a.W) == math.Float64bits(b.W)
+			}) {
+				t.Fatalf("%s: center %d's row alone is %v, reference %v", name, c, got, ref)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		n    int
+		seed int64
+	}{{60, 610}, {120, 611}} {
+		inst, err := ubg.GenerateConnected(
+			geom.CloudConfig{Kind: geom.CloudUniform, N: tc.n, Dim: 2, Seed: tc.seed},
+			ubg.Config{Alpha: 0.8, Model: ubg.ModelAll, Seed: tc.seed},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := greedy.Spanner(inst.G, 1.5)
+		for _, w := range []float64{0.02, 0.1, 0.4} {
+			cov := GreedyCover(sp, delta*w, nil)
+			check(fmt.Sprintf("n=%d/w=%v", tc.n, w), sp, cov, w, (2*delta+1)*w, 1.5*w)
+		}
+	}
+	for _, clumps := range []int{2, 5} {
+		g := rescueFixture(clumps)
+		check(fmt.Sprintf("rescue/clumps=%d", clumps), g, GreedyCover(g, delta*0.1, nil), 0.1, (2*delta+1)*0.1, 0)
+	}
+	for _, ws := range [][3]float64{{0.1, 0.2, 0.3}, {0.3, 0.2, 0.1}} {
+		g := graph.New(4)
+		for i, w := range ws {
+			g.AddEdge(i, i+1, w)
+		}
+		// At w = 0.6 one turn offers {0, 3}; at w = 0.7 both do, and the
+		// weight must be 0's distance even when 3's row is built alone.
+		for _, w := range []float64{0.6, 0.7} {
+			check(fmt.Sprintf("path %v/w=%v", ws, w), g, GreedyCover(g, 0, nil), w, 1, 0)
+		}
+	}
+}

@@ -6,6 +6,12 @@
 // both satisfy the cover contract (radius bound, full coverage, separated
 // centers), which is what all downstream steps rely on.
 //
+// The cluster graph H is built a row at a time, so a builder pays only for
+// the rows its searches on H reach. Most of its queries need none: H-
+// distances are never below G'-distances, and H joins two singleton
+// clusters that a G'-edge joins by an edge no heavier, so G' answers for H
+// wherever its paths avoid the clusters with a second member.
+//
 // Every per-phase structure here is a flat slice indexed by vertex: a
 // cover's membership is a CSR built by one counting pass over Center, and
 // the cluster graph's construction stamps per-center scratch arrays instead
@@ -108,7 +114,9 @@ func (c *Cover) finalize() {
 // vertex u, make it a center, and claim every still-uncovered vertex within
 // shortest-path distance radius of u. Centers are pairwise more than radius
 // apart because a later center was, by construction, not claimed by any
-// earlier one.
+// earlier one. A vertex whose every edge is heavier than radius is its own
+// ball, so it becomes a singleton center without a search; in a builder
+// phase's cover that is all but the few vertices with a short G'-edge.
 //
 // The cover is built into c, overwriting it and reusing its storage, and
 // returned; pass nil for a new cover.
@@ -119,6 +127,10 @@ func GreedyCover(g graph.Topology, radius float64, c *Cover) *Cover {
 	defer graph.ReleaseSearcher(s)
 	for u := 0; u < n; u++ {
 		if c.Center[u] != -1 {
+			continue
+		}
+		if !slices.ContainsFunc(g.Neighbors(u), func(h graph.Halfedge) bool { return h.W <= radius }) {
+			c.Center[u], c.Dist[u] = u, 0
 			continue
 		}
 		for _, vd := range s.Ball(g, u, radius) {

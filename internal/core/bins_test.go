@@ -12,7 +12,7 @@ func testBins(t *testing.T, n int, eps, alpha float64) Bins {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewBins(n, p)
+	return newBins(n, p)
 }
 
 // TestBinIndexPartitionProperty: every length in (0, 1] lands in exactly
@@ -26,14 +26,14 @@ func TestBinIndexPartitionProperty(t *testing.T) {
 		if d == 0 {
 			d = 1e-9
 		}
-		i := b.Index(d)
+		i := b.index(d)
 		if i < 0 || i > b.M {
 			return false
 		}
 		if i == 0 {
 			return d <= b.W0
 		}
-		return d > b.Ceiling(i-1) && d <= b.Ceiling(i)
+		return d > b.ceiling(i-1) && d <= b.ceiling(i)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
@@ -43,17 +43,17 @@ func TestBinIndexPartitionProperty(t *testing.T) {
 func TestBinBoundariesExact(t *testing.T) {
 	b := testBins(t, 100, 0.5, 0.8)
 	// Exactly W0 goes to bin 0.
-	if got := b.Index(b.W0); got != 0 {
-		t.Errorf("Index(W0) = %d, want 0", got)
+	if got := b.index(b.W0); got != 0 {
+		t.Errorf("index(W0) = %d, want 0", got)
 	}
 	// Just above W0 goes to bin 1.
-	if got := b.Index(b.W0 * 1.0000001); got != 1 {
-		t.Errorf("Index(W0+) = %d, want 1", got)
+	if got := b.index(b.W0 * 1.0000001); got != 1 {
+		t.Errorf("index(W0+) = %d, want 1", got)
 	}
 	// Exactly W_i goes to bin i.
 	for i := 1; i <= 5; i++ {
-		if got := b.Index(b.Ceiling(i)); got != i {
-			t.Errorf("Index(W_%d) = %d, want %d", i, got, i)
+		if got := b.index(b.ceiling(i)); got != i {
+			t.Errorf("index(W_%d) = %d, want %d", i, got, i)
 		}
 	}
 }
@@ -64,11 +64,11 @@ func TestBinsCoverUnitLength(t *testing.T) {
 	for _, n := range []int{10, 100, 1000} {
 		for _, alpha := range []float64{0.3, 0.75, 1.0} {
 			b := testBins(t, n, 0.5, alpha)
-			if b.Ceiling(b.M) < 1-1e-9 {
-				t.Errorf("n=%d alpha=%v: W_M = %v < 1", n, alpha, b.Ceiling(b.M))
+			if b.ceiling(b.M) < 1-1e-9 {
+				t.Errorf("n=%d alpha=%v: W_M = %v < 1", n, alpha, b.ceiling(b.M))
 			}
-			if got := b.Index(1.0); got > b.M {
-				t.Errorf("n=%d alpha=%v: Index(1) = %d > M = %d", n, alpha, got, b.M)
+			if got := b.index(1.0); got > b.M {
+				t.Errorf("n=%d alpha=%v: index(1) = %d > M = %d", n, alpha, got, b.M)
 			}
 		}
 	}
@@ -88,7 +88,7 @@ func TestBinCountLogarithmic(t *testing.T) {
 func TestBinsMonotoneCeilings(t *testing.T) {
 	b := testBins(t, 200, 1.0, 0.6)
 	for i := 1; i <= b.M; i++ {
-		if b.Ceiling(i) <= b.Ceiling(i-1) {
+		if b.ceiling(i) <= b.ceiling(i-1) {
 			t.Fatalf("ceilings not increasing at %d", i)
 		}
 	}

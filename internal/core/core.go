@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"topoctl/internal/cluster"
@@ -85,6 +86,14 @@ type Stats struct {
 	// MaxQueryEdgesPerCluster is the largest number of selected query
 	// edges incident to one cluster in any phase (Lemma 4 quantity).
 	MaxQueryEdgesPerCluster int
+	// QueriesOnH counts the fallbacks to the cluster graph H: queries whose
+	// t-path in the partial spanner passes a vertex of a cluster with a
+	// second member, and that the rows of H built before them did not
+	// answer, so a search on H did (see needsEdge).
+	QueriesOnH int
+	// DecidedByH counts the QueriesOnH whose edge H added although the
+	// partial spanner had a t-path: the queries where H changes the answer.
+	DecidedByH int
 }
 
 // Result is a completed build.
@@ -168,10 +177,10 @@ func Run(points []geom.Point, g *graph.Graph, opts Options, proto Protocol) (*Re
 	return &Result{Spanner: b.sp, Params: b.p, Bins: b.bins, Stats: b.stats}, nil
 }
 
-// builder carries the mutable state of one build. cov, cg and redundant
-// are per-phase structures whose storage the build's phases share, so a
-// phase allocates in proportion to its bin, not to n. They are per build,
-// never package-level: builds run in parallel.
+// builder carries the mutable state of one build. cov, cg, frozen and
+// redundant are per-phase structures whose storage the build's phases
+// share, so a phase allocates in proportion to its bin, not to n. They
+// are per build, never package-level: builds run in parallel.
 type builder struct {
 	points    []geom.Point
 	g         *graph.Graph // input α-UBG, Euclidean weights
@@ -183,12 +192,13 @@ type builder struct {
 	proto     Protocol
 	cov       cluster.Cover
 	cg        cluster.ClusterGraph
+	frozen    frozen
 	redundant redundancyScan
 }
 
 func (b *builder) run() {
 	n := b.g.N()
-	b.bins = NewBins(n, b.p)
+	b.bins = newBins(n, b.p)
 	b.stats.Phases = b.bins.M + 1
 
 	// Distribute edges into bins by Euclidean length.
@@ -221,7 +231,7 @@ func (b *builder) run() {
 func binEdges(g *graph.Graph, bins Bins, m Metric) [][]EdgeInfo {
 	byBin := make([][]EdgeInfo, bins.M+1)
 	for _, e := range g.EdgesUnordered() {
-		i := bins.Index(e.W)
+		i := bins.index(e.W)
 		byBin[i] = append(byBin[i], EdgeInfo{U: e.U, V: e.V, Dist: e.W, W: m.Weight(e.W)})
 	}
 	return byBin
@@ -261,26 +271,28 @@ func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 		return nil, b.phaseEager(edges)
 	}
 
-	wPrev := b.opts.Metric.Weight(b.bins.Ceiling(i - 1)) // W_{i-1}, metric units
-	radius := b.p.Delta * wPrev
-	crossBound := (2*b.p.Delta + 1) * wPrev
+	wPrev := b.opts.Metric.Weight(b.bins.ceiling(i - 1)) // W_{i-1}, metric units
+	wCur := b.opts.Metric.Weight(b.bins.ceiling(i))      // W_i
 
 	// Step (i): cluster cover of G'_{i-1}.
 	cov := &b.cov
-	b.proto.Cover(b.sp, radius, cov)
+	b.proto.Cover(b.sp, b.p.Delta*wPrev, cov)
 
-	// Step (iii) [built before queries are answered]: cluster graph H_{i-1}.
-	// Inter-edges heavier than t·W_i can never serve a query in this phase.
-	// When every vertex is its own center, H and G'_{i-1} agree on every
-	// distance up to t·W_i: every H edge weighs a G' distance, and every
-	// G' edge whose G' distance is within t·W_i is an H edge at that
-	// distance. Every query bound t·w(q) and the redundancy bound t1·W_i
-	// are within t·W_i, so such a phase reads G'_{i-1} itself. So do
-	// fault-tolerant builds, which query G' and skip step (v).
-	h := b.sp
+	// Step (iii), on demand: the cluster graph H_{i-1}, which steps (iv)
+	// and (v) measure on. H-distances are never below G'-distances, and H
+	// joins two singleton clusters that a G'-edge joins by an edge no
+	// heavier, so G'_{i-1} answers for H wherever its paths avoid the
+	// vertices of clusters with a second member (see needsEdge), and H's
+	// rows are built only where a search on H reaches. A cover of
+	// singletons has no such vertex, so that phase builds no H; neither do
+	// fault-tolerant builds, which query G' and skip step (v). Inter-edges
+	// heavier than t·W_i can never serve a query in this phase.
+	f := &b.frozen
+	f.sp, f.cov, f.cg, f.s = b.sp, cov, nil, graph.AcquireSearcher(b.sp.N())
+	defer graph.ReleaseSearcher(f.s)
 	if len(cov.Centers) < b.sp.N() && b.opts.FaultK == 0 {
-		rescueBound := b.p.T * b.opts.Metric.Weight(b.bins.Ceiling(i))
-		h = cluster.BuildClusterGraph(b.sp, cov, wPrev, crossBound, rescueBound, &b.cg).H
+		b.cg.Start(b.sp, cov, wPrev, (2*b.p.Delta+1)*wPrev, b.p.T*wCur)
+		f.cg = &b.cg
 	}
 
 	// Step (ii): select query edges. Fault-tolerant builds disable the
@@ -294,29 +306,26 @@ func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 	})
 	b.absorbSelectStats(st)
 
-	// Step (iv): answer shortest path queries on h; lazy updates — the
-	// spanner is only modified after every query has been answered.
-	// Fault-tolerant builds pack disjoint paths on the partial spanner
-	// itself: edge-disjoint H-paths do not certify edge-disjoint G'-paths
-	// (distinct H edges can expand to overlapping G' segments).
+	// Step (iv): answer shortest path queries; lazy updates — the spanner
+	// is only modified after every query has been answered.
 	var added []EdgeInfo
 	for _, q := range queries {
 		b.stats.Queried++
-		if !needsEdge(h, q, b.p.T, b.opts.FaultK, b.opts.faultMode()) {
-			continue
+		if b.needsEdge(f, q) {
+			added = append(added, q)
 		}
-		added = append(added, q)
 	}
 
-	// Step (v), measured on h before the additions reach the spanner (h
-	// may be G'_{i-1} itself): find the mutually redundant edges among
-	// this phase's additions. Skipped for fault-tolerant builds: a removed
-	// edge relies on exactly one surviving counterpart, a single point of
-	// failure.
+	// Step (v), measured on H_{i-1} before the additions reach the
+	// spanner: find the mutually redundant edges among this phase's
+	// additions. Skipped for fault-tolerant builds: a removed edge relies
+	// on exactly one surviving counterpart, a single point of failure.
 	var pairs [][2]int
 	if !b.opts.DisableRedundancy && b.opts.FaultK == 0 && len(added) > 1 {
-		bound := b.p.T1 * b.opts.Metric.Weight(b.bins.Ceiling(i))
-		pairs = b.redundant.pairs(h, added, b.p.T1, bound)
+		bound := b.p.T1 * wCur
+		pairs = b.redundant.pairs(b.sp.N(), added, b.p.T1, func(v int) []graph.VertexDist {
+			return f.ballOf(v, bound)
+		})
 	}
 	for _, e := range added {
 		b.sp.AddEdge(e.U, e.V, e.W)
@@ -337,21 +346,106 @@ func (b *builder) absorbSelectStats(st selectStats) {
 	}
 }
 
-// needsEdge is the query-answering rule of step (iv): edge q must be
-// added unless graph h already contains a t-path (faultK = 0), or k+1
-// disjoint t-paths under the given fault mode (faultK = k > 0, the §1.6.1
-// extension). For faultK = 0 callers pass the frozen cluster graph H (or
-// the partial spanner, in a phase whose cover is all singletons); for
-// faultK > 0 they must pass the partial spanner itself, because
-// disjointness on H does not certify disjointness in G'. Both searches
-// stay inside the metric ball of radius t·w(q) around the endpoints, so
-// the computation remains local (Theorem 9).
-func needsEdge(h *graph.Graph, q EdgeInfo, t float64, faultK int, mode fault.Mode) bool {
-	bound := t * q.W
-	if faultK == 0 {
-		return !h.ReachableWithin(q.U, q.V, bound)
+// frozen is what a phase's steps (iv) and (v) measure on: the partial
+// spanner G'_{i-1} and, when the cover has a cluster with a second member,
+// the cluster graph H_{i-1}, whose rows are built on demand (cg is nil
+// otherwise, and H agrees with G' within t·W_i).
+type frozen struct {
+	sp   *graph.Graph
+	cov  *cluster.Cover
+	cg   *cluster.ClusterGraph
+	s    *graph.Searcher
+	path []int
+	ball []graph.VertexDist
+}
+
+// clustered reports whether v's cluster has a second member.
+func (f *frozen) clustered(v int) bool {
+	return len(f.cov.Members(f.cov.Center[v])) > 1
+}
+
+// searchH runs a Dijkstra on H from src within bound, completing each
+// vertex's row just before the search expands it, so it reads H as
+// BuildClusterGraph builds it while building only the rows it reaches.
+// visit sees every vertex the search settles, in settling order, and
+// returns false to stop expanding.
+func (f *frozen) searchH(src int, bound float64, visit func(v int, d float64) bool) {
+	stop := false
+	f.s.DijkstraPruned(f.cg.H, src, bound, func(v int, d float64) bool {
+		if stop = stop || !visit(v, d); stop {
+			return false
+		}
+		f.cg.Row(v)
+		return true
+	})
+}
+
+// ballOf returns v's ball of radius bound in H_{i-1}, for step (v)'s
+// redundancy scan (bound = t1·W_i). By needsEdge's two facts, a G' ball
+// that holds no clustered vertex is H's ball, at the same distances; any
+// other is searched on H.
+func (f *frozen) ballOf(v int, bound float64) []graph.VertexDist {
+	ball := f.s.Ball(f.sp, v, bound)
+	if f.cg == nil || !slices.ContainsFunc(ball, func(vd graph.VertexDist) bool { return f.clustered(vd.V) }) {
+		return ball
 	}
-	return !fault.DisjointPathsAtLeast(h, q.U, q.V, bound, faultK+1, mode)
+	f.ball = f.ball[:0]
+	f.searchH(v, bound, func(x int, d float64) bool {
+		f.ball = append(f.ball, graph.VertexDist{V: x, D: d})
+		return true
+	})
+	return f.ball
+}
+
+// needsEdge is the query-answering rule of step (iv): edge q must be
+// added unless H_{i-1} holds a t-path between its endpoints (faultK = 0),
+// or unless the partial spanner packs k+1 disjoint t-paths under the fault
+// mode (faultK = k > 0, the §1.6.1 extension; disjointness on H does not
+// certify disjointness in G', so those builds never ask H).
+//
+// G' answers for H, exactly, by two facts:
+//   - every H edge weighs a G' distance, so H-distances are never below
+//     G'-distances (Lemma 7): with no G' t-path there is no H t-path, and
+//     q is needed;
+//   - a G'-edge joining two singleton clusters crosses them, so H joins
+//     them by an edge no heavier (condition (ii), its rescue capped at
+//     t·W_i >= t·w(q)): a G' t-path through singletons only is an H
+//     t-path, and q is not needed.
+//
+// So q falls back to H only when its G' t-path passes a clustered vertex,
+// and the search on H builds the rows it settles. Before G' is searched,
+// the rows built so far are: they carry H's edges and weights, so a t-path
+// among them is one in H, and in a clustered region, where earlier
+// fallbacks built them, they answer for less than a search on G' costs.
+// Every search stays inside the metric ball of radius t·w(q) around the
+// endpoints, so the computation remains local (Theorem 9).
+func (b *builder) needsEdge(f *frozen, q EdgeInfo) bool {
+	bound := b.p.T * q.W
+	switch {
+	case b.opts.FaultK > 0:
+		return !fault.DisjointPathsAtLeast(f.sp, q.U, q.V, bound, b.opts.FaultK+1, b.opts.faultMode())
+	case f.cg == nil:
+		return !f.s.ReachableWithin(f.sp, q.U, q.V, bound)
+	}
+	if f.s.ReachableWithin(f.cg.H, q.U, q.V, bound) {
+		return false
+	}
+	var ok bool
+	f.path, _, ok = f.s.AppendPathTo(f.path[:0], f.sp, q.U, q.V, bound)
+	if !ok || !slices.ContainsFunc(f.path, f.clustered) {
+		return !ok
+	}
+	b.stats.QueriesOnH++
+	found := false
+	f.searchH(q.U, bound, func(v int, _ float64) bool {
+		found = v == q.V
+		return !found
+	})
+	if found {
+		return false
+	}
+	b.stats.DecidedByH++
+	return true
 }
 
 // removeNonMIS builds the conflict graph over added edges from the given
@@ -401,7 +495,7 @@ func (b *builder) phaseEager(edges []EdgeInfo) int {
 			b.stats.AlreadyInSpanner++
 			continue
 		}
-		if !b.opts.DisableCoveredFilter && Covered(b.points, b.sp, e.U, e.V, e.Dist, b.p.Alpha, b.p.Theta) {
+		if !b.opts.DisableCoveredFilter && covered(b.points, b.sp, e.U, e.V, e.Dist, b.p.Alpha, b.p.Theta) {
 			b.stats.Covered++
 			continue
 		}

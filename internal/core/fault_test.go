@@ -72,20 +72,26 @@ func TestNeedsEdgeRules(t *testing.T) {
 	h.AddEdge(2, 3, 1)
 	h.AddEdge(3, 0, 1)
 	q := EdgeInfo{U: 0, V: 2, Dist: 1.9, W: 1.9}
+	// needsEdge with stretch t and FaultK k on h, read as an all-singleton
+	// phase's partial spanner (edge faults).
+	needsEdge := func(t float64, k int) bool {
+		b := &builder{opts: Options{FaultK: k}, p: Params{T: t}}
+		return b.needsEdge(&frozen{sp: h, s: graph.NewSearcher(h.N())}, q)
+	}
 	// t = 1.1: bound 2.09; one 2-path exists → not needed for k=0.
-	if needsEdge(h, q, 1.1, 0, fault.EdgeFaults) {
+	if needsEdge(1.1, 0) {
 		t.Error("k=0: edge demanded despite a t-path")
 	}
 	// k=1: needs two edge-disjoint paths — the cycle has exactly two → ok.
-	if needsEdge(h, q, 1.1, 1, fault.EdgeFaults) {
+	if needsEdge(1.1, 1) {
 		t.Error("k=1: edge demanded despite two disjoint t-paths")
 	}
 	// k=2: only two disjoint paths exist → needed.
-	if !needsEdge(h, q, 1.1, 2, fault.EdgeFaults) {
+	if !needsEdge(1.1, 2) {
 		t.Error("k=2: edge not demanded with only two disjoint paths")
 	}
 	// Tight bound excludes the paths entirely.
-	if !needsEdge(h, q, 1.0, 0, fault.EdgeFaults) {
+	if !needsEdge(1.0, 0) {
 		t.Error("bound too tight but edge not demanded")
 	}
 }

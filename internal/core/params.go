@@ -129,8 +129,8 @@ type Bins struct {
 	M int
 }
 
-// NewBins builds the schedule for n vertices.
-func NewBins(n int, p Params) Bins {
+// newBins builds the schedule for n vertices.
+func newBins(n int, p Params) Bins {
 	w0 := p.Alpha / float64(n)
 	m := int(math.Ceil(math.Log(float64(n)/p.Alpha) / math.Log(p.R)))
 	if m < 1 {
@@ -139,23 +139,23 @@ func NewBins(n int, p Params) Bins {
 	return Bins{W0: w0, R: p.R, M: m}
 }
 
-// Ceiling returns W_i, the top of bin i.
-func (b Bins) Ceiling(i int) float64 {
+// ceiling returns W_i, the top of bin i.
+func (b Bins) ceiling(i int) float64 {
 	return b.W0 * math.Pow(b.R, float64(i))
 }
 
-// Index returns the bin of an edge of Euclidean length d (0 < d <= 1
+// index returns the bin of an edge of Euclidean length d (0 < d <= 1
 // expected; longer lengths are clamped into the last bin, shorter into 0).
-func (b Bins) Index(d float64) int {
+func (b Bins) index(d float64) int {
 	if d <= b.W0 {
 		return 0
 	}
 	i := int(math.Ceil(math.Log(d/b.W0) / math.Log(b.R)))
 	// Guard against floating-point edge effects at bin boundaries.
-	for i > 0 && d <= b.Ceiling(i-1) {
+	for i > 0 && d <= b.ceiling(i-1) {
 		i--
 	}
-	for d > b.Ceiling(i) {
+	for d > b.ceiling(i) {
 		i++
 	}
 	if i > b.M {

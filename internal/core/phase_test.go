@@ -38,9 +38,9 @@ func TestPhaseAnswersQueriesOnClusterGraph(t *testing.T) {
 				sp.AddEdge(e[0], e[1], geom.Dist(pts[e[0]], pts[e[1]]))
 			}
 			q := EdgeInfo{U: x, V: v, Dist: 0.5, W: 0.5}
-			bins := NewBins(len(pts), p)
-			i := bins.Index(q.Dist)
-			wPrev := bins.Ceiling(i - 1)
+			bins := newBins(len(pts), p)
+			i := bins.index(q.Dist)
+			wPrev := bins.ceiling(i - 1)
 			bound := p.T * q.W
 
 			// The fixture's premises: G' alone would reject q, and only the
@@ -52,7 +52,7 @@ func TestPhaseAnswersQueriesOnClusterGraph(t *testing.T) {
 			if got := len(cov.Members(c)) == 2; got != tc.clustered {
 				t.Fatalf("cover clusters %v with c: %v, want %v", cov.Members(c), got, tc.clustered)
 			}
-			cg := cluster.BuildClusterGraph(sp, cov, wPrev, (2*p.Delta+1)*wPrev, p.T*bins.Ceiling(i), nil)
+			cg := cluster.BuildClusterGraph(sp, cov, wPrev, (2*p.Delta+1)*wPrev, p.T*bins.ceiling(i), nil)
 			if got := !cg.H.ReachableWithin(x, v, bound); got != tc.want {
 				t.Fatalf("H needs q: %v, want %v", got, tc.want)
 			}

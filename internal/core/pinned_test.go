@@ -33,15 +33,37 @@ func spannerDigest(g *graph.Graph) string {
 // pinnedInstance is the build-8k instance shape at size n: a uniform cloud
 // at expected α-degree 8, α = 0.75, every grey-zone pair connected.
 func pinnedInstance(t testing.TB, n int, seed int64) *ubg.Instance {
+	return shapeInstance(t, geom.CloudUniform, n, seed, 0.75)
+}
+
+// shapeInstance draws an α = 0.75 UBG, every grey-zone pair connected,
+// over the given cloud in a box sized for expected degree 8 at radius
+// sideRadius: 0.75 is the build-8k shape, 1 the builder benchmarks'
+// (BenchmarkCoreBuild, TestWorkBudget).
+func shapeInstance(t testing.TB, cloud geom.Cloud, n int, seed int64, sideRadius float64) *ubg.Instance {
 	t.Helper()
 	inst, err := ubg.GenerateConnected(
-		geom.CloudConfig{Kind: geom.CloudUniform, N: n, Dim: 2, Seed: seed, Side: ubg.DensitySide(n, 2, 0.75, 8)},
+		geom.CloudConfig{Kind: cloud, N: n, Dim: 2, Seed: seed, Side: ubg.DensitySide(n, 2, sideRadius, 8)},
 		ubg.Config{Alpha: 0.75, Model: ubg.ModelAll, Seed: seed},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return inst
+}
+
+// hDecidesShapes are the n = 2,048 shapes on which the cluster graph H
+// decides queries the partial spanner alone would answer otherwise: the
+// builder benchmarks' uniform instance (one such query at ε = 0.5) and a
+// clustered cloud, whose hotspots put a large share of the queries of a
+// phase next to a cluster with a second member.
+var hDecidesShapes = []struct {
+	name       string
+	cloud      geom.Cloud
+	sideRadius float64
+}{
+	{"bench-uniform", geom.CloudUniform, 1},
+	{"clustered", geom.CloudClustered, 0.75},
 }
 
 // TestBuildPinned freezes the sequential builder's output, edge for edge,
@@ -61,17 +83,37 @@ func TestBuildPinned(t *testing.T) {
 		{1024, 2, 1768, "ca448f9a0b7c34bddd37c9e272045dba8f511215efe715f3019977392456755c"},
 	} {
 		t.Run(fmt.Sprintf("n=%d/seed=%d", tc.n, tc.seed), func(t *testing.T) {
-			inst := pinnedInstance(t, tc.n, tc.seed)
-			res, err := Build(inst.Points, inst.G, Options{Params: mustParams(t, 0.5, 0.75, 2)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Spanner.M(); got != tc.edges {
-				t.Errorf("spanner has %d edges, pinned %d", got, tc.edges)
-			}
-			if got := spannerDigest(res.Spanner); got != tc.digest {
-				t.Errorf("spanner digest %s, pinned %s", got, tc.digest)
-			}
+			checkPinned(t, pinnedInstance(t, tc.n, tc.seed), tc.edges, tc.digest)
 		})
+	}
+	// The hDecidesShapes at n = 2,048, seed 1, pinned before phases
+	// answered their queries on the partial spanner first.
+	for i, tc := range []struct {
+		edges  int
+		digest string
+	}{
+		{3520, "f12a2773891ea546b3db9dcc2b4b72152d4572ba06c5469432214b4501d78d4e"},
+		{3514, "1e18453c7ca11ab0bf92ec4b986e8bf7d223c14719c4b8f502399dbf0d1d09cf"},
+	} {
+		sh := hDecidesShapes[i]
+		t.Run(sh.name+"/n=2048/seed=1", func(t *testing.T) {
+			checkPinned(t, shapeInstance(t, sh.cloud, 2048, 1, sh.sideRadius), tc.edges, tc.digest)
+		})
+	}
+}
+
+// checkPinned builds inst's spanner at ε = 0.5 and compares it with the
+// pinned edge count and digest.
+func checkPinned(t *testing.T, inst *ubg.Instance, edges int, digest string) {
+	t.Helper()
+	res, err := Build(inst.Points, inst.G, Options{Params: mustParams(t, 0.5, 0.75, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Spanner.M(); got != edges {
+		t.Errorf("spanner has %d edges, pinned %d", got, edges)
+	}
+	if got := spannerDigest(res.Spanner); got != digest {
+		t.Errorf("spanner digest %s, pinned %s", got, digest)
 	}
 }

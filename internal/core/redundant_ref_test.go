@@ -54,6 +54,13 @@ func refFindRedundantPairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) 
 	return pairs
 }
 
+// ballsOn returns the ball function redundancyScan.pairs measures on:
+// every vertex's ball of radius bound in h.
+func ballsOn(h *graph.Graph, bound float64) func(v int) []graph.VertexDist {
+	s := graph.NewSearcher(h.N())
+	return func(v int) []graph.VertexDist { return s.Ball(h, v, bound) }
+}
+
 // replayPhases re-runs Build's lazy phases (no ablations, no fault
 // tolerance) step by step from the same pieces, calling check on every
 // phase's redundancy input and then removing the pairs redundancyScan
@@ -64,7 +71,7 @@ func refFindRedundantPairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) 
 func replayPhases(pts []geom.Point, g *graph.Graph, p Params, check func(h *graph.Graph, added []EdgeInfo, t1, bound float64)) *graph.Graph {
 	m := EuclideanMetric
 	sp := graph.New(g.N())
-	bins := NewBins(g.N(), p)
+	bins := newBins(g.N(), p)
 	byBin := binEdges(g, bins, m)
 	phase0(pts, sp, byBin[0], p.T, m, 0, fault.EdgeFaults)
 	var scan redundancyScan
@@ -72,13 +79,13 @@ func replayPhases(pts []geom.Point, g *graph.Graph, p Params, check func(h *grap
 		if len(byBin[i]) == 0 {
 			continue
 		}
-		wPrev := m.Weight(bins.Ceiling(i - 1))
+		wPrev := m.Weight(bins.ceiling(i - 1))
 		cov := cluster.GreedyCover(sp, p.Delta*wPrev, nil)
-		cg := cluster.BuildClusterGraph(sp, cov, wPrev, (2*p.Delta+1)*wPrev, p.T*m.Weight(bins.Ceiling(i)), nil)
+		cg := cluster.BuildClusterGraph(sp, cov, wPrev, (2*p.Delta+1)*wPrev, p.T*m.Weight(bins.ceiling(i)), nil)
 		queries, _ := selectQueries(pts, sp, cov, byBin[i], selectOpts{T: p.T, Theta: p.Theta, Alpha: p.Alpha})
 		var added []EdgeInfo
 		for _, q := range queries {
-			if needsEdge(cg.H, q, p.T, 0, fault.EdgeFaults) {
+			if !cg.H.ReachableWithin(q.U, q.V, p.T*q.W) {
 				added = append(added, q)
 			}
 		}
@@ -86,9 +93,9 @@ func replayPhases(pts []geom.Point, g *graph.Graph, p Params, check func(h *grap
 			sp.AddEdge(e.U, e.V, e.W)
 		}
 		if len(added) > 1 {
-			bound := p.T1 * m.Weight(bins.Ceiling(i))
+			bound := p.T1 * m.Weight(bins.ceiling(i))
 			check(cg.H, added, p.T1, bound)
-			removeNonMIS(sp, added, scan.pairs(cg.H, added, p.T1, bound), mis.Greedy)
+			removeNonMIS(sp, added, scan.pairs(sp.N(), added, p.T1, ballsOn(cg.H, bound)), mis.Greedy)
 		}
 	}
 	return sp
@@ -109,7 +116,7 @@ func TestFindRedundantPairsMatchesReference(t *testing.T) {
 			p := mustParams(t, tc.eps, 0.75, 2)
 			var scan redundancyScan
 			sp := replayPhases(inst.Points, inst.G, p, func(h *graph.Graph, added []EdgeInfo, t1, bound float64) {
-				got := scan.pairs(h, added, t1, bound)
+				got := scan.pairs(h.N(), added, t1, ballsOn(h, bound))
 				want := refFindRedundantPairs(h, added, t1, bound)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%d added edges: pairs %v, reference %v", len(added), got, want)
@@ -160,7 +167,7 @@ func TestFindRedundantPairsMatchesReferenceRandom(t *testing.T) {
 		}
 		for _, t1 := range []float64{1.1, 1.5, 3} {
 			for _, bound := range []float64{0.1, 0.5, math.Inf(1)} {
-				got := scan.pairs(h, added, t1, bound)
+				got := scan.pairs(h.N(), added, t1, ballsOn(h, bound))
 				want := refFindRedundantPairs(h, added, t1, bound)
 				if !slices.Equal(got, want) {
 					t.Fatalf("rep %d, t1=%v, bound=%v: pairs %v, reference %v", rep, t1, bound, got, want)

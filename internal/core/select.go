@@ -47,14 +47,14 @@ type selectStats struct {
 	MaxPerCluster int
 }
 
-// Covered implements the Czumaj–Zhao filter (§2.2.2) for edge {u,v} of
+// covered implements the Czumaj–Zhao filter (§2.2.2) for edge {u,v} of
 // Euclidean length duv: the edge is covered if some spanner neighbor z of u
 // satisfies |uz| <= |uv|, |vz| <= α and ∠vuz <= θ, or symmetrically at v.
 //
 // The |uz| <= |uv| precondition of Lemma 3 is checked explicitly: phase-0
 // clique spanners may retain edges of length up to α, which can exceed the
 // current bin ceiling, so it does not follow from bin ordering alone.
-func Covered(points []geom.Point, sp *graph.Graph, u, v int, duv, alpha, theta float64) bool {
+func covered(points []geom.Point, sp *graph.Graph, u, v int, duv, alpha, theta float64) bool {
 	return coveredAt(points, sp, u, v, duv, alpha, theta) ||
 		coveredAt(points, sp, v, u, duv, alpha, theta)
 }
@@ -110,7 +110,7 @@ func selectQueries(points []geom.Point, sp *graph.Graph, cov *cluster.Cover, edg
 			}
 			continue
 		}
-		if !o.DisableCoveredFilter && Covered(points, sp, e.U, e.V, e.Dist, o.Alpha, o.Theta) {
+		if !o.DisableCoveredFilter && covered(points, sp, e.U, e.V, e.Dist, o.Alpha, o.Theta) {
 			st.Covered++
 			continue
 		}
@@ -211,32 +211,30 @@ func (r *redundancyScan) grow(n int) {
 }
 
 // pairs implements the mutual-redundancy test of §2.2.5 over the edges
-// added in one phase, measuring distances on the frozen graph h exactly as
-// the queries were. Pair (i, j) is reported when, for the better of the
-// two endpoint pairings (the d_J minimum of Lemma 20),
+// added in one phase, measuring distances on the frozen graph H exactly as
+// the queries were: ball(v) returns v's ball in H, of a radius that caps
+// every distance relevant to the conditions (t1·W_i), on an n-vertex
+// graph. Pair (i, j) is reported when, for the better of the two endpoint
+// pairings (the d_J minimum of Lemma 20),
 //
 //	sp_H(u,u') + sp_H(v,v') + w' <= t1·w  and
 //	sp_H(u,u') + sp_H(v,v') + w  <= t1·w'.
 //
-// bound caps the Dijkstra searches: any distance relevant to the conditions
-// is at most t1·W_i. Both pairings use a distance from u, so the sum is
-// finite only if u' or v' lies within bound of u: edge i is tested only
-// against the later edges with an endpoint in u's ball, which is exact.
-// Pairs come out in (i, j) order.
-func (r *redundancyScan) pairs(h *graph.Graph, added []EdgeInfo, t1, bound float64) [][2]int {
-	n := h.N()
+// Both pairings use a distance from u, so the sum is finite only if u' or
+// v' lies within the radius of u: edge i is tested only against the later
+// edges with an endpoint in u's ball, which is exact. Pairs come out in
+// (i, j) order.
+func (r *redundancyScan) pairs(n int, added []EdgeInfo, t1 float64, ball func(v int) []graph.VertexDist) [][2]int {
 	if len(r.distU) < n {
 		r.grow(n)
 	}
-	s := graph.AcquireSearcher(n)
-	defer graph.ReleaseSearcher(s)
 	r.slab = r.slab[:0]
 	for i, e := range added {
 		for _, v := range [2]int{e.U, e.V} {
 			r.incident[v] = append(r.incident[v], i)
 			if r.ballHi[v] == 0 {
 				r.ballLo[v] = len(r.slab)
-				r.slab = append(r.slab, s.Ball(h, v, bound)...)
+				r.slab = append(r.slab, ball(v)...)
 				r.ballHi[v] = len(r.slab)
 			}
 		}

@@ -130,7 +130,7 @@ func TestCoveredDetectsCoverage(t *testing.T) {
 	sp := graph.New(3)
 	sp.AddEdge(0, 2, geom.Dist(points[0], points[2]))
 	duv := geom.Dist(points[0], points[1])
-	if !Covered(points, sp, 0, 1, duv, 0.75, 0.15) {
+	if !covered(points, sp, 0, 1, duv, 0.75, 0.15) {
 		t.Error("clearly covered edge not detected")
 	}
 	// Symmetric case: spanner edge at v instead.
@@ -141,7 +141,7 @@ func TestCoveredDetectsCoverage(t *testing.T) {
 		{0.5, 0.01}, // z near the u side of v
 	}
 	sp2.AddEdge(1, 2, geom.Dist(points2[1], points2[2]))
-	if !Covered(points2, sp2, 0, 1, 0.8, 0.75, 0.15) {
+	if !covered(points2, sp2, 0, 1, 0.8, 0.75, 0.15) {
 		t.Error("symmetric covered edge not detected")
 	}
 }
@@ -156,7 +156,7 @@ func TestCoveredRejectsLongSpannerEdge(t *testing.T) {
 	}
 	sp := graph.New(3)
 	sp.AddEdge(0, 2, 0.9)
-	if Covered(points, sp, 0, 1, 0.5, 0.75, 0.15) {
+	if covered(points, sp, 0, 1, 0.5, 0.75, 0.15) {
 		t.Error("edge covered by a longer spanner edge — Lemma 3 precondition ignored")
 	}
 }
@@ -169,7 +169,7 @@ func TestCoveredRejectsWideAngle(t *testing.T) {
 	}
 	sp := graph.New(3)
 	sp.AddEdge(0, 2, 0.3)
-	if Covered(points, sp, 0, 1, 0.5, 0.75, 0.15) {
+	if covered(points, sp, 0, 1, 0.5, 0.75, 0.15) {
 		t.Error("edge covered despite angle > theta")
 	}
 }
@@ -182,7 +182,7 @@ func TestCoveredRejectsFarZ(t *testing.T) {
 	}
 	sp := graph.New(3)
 	sp.AddEdge(0, 2, geom.Dist(points[0], points[2]))
-	if Covered(points, sp, 0, 1, 0.95, 0.5, 0.15) {
+	if covered(points, sp, 0, 1, 0.95, 0.5, 0.15) {
 		t.Error("edge covered despite |vz| > alpha")
 	}
 }
@@ -197,7 +197,7 @@ func TestFindRedundantPairsDetectsMutualRedundancy(t *testing.T) {
 		{U: 0, V: 1, Dist: 0.5, W: 0.5},
 		{U: 2, V: 3, Dist: 0.5, W: 0.5},
 	}
-	pairs := new(redundancyScan).pairs(h, added, 1.25, 1.0)
+	pairs := new(redundancyScan).pairs(h.N(), added, 1.25, ballsOn(h, 1.0))
 	if len(pairs) != 1 {
 		t.Fatalf("pairs = %v, want one", pairs)
 	}
@@ -213,7 +213,7 @@ func TestFindRedundantPairsCrossPairing(t *testing.T) {
 		{U: 0, V: 1, Dist: 0.5, W: 0.5},
 		{U: 3, V: 2, Dist: 0.5, W: 0.5},
 	}
-	pairs := new(redundancyScan).pairs(h, added, 1.25, 1.0)
+	pairs := new(redundancyScan).pairs(h.N(), added, 1.25, ballsOn(h, 1.0))
 	if len(pairs) != 1 {
 		t.Fatalf("cross-pairing missed: %v", pairs)
 	}
@@ -228,7 +228,7 @@ func TestFindRedundantPairsRespectsT1(t *testing.T) {
 		{U: 0, V: 1, Dist: 0.5, W: 0.5},
 		{U: 2, V: 3, Dist: 0.5, W: 0.5},
 	}
-	if pairs := new(redundancyScan).pairs(h, added, 1.25, 1.0); len(pairs) != 0 {
+	if pairs := new(redundancyScan).pairs(h.N(), added, 1.25, ballsOn(h, 1.0)); len(pairs) != 0 {
 		t.Fatalf("non-redundant pair flagged: %v", pairs)
 	}
 }
@@ -239,7 +239,7 @@ func TestFindRedundantPairsDisconnected(t *testing.T) {
 		{U: 0, V: 1, Dist: 0.5, W: 0.5},
 		{U: 2, V: 3, Dist: 0.5, W: 0.5},
 	}
-	if pairs := new(redundancyScan).pairs(h, added, 1.25, 1.0); len(pairs) != 0 {
+	if pairs := new(redundancyScan).pairs(h.N(), added, 1.25, ballsOn(h, 1.0)); len(pairs) != 0 {
 		t.Fatalf("disconnected endpoints flagged: %v", pairs)
 	}
 }

@@ -58,23 +58,62 @@ func TestBuildPinned(t *testing.T) {
 		{1024, 2, true, 1768, "ca448f9a0b7c34bddd37c9e272045dba8f511215efe715f3019977392456755c"},
 	} {
 		t.Run(fmt.Sprintf("n=%d/seed=%d/greedyMIS=%v", tc.n, tc.seed, tc.greedyMIS), func(t *testing.T) {
-			inst, err := ubg.GenerateConnected(
-				geom.CloudConfig{Kind: geom.CloudUniform, N: tc.n, Dim: 2, Seed: tc.seed, Side: ubg.DensitySide(tc.n, 2, 0.75, 8)},
-				ubg.Config{Alpha: 0.75, Model: ubg.ModelAll, Seed: tc.seed},
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Build(inst.Points, inst.G, Options{Params: p, Seed: 1, UseGreedyMIS: tc.greedyMIS})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Spanner.M(); got != tc.edges {
-				t.Errorf("spanner has %d edges, pinned %d", got, tc.edges)
-			}
-			if got := spannerDigest(res.Spanner); got != tc.digest {
-				t.Errorf("spanner digest %s, pinned %s", got, tc.digest)
-			}
+			inst := pinnedInstance(t, geom.CloudUniform, tc.n, tc.seed, 0.75)
+			checkPinned(t, inst, Options{Params: p, Seed: 1, UseGreedyMIS: tc.greedyMIS}, tc.edges, tc.digest)
 		})
+	}
+	// Two n = 2,048 shapes on which the cluster graph decides queries the
+	// partial spanner alone would answer otherwise (core's hDecidesShapes:
+	// the builder benchmarks' uniform instance and a clustered cloud),
+	// pinned before phases answered their queries on the partial spanner
+	// first.
+	for _, tc := range []struct {
+		name       string
+		cloud      geom.Cloud
+		sideRadius float64
+		greedyMIS  bool
+		edges      int
+		digest     string
+	}{
+		{"bench-uniform", geom.CloudUniform, 1, false, 3520, "df56464b7049e337deeed3c408df4609b400107a8c0d35f9116e09a9ee00bf6a"},
+		{"bench-uniform", geom.CloudUniform, 1, true, 3520, "f12a2773891ea546b3db9dcc2b4b72152d4572ba06c5469432214b4501d78d4e"},
+		{"clustered", geom.CloudClustered, 0.75, false, 3514, "29b899292f41b3a99a527099522f66372e2445a5f4d04a2d28416e853f6ba2ed"},
+		{"clustered", geom.CloudClustered, 0.75, true, 3514, "e12a2775ada1eb30e6562ac7a0901d5cd87bfe81fa7fa20f7e19b36f375cbd97"},
+	} {
+		t.Run(fmt.Sprintf("%s/n=2048/seed=1/greedyMIS=%v", tc.name, tc.greedyMIS), func(t *testing.T) {
+			inst := pinnedInstance(t, tc.cloud, 2048, 1, tc.sideRadius)
+			checkPinned(t, inst, Options{Params: p, Seed: 1, UseGreedyMIS: tc.greedyMIS}, tc.edges, tc.digest)
+		})
+	}
+}
+
+// pinnedInstance draws an α = 0.75 UBG, every grey-zone pair connected,
+// over the given cloud in a box sized for expected degree 8 at radius
+// sideRadius.
+func pinnedInstance(t *testing.T, cloud geom.Cloud, n int, seed int64, sideRadius float64) *ubg.Instance {
+	t.Helper()
+	inst, err := ubg.GenerateConnected(
+		geom.CloudConfig{Kind: cloud, N: n, Dim: 2, Seed: seed, Side: ubg.DensitySide(n, 2, sideRadius, 8)},
+		ubg.Config{Alpha: 0.75, Model: ubg.ModelAll, Seed: seed},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// checkPinned builds inst's spanner with opts and compares it with the
+// pinned edge count and digest.
+func checkPinned(t *testing.T, inst *ubg.Instance, opts Options, edges int, digest string) {
+	t.Helper()
+	res, err := Build(inst.Points, inst.G, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Spanner.M(); got != edges {
+		t.Errorf("spanner has %d edges, pinned %d", got, edges)
+	}
+	if got := spannerDigest(res.Spanner); got != digest {
+		t.Errorf("spanner digest %s, pinned %s", got, digest)
 	}
 }
