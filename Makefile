@@ -64,7 +64,8 @@ race:
 # record/frame/checkpoint decoders (what a follower reads off the wire and
 # recovery reads off disk), the netio instance parser (operator files), and
 # the daemon's HTTP request surface (mutation validation and every POST
-# body / divergence query string a client can send).
+# body / divergence query string a client can send), and the builders'
+# covered-edge witness test against its geom.Angle form.
 # Each target explores for a few seconds on top of the committed seed
 # corpora in testdata/fuzz/; go only allows one -fuzz pattern per
 # invocation, hence one line per target. New crashers land in the
@@ -78,6 +79,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZ_TIME) ./internal/netio/
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateOps$$' -fuzztime $(FUZZ_TIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime $(FUZZ_TIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzCovered$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 
 # Coverage over the whole module: the test run prints the per-package
 # percentages (the trend worth reading in a CI log), the profile feeds the

@@ -41,16 +41,16 @@ func TestGreedyCoverExtremes(t *testing.T) {
 	sp := testSpanner(t, 50, 601)
 	// Radius 0: every vertex is its own center.
 	cov := GreedyCover(sp, 0, nil)
-	if len(cov.Centers) != sp.N() {
-		t.Errorf("radius 0: %d centers, want %d", len(cov.Centers), sp.N())
+	if len(cov.Centers()) != sp.N() {
+		t.Errorf("radius 0: %d centers, want %d", len(cov.Centers()), sp.N())
 	}
 	// Huge radius on a connected graph: one center.
 	cov = GreedyCover(sp, 1e9, nil)
-	if len(cov.Centers) != 1 {
-		t.Errorf("huge radius: %d centers, want 1", len(cov.Centers))
+	if len(cov.Centers()) != 1 {
+		t.Errorf("huge radius: %d centers, want 1", len(cov.Centers()))
 	}
-	if cov.Centers[0] != 0 {
-		t.Errorf("huge radius center = %d, want 0 (smallest ID first)", cov.Centers[0])
+	if cov.Centers()[0] != 0 {
+		t.Errorf("huge radius center = %d, want 0 (smallest ID first)", cov.Centers()[0])
 	}
 }
 
@@ -59,8 +59,8 @@ func TestGreedyCoverDisconnected(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(2, 3, 1)
 	cov := GreedyCover(g, 10, nil)
-	if len(cov.Centers) != 2 {
-		t.Errorf("disconnected cover: %d centers, want 2", len(cov.Centers))
+	if len(cov.Centers()) != 2 {
+		t.Errorf("disconnected cover: %d centers, want 2", len(cov.Centers()))
 	}
 	if errs := cov.Check(g); len(errs) > 0 {
 		t.Errorf("violations: %v", errs)
@@ -232,7 +232,7 @@ func TestClusterGraphLemma7Distortion(t *testing.T) {
 // incident to any single center of cg (the Lemma 6 quantity).
 func maxInterDegree(cg *ClusterGraph) int {
 	best := 0
-	for _, ctr := range cg.Cover.Centers {
+	for _, ctr := range cg.Cover.Centers() {
 		deg := 0
 		for _, h := range cg.H.Neighbors(ctr) {
 			if cg.Cover.IsCenter(h.To) {
@@ -285,7 +285,7 @@ func TestClusterGraphIntraEdgesMatchCoverDistances(t *testing.T) {
 	sp := testSpanner(t, 70, 607)
 	cov := GreedyCover(sp, 0.25, nil)
 	cg := BuildClusterGraph(sp, cov, 0.5, 0.7, 0, nil)
-	for _, ctr := range cov.Centers {
+	for _, ctr := range cov.Centers() {
 		for _, v := range cov.Members(ctr) {
 			if v == ctr {
 				continue
@@ -304,9 +304,10 @@ func TestClusterGraphIntraEdgesMatchCoverDistances(t *testing.T) {
 func TestCentersBySize(t *testing.T) {
 	sp := testSpanner(t, 90, 604)
 	cov := GreedyCover(sp, 0.3, nil)
+	before := slices.Clone(cov.Center)
 	order := cov.CentersBySize()
-	if len(order) != len(cov.Centers) {
-		t.Fatalf("CentersBySize returned %d centers, cover has %d", len(order), len(cov.Centers))
+	if len(order) != len(cov.Centers()) {
+		t.Fatalf("CentersBySize returned %d centers, cover has %d", len(order), len(cov.Centers()))
 	}
 	seen := make(map[int]bool)
 	for i, c := range order {
@@ -325,17 +326,16 @@ func TestCentersBySize(t *testing.T) {
 			}
 		}
 	}
-	// The original Centers slice must stay untouched (sorted by id).
-	for i := 1; i < len(cov.Centers); i++ {
-		if cov.Centers[i-1] >= cov.Centers[i] {
-			t.Fatal("CentersBySize disturbed Cover.Centers ordering")
-		}
+	// The cover itself must stay untouched.
+	if !slices.Equal(cov.Center, before) {
+		t.Fatal("CentersBySize disturbed the cover's assignment")
 	}
 }
 
 // checkCSR verifies the membership CSR against Center: the Members groups
 // partition [0, n) with v in group Center[v], each group is sorted, Centers
-// is ascending and exactly the vertices with a non-empty group.
+// is ascending and exactly the vertices with a non-empty group, and
+// Clustered lists those with a second member.
 func checkCSR(t *testing.T, name string, cov *Cover) {
 	t.Helper()
 	n := len(cov.Center)
@@ -366,14 +366,20 @@ func checkCSR(t *testing.T, name string, cov *Cover) {
 			t.Fatalf("%s: vertex %d in no group", name, v)
 		}
 	}
-	var centers []int
+	var centers, clustered []int
 	for v := 0; v < n; v++ {
 		if cov.IsCenter(v) {
 			centers = append(centers, v)
+			if len(cov.Members(v)) > 1 {
+				clustered = append(clustered, v)
+			}
 		}
 	}
-	if fmt.Sprint(cov.Centers) != fmt.Sprint(centers) {
-		t.Fatalf("%s: Centers %v, want the ascending center set %v", name, cov.Centers, centers)
+	if fmt.Sprint(cov.Centers()) != fmt.Sprint(centers) {
+		t.Fatalf("%s: Centers %v, want the ascending center set %v", name, cov.Centers(), centers)
+	}
+	if fmt.Sprint(cov.Clustered) != fmt.Sprint(clustered) {
+		t.Fatalf("%s: Clustered %v, want the ascending centers with a second member %v", name, cov.Clustered, clustered)
 	}
 }
 
@@ -414,8 +420,8 @@ func TestCoverMembersCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkCSR(t, "from-centers/overlapping", cov)
-	if want := "[0 1 2]"; fmt.Sprint(cov.Centers) != want {
-		t.Fatalf("Centers %v, want %s", cov.Centers, want)
+	if want := "[0 1 2]"; fmt.Sprint(cov.Centers()) != want {
+		t.Fatalf("Centers %v, want %s", cov.Centers(), want)
 	}
 	for ctr, want := range map[int]string{0: "[0]", 1: "[1]", 2: "[2 3 4]", 3: "[]", 4: "[]"} {
 		if got := fmt.Sprint(cov.Members(ctr)); got != want {
@@ -429,10 +435,10 @@ func TestCoverMembersCSR(t *testing.T) {
 func checkSameCover(t *testing.T, name string, got, want *Cover) {
 	t.Helper()
 	if got.Radius != want.Radius || !slices.Equal(got.Center, want.Center) ||
-		!slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Centers, want.Centers) {
+		!slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Centers(), want.Centers()) {
 		t.Fatalf("%s: reused cover differs from a fresh one", name)
 	}
-	for _, c := range want.Centers {
+	for _, c := range want.Centers() {
 		if !slices.Equal(got.Members(c), want.Members(c)) {
 			t.Fatalf("%s: members of %d are %v, fresh cover has %v", name, c, got.Members(c), want.Members(c))
 		}
@@ -461,11 +467,12 @@ func (c *Cover) Check(g graph.Topology) []string {
 	// ballD[v] is v's distance from the current center ctr when
 	// inBall[v] == ctr+1.
 	ballD, inBall := make([]float64, n), make([]int, n)
-	for _, ctr := range c.Centers {
+	centers := c.Centers()
+	for _, ctr := range centers {
 		for _, vd := range s.Ball(g, ctr, c.Radius) {
 			ballD[vd.V], inBall[vd.V] = vd.D, ctr+1
 		}
-		for _, other := range c.Centers {
+		for _, other := range centers {
 			if other == ctr {
 				continue
 			}
@@ -506,8 +513,8 @@ func TestAllSingletonClusterGraphMatchesSpanner(t *testing.T) {
 	}{{60, 620}, {120, 621}, {200, 622}} {
 		sp := testSpanner(t, tc.n, tc.seed)
 		cov := GreedyCover(sp, 0, nil)
-		if len(cov.Centers) != sp.N() {
-			t.Fatalf("n=%d: radius-0 cover has %d centers", tc.n, len(cov.Centers))
+		if len(cov.Centers()) != sp.N() {
+			t.Fatalf("n=%d: radius-0 cover has %d centers", tc.n, len(cov.Centers()))
 		}
 		for _, w := range []float64{0.02, 0.05, 0.1, 0.2, 0.4} {
 			bound := tStretch * r * w

@@ -93,7 +93,7 @@ func BuildClusterGraph(gp graph.Topology, cov *Cover, w, crossBound, rescueBound
 		cg = new(ClusterGraph)
 	}
 	cg.Start(gp, cov, w, crossBound, rescueBound)
-	for _, a := range cov.Centers {
+	for _, a := range cov.Centers() {
 		cg.Row(a)
 	}
 	return cg
@@ -121,7 +121,7 @@ func (cg *ClusterGraph) Start(gp graph.Topology, cov *Cover, w, crossBound, resc
 	}
 	cg.build++
 	cg.partners = cg.partners[:0]
-	for _, ctr := range cov.Centers {
+	for _, ctr := range cov.Clustered {
 		for _, v := range cov.Members(ctr) {
 			if v != ctr {
 				cg.H.AddEdge(ctr, v, cov.Dist[v])

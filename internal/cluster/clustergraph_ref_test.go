@@ -23,7 +23,7 @@ func refBuildClusterGraph(gp graph.Topology, cov *Cover, w, crossBound, rescueBo
 
 	// Intra-cluster edges: center -> member with the cover's recorded
 	// shortest-path distance.
-	for _, ctr := range cov.Centers {
+	for _, ctr := range cov.Centers() {
 		for _, v := range cov.Members(ctr) {
 			if v != ctr {
 				cg.H.AddEdge(ctr, v, cov.Dist[v])
@@ -59,7 +59,7 @@ func refBuildClusterGraph(gp graph.Topology, cov *Cover, w, crossBound, rescueBo
 	// One bounded Dijkstra per center discovers condition (i) pairs
 	// (centers within distance w) and the in-range condition (ii) pairs.
 	isCenter := make([]bool, n)
-	for _, ctr := range cov.Centers {
+	for _, ctr := range cov.Centers() {
 		isCenter[ctr] = true
 	}
 	type interEdge struct {
@@ -70,7 +70,7 @@ func refBuildClusterGraph(gp graph.Topology, cov *Cover, w, crossBound, rescueBo
 	seen := make(map[[2]int]bool)
 	s := graph.AcquireSearcher(n)
 	defer graph.ReleaseSearcher(s)
-	for _, a := range cov.Centers {
+	for _, a := range cov.Centers() {
 		for _, vd := range s.Ball(gp, a, crossBound) {
 			if vd.V == a || !isCenter[vd.V] {
 				continue
@@ -262,7 +262,7 @@ func TestRowAloneMatchesReference(t *testing.T) {
 		t.Helper()
 		want := refBuildClusterGraph(gp, cov, w, crossBound, rescueBound)
 		var cg ClusterGraph
-		for _, c := range cov.Centers {
+		for _, c := range cov.Centers() {
 			cg.Start(gp, cov, w, crossBound, rescueBound)
 			cg.Row(c)
 			got, ref := slices.Clone(cg.H.Neighbors(c)), slices.Clone(want.H.Neighbors(c))

@@ -12,13 +12,21 @@
 // clusters that a G'-edge joins by an edge no heavier, so G' answers for H
 // wherever its paths avoid the clusters with a second member.
 //
-// Every per-phase structure here is a flat slice indexed by vertex: a
-// cover's membership is a CSR built by one counting pass over Center, and
-// the cluster graph's construction stamps per-center scratch arrays instead
-// of keying maps by center pair. Both are rebuilt in place: a builder
-// passes the same cover and cluster graph every phase, so their storage is
-// allocated once per build. Theorem 9 keeps each phase local, so the
-// searches are cheap and the bookkeeping around them must be too.
+// A cluster with a second member forms only around vertices with an edge
+// no heavier than the cover radius, and in a builder's phase those are few:
+// the partial spanner's edges are mostly longer than δ·W_{i−1}. A cover
+// therefore stores only those clusters, a CSR over the centers with a
+// second member, and answers "singleton" for every other vertex. The
+// builder keeps the vertices with such an edge as its phases go (the
+// radius only grows, and the edges it counts stay), and the peel runs over
+// them alone, so a phase's cover costs those vertices, not n. GreedyCover
+// finds them by scanning every vertex, for callers that need a cover once.
+//
+// The cluster graph's construction stamps per-center scratch arrays instead
+// of keying maps by center pair. Both structures are rebuilt in place: a
+// builder passes the same cover and cluster graph every phase, so their
+// storage is allocated once per build. Theorem 9 keeps each phase local,
+// so the searches are cheap and the bookkeeping around them must be too.
 package cluster
 
 import (
@@ -35,6 +43,13 @@ import (
 // shortest-path radius at most Radius around its center, and distinct
 // centers are more than Radius apart in the underlying graph metric
 // (guaranteed by both constructions below).
+//
+// Only a vertex with an edge of weight at most Radius can share a cluster:
+// a member lies in its center's ball, whose paths end and begin with such
+// an edge. Every other vertex is its own singleton center, at distance 0,
+// and the cover stores nothing for it beyond Center and Dist. A cover
+// passed back to a construction must be one a construction returned: the
+// next build resets only the clusters with a second member.
 type Cover struct {
 	// Radius is the cover radius (in the graph's weight units).
 	Radius float64
@@ -44,13 +59,22 @@ type Cover struct {
 	// Dist[v] is the shortest-path distance from Center[v] to v in the
 	// clustered graph; Dist[c] == 0 for centers.
 	Dist []float64
-	// Centers lists all cluster centers in increasing vertex order.
-	Centers []int
-	// members and start are the membership CSR: the members of center c
-	// are members[start[c]:start[c+1]], in increasing vertex order; the
-	// range is empty for non-centers. start has N()+1 entries.
-	members []int
-	start   []int
+	// Clustered lists the centers whose cluster has a second member, in
+	// increasing vertex order.
+	Clustered []int
+	// Visits counts the per-vertex steps the last construction took
+	// outside its ball searches: the vertices it reset from the cover
+	// before, the vertices it scanned for an edge within Radius, and the
+	// vertices it peeled over.
+	Visits int
+	// members and start are the membership CSR of the clustered centers:
+	// the members of Clustered[k] are members[start[k]:start[k+1]], in
+	// increasing vertex order. slot[c] is k+1 when c == Clustered[k], and
+	// 0 for every other vertex.
+	members, start, slot []int
+	// short is GreedyCover's and CoverFromCenters' scratch: the vertices
+	// with an edge within Radius.
+	short []int
 }
 
 // IsCenter reports whether v is a cluster center.
@@ -60,77 +84,145 @@ func (c *Cover) IsCenter(v int) bool { return c.Center[v] == v }
 // itself) in increasing order; it is empty if ctr is not a center. The
 // slice aliases the cover and must not be modified.
 func (c *Cover) Members(ctr int) []int {
-	return c.members[c.start[ctr]:c.start[ctr+1]:c.start[ctr+1]]
+	if k := c.slot[ctr]; k > 0 {
+		return c.members[c.start[k-1]:c.start[k]:c.start[k]]
+	}
+	if c.Center[ctr] == ctr {
+		// A singleton center: Center[ctr] holds ctr itself.
+		return c.Center[ctr : ctr+1 : ctr+1]
+	}
+	return nil
+}
+
+// Centers returns all cluster centers in increasing vertex order. It scans
+// every vertex, so a builder's phase reads Clustered instead.
+func (c *Cover) Centers() []int {
+	var out []int
+	for v, ctr := range c.Center {
+		if ctr == v {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // reset readies c, reusing its storage, for a rebuild over n vertices at
-// the given radius with every vertex unassigned, and returns it; a nil c
-// is allocated.
+// the given radius with every vertex its own singleton center, and returns
+// it; a nil c is allocated. A cover over n vertices already has every
+// vertex outside its clustered centers' clusters in that state, so only
+// those clusters are reset.
 func (c *Cover) reset(n int, radius float64) *Cover {
 	if c == nil {
 		c = new(Cover)
 	}
-	c.Radius = radius
-	c.Center = slices.Grow(c.Center[:0], n)[:n]
-	c.Dist = slices.Grow(c.Dist[:0], n)[:n]
-	for i := range c.Center {
-		c.Center[i] = -1
+	c.Radius, c.Visits = radius, 0
+	if len(c.Center) != n {
+		c.Center = slices.Grow(c.Center[:0], n)[:n]
+		c.Dist = slices.Grow(c.Dist[:0], n)[:n]
+		c.slot = slices.Grow(c.slot[:0], n)[:n]
+		for v := range c.Center {
+			c.Center[v] = v
+		}
+		clear(c.Dist)
+		clear(c.slot)
+		c.Visits = n
+	} else {
+		for _, ctr := range c.Clustered {
+			members := c.Members(ctr)
+			for _, v := range members {
+				c.Center[v], c.Dist[v] = v, 0
+			}
+			c.slot[ctr] = 0
+			c.Visits += len(members)
+		}
 	}
+	c.Clustered = c.Clustered[:0]
 	return c
 }
 
-// finalize builds the membership CSR and Centers from Center with one
-// counting pass: filling members in vertex order leaves every group
-// sorted, and scanning the counts in vertex order lists Centers ascending.
-func (c *Cover) finalize() {
-	n := len(c.Center)
-	c.start = slices.Grow(c.start[:0], n+1)[:n+1]
-	clear(c.start)
-	for _, ctr := range c.Center {
-		c.start[ctr]++
-	}
-	c.Centers = c.Centers[:0]
-	sum := 0
-	for v, cnt := range c.start[:n] {
-		if cnt > 0 {
-			c.Centers = append(c.Centers, v)
+// invalidate marks c, left half-built by a failed construction, so the
+// next reset rebuilds it from scratch.
+func (c *Cover) invalidate() {
+	c.Center, c.Clustered = c.Center[:0], c.Clustered[:0]
+}
+
+// finalize lists Clustered and builds their membership CSR from Center.
+// short must list, in increasing order, every vertex of a cluster with a
+// second member: filling members in that order leaves every group sorted.
+func (c *Cover) finalize(short []int) {
+	for _, v := range short {
+		if ctr := c.Center[v]; ctr != v && c.slot[ctr] == 0 {
+			c.slot[ctr] = -1 // listed
+			c.Clustered = append(c.Clustered, ctr)
 		}
-		c.start[v] = sum
-		sum += cnt
 	}
-	c.members = slices.Grow(c.members[:0], n)[:n]
-	for v, ctr := range c.Center {
-		c.members[c.start[ctr]] = v
-		c.start[ctr]++
+	slices.Sort(c.Clustered)
+	k := len(c.Clustered)
+	for i, ctr := range c.Clustered {
+		c.slot[ctr] = i + 1
 	}
-	// Each start[ctr] has advanced to the end of its group, which is where
+	// start[i+1] counts Clustered[i]'s members, then the prefix sums turn
+	// start[i] into the offset of Clustered[i]'s group.
+	c.start = slices.Grow(c.start[:0], k+1)[:k+1]
+	clear(c.start)
+	for _, v := range short {
+		if i := c.slot[c.Center[v]]; i > 0 {
+			c.start[i]++
+		}
+	}
+	for i := 1; i <= k; i++ {
+		c.start[i] += c.start[i-1]
+	}
+	c.members = slices.Grow(c.members[:0], c.start[k])[:c.start[k]]
+	for _, v := range short {
+		if i := c.slot[c.Center[v]]; i > 0 {
+			c.members[c.start[i-1]] = v
+			c.start[i-1]++
+		}
+	}
+	// Each start[i] has advanced to the end of its group, which is where
 	// the next group begins: shift by one to restore the offsets.
-	copy(c.start[1:], c.start[:n])
+	copy(c.start[1:], c.start[:k])
 	c.start[0] = 0
 }
 
-// GreedyCover builds a cluster cover of g with the given radius by
+// appendShort appends to dst, in increasing order, the vertices of g with
+// an edge of weight at most radius.
+func appendShort(dst []int, g graph.Topology, radius float64) []int {
+	for v := 0; v < g.N(); v++ {
+		if slices.ContainsFunc(g.Neighbors(v), func(h graph.Halfedge) bool { return h.W <= radius }) {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+// PeelCover builds a cluster cover of g with the given radius by
 // sequential peeling (§2.2.1): repeatedly take the smallest-ID uncovered
 // vertex u, make it a center, and claim every still-uncovered vertex within
 // shortest-path distance radius of u. Centers are pairwise more than radius
 // apart because a later center was, by construction, not claimed by any
-// earlier one. A vertex whose every edge is heavier than radius is its own
-// ball, so it becomes a singleton center without a search; in a builder
-// phase's cover that is all but the few vertices with a short G'-edge.
+// earlier one.
+//
+// short must list, in increasing order, every vertex of g with an edge of
+// weight at most radius (extra vertices are harmless). A ball of radius
+// radius reaches only such vertices, so every other vertex is its own
+// ball and a singleton center, whatever the peeling order: the peel runs
+// over short alone, and costs short and the clusters of the cover c held
+// before, not n. A builder keeps short across its phases, where the
+// radius grows and a vertex with a short edge keeps it.
 //
 // The cover is built into c, overwriting it and reusing its storage, and
 // returned; pass nil for a new cover.
-func GreedyCover(g graph.Topology, radius float64, c *Cover) *Cover {
-	n := g.N()
-	c = c.reset(n, radius)
-	s := graph.AcquireSearcher(n)
+func PeelCover(g graph.Topology, radius float64, short []int, c *Cover) *Cover {
+	c = c.reset(g.N(), radius)
+	for _, u := range short {
+		c.Center[u] = -1
+	}
+	s := graph.AcquireSearcher(g.N())
 	defer graph.ReleaseSearcher(s)
-	for u := 0; u < n; u++ {
+	for _, u := range short {
 		if c.Center[u] != -1 {
-			continue
-		}
-		if !slices.ContainsFunc(g.Neighbors(u), func(h graph.Halfedge) bool { return h.W <= radius }) {
-			c.Center[u], c.Dist[u] = u, 0
 			continue
 		}
 		for _, vd := range s.Ball(g, u, radius) {
@@ -140,7 +232,21 @@ func GreedyCover(g graph.Topology, radius float64, c *Cover) *Cover {
 			}
 		}
 	}
-	c.finalize()
+	c.finalize(short)
+	c.Visits += len(short)
+	return c
+}
+
+// GreedyCover is PeelCover over the vertices of g with an edge of weight
+// at most radius, found by scanning every vertex: the cover for a caller
+// that does not track them.
+func GreedyCover(g graph.Topology, radius float64, c *Cover) *Cover {
+	if c == nil {
+		c = new(Cover)
+	}
+	c.short = appendShort(c.short[:0], g, radius)
+	PeelCover(g, radius, c.short, c)
+	c.Visits += g.N()
 	return c
 }
 
@@ -150,7 +256,7 @@ func GreedyCover(g graph.Topology, radius float64, c *Cover) *Cover {
 // its vertex ordering with: a center that covers many vertices sits on many
 // shortest paths, so ranking it early keeps the pruned label sets small.
 func (c *Cover) CentersBySize() []int {
-	out := append([]int(nil), c.Centers...)
+	out := c.Centers()
 	sort.Slice(out, func(i, j int) bool {
 		si, sj := len(c.Members(out[i])), len(c.Members(out[j]))
 		if si != sj {
@@ -170,6 +276,9 @@ func (c *Cover) CentersBySize() []int {
 func CoverFromCenters(g graph.Topology, radius float64, centers []int, c *Cover) (*Cover, error) {
 	n := g.N()
 	c = c.reset(n, radius)
+	for v := range c.Center {
+		c.Center[v] = -1
+	}
 	s := graph.AcquireSearcher(n)
 	defer graph.ReleaseSearcher(s)
 	for _, ctr := range centers {
@@ -188,9 +297,12 @@ func CoverFromCenters(g graph.Topology, radius float64, centers []int, c *Cover)
 	}
 	for v := 0; v < n; v++ {
 		if c.Center[v] == -1 {
+			c.invalidate()
 			return nil, fmt.Errorf("cluster: vertex %d not covered by any center at radius %v", v, radius)
 		}
 	}
-	c.finalize()
+	c.short = appendShort(c.short[:0], g, radius)
+	c.finalize(c.short)
+	c.Visits += n
 	return c, nil
 }

@@ -106,6 +106,12 @@ type Result struct {
 	Bins Bins
 	// Stats reports work counters.
 	Stats Stats
+	// CoverVisits sums the phases' Cover.Visits: the per-vertex steps
+	// their covers took outside ball searches. A sequential phase visits
+	// its short-edge vertices, not n; the distributed protocol's elected
+	// covers visit every vertex. It is not a Stats counter, which the two
+	// protocols agree on.
+	CoverVisits int
 }
 
 // Build runs the sequential relaxed greedy algorithm (paper §2) on the
@@ -123,8 +129,10 @@ func Build(points []geom.Point, g *graph.Graph, opts Options) (*Result, error) {
 type Protocol interface {
 	// Cover builds the step-(i) cluster cover of the frozen spanner sp
 	// into cov, reusing its storage: Run passes the same cover every
-	// phase of a build.
-	Cover(sp *graph.Graph, radius float64, cov *cluster.Cover)
+	// phase of a build. short lists, in increasing order, the vertices
+	// with a spanner edge of weight at most radius (see
+	// cluster.PeelCover).
+	Cover(sp *graph.Graph, radius float64, short []int, cov *cluster.Cover)
 	// MIS returns a maximal independent set of the step-(v) conflict
 	// graph over a phase's additions. Run calls it only when the phase
 	// has a mutually redundant pair, after that phase's Cover.
@@ -140,8 +148,8 @@ type Protocol interface {
 // accounting.
 type sequential struct{}
 
-func (sequential) Cover(sp *graph.Graph, radius float64, cov *cluster.Cover) {
-	cluster.GreedyCover(sp, radius, cov)
+func (sequential) Cover(sp *graph.Graph, radius float64, short []int, cov *cluster.Cover) {
+	cluster.PeelCover(sp, radius, short, cov)
 }
 func (sequential) MIS(conflict [][]int) []bool        { return mis.Greedy(conflict) }
 func (sequential) Done(int, int, *cluster.Cover, int) {}
@@ -174,26 +182,29 @@ func Run(points []geom.Point, g *graph.Graph, opts Options, proto Protocol) (*Re
 		b.p.R = opts.BinRatio
 	}
 	b.run()
-	return &Result{Spanner: b.sp, Params: b.p, Bins: b.bins, Stats: b.stats}, nil
+	return &Result{Spanner: b.sp, Params: b.p, Bins: b.bins, Stats: b.stats, CoverVisits: b.coverVisits}, nil
 }
 
 // builder carries the mutable state of one build. cov, cg, frozen and
 // redundant are per-phase structures whose storage the build's phases
-// share, so a phase allocates in proportion to its bin, not to n. They
-// are per build, never package-level: builds run in parallel.
+// share, and short is kept across them, so a phase allocates and scans in
+// proportion to its bin and its short-edge vertices, not to n. They are
+// per build, never package-level: builds run in parallel.
 type builder struct {
-	points    []geom.Point
-	g         *graph.Graph // input α-UBG, Euclidean weights
-	opts      Options
-	p         Params
-	sp        *graph.Graph // output spanner, metric weights
-	bins      Bins
-	stats     Stats
-	proto     Protocol
-	cov       cluster.Cover
-	cg        cluster.ClusterGraph
-	frozen    frozen
-	redundant redundancyScan
+	points      []geom.Point
+	g           *graph.Graph // input α-UBG, Euclidean weights
+	opts        Options
+	p           Params
+	sp          *graph.Graph // output spanner, metric weights
+	bins        Bins
+	stats       Stats
+	coverVisits int
+	proto       Protocol
+	cov         cluster.Cover
+	cg          cluster.ClusterGraph
+	frozen      frozen
+	redundant   redundancyScan
+	short       shortEdges
 }
 
 func (b *builder) run() {
@@ -227,10 +238,23 @@ func (b *builder) run() {
 // schedule, annotating each with its metric weight: byBin[i] holds bin i's
 // edges, for i in [0, bins.M]. Edge order within a bin is irrelevant (every
 // consumer sorts or groups deterministically), so the unsorted edge
-// enumeration suffices.
+// enumeration suffices. A counting pass sizes every bin, so the bins are
+// windows of one slab.
 func binEdges(g *graph.Graph, bins Bins, m Metric) [][]EdgeInfo {
+	edges := g.EdgesUnordered()
+	start := make([]int, bins.M+2)
+	for _, e := range edges {
+		start[bins.index(e.W)+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	slab := make([]EdgeInfo, len(edges))
 	byBin := make([][]EdgeInfo, bins.M+1)
-	for _, e := range g.EdgesUnordered() {
+	for i := range byBin {
+		byBin[i] = slab[start[i]:start[i]:start[i+1]]
+	}
+	for _, e := range edges {
 		i := bins.index(e.W)
 		byBin[i] = append(byBin[i], EdgeInfo{U: e.U, V: e.V, Dist: e.W, W: m.Weight(e.W)})
 	}
@@ -274,9 +298,11 @@ func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 	wPrev := b.opts.Metric.Weight(b.bins.ceiling(i - 1)) // W_{i-1}, metric units
 	wCur := b.opts.Metric.Weight(b.bins.ceiling(i))      // W_i
 
-	// Step (i): cluster cover of G'_{i-1}.
-	cov := &b.cov
-	b.proto.Cover(b.sp, b.p.Delta*wPrev, cov)
+	// Step (i): cluster cover of G'_{i-1}, peeled over the vertices with
+	// a G'-edge within its radius.
+	cov, radius := &b.cov, b.p.Delta*wPrev
+	b.proto.Cover(b.sp, radius, b.short.upTo(b.sp, radius), cov)
+	b.coverVisits += cov.Visits
 
 	// Step (iii), on demand: the cluster graph H_{i-1}, which steps (iv)
 	// and (v) measure on. H-distances are never below G'-distances, and H
@@ -290,7 +316,7 @@ func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 	f := &b.frozen
 	f.sp, f.cov, f.cg, f.s = b.sp, cov, nil, graph.AcquireSearcher(b.sp.N())
 	defer graph.ReleaseSearcher(f.s)
-	if len(cov.Centers) < b.sp.N() && b.opts.FaultK == 0 {
+	if len(cov.Clustered) > 0 && b.opts.FaultK == 0 {
 		b.cg.Start(b.sp, cov, wPrev, (2*b.p.Delta+1)*wPrev, b.p.T*wCur)
 		f.cg = &b.cg
 	}
@@ -333,7 +359,94 @@ func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 	}
 	removed := removeNonMIS(b.sp, added, pairs, b.proto.MIS)
 	b.stats.RemovedRedundant += removed
+	for _, e := range added {
+		if removed == 0 || b.sp.HasEdge(e.U, e.V) {
+			b.short.push(graph.Edge{U: e.U, V: e.V, W: e.W})
+		}
+	}
 	return cov, len(added) - removed
+}
+
+// shortEdges tracks, across a build's phases, the vertices with a spanner
+// edge within the cover radius. The radius only grows from phase to
+// phase, and an edge within it stays in the spanner: redundancy removal
+// deletes only the phase's own additions, which weigh more than W_{i−1},
+// and so more than the phase's radius δ·W_{i−1}. So the set only grows,
+// and each spanner edge is looked at once when it joins the spanner and
+// once when the radius passes it.
+type shortEdges struct {
+	// pending is a min-heap, by weight, of the spanner edges heavier than
+	// the last radius; nil until the first phase seeds it.
+	pending []graph.Edge
+	// list holds, in increasing order, the vertices with a spanner edge
+	// within the last radius; in marks them.
+	list  []int
+	in    []bool
+	fresh []int
+}
+
+// upTo moves the spanner edges of weight at most radius out of the heap
+// and returns the vertices with such an edge, in increasing order. The
+// first call seeds the heap with sp's edges: phase 0's.
+func (s *shortEdges) upTo(sp *graph.Graph, radius float64) []int {
+	if s.in == nil {
+		s.in = make([]bool, sp.N())
+		for _, e := range sp.EdgesUnordered() {
+			s.push(e)
+		}
+	}
+	s.fresh = s.fresh[:0]
+	for len(s.pending) > 0 && s.pending[0].W <= radius {
+		e := s.pop()
+		for _, v := range [2]int{e.U, e.V} {
+			if !s.in[v] {
+				s.in[v] = true
+				s.fresh = append(s.fresh, v)
+			}
+		}
+	}
+	if len(s.fresh) > 0 {
+		s.list = append(s.list, s.fresh...)
+		slices.Sort(s.list)
+	}
+	return s.list
+}
+
+// push adds a spanner edge to the heap.
+func (s *shortEdges) push(e graph.Edge) {
+	h := append(s.pending, e)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if h[up].W <= h[i].W {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	s.pending = h
+}
+
+// pop removes and returns the heap's lightest edge.
+func (s *shortEdges) pop() graph.Edge {
+	h := s.pending
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		lo := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && h[c].W < h[lo].W {
+				lo = c
+			}
+		}
+		if lo == i {
+			break
+		}
+		h[i], h[lo] = h[lo], h[i]
+		i = lo
+	}
+	s.pending = h
+	return top
 }
 
 func (b *builder) absorbSelectStats(st selectStats) {
@@ -489,13 +602,14 @@ func (b *builder) phaseEager(edges []EdgeInfo) int {
 		}
 		return a.V < c.V
 	})
+	w := NewWitness(b.p.Theta)
 	added := 0
 	for _, e := range edges {
 		if b.sp.HasEdge(e.U, e.V) {
 			b.stats.AlreadyInSpanner++
 			continue
 		}
-		if !b.opts.DisableCoveredFilter && covered(b.points, b.sp, e.U, e.V, e.Dist, b.p.Alpha, b.p.Theta) {
+		if !b.opts.DisableCoveredFilter && covered(b.points, b.sp, e.U, e.V, e.Dist, b.p.Alpha, w) {
 			b.stats.Covered++
 			continue
 		}

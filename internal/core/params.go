@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Params bundles the derived constants of the algorithm. All constraints
@@ -127,6 +128,9 @@ type Bins struct {
 	R float64
 	// M is the last bin index, M = ⌈log_r(n/α)⌉.
 	M int
+	// ceil[i] is W_i, for i in [0, M]: tabled once, so binning an edge is
+	// a binary search, not a log and a pow.
+	ceil []float64
 }
 
 // newBins builds the schedule for n vertices.
@@ -136,30 +140,22 @@ func newBins(n int, p Params) Bins {
 	if m < 1 {
 		m = 1
 	}
-	return Bins{W0: w0, R: p.R, M: m}
+	ceil := make([]float64, m+1)
+	for i := range ceil {
+		ceil[i] = w0 * math.Pow(p.R, float64(i))
+	}
+	return Bins{W0: w0, R: p.R, M: m, ceil: ceil}
 }
 
-// ceiling returns W_i, the top of bin i.
+// ceiling returns W_i, the top of bin i, for i in [0, M].
 func (b Bins) ceiling(i int) float64 {
-	return b.W0 * math.Pow(b.R, float64(i))
+	return b.ceil[i]
 }
 
-// index returns the bin of an edge of Euclidean length d (0 < d <= 1
-// expected; longer lengths are clamped into the last bin, shorter into 0).
+// index returns the bin of an edge of Euclidean length d: the smallest i
+// with d <= W_i (0 < d <= 1 expected; longer lengths are clamped into the
+// last bin, shorter into 0).
 func (b Bins) index(d float64) int {
-	if d <= b.W0 {
-		return 0
-	}
-	i := int(math.Ceil(math.Log(d/b.W0) / math.Log(b.R)))
-	// Guard against floating-point edge effects at bin boundaries.
-	for i > 0 && d <= b.ceiling(i-1) {
-		i--
-	}
-	for d > b.ceiling(i) {
-		i++
-	}
-	if i > b.M {
-		i = b.M
-	}
-	return i
+	i, _ := slices.BinarySearch(b.ceil, d)
+	return min(i, b.M)
 }

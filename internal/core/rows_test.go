@@ -19,8 +19,8 @@ type rowChecker struct {
 	check func(sp *graph.Graph, cov *cluster.Cover)
 }
 
-func (r rowChecker) Cover(sp *graph.Graph, radius float64, cov *cluster.Cover) {
-	r.sequential.Cover(sp, radius, cov)
+func (r rowChecker) Cover(sp *graph.Graph, radius float64, short []int, cov *cluster.Cover) {
+	r.sequential.Cover(sp, radius, short, cov)
 	r.check(sp, cov)
 }
 
@@ -72,7 +72,7 @@ func TestOnDemandRowsMatchClusterGraph(t *testing.T) {
 								i, v, sortedRow(lazy.H, v), sortedRow(full.H, v))
 						}
 					}
-					centers := slices.Clone(cov.Centers)
+					centers := cov.Centers()
 					rng.Shuffle(len(centers), func(a, b int) { centers[a], centers[b] = centers[b], centers[a] })
 					for _, c := range centers {
 						lazy.Row(c)

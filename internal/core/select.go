@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -47,37 +48,84 @@ type selectStats struct {
 	MaxPerCluster int
 }
 
+// Witness is the triple test of the Czumaj–Zhao covered-edge filter
+// (§2.2.2, Lemma 3) at half-angle θ: z witnesses the edge uv when
+// |uz| <= |uv| and ∠vuz <= θ. Then, with t >= 1/(cos θ − sin θ), the path
+// u→z followed by a t-path z→v is a t-path u→v.
+type Witness struct {
+	theta, cos float64
+}
+
+// NewWitness returns the witness test at half-angle theta.
+func NewWitness(theta float64) Witness {
+	return Witness{theta: theta, cos: math.Cos(theta)}
+}
+
+// cosBand is the width of the band around cos θ inside which Holds
+// decides by the angle itself. Outside it, cos∠ and cos θ differ by far
+// more than math.Acos's and math.Cos's few-ulp errors, so comparing them
+// decides as comparing the angles does.
+const cosBand = 1e-9
+
+// Holds reports whether z witnesses the edge uv of Euclidean length duv.
+// It decides as |uz| <= duv && geom.Angle(u, v, z) <= θ does, bit for bit,
+// without allocating and, outside a band of width cosBand around cos θ,
+// without an acos: the dot product and norms are Angle's, summed in
+// Angle's order, so cos∠vuz is Angle's cosine to the bit.
+func (w Witness) Holds(u, v, z geom.Point, duv float64) bool {
+	var uu, zz, uz float64
+	for i := range u {
+		a, b := v[i]-u[i], z[i]-u[i]
+		uu += a * a
+		zz += b * b
+		uz += a * b
+	}
+	nz := math.Sqrt(zz)
+	if nz > duv {
+		return false
+	}
+	nu := math.Sqrt(uu)
+	if nu == 0 || nz == 0 {
+		return true // geom.Angle's degenerate angle, 0
+	}
+	c := uz / (nu * nz)
+	switch {
+	case c >= w.cos+cosBand:
+		return true
+	case c <= w.cos-cosBand:
+		return false
+	}
+	return math.Acos(min(max(c, -1), 1)) <= w.theta
+}
+
 // covered implements the Czumaj–Zhao filter (§2.2.2) for edge {u,v} of
 // Euclidean length duv: the edge is covered if some spanner neighbor z of u
-// satisfies |uz| <= |uv|, |vz| <= α and ∠vuz <= θ, or symmetrically at v.
+// witnesses it and has |vz| <= α, or symmetrically at v.
 //
 // The |uz| <= |uv| precondition of Lemma 3 is checked explicitly: phase-0
 // clique spanners may retain edges of length up to α, which can exceed the
 // current bin ceiling, so it does not follow from bin ordering alone.
-func covered(points []geom.Point, sp *graph.Graph, u, v int, duv, alpha, theta float64) bool {
-	return coveredAt(points, sp, u, v, duv, alpha, theta) ||
-		coveredAt(points, sp, v, u, duv, alpha, theta)
+func covered(points []geom.Point, sp *graph.Graph, u, v int, duv, alpha float64, w Witness) bool {
+	return coveredAt(points, sp, u, v, duv, alpha, w) ||
+		coveredAt(points, sp, v, u, duv, alpha, w)
 }
 
-func coveredAt(points []geom.Point, sp *graph.Graph, u, v int, duv, alpha, theta float64) bool {
+func coveredAt(points []geom.Point, sp *graph.Graph, u, v int, duv, alpha float64, w Witness) bool {
 	pu, pv := points[u], points[v]
 	for _, h := range sp.Neighbors(u) {
-		z := h.To
-		if z == v {
-			continue
-		}
-		pz := points[z]
-		if geom.Dist(pu, pz) > duv {
-			continue
-		}
-		if geom.Dist(pv, pz) > alpha {
-			continue
-		}
-		if geom.Angle(pu, pv, pz) <= theta {
+		if z := h.To; z != v && w.Holds(pu, pv, points[z], duv) && geom.Dist(pv, points[z]) <= alpha {
 			return true
 		}
 	}
 	return false
+}
+
+// candidate is a query-edge candidate with its ordered cluster pair
+// (a < b) and its formula-(1) score.
+type candidate struct {
+	e     EdgeInfo
+	a, b  int
+	score float64
 }
 
 // selectQueries implements §2.2.2: it drops edges already in the spanner,
@@ -87,12 +135,16 @@ func coveredAt(points []geom.Point, sp *graph.Graph, u, v int, duv, alpha, theta
 // lexicographic tie-breaking, so independent executions (e.g. the two
 // cluster heads of a pair in the distributed algorithm) select the same
 // edge. The result is sorted deterministically.
+//
+// The grouping is one sort of the candidates by (pair, score, U, V): each
+// pair's run then starts with its best, and one pass keeps the first of
+// every run (the first 1 + PerPairExtra).
 func selectQueries(points []geom.Point, sp *graph.Graph, cov *cluster.Cover, edges []EdgeInfo, o selectOpts) ([]EdgeInfo, selectStats) {
-	type key struct{ a, b int }
 	keep := 1 + o.PerPairExtra
+	w := NewWitness(o.Theta)
 	var st selectStats
-	perPair := make(map[key][]scoredEdge)
-	var all, sameCluster []EdgeInfo
+	var cands []candidate
+	var out []EdgeInfo
 	for _, e := range edges {
 		if sp.HasEdge(e.U, e.V) {
 			st.AlreadyInSpanner++
@@ -104,83 +156,73 @@ func selectQueries(points []geom.Point, sp *graph.Graph, cov *cluster.Cover, edg
 			// already t-spans them. That certificate is a single path, so
 			// fault-tolerant builds must query these edges too.
 			if o.PerPairExtra > 0 {
-				sameCluster = append(sameCluster, e)
+				out = append(out, e)
 			} else {
 				st.SameCluster++
 			}
 			continue
 		}
-		if !o.DisableCoveredFilter && covered(points, sp, e.U, e.V, e.Dist, o.Alpha, o.Theta) {
+		if !o.DisableCoveredFilter && covered(points, sp, e.U, e.V, e.Dist, o.Alpha, w) {
 			st.Covered++
 			continue
 		}
 		st.Candidates++
 		if o.DisableQueryFilter {
-			all = append(all, e)
+			out = append(out, e)
 			continue
 		}
-		score := o.T*e.W - cov.Dist[e.U] - cov.Dist[e.V]
-		k := key{a: ca, b: cb}
-		if k.a > k.b {
-			k.a, k.b = k.b, k.a
-		}
-		perPair[k] = insertScored(perPair[k], scoredEdge{e: e, score: score}, keep)
+		cands = append(cands, candidate{
+			e: e, a: min(ca, cb), b: max(ca, cb),
+			score: o.T*e.W - cov.Dist[e.U] - cov.Dist[e.V],
+		})
 	}
-	if o.DisableQueryFilter {
-		all = append(all, sameCluster...)
-		sortEdgeInfos(all)
-		return all, st
-	}
-	perCluster := make(map[int]int)
-	out := append([]EdgeInfo(nil), sameCluster...)
-	for k, vs := range perPair {
-		for _, v := range vs {
-			out = append(out, v.e)
+	slices.SortFunc(cands, func(x, y candidate) int {
+		switch {
+		case x.a != y.a:
+			return cmp.Compare(x.a, y.a)
+		case x.b != y.b:
+			return cmp.Compare(x.b, y.b)
+		case x.score != y.score:
+			return cmp.Compare(x.score, y.score)
+		case x.e.U != y.e.U:
+			return cmp.Compare(x.e.U, y.e.U)
 		}
-		perCluster[k.a] += len(vs)
-		perCluster[k.b] += len(vs)
-	}
-	for _, c := range perCluster {
-		if c > st.MaxPerCluster {
-			st.MaxPerCluster = c
+		return cmp.Compare(x.e.V, y.e.V)
+	})
+	// ends lists the clusters of the kept edges' endpoints, once per
+	// edge and endpoint: its longest run is MaxPerCluster.
+	ends := make([]int, 0, 2*len(cands))
+	run := 0
+	for i, c := range cands {
+		if i > 0 && c.a == cands[i-1].a && c.b == cands[i-1].b {
+			run++
+		} else {
+			run = 0
 		}
+		if run < keep {
+			out = append(out, c.e)
+			ends = append(ends, c.a, c.b)
+		}
+	}
+	slices.Sort(ends)
+	for i := 0; i < len(ends); {
+		j := i + 1
+		for j < len(ends) && ends[j] == ends[i] {
+			j++
+		}
+		st.MaxPerCluster = max(st.MaxPerCluster, j-i)
+		i = j
 	}
 	sortEdgeInfos(out)
 	return out, st
 }
 
-// insertScored keeps the `keep` best entries (lowest score, lexicographic
-// tie-break) in ascending order.
-func insertScored(list []scoredEdge, s scoredEdge, keep int) []scoredEdge {
-	pos := len(list)
-	for i, cur := range list {
-		if s.score < cur.score ||
-			(s.score == cur.score && (s.e.U < cur.e.U || (s.e.U == cur.e.U && s.e.V < cur.e.V))) {
-			pos = i
-			break
-		}
-	}
-	list = append(list, scoredEdge{})
-	copy(list[pos+1:], list[pos:])
-	list[pos] = s
-	if len(list) > keep {
-		list = list[:keep]
-	}
-	return list
-}
-
-// scoredEdge pairs a candidate with its formula-(1) score.
-type scoredEdge struct {
-	e     EdgeInfo
-	score float64
-}
-
 func sortEdgeInfos(es []EdgeInfo) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
+	slices.SortFunc(es, func(x, y EdgeInfo) int {
+		if x.U != y.U {
+			return cmp.Compare(x.U, y.U)
 		}
-		return es[i].V < es[j].V
+		return cmp.Compare(x.V, y.V)
 	})
 }
 

@@ -139,8 +139,9 @@ type builder struct {
 
 // Cover is step (i) (§3.2.1): elect centers as an MIS of the derived graph
 // connecting vertices within spanner distance radius, then attach every
-// vertex to the highest-ID center in range.
-func (b *builder) Cover(sp *graph.Graph, radius float64, cov *cluster.Cover) {
+// vertex to the highest-ID center in range. The election runs over every
+// vertex, so it does not read core's short-edge vertices.
+func (b *builder) Cover(sp *graph.Graph, radius float64, _ []int, cov *cluster.Cover) {
 	adj, degSum := b.derivedGraph(sp, radius)
 	inMIS, rounds := b.runMIS(adj)
 	b.centerRounds, b.centerDeg = rounds, degSum
@@ -243,11 +244,8 @@ func (b *builder) runMIS(adj [][]int) ([]bool, int) {
 // its members are all seen.
 func (b *builder) coverHopRadius(cov *cluster.Cover) int {
 	maxHop := 1
-	for _, c := range cov.Centers {
+	for _, c := range cov.Clustered {
 		members := len(cov.Members(c))
-		if members <= 1 {
-			continue
-		}
 		// Members are joined to c by spanner edges, which are edges of
 		// the communication graph, so no member lies N() hops out.
 		for maxHop < b.g.N() && b.membersWithin(cov, c, maxHop) < members {

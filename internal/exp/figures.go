@@ -106,7 +106,7 @@ func F2ClusterGraph(cfg Config) (*Table, error) {
 			}
 		}
 		bound := (1 + 6*delta) / (1 - 2*delta)
-		t.AddRow(delta, len(cov.Centers), cg.InterEdges,
+		t.AddRow(delta, len(cov.Centers()), cg.InterEdges,
 			cg.MaxInterWeight/((2*delta+1)*w), maxDist, bound)
 	}
 	return t, nil

@@ -25,9 +25,9 @@ type counts map[string]float64
 // counter exceeds its ceiling. A ceiling is the value measured when the row
 // was last tightened plus the stated headroom: allocation and byte counts
 // get 10 %, which absorbs the few allocations sync.Pool reuse moves from
-// run to run; search and label counts are deterministic and get none. A
-// change that lowers a counter tightens its ceiling; raising one is a
-// decision to record with its reason.
+// run to run; search, cover and label counts are deterministic and get
+// none. A change that lowers a counter tightens its ceiling; raising one is
+// a decision to record with its reason.
 //
 // The builder rows run core.Build and dist.Build at n=2,048 on the
 // builders' benchmark instance (BenchmarkCoreBuild/n=2048: uniform
@@ -51,11 +51,11 @@ func TestWorkBudget(t *testing.T) {
 		count   func() (counts, error)
 		ceiling counts
 	}{
-		// Measured: 68,011 allocations, 6.65 MB. Headroom 10 %.
+		// Measured: 11,857 allocations, 4.48 MB. Headroom 10 %.
 		{"core.Build/n=2048", workOf(func() error {
 			_, err := core.Build(small.Points, small.G, core.Options{Params: p})
 			return err
-		}), counts{"allocations": 74_900, "bytes": 7_320_000}},
+		}), counts{"allocations": 13_100, "bytes": 4_930_000}},
 		// Measured: 13 of the 8,190 queries fell back to the cluster graph
 		// (1 of them decided by it); every other query of a phase with a
 		// cluster was answered on the partial spanner.
@@ -66,11 +66,22 @@ func TestWorkBudget(t *testing.T) {
 			}
 			return counts{"queries on H": float64(res.Stats.QueriesOnH)}, nil
 		}, counts{"queries on H": 13}},
-		// Measured: 70,986 allocations, 24.2 MB. Headroom 10 %.
+		// Measured: 2,250 per-vertex steps of the phases' covers outside
+		// their ball searches: 2,048 for the first cover's storage, then
+		// the short-edge vertices of each phase. A cover that scans all n
+		// vertices per phase would take 132 × 2,048.
+		{"core.Build cover visits/n=2048", func() (counts, error) {
+			res, err := core.Build(small.Points, small.G, core.Options{Params: p})
+			if err != nil {
+				return nil, err
+			}
+			return counts{"cover visits": float64(res.CoverVisits)}, nil
+		}, counts{"cover visits": 2250}},
+		// Measured: 14,794 allocations, 22.0 MB. Headroom 10 %.
 		{"dist.Build/n=2048", workOf(func() error {
 			_, err := dist.Build(small.Points, small.G, dist.Options{Params: p, Seed: 1})
 			return err
-		}), counts{"allocations": 78_100, "bytes": 26_700_000}},
+		}), counts{"allocations": 16_300, "bytes": 24_200_000}},
 		// Measured: 99,987 settled over 256 queries, 390.57 per query.
 		{"uncached A* route/n=4096", func() (counts, error) {
 			return settledPerRoute(sp, inst.Points)
