@@ -237,6 +237,27 @@ func TestBuildClusteredAndCorridorClouds(t *testing.T) {
 	}
 }
 
+// TestBuildCoincidentPoints: two points at one position and a third at
+// distance 0.5. The twins' zero-length edge is a spanner edge from phase 0,
+// and each twin lies at angle 0 within |uv| of the other's edge to the
+// third point, so a witness test that accepted |uz| = 0 dropped both edges
+// as covered and returned a disconnected spanner.
+func TestBuildCoincidentPoints(t *testing.T) {
+	points := []geom.Point{{0, 0}, {0, 0}, {0.5, 0}}
+	g, err := ubg.Build(points, ubg.Config{Alpha: 0.75, Model: ubg.ModelAll, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mustParams(t, 0.5, 0.75, 2)
+	res, err := Build(points, g, Options{Params: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := metrics.Stretch(g, res.Spanner); s > p.T {
+		t.Fatalf("stretch %v exceeds t = %v; spanner edges %v", s, p.T, res.Spanner.Edges())
+	}
+}
+
 // TestBuildLeapfrogProperty samples edge subsets of the output and checks
 // the (t2, t)-leapfrog inequality (definition (6), Figure 4) for a valid
 // t2 — the geometric property the weight proof rests on.

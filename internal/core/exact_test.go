@@ -144,7 +144,8 @@ func FuzzCovered(f *testing.F) {
 			z = geom.Point{u[0] + r*math.Cos(a), u[1] + r*math.Sin(a)}
 		}
 		w := NewWitness(p.Theta)
-		want := geom.Dist(u, z) <= duv && geom.Angle(u, v, z) <= p.Theta
+		duz := geom.Dist(u, z)
+		want := duz > 0 && duz <= duv && geom.Angle(u, v, z) <= p.Theta
 		if got := w.Holds(u, v, z, duv); got != want {
 			t.Fatalf("u=%v v=%v z=%v θ=%v: Holds %v, geom.Angle form %v (angle %v)",
 				u, v, z, p.Theta, got, want, geom.Angle(u, v, z))

@@ -50,8 +50,14 @@ type selectStats struct {
 
 // Witness is the triple test of the Czumaj–Zhao covered-edge filter
 // (§2.2.2, Lemma 3) at half-angle θ: z witnesses the edge uv when
-// |uz| <= |uv| and ∠vuz <= θ. Then, with t >= 1/(cos θ − sin θ), the path
-// u→z followed by a t-path z→v is a t-path u→v.
+// 0 < |uz| <= |uv| and ∠vuz <= θ. Then, with t >= 1/(cos θ − sin θ), the
+// path u→z followed by a t-path z→v is a t-path u→v.
+//
+// The lemma's induction needs |zv| < |uv|, so that z→v is an edge the
+// spanner handles earlier. With 0 < |uz| <= |uv| and ∠vuz <= θ < π/4 that
+// holds; at |uz| = 0 it does not, because a twin z of u has |zv| = |uv|.
+// Two coincident points would otherwise witness each other's edges, and
+// neither edge would ever be queried.
 type Witness struct {
 	theta, cos float64
 }
@@ -68,9 +74,9 @@ func NewWitness(theta float64) Witness {
 const cosBand = 1e-9
 
 // Holds reports whether z witnesses the edge uv of Euclidean length duv.
-// It decides as |uz| <= duv && geom.Angle(u, v, z) <= θ does, bit for bit,
-// without allocating and, outside a band of width cosBand around cos θ,
-// without an acos: the dot product and norms are Angle's, summed in
+// It decides as 0 < |uz| <= duv && geom.Angle(u, v, z) <= θ does, bit for
+// bit, without allocating and, outside a band of width cosBand around
+// cos θ, without an acos: the dot product and norms are Angle's, summed in
 // Angle's order, so cos∠vuz is Angle's cosine to the bit.
 func (w Witness) Holds(u, v, z geom.Point, duv float64) bool {
 	var uu, zz, uz float64
@@ -86,7 +92,7 @@ func (w Witness) Holds(u, v, z geom.Point, duv float64) bool {
 	}
 	nu := math.Sqrt(uu)
 	if nu == 0 || nz == 0 {
-		return true // geom.Angle's degenerate angle, 0
+		return false // a coincident z, or a degenerate uv
 	}
 	c := uz / (nu * nz)
 	switch {

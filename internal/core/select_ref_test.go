@@ -12,7 +12,8 @@ import (
 // references its exactness tests compare against: the covered test on
 // geom.Angle, the map-grouped query selection, and bins by log and pow.
 
-// refCovered is covered with the witness test in geom.Angle's form.
+// refCovered is covered with the witness test in geom.Angle's form,
+// coincident witnesses skipped.
 func refCovered(points []geom.Point, sp *graph.Graph, u, v int, duv, alpha, theta float64) bool {
 	return refCoveredAt(points, sp, u, v, duv, alpha, theta) ||
 		refCoveredAt(points, sp, v, u, duv, alpha, theta)
@@ -26,7 +27,7 @@ func refCoveredAt(points []geom.Point, sp *graph.Graph, u, v int, duv, alpha, th
 			continue
 		}
 		pz := points[z]
-		if geom.Dist(pu, pz) > duv {
+		if d := geom.Dist(pu, pz); d == 0 || d > duv {
 			continue
 		}
 		if geom.Dist(pv, pz) > alpha {

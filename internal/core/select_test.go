@@ -10,7 +10,7 @@ import (
 )
 
 // TestCoveredCzumajZhaoLemma validates Lemma 3 itself (Figures 1 and 3):
-// for random triples (u, v, z) satisfying the covered-edge preconditions,
+// for random triples (u, v, z) the builders' Witness test accepts,
 // the edge {u,z} followed by an exact t-spanner path z→v is a t-spanner
 // path u→v. We verify the triangle-inequality form:
 // |uz| + t·|zv| <= t·|uv| whenever ∠vuz <= θ, |uz| <= |uv| and
@@ -22,16 +22,14 @@ func TestCoveredCzumajZhaoLemma(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		w := NewWitness(p.Theta)
 		checked := 0
 		for trial := 0; trial < 20000; trial++ {
 			u := geom.Point{0, 0}
 			v := geom.Point{rng.Float64(), rng.Float64()}
 			z := geom.Point{rng.Float64()*2 - 0.5, rng.Float64()*2 - 0.5}
 			duv, duz, dzv := geom.Dist(u, v), geom.Dist(u, z), geom.Dist(z, v)
-			if duv == 0 || duz == 0 {
-				continue
-			}
-			if duz > duv || geom.Angle(u, v, z) > p.Theta {
+			if !w.Holds(u, v, z, duv) {
 				continue
 			}
 			checked++

@@ -95,6 +95,29 @@ func TestDistMatchesCore(t *testing.T) {
 	}
 }
 
+// TestBuildCoincidentPoints is core's three-point case with two
+// coincident points on both MIS arms: the spanner must be a t-spanner.
+func TestBuildCoincidentPoints(t *testing.T) {
+	points := []geom.Point{{0, 0}, {0, 0}, {0.5, 0}}
+	g, err := ubg.Build(points, ubg.Config{Alpha: 0.75, Model: ubg.ModelAll, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewParams(0.5, 0.75, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, greedyMIS := range []bool{false, true} {
+		res, err := Build(points, g, Options{Params: p, Seed: 1, UseGreedyMIS: greedyMIS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := metrics.Stretch(g, res.Spanner); s > p.T {
+			t.Fatalf("greedyMIS=%v: stretch %v exceeds t = %v; spanner edges %v", greedyMIS, s, p.T, res.Spanner.Edges())
+		}
+	}
+}
+
 // TestDistCommunicationDeterministicAndPositive pins the protocol
 // accounting: identical options give identical round/message/word totals
 // and per-phase breakdowns, and every total is positive (a build that

@@ -35,6 +35,7 @@ func F1CzumajZhao(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		w := core.NewWitness(p.Theta) // the builders' own precondition test
 		checked, violations := 0, 0
 		maxSlack := 0.0
 		for i := 0; i < trials; i++ {
@@ -42,7 +43,7 @@ func F1CzumajZhao(cfg Config) (*Table, error) {
 			v := geom.Point{rng.Float64(), rng.Float64()}
 			z := geom.Point{rng.Float64()*2 - 0.5, rng.Float64()*2 - 0.5}
 			duv, duz, dzv := geom.Dist(u, v), geom.Dist(u, z), geom.Dist(z, v)
-			if duv == 0 || duz == 0 || duz > duv || geom.Angle(u, v, z) > p.Theta {
+			if !w.Holds(u, v, z, duv) {
 				continue
 			}
 			checked++
