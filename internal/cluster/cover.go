@@ -23,8 +23,8 @@
 // finds them by scanning every vertex, for callers that need a cover once.
 //
 // The cluster graph's construction stamps per-center scratch arrays instead
-// of keying maps by center pair. Both structures are rebuilt in place: a
-// builder passes the same cover and cluster graph every phase, so their
+// of keying maps by center pair. The cover and the cluster graph are both
+// rebuilt in place: a builder passes the same ones every phase, so their
 // storage is allocated once per build. Theorem 9 keeps each phase local,
 // so the searches are cheap and the bookkeeping around them must be too.
 package cluster
@@ -138,12 +138,6 @@ func (c *Cover) reset(n int, radius float64) *Cover {
 	}
 	c.Clustered = c.Clustered[:0]
 	return c
-}
-
-// invalidate marks c, left half-built by a failed construction, so the
-// next reset rebuilds it from scratch.
-func (c *Cover) invalidate() {
-	c.Center, c.Clustered = c.Center[:0], c.Clustered[:0]
 }
 
 // finalize lists Clustered and builds their membership CSR from Center.
@@ -297,7 +291,8 @@ func CoverFromCenters(g graph.Topology, radius float64, centers []int, c *Cover)
 	}
 	for v := 0; v < n; v++ {
 		if c.Center[v] == -1 {
-			c.invalidate()
+			// Half built: make the next reset start from scratch.
+			c.Center, c.Clustered = c.Center[:0], c.Clustered[:0]
 			return nil, fmt.Errorf("cluster: vertex %d not covered by any center at radius %v", v, radius)
 		}
 	}

@@ -369,11 +369,10 @@ func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 
 // shortEdges tracks, across a build's phases, the vertices with a spanner
 // edge within the cover radius. The radius only grows from phase to
-// phase, and an edge within it stays in the spanner: redundancy removal
-// deletes only the phase's own additions, which weigh more than W_{i−1},
-// and so more than the phase's radius δ·W_{i−1}. So the set only grows,
-// and each spanner edge is looked at once when it joins the spanner and
-// once when the radius passes it.
+// phase, and a spanner edge stays once its phase is over: redundancy
+// removal deletes only the phase's own additions, which the phase pushes
+// after it. So the set only grows, and each spanner edge is looked at
+// once when it joins the spanner and once when the radius passes it.
 type shortEdges struct {
 	// pending is a min-heap, by weight, of the spanner edges heavier than
 	// the last radius; nil until the first phase seeds it.
