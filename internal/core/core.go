@@ -242,9 +242,11 @@ func (b *builder) run() {
 // windows of one slab.
 func binEdges(g *graph.Graph, bins Bins, m Metric) [][]EdgeInfo {
 	edges := g.EdgesUnordered()
+	bin := make([]int32, len(edges))
 	start := make([]int, bins.M+2)
-	for _, e := range edges {
-		start[bins.index(e.W)+1]++
+	for k, e := range edges {
+		bin[k] = int32(bins.index(e.W))
+		start[bin[k]+1]++
 	}
 	for i := 1; i < len(start); i++ {
 		start[i] += start[i-1]
@@ -254,9 +256,8 @@ func binEdges(g *graph.Graph, bins Bins, m Metric) [][]EdgeInfo {
 	for i := range byBin {
 		byBin[i] = slab[start[i]:start[i]:start[i+1]]
 	}
-	for _, e := range edges {
-		i := bins.index(e.W)
-		byBin[i] = append(byBin[i], EdgeInfo{U: e.U, V: e.V, Dist: e.W, W: m.Weight(e.W)})
+	for k, e := range edges {
+		byBin[bin[k]] = append(byBin[bin[k]], EdgeInfo{U: e.U, V: e.V, Dist: e.W, W: m.Weight(e.W)})
 	}
 	return byBin
 }

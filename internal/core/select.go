@@ -149,8 +149,8 @@ func selectQueries(points []geom.Point, sp *graph.Graph, cov *cluster.Cover, edg
 	keep := 1 + o.PerPairExtra
 	w := NewWitness(o.Theta)
 	var st selectStats
-	var cands []candidate
-	var out []EdgeInfo
+	cands := make([]candidate, 0, len(edges))
+	out := make([]EdgeInfo, 0, len(edges))
 	for _, e := range edges {
 		if sp.HasEdge(e.U, e.V) {
 			st.AlreadyInSpanner++

@@ -51,11 +51,11 @@ func TestWorkBudget(t *testing.T) {
 		count   func() (counts, error)
 		ceiling counts
 	}{
-		// Measured: 11,857 allocations, 4.48 MB. Headroom 10 %.
+		// Measured: 10,715 allocations, 3.61 MB. Headroom 10 %.
 		{"core.Build/n=2048", workOf(func() error {
 			_, err := core.Build(small.Points, small.G, core.Options{Params: p})
 			return err
-		}), counts{"allocations": 13_100, "bytes": 4_930_000}},
+		}), counts{"allocations": 11_800, "bytes": 3_980_000}},
 		// Measured: 13 of the 8,190 queries fell back to the cluster graph
 		// (1 of them decided by it); every other query of a phase with a
 		// cluster was answered on the partial spanner.
@@ -77,11 +77,11 @@ func TestWorkBudget(t *testing.T) {
 			}
 			return counts{"cover visits": float64(res.CoverVisits)}, nil
 		}, counts{"cover visits": 2250}},
-		// Measured: 14,794 allocations, 22.0 MB. Headroom 10 %.
+		// Measured: 13,648 allocations, 21.1 MB. Headroom 10 %.
 		{"dist.Build/n=2048", workOf(func() error {
 			_, err := dist.Build(small.Points, small.G, dist.Options{Params: p, Seed: 1})
 			return err
-		}), counts{"allocations": 16_300, "bytes": 24_200_000}},
+		}), counts{"allocations": 15_100, "bytes": 23_200_000}},
 		// Measured: 99,987 settled over 256 queries, 390.57 per query.
 		{"uncached A* route/n=4096", func() (counts, error) {
 			return settledPerRoute(sp, inst.Points)
