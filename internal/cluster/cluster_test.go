@@ -91,7 +91,7 @@ func TestCoverFromCentersMatchesPaperRule(t *testing.T) {
 			centers = append(centers, v)
 		}
 	}
-	cov, err := CoverFromCenters(sp, radius, centers, nil)
+	cov, err := CoverFromCenters(sp, radius, everyVertex(n), centers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,21 @@ func TestCoverFromCentersMatchesPaperRule(t *testing.T) {
 	}
 }
 
+// everyVertex lists the vertices 0..n-1: the short-edge list that makes
+// CoverFromCenters attach over every vertex.
+func everyVertex(n int) []int {
+	all := make([]int, n)
+	for v := range all {
+		all[v] = v
+	}
+	return all
+}
+
 func TestCoverFromCentersRejectsNonDominating(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 1)
 	// Vertex 2 isolated; centers {0} cannot cover it.
-	if _, err := CoverFromCenters(g, 5, []int{0}, nil); err == nil {
+	if _, err := CoverFromCenters(g, 5, everyVertex(3), []int{0}, nil); err == nil {
 		t.Error("non-dominating center set accepted")
 	}
 }
@@ -398,11 +408,8 @@ func TestCoverMembersCSR(t *testing.T) {
 		checkCSR(t, name, cov)
 		checkSameCover(t, name, cov, GreedyCover(sp, radius, nil))
 	}
-	all := make([]int, sp.N())
-	for v := range all {
-		all[v] = v
-	}
-	cov, err := CoverFromCenters(sp, 0.3, all, &reuse)
+	all := everyVertex(sp.N())
+	cov, err := CoverFromCenters(sp, 0.3, all, all, &reuse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +422,7 @@ func TestCoverMembersCSR(t *testing.T) {
 	for v := 0; v < 4; v++ {
 		g.AddEdge(v, v+1, 1)
 	}
-	cov, err = CoverFromCenters(g, 2, []int{0, 1, 2}, &reuse)
+	cov, err = CoverFromCenters(g, 2, everyVertex(5), []int{0, 1, 2}, &reuse)
 	if err != nil {
 		t.Fatal(err)
 	}

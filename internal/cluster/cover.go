@@ -18,9 +18,10 @@
 // therefore stores only those clusters, a CSR over the centers with a
 // second member, and answers "singleton" for every other vertex. The
 // builder keeps the vertices with such an edge as its phases go (the
-// radius only grows, and the edges it counts stay), and the peel runs over
-// them alone, so a phase's cover costs those vertices, not n. GreedyCover
-// finds them by scanning every vertex, for callers that need a cover once.
+// radius only grows, and the edges it counts stay), and the peel and the
+// attachment to elected centers run over them alone, so a phase's cover
+// costs those vertices, not n. GreedyCover finds them by scanning every
+// vertex, for callers that need a cover once.
 //
 // The cluster graph's construction stamps per-center scratch arrays instead
 // of keying maps by center pair. The cover and the cluster graph are both
@@ -72,8 +73,8 @@ type Cover struct {
 	// increasing vertex order. slot[c] is k+1 when c == Clustered[k], and
 	// 0 for every other vertex.
 	members, start, slot []int
-	// short is GreedyCover's and CoverFromCenters' scratch: the vertices
-	// with an edge within Radius.
+	// short is GreedyCover's scratch: the vertices with an edge within
+	// Radius.
 	short []int
 }
 
@@ -263,17 +264,20 @@ func (c *Cover) CentersBySize() []int {
 
 // CoverFromCenters builds a cover with the given centers: every vertex
 // attaches to the center with the highest ID among those within radius
-// (matching the paper's distributed attachment rule, §3.2.1). It returns an
-// error if some vertex is not within radius of any center — i.e. the center
-// set is not dominating at this radius. Like GreedyCover it builds into c
-// (nil for a new cover); on error c's contents are unspecified.
-func CoverFromCenters(g graph.Topology, radius float64, centers []int, c *Cover) (*Cover, error) {
-	n := g.N()
-	c = c.reset(n, radius)
-	for v := range c.Center {
+// (matching the paper's distributed attachment rule, §3.2.1). As in
+// PeelCover, short lists in increasing order every vertex of g with an
+// edge of weight at most radius (extra vertices are harmless): only those
+// share a cluster, every other vertex is its own singleton center, and
+// the attachment runs over short alone. It returns an error if some vertex
+// of short is not within radius of any center — i.e. the center set is
+// not dominating at this radius. Like PeelCover it builds into c (nil for
+// a new cover); on error c's contents are unspecified.
+func CoverFromCenters(g graph.Topology, radius float64, short, centers []int, c *Cover) (*Cover, error) {
+	c = c.reset(g.N(), radius)
+	for _, v := range short {
 		c.Center[v] = -1
 	}
-	s := graph.AcquireSearcher(n)
+	s := graph.AcquireSearcher(g.N())
 	defer graph.ReleaseSearcher(s)
 	for _, ctr := range centers {
 		for _, vd := range s.Ball(g, ctr, radius) {
@@ -289,15 +293,14 @@ func CoverFromCenters(g graph.Topology, radius float64, centers []int, c *Cover)
 	for _, ctr := range centers {
 		c.Center[ctr], c.Dist[ctr] = ctr, 0
 	}
-	for v := 0; v < n; v++ {
+	for _, v := range short {
 		if c.Center[v] == -1 {
 			// Half built: make the next reset start from scratch.
 			c.Center, c.Clustered = c.Center[:0], c.Clustered[:0]
 			return nil, fmt.Errorf("cluster: vertex %d not covered by any center at radius %v", v, radius)
 		}
 	}
-	c.short = appendShort(c.short[:0], g, radius)
-	c.finalize(c.short)
-	c.Visits += n
+	c.finalize(short)
+	c.Visits += len(short)
 	return c, nil
 }

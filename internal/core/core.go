@@ -107,9 +107,9 @@ type Result struct {
 	// Stats reports work counters.
 	Stats Stats
 	// CoverVisits sums the phases' Cover.Visits: the per-vertex steps
-	// their covers took outside ball searches. A sequential phase visits
-	// its short-edge vertices, not n; the distributed protocol's elected
-	// covers visit every vertex. It is not a Stats counter, which the two
+	// their covers took outside ball searches. A phase visits its
+	// short-edge vertices, not n, whether it peels (§2) or attaches to
+	// elected centers (§3). It is not a Stats counter, which the two
 	// protocols agree on.
 	CoverVisits int
 }
@@ -185,11 +185,11 @@ func Run(points []geom.Point, g *graph.Graph, opts Options, proto Protocol) (*Re
 	return &Result{Spanner: b.sp, Params: b.p, Bins: b.bins, Stats: b.stats, CoverVisits: b.coverVisits}, nil
 }
 
-// builder carries the mutable state of one build. cov, cg, frozen and
-// redundant are per-phase structures whose storage the build's phases
-// share, and short is kept across them, so a phase allocates and scans in
-// proportion to its bin and its short-edge vertices, not to n. They are
-// per build, never package-level: builds run in parallel.
+// builder carries the mutable state of one build. cov, cg, frozen,
+// redundant and tally are per-phase structures whose storage the build's
+// phases share, and short is kept across them, so a phase allocates and
+// scans in proportion to its bin and its short-edge vertices, not to n.
+// They are per build, never package-level: builds run in parallel.
 type builder struct {
 	points      []geom.Point
 	g           *graph.Graph // input α-UBG, Euclidean weights
@@ -204,6 +204,7 @@ type builder struct {
 	cg          cluster.ClusterGraph
 	frozen      frozen
 	redundant   redundancyScan
+	tally       clusterTally
 	short       shortEdges
 }
 
@@ -330,6 +331,7 @@ func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 		DisableCoveredFilter: b.opts.DisableCoveredFilter || b.opts.FaultK > 0,
 		DisableQueryFilter:   b.opts.DisableQueryFilter,
 		PerPairExtra:         b.opts.FaultK,
+		Tally:                &b.tally,
 	})
 	b.absorbSelectStats(st)
 

@@ -35,6 +35,34 @@ type selectOpts struct {
 	// (§1.6.1, after Czumaj–Zhao) keeps k+1 query edges per pair so that k
 	// failures leave a usable one.
 	PerPairExtra int
+	// Tally is the build's per-center scratch for MaxPerCluster; nil
+	// allocates one for the call.
+	Tally *clusterTally
+}
+
+// clusterTally counts, per cluster center, the query edges a selection
+// keeps at it. Its storage is per build, and a selection clears only the
+// centers it counted.
+type clusterTally struct {
+	count   []int
+	touched []int
+}
+
+// add counts one kept edge at center c and returns c's count.
+func (t *clusterTally) add(c int) int {
+	if t.count[c] == 0 {
+		t.touched = append(t.touched, c)
+	}
+	t.count[c]++
+	return t.count[c]
+}
+
+// clear zeroes the counts add set.
+func (t *clusterTally) clear() {
+	for _, c := range t.touched {
+		t.count[c] = 0
+	}
+	t.touched = t.touched[:0]
 }
 
 // selectStats reports what the selection filtered.
@@ -144,9 +172,17 @@ type candidate struct {
 //
 // The grouping is one sort of the candidates by (pair, score, U, V): each
 // pair's run then starts with its best, and one pass keeps the first of
-// every run (the first 1 + PerPairExtra).
+// every run (the first 1 + PerPairExtra) and counts the kept edges at
+// their clusters.
 func selectQueries(points []geom.Point, sp *graph.Graph, cov *cluster.Cover, edges []EdgeInfo, o selectOpts) ([]EdgeInfo, selectStats) {
 	keep := 1 + o.PerPairExtra
+	tally := o.Tally
+	if tally == nil {
+		tally = new(clusterTally)
+	}
+	if len(tally.count) < len(cov.Center) {
+		tally.count = make([]int, len(cov.Center))
+	}
 	w := NewWitness(o.Theta)
 	var st selectStats
 	cands := make([]candidate, 0, len(edges))
@@ -195,9 +231,6 @@ func selectQueries(points []geom.Point, sp *graph.Graph, cov *cluster.Cover, edg
 		}
 		return cmp.Compare(x.e.V, y.e.V)
 	})
-	// ends lists the clusters of the kept edges' endpoints, once per
-	// edge and endpoint: its longest run is MaxPerCluster.
-	ends := make([]int, 0, 2*len(cands))
 	run := 0
 	for i, c := range cands {
 		if i > 0 && c.a == cands[i-1].a && c.b == cands[i-1].b {
@@ -207,18 +240,10 @@ func selectQueries(points []geom.Point, sp *graph.Graph, cov *cluster.Cover, edg
 		}
 		if run < keep {
 			out = append(out, c.e)
-			ends = append(ends, c.a, c.b)
+			st.MaxPerCluster = max(st.MaxPerCluster, tally.add(c.a), tally.add(c.b))
 		}
 	}
-	slices.Sort(ends)
-	for i := 0; i < len(ends); {
-		j := i + 1
-		for j < len(ends) && ends[j] == ends[i] {
-			j++
-		}
-		st.MaxPerCluster = max(st.MaxPerCluster, j-i)
-		i = j
-	}
+	tally.clear()
 	sortEdgeInfos(out)
 	return out, st
 }

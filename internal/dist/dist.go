@@ -28,6 +28,7 @@ package dist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"topoctl/internal/cluster"
 	"topoctl/internal/core"
@@ -86,33 +87,44 @@ type Result struct {
 	Phases []PhaseCost
 	// PerStep breaks communication down by named protocol step.
 	PerStep map[string]*sim.StepCost
+	// CoverVisits is core.Result.CoverVisits: the per-vertex steps the
+	// phases' elections and attachments took outside their ball
+	// searches, which cost the short-edge vertices of each phase, not n.
+	CoverVisits int
 }
 
 // Build runs the distributed algorithm on the α-UBG g whose vertices are
 // embedded at points (edge weights of g must be Euclidean lengths). The
 // spanner it returns carries weights in opts.Metric units.
 func Build(points []geom.Point, g *graph.Graph, opts Options) (*Result, error) {
-	b := &builder{
+	b := newBuilder(g, opts)
+	res, err := core.Run(points, g, core.Options{Params: opts.Params, Metric: opts.Metric}, b)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Spanner:     res.Spanner,
+		Params:      res.Params,
+		Stats:       res.Stats,
+		Rounds:      b.nw.Rounds(),
+		Messages:    b.nw.Messages(),
+		Words:       b.nw.Words(),
+		Phases:      b.phases,
+		PerStep:     b.nw.PerStep(),
+		CoverVisits: res.CoverVisits,
+	}, nil
+}
+
+// newBuilder returns the protocol state of one build on communication
+// graph g.
+func newBuilder(g *graph.Graph, opts Options) *builder {
+	return &builder{
 		g:      g,
 		opts:   opts,
 		nw:     sim.NewNetwork(g),
 		rng:    rand.New(rand.NewSource(opts.Seed)),
 		search: graph.NewSearcher(g.N()),
 	}
-	res, err := core.Run(points, g, core.Options{Params: opts.Params, Metric: opts.Metric}, b)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Spanner:  res.Spanner,
-		Params:   res.Params,
-		Stats:    res.Stats,
-		Rounds:   b.nw.Rounds(),
-		Messages: b.nw.Messages(),
-		Words:    b.nw.Words(),
-		Phases:   b.phases,
-		PerStep:  b.nw.PerStep(),
-	}, nil
 }
 
 // builder is the §3 core.Protocol: it elects the cover and runs the
@@ -127,9 +139,11 @@ type builder struct {
 	phases []PhaseCost
 
 	// Scratch the center election rebuilds every phase: the derived
-	// graph's adjacency lists and the elected centers.
+	// graph's adjacency lists, the elected centers, and each short-edge
+	// vertex's position in the phase's list.
 	derived [][]int
 	centers []int
+	pos     []int
 
 	// The MIS work of the phase in flight, charged by Done: the center
 	// election's rounds and derived degree sum, and the redundancy MIS's.
@@ -139,27 +153,34 @@ type builder struct {
 
 // Cover is step (i) (§3.2.1): elect centers as an MIS of the derived graph
 // connecting vertices within spanner distance radius, then attach every
-// vertex to the highest-ID center in range. The election runs over every
-// vertex, so it does not read core's short-edge vertices.
-func (b *builder) Cover(sp *graph.Graph, radius float64, _ []int, cov *cluster.Cover) {
-	adj, degSum := b.derivedGraph(sp, radius)
-	inMIS, rounds := b.runMIS(adj)
+// vertex to the highest-ID center in range. Both run over core's short-edge
+// vertices: every other vertex's ball is itself alone, so it is isolated in
+// the derived graph, joins the MIS in Luby's first iteration (and greedy's),
+// and is its own cluster, and no other center's ball reaches it. A phase's
+// election therefore costs its short-edge vertices, not n, and elects and
+// charges what the election over every vertex would.
+func (b *builder) Cover(sp *graph.Graph, radius float64, short []int, cov *cluster.Cover) {
+	adj, degSum := b.derivedGraph(sp, radius, short)
+	inMIS, rounds := b.runMIS(adj, short, sp.N())
 	b.centerRounds, b.centerDeg = rounds, degSum
 	b.centers = b.centers[:0]
-	for v, in := range inMIS {
+	for i, in := range inMIS {
 		if in {
-			b.centers = append(b.centers, v)
+			b.centers = append(b.centers, short[i])
 		}
 	}
 	// An MIS is dominating, so attachment cannot fail.
-	if _, err := cluster.CoverFromCenters(sp, radius, b.centers, cov); err != nil {
+	if _, err := cluster.CoverFromCenters(sp, radius, short, b.centers, cov); err != nil {
 		panic(fmt.Sprintf("dist: MIS cover not dominating: %v", err))
 	}
+	// The election is part of this cover's construction: count the
+	// derived graph's rows with the attachment's steps.
+	cov.Visits += len(adj)
 }
 
 // MIS is step (v)'s MIS on the conflict graph over a phase's additions.
 func (b *builder) MIS(conflict [][]int) []bool {
-	keep, rounds := b.runMIS(conflict)
+	keep, rounds := b.runMIS(conflict, nil, len(conflict))
 	b.redRounds, b.redDeg = rounds, 0
 	for _, c := range conflict {
 		b.redDeg += int64(len(c))
@@ -187,9 +208,10 @@ func (b *builder) Done(bin, edges int, cov *cluster.Cover, kept int) {
 		for r := 0; r < b.centerRounds; r++ {
 			b.nw.DerivedMISRound("mis/centers", b.centerDeg, k)
 		}
-		b.nw.Convergecast("clustergraph/attach", cov.Center, k, 2)
-		b.nw.Convergecast("clustergraph/assemble", cov.Center, k, 3)
-		b.nw.Broadcast("clustergraph/distribute", cov.Center, k, 3)
+		trees := b.nw.Trees(cov.Clustered, cov.Center, func(c int) int { return len(cov.Members(c)) }, k)
+		b.nw.Convergecast("clustergraph/attach", trees, 2)
+		b.nw.Convergecast("clustergraph/assemble", trees, 3)
+		b.nw.Broadcast("clustergraph/distribute", trees, 3)
 		b.nw.NeighborExchange("update/announce", 2)
 		for r := 0; r < b.redRounds; r++ {
 			b.nw.DerivedMISRound("mis/redundancy", b.redDeg, k)
@@ -201,36 +223,46 @@ func (b *builder) Done(bin, edges int, cov *cluster.Cover, kept int) {
 	b.phases = append(b.phases, pc)
 }
 
-// derivedGraph connects every pair of vertices within spanner distance
-// radius, returning adjacency lists and the degree sum (2× derived edges).
-// The lists are the builder's, rebuilt in place every phase.
-func (b *builder) derivedGraph(sp *graph.Graph, radius float64) ([][]int, int64) {
-	n := sp.N()
-	if len(b.derived) != n {
-		b.derived = make([][]int, n)
+// derivedGraph connects every pair of the listed vertices within spanner
+// distance radius, returning adjacency lists indexed, with their entries,
+// by position in ids, and the degree sum (2× derived edges). ids must list
+// every vertex with a spanner edge of weight at most radius: a ball
+// reaches no other vertex. The lists are the builder's, rebuilt in place
+// every phase.
+func (b *builder) derivedGraph(sp *graph.Graph, radius float64, ids []int) ([][]int, int64) {
+	if len(b.pos) != sp.N() {
+		b.pos = make([]int, sp.N())
 	}
-	adj := b.derived
+	for i, v := range ids {
+		b.pos[v] = i
+	}
+	if len(b.derived) < len(ids) {
+		b.derived = slices.Grow(b.derived, len(ids)-len(b.derived))[:len(ids)]
+	}
+	adj := b.derived[:len(ids)]
 	var degSum int64
-	for u := 0; u < n; u++ {
-		adj[u] = adj[u][:0]
+	for i, u := range ids {
+		adj[i] = adj[i][:0]
 		for _, vd := range b.search.Ball(sp, u, radius) {
 			if vd.V != u {
-				adj[u] = append(adj[u], vd.V)
+				adj[i] = append(adj[i], b.pos[vd.V])
 			}
 		}
-		degSum += int64(len(adj[u]))
+		degSum += int64(len(adj[i]))
 	}
 	return adj, degSum
 }
 
 // runMIS computes an MIS of a derived graph (the center election's or the
 // redundancy conflict graph) with the configured backend, returning
-// membership and the derived-round count.
-func (b *builder) runMIS(adj [][]int) ([]bool, int) {
+// membership and the derived-round count. adj holds the vertices ids of an
+// n-vertex graph, every other one isolated (see mis.Luby). Greedy leaves
+// the isolated vertices out, as they join whatever the order.
+func (b *builder) runMIS(adj [][]int, ids []int, n int) ([]bool, int) {
 	if b.opts.UseGreedyMIS {
 		return mis.Greedy(adj), 1
 	}
-	res := mis.Luby(adj, b.rng)
+	res := mis.Luby(adj, ids, n, b.rng)
 	return res.InMIS, res.Rounds
 }
 

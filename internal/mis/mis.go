@@ -23,34 +23,48 @@ type Result struct {
 	Rounds int
 }
 
-// Luby runs Luby's randomized MIS on the graph given as adjacency lists.
-// adj[v] lists the neighbors of v; the relation must be symmetric. Isolated
-// vertices join the MIS in the first iteration. The rng makes runs
-// deterministic under a fixed seed.
+// Luby runs Luby's randomized MIS on the listed vertices ids of an
+// n-vertex graph whose other vertices are isolated. adj[i] lists, by
+// position in ids, the neighbors of vertex ids[i]; the relation must be
+// symmetric and ids increasing. A nil ids lists the vertices 0 to
+// len(adj)−1, so Luby(adj, nil, len(adj), rng) runs on the whole graph adj.
+// InMIS is indexed as adj is: the unlisted vertices are isolated, so they
+// all join. The rng makes runs deterministic under a fixed seed.
 //
 // Each iteration: every active vertex draws a random 64-bit priority; a
 // vertex joins the MIS if its (priority, id) pair is strictly the largest in
 // its active closed neighborhood; MIS vertices and their neighbors
 // deactivate. Two communication rounds are charged per iteration.
-func Luby(adj [][]int, rng *rand.Rand) Result {
-	n := len(adj)
-	res := Result{InMIS: make([]bool, n)}
-	active := make([]bool, n)
-	var nActive int
-	for v := range active {
-		active[v] = true
+//
+// Isolated vertices join in the first iteration, so only listed vertices
+// stay active after it. That iteration still draws all n priorities in
+// vertex order and keeps the listed vertices' draws, so the rounds, the
+// set and the rng stream are those of the run over all n vertices, at one
+// draw per unlisted vertex.
+func Luby(adj [][]int, ids []int, n int, rng *rand.Rand) Result {
+	m := len(adj)
+	res := Result{InMIS: make([]bool, m)}
+	if n == 0 {
+		return res
 	}
-	nActive = n
-	prio := make([]uint64, n)
-	for nActive > 0 {
-		res.Rounds += 2
-		for v := 0; v < n; v++ {
-			if active[v] {
-				prio[v] = rng.Uint64()
-			}
+	active := make([]bool, m)
+	for i := range active {
+		active[i] = true
+	}
+	nActive := m
+	prio := make([]uint64, m)
+	for v, next := 0, 0; v < n; v++ {
+		x := rng.Uint64()
+		if next < m && (ids == nil || ids[next] == v) {
+			prio[next] = x
+			next++
 		}
-		var joined []int
-		for v := 0; v < n; v++ {
+	}
+	var joined []int
+	for {
+		res.Rounds += 2
+		joined = joined[:0]
+		for v := 0; v < m; v++ {
 			if !active[v] {
 				continue
 			}
@@ -81,8 +95,15 @@ func Luby(adj [][]int, rng *rand.Rand) Result {
 				}
 			}
 		}
+		if nActive == 0 {
+			return res
+		}
+		for v := 0; v < m; v++ {
+			if active[v] {
+				prio[v] = rng.Uint64()
+			}
+		}
 	}
-	return res
 }
 
 // Greedy computes the lexicographically-first MIS by vertex ID: scan

@@ -1,55 +1,55 @@
 package sim
 
-// Convergecast charges the cost of every member reporting wordsPer words to
-// its assigned center along a shortest hop path: center[v] gives each
-// vertex's destination (centers have center[c] == c), and maxHops bounds
-// the tree depth (rounds charged). Message count is exact for per-hop
-// relaying without aggregation: one message per hop of each member's path.
-//
-// This is the "members report to their cluster head" step of §3.2.2/§3.2.3;
-// the paper's heads gather information from a constant hop radius, which is
-// exactly maxHops here.
-func (nw *Network) Convergecast(step string, center []int, maxHops int, wordsPer int64) {
-	nw.chargeTreeTraffic(step, center, maxHops, wordsPer)
+// Trees is the shape of a phase's cluster trees: measured once by
+// Network.Trees and charged by every convergecast and broadcast that runs
+// over them.
+type Trees struct {
+	// depth is the hop bound, the rounds each flow takes.
+	depth int
+	// hops sums the members' hop distances to their heads.
+	hops int64
 }
 
-// Broadcast charges the reverse flow: each center sends wordsPer words to
-// every member, relayed hop by hop. Cost structure is identical to
-// Convergecast (same tree, opposite direction).
-func (nw *Network) Broadcast(step string, center []int, maxHops int, wordsPer int64) {
-	nw.chargeTreeTraffic(step, center, maxHops, wordsPer)
-}
-
-// chargeTreeTraffic computes, for every vertex, its hop distance to its
-// center (BFS from each center, restricted to that center's members), and
-// charges one message per hop per member plus maxHops rounds.
-func (nw *Network) chargeTreeTraffic(step string, center []int, maxHops int, wordsPer int64) {
-	if maxHops < 1 {
-		maxHops = 1
-	}
-	var messages int64
-	// uncharged[c] counts c's members not yet charged their hop distance.
-	uncharged := make([]int64, len(center))
-	for v, c := range center {
-		if c >= 0 && c != v {
-			uncharged[c]++
-		}
-	}
-	for c, left := range uncharged {
-		if left == 0 {
-			continue
-		}
-		for _, vh := range nw.search.HopBall(nw.g, c, maxHops) {
-			if vh.V != c && center[vh.V] == c {
-				messages += int64(vh.Hops)
+// Trees measures the cluster trees rooted at heads, the centers whose
+// cluster has a second member: center[v] gives each vertex's center
+// (center[h] == h), size(h) counts the vertices of h's cluster, h
+// included, and maxHops bounds the tree depth. A vertex outside those
+// clusters is a tree of its own, which no flow charges, so the cost is
+// the heads' hop balls, not n. A member reports along a shortest hop path
+// of the communication graph; a member beyond the bound (possible when
+// cluster paths leave the cluster) falls back to the bound.
+func (nw *Network) Trees(heads, center []int, size func(head int) int, maxHops int) Trees {
+	t := Trees{depth: max(maxHops, 1)}
+	for _, h := range heads {
+		left := int64(size(h) - 1)
+		for _, vh := range nw.search.HopBall(nw.g, h, t.depth) {
+			if vh.V != h && center[vh.V] == h {
+				t.hops += int64(vh.Hops)
 				left--
 			}
 		}
-		// Members beyond the hop bound (possible when cluster paths leave
-		// the cluster) fall back to the bound.
-		messages += left * int64(maxHops)
+		t.hops += left * int64(t.depth)
 	}
-	nw.Charge(step, maxHops, messages, messages*wordsPer)
+	return t
+}
+
+// Convergecast charges the cost of every member reporting wordsPer words to
+// its cluster's head along the trees t: the depth in rounds, and one
+// message per hop of each member's path. Message count is exact for
+// per-hop relaying without aggregation.
+//
+// This is the "members report to their cluster head" step of §3.2.2/§3.2.3;
+// the paper's heads gather information from a constant hop radius, which is
+// exactly the trees' depth here.
+func (nw *Network) Convergecast(step string, t Trees, wordsPer int64) {
+	nw.Charge(step, t.depth, t.hops, t.hops*wordsPer)
+}
+
+// Broadcast charges the reverse flow: each head sends wordsPer words to
+// every member, relayed hop by hop. Cost structure is identical to
+// Convergecast (same trees, opposite direction).
+func (nw *Network) Broadcast(step string, t Trees, wordsPer int64) {
+	nw.Charge(step, t.depth, t.hops, t.hops*wordsPer)
 }
 
 // DerivedMISRound charges one communication round of a distributed MIS

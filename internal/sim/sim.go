@@ -11,8 +11,10 @@
 // per-node state, of its k-hop neighborhood. Synchronous flooding is
 // deterministic, so the simulator never runs the protocol: Gather charges
 // exactly the rounds/messages/words the flood would use (an exact account,
-// not an estimate). The algorithms compute each phase centrally; only the
-// tests materialize what one node holds after a gather.
+// not an estimate). That account depends only on the graph and k, so a
+// network works it out once per depth and charges the same figures every
+// later gather of that depth. The algorithms compute each phase centrally;
+// only the tests materialize what one node holds after a gather.
 package sim
 
 import (
@@ -32,6 +34,8 @@ type Network struct {
 
 	// perStep accumulates costs by named step for reporting.
 	perStep map[string]*StepCost
+	// gathers holds Gather's messages and words by depth.
+	gathers map[int][2]int64
 }
 
 // StepCost is the accumulated cost of one named algorithm step.
@@ -45,7 +49,12 @@ type StepCost struct {
 // counters. The graph is not copied; callers must not mutate it while the
 // network is in use.
 func NewNetwork(g *graph.Graph) *Network {
-	return &Network{g: g, search: graph.NewSearcher(g.N()), perStep: make(map[string]*StepCost)}
+	return &Network{
+		g:       g,
+		search:  graph.NewSearcher(g.N()),
+		perStep: make(map[string]*StepCost),
+		gathers: make(map[int][2]int64),
+	}
 }
 
 // Rounds returns the total number of communication rounds consumed.
@@ -98,21 +107,25 @@ func (nw *Network) NeighborExchange(step string, wordsPer int64) {
 // and every record origin v, w forwards v's record to x in the round after w
 // first learned it, provided that happens within the k-round budget; v's
 // record is forwarded by all w with hop(v,w) <= k-1. Words: each record of
-// vertex v costs deg(v)+1 words.
+// vertex v costs deg(v)+1 words. The first gather of a depth walks every
+// vertex's hop ball; later ones charge what it found.
 func (nw *Network) Gather(step string, k int) {
 	if k < 1 {
 		k = 1
 	}
-	var messages, words int64
-	for v := 0; v < nw.g.N(); v++ {
-		recWords := int64(nw.g.Degree(v) + 1)
-		for _, w := range nw.search.HopBall(nw.g, v, k-1) {
-			deg := int64(nw.g.Degree(w.V))
-			messages += deg
-			words += deg * recWords
+	cost, ok := nw.gathers[k]
+	if !ok {
+		for v := 0; v < nw.g.N(); v++ {
+			recWords := int64(nw.g.Degree(v) + 1)
+			for _, w := range nw.search.HopBall(nw.g, v, k-1) {
+				deg := int64(nw.g.Degree(w.V))
+				cost[0] += deg
+				cost[1] += deg * recWords
+			}
 		}
+		nw.gathers[k] = cost
 	}
-	nw.Charge(step, k, messages, words)
+	nw.Charge(step, k, cost[0], cost[1])
 }
 
 // String summarizes the network counters.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"maps"
 	"testing"
 
@@ -180,6 +181,35 @@ func TestGatherDepthOneChargesOnlyOrigins(t *testing.T) {
 		// Messages Σ deg = 6; words Σ deg·(deg+1) = 2+6+6+2 = 16.
 		if nw.Rounds() != 1 || nw.Messages() != 6 || nw.Words() != 16 {
 			t.Errorf("Gather(%d): %s, want rounds=1 messages=6 words=16", k, nw)
+		}
+	}
+}
+
+// TestGatherRepeatCharges: a network works out a depth's flood once, so a
+// repeated Gather(k) must charge exactly what the first did, add it to the
+// totals and to its step again, and leave other depths' charges apart.
+func TestGatherRepeatCharges(t *testing.T) {
+	g := graph.New(10)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 9}, {2, 6}} {
+		g.AddEdge(e[0], e[1], 1)
+	}
+	nw := NewNetwork(g)
+	for _, k := range []int{1, 2, 3} {
+		fresh := NewNetwork(g)
+		fresh.Gather("g", k)
+		first := *fresh.PerStep()["g"]
+		step := fmt.Sprint("k=", k)
+		for rep := 1; rep <= 3; rep++ {
+			before := StepCost{Rounds: nw.Rounds(), Messages: nw.Messages(), Words: nw.Words()}
+			nw.Gather(step, k)
+			after := StepCost{Rounds: nw.Rounds(), Messages: nw.Messages(), Words: nw.Words()}
+			if d := (StepCost{after.Rounds - before.Rounds, after.Messages - before.Messages, after.Words - before.Words}); d != first {
+				t.Fatalf("Gather(%d) #%d charged %+v, first %+v", k, rep, d, first)
+			}
+			want := StepCost{first.Rounds * rep, first.Messages * int64(rep), first.Words * int64(rep)}
+			if got := *nw.PerStep()[step]; got != want {
+				t.Fatalf("Gather(%d) #%d: step total %+v, want %+v", k, rep, got, want)
+			}
 		}
 	}
 }

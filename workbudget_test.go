@@ -51,11 +51,11 @@ func TestWorkBudget(t *testing.T) {
 		count   func() (counts, error)
 		ceiling counts
 	}{
-		// Measured: 10,715 allocations, 3.61 MB. Headroom 10 %.
+		// Measured: 10,595 allocations, 3.50 MB. Headroom 10 %.
 		{"core.Build/n=2048", workOf(func() error {
 			_, err := core.Build(small.Points, small.G, core.Options{Params: p})
 			return err
-		}), counts{"allocations": 11_800, "bytes": 3_980_000}},
+		}), counts{"allocations": 11_650, "bytes": 3_860_000}},
 		// Measured: 13 of the 8,190 queries fell back to the cluster graph
 		// (1 of them decided by it); every other query of a phase with a
 		// cluster was answered on the partial spanner.
@@ -77,11 +77,23 @@ func TestWorkBudget(t *testing.T) {
 			}
 			return counts{"cover visits": float64(res.CoverVisits)}, nil
 		}, counts{"cover visits": 2250}},
-		// Measured: 13,648 allocations, 21.1 MB. Headroom 10 %.
+		// Measured: 11,023 allocations, 3.78 MB. Headroom 10 %.
 		{"dist.Build/n=2048", workOf(func() error {
 			_, err := dist.Build(small.Points, small.G, dist.Options{Params: p, Seed: 1})
 			return err
-		}), counts{"allocations": 15_100, "bytes": 23_200_000}},
+		}), counts{"allocations": 12_150, "bytes": 4_160_000}},
+		// Measured: 2,354: core.Build's 2,250, as the elected covers
+		// attach over the short-edge vertices the peel runs over, plus
+		// the election's 104 derived-graph rows, one per short-edge
+		// vertex of a phase. An election or attachment over all n
+		// vertices per phase would add 132 × 2,048.
+		{"dist.Build cover visits/n=2048", func() (counts, error) {
+			res, err := dist.Build(small.Points, small.G, dist.Options{Params: p, Seed: 1})
+			if err != nil {
+				return nil, err
+			}
+			return counts{"cover visits": float64(res.CoverVisits)}, nil
+		}, counts{"cover visits": 2354}},
 		// Measured: 99,987 settled over 256 queries, 390.57 per query.
 		{"uncached A* route/n=4096", func() (counts, error) {
 			return settledPerRoute(sp, inst.Points)
