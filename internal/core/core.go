@@ -186,7 +186,7 @@ func Run(points []geom.Point, g *graph.Graph, opts Options, proto Protocol) (*Re
 }
 
 // builder carries the mutable state of one build. cov, cg, frozen,
-// redundant and tally are per-phase structures whose storage the build's
+// redundant and selection are per-phase structures whose storage the build's
 // phases share, and short is kept across them, so a phase allocates and
 // scans in proportion to its bin and its short-edge vertices, not to n.
 // They are per build, never package-level: builds run in parallel.
@@ -204,7 +204,7 @@ type builder struct {
 	cg          cluster.ClusterGraph
 	frozen      frozen
 	redundant   redundancyScan
-	tally       clusterTally
+	selection   selectScratch
 	short       shortEdges
 }
 
@@ -331,7 +331,7 @@ func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 		DisableCoveredFilter: b.opts.DisableCoveredFilter || b.opts.FaultK > 0,
 		DisableQueryFilter:   b.opts.DisableQueryFilter,
 		PerPairExtra:         b.opts.FaultK,
-		Tally:                &b.tally,
+		Scratch:              &b.selection,
 	})
 	b.absorbSelectStats(st)
 

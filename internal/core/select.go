@@ -35,34 +35,38 @@ type selectOpts struct {
 	// (§1.6.1, after Czumaj–Zhao) keeps k+1 query edges per pair so that k
 	// failures leave a usable one.
 	PerPairExtra int
-	// Tally is the build's per-center scratch for MaxPerCluster; nil
-	// allocates one for the call.
-	Tally *clusterTally
+	// Scratch is the build's selection scratch; nil allocates one for the
+	// call.
+	Scratch *selectScratch
 }
 
-// clusterTally counts, per cluster center, the query edges a selection
-// keeps at it. Its storage is per build, and a selection clears only the
-// centers it counted.
-type clusterTally struct {
+// selectScratch is a selection's storage, kept per build so a phase
+// allocates nothing once it has grown to the largest bin: the candidate
+// list, the selected edges (valid until the next selection), and a count,
+// per cluster center, of the query edges kept at it, of which a selection
+// clears only the centers it counted.
+type selectScratch struct {
+	cands   []candidate
+	out     []EdgeInfo
 	count   []int
 	touched []int
 }
 
 // add counts one kept edge at center c and returns c's count.
-func (t *clusterTally) add(c int) int {
-	if t.count[c] == 0 {
-		t.touched = append(t.touched, c)
+func (s *selectScratch) add(c int) int {
+	if s.count[c] == 0 {
+		s.touched = append(s.touched, c)
 	}
-	t.count[c]++
-	return t.count[c]
+	s.count[c]++
+	return s.count[c]
 }
 
 // clear zeroes the counts add set.
-func (t *clusterTally) clear() {
-	for _, c := range t.touched {
-		t.count[c] = 0
+func (s *selectScratch) clear() {
+	for _, c := range s.touched {
+		s.count[c] = 0
 	}
-	t.touched = t.touched[:0]
+	s.touched = s.touched[:0]
 }
 
 // selectStats reports what the selection filtered.
@@ -173,20 +177,20 @@ type candidate struct {
 // The grouping is one sort of the candidates by (pair, score, U, V): each
 // pair's run then starts with its best, and one pass keeps the first of
 // every run (the first 1 + PerPairExtra) and counts the kept edges at
-// their clusters.
+// their clusters. The result is o.Scratch's: valid until its next
+// selection.
 func selectQueries(points []geom.Point, sp *graph.Graph, cov *cluster.Cover, edges []EdgeInfo, o selectOpts) ([]EdgeInfo, selectStats) {
 	keep := 1 + o.PerPairExtra
-	tally := o.Tally
-	if tally == nil {
-		tally = new(clusterTally)
+	sc := o.Scratch
+	if sc == nil {
+		sc = new(selectScratch)
 	}
-	if len(tally.count) < len(cov.Center) {
-		tally.count = make([]int, len(cov.Center))
+	if len(sc.count) < len(cov.Center) {
+		sc.count = make([]int, len(cov.Center))
 	}
 	w := NewWitness(o.Theta)
 	var st selectStats
-	cands := make([]candidate, 0, len(edges))
-	out := make([]EdgeInfo, 0, len(edges))
+	cands, out := sc.cands[:0], sc.out[:0]
 	for _, e := range edges {
 		if sp.HasEdge(e.U, e.V) {
 			st.AlreadyInSpanner++
@@ -240,10 +244,11 @@ func selectQueries(points []geom.Point, sp *graph.Graph, cov *cluster.Cover, edg
 		}
 		if run < keep {
 			out = append(out, c.e)
-			st.MaxPerCluster = max(st.MaxPerCluster, tally.add(c.a), tally.add(c.b))
+			st.MaxPerCluster = max(st.MaxPerCluster, sc.add(c.a), sc.add(c.b))
 		}
 	}
-	tally.clear()
+	sc.clear()
+	sc.cands, sc.out = cands, out
 	sortEdgeInfos(out)
 	return out, st
 }

@@ -119,7 +119,6 @@ func Build(points []geom.Point, g *graph.Graph, opts Options) (*Result, error) {
 // graph g.
 func newBuilder(g *graph.Graph, opts Options) *builder {
 	return &builder{
-		g:      g,
 		opts:   opts,
 		nw:     sim.NewNetwork(g),
 		rng:    rand.New(rand.NewSource(opts.Seed)),
@@ -131,7 +130,6 @@ func newBuilder(g *graph.Graph, opts Options) *builder {
 // redundancy MIS with the configured backend, and charges each phase's
 // communication when core reports the phase done.
 type builder struct {
-	g      *graph.Graph // communication graph = input α-UBG
 	opts   Options
 	nw     *sim.Network
 	rng    *rand.Rand
@@ -203,12 +201,15 @@ func (b *builder) Done(bin, edges int, cov *cluster.Cover, kept int) {
 		b.nw.Gather("phase0/gather", 1)
 		b.nw.NeighborExchange("update/announce", 2)
 	} else {
-		k := b.coverHopRadius(cov)
+		// The flooding depth the phase needs is the cluster trees' depth:
+		// clusters are metric balls of the partial spanner, so it stays
+		// small — the locality the paper's Theorem 9 argues.
+		trees := b.nw.Trees(cov.Clustered, cov.Center, func(c int) int { return len(cov.Members(c)) })
+		k := trees.Depth()
 		b.nw.Gather("phase/gather", k)
 		for r := 0; r < b.centerRounds; r++ {
 			b.nw.DerivedMISRound("mis/centers", b.centerDeg, k)
 		}
-		trees := b.nw.Trees(cov.Clustered, cov.Center, func(c int) int { return len(cov.Members(c)) }, k)
 		b.nw.Convergecast("clustergraph/attach", trees, 2)
 		b.nw.Convergecast("clustergraph/assemble", trees, 3)
 		b.nw.Broadcast("clustergraph/distribute", trees, 3)
@@ -264,37 +265,4 @@ func (b *builder) runMIS(adj [][]int, ids []int, n int) ([]bool, int) {
 	}
 	res := mis.Luby(adj, ids, n, b.rng)
 	return res.InMIS, res.Rounds
-}
-
-// coverHopRadius measures the flooding depth the phase actually needs: the
-// maximum hop distance (in the communication graph) from any cluster head
-// to one of its members. Clusters are metric balls of the partial spanner,
-// so this stays small — the locality the paper's Theorem 9 argues — and
-// so do the searches: a cluster's hop radius is the least depth whose hop
-// ball holds all its members, and only a depth above the running maximum
-// can raise the answer, so each cluster searches from that depth up until
-// its members are all seen.
-func (b *builder) coverHopRadius(cov *cluster.Cover) int {
-	maxHop := 1
-	for _, c := range cov.Clustered {
-		members := len(cov.Members(c))
-		// Members are joined to c by spanner edges, which are edges of
-		// the communication graph, so no member lies N() hops out.
-		for maxHop < b.g.N() && b.membersWithin(cov, c, maxHop) < members {
-			maxHop++
-		}
-	}
-	return maxHop
-}
-
-// membersWithin counts the members of center c's cluster within maxHops
-// hops of c in the communication graph.
-func (b *builder) membersWithin(cov *cluster.Cover, c, maxHops int) int {
-	seen := 0
-	for _, vh := range b.search.HopBall(b.g, c, maxHops) {
-		if cov.Center[vh.V] == c {
-			seen++
-		}
-	}
-	return seen
 }

@@ -16,13 +16,13 @@
 //     change can only break certificates of edges with an endpoint inside
 //     that ball around the changed node — everything else is untouched.
 //
-// Each operation therefore (a) updates base-graph incidence with O(3^d)
-// geom.DynamicGrid range queries, (b) collects the bounded "dirty" ball
-// around the change with one epoch-stamped graph.Searcher ball query
-// against the pre-change spanner, and (c) replays the greedy
-// edge-acceptance rule (greedy.Accept, the rule extracted from SEQ-GREEDY)
-// over only the base edges incident to dirty vertices, in canonical greedy
-// order. The replay runs on the bidirectional existence kernel
+// Each operation therefore (a) updates base-graph incidence with one
+// geom.Grid query over the 3^d cells of side Radius around the node, (b)
+// collects the bounded "dirty" ball around the change with one
+// epoch-stamped graph.Searcher ball query against the pre-change spanner,
+// and (c) replays the greedy edge-acceptance rule (greedy.Accept, the rule
+// extracted from SEQ-GREEDY) over only the base edges incident to dirty
+// vertices, in canonical greedy order. The replay runs on the bidirectional existence kernel
 // (graph.Searcher.ReachableWithin): each candidate probe grows two
 // half-radius frontiers from the edge's endpoints and stops at the first
 // meeting within t·w, rather than settling the full ball around one
@@ -104,9 +104,10 @@ type Engine struct {
 	free   []int // freed slots available for reuse
 	n      int   // live node count
 
-	grid *geom.DynamicGrid
-	base *graph.Graph // current base graph, Euclidean weights
-	sp   *graph.Graph // maintained spanner, Euclidean weights
+	grid *geom.Grid    // live points by slot, cell side Radius
+	scan geom.GridScan // the engine's grid scratch
+	base *graph.Graph  // current base graph, Euclidean weights
+	sp   *graph.Graph  // maintained spanner, Euclidean weights
 
 	s       *graph.Searcher
 	nbrs    []int        // grid query scratch
@@ -155,7 +156,7 @@ func New(points []geom.Point, opts Options) (*Engine, error) {
 // addBaseEdges links id to every live node within Radius (skipping edges
 // already present, so batch replays are idempotent).
 func (e *Engine) addBaseEdges(id int) {
-	e.nbrs = e.grid.NeighborsAppend(e.nbrs[:0], e.points[id], e.opts.Radius, id)
+	e.nbrs = e.grid.Near(&e.scan, e.nbrs[:0], e.points, e.points[id], id)
 	for _, v := range e.nbrs {
 		if !e.base.HasEdge(id, v) {
 			e.base.AddEdge(id, v, geom.Dist(e.points[id], e.points[v]))
@@ -287,7 +288,7 @@ func (e *Engine) Join(p geom.Point) (int, error) {
 	e.points[id] = p.Clone()
 	e.alive[id] = true
 	e.n++
-	e.grid.Add(id, e.points[id])
+	e.grid.Add(&e.scan, id, e.points[id])
 	e.addBaseEdges(id)
 	// A join breaks no existing certificate (nothing is removed); only the
 	// new node's own base edges need acceptance.
@@ -303,7 +304,7 @@ func (e *Engine) Leave(id int) error {
 		return fmt.Errorf("dynamic: leave of dead node %d", id)
 	}
 	e.retire(id)
-	e.grid.Remove(id)
+	e.grid.Remove(&e.scan, id, e.points[id])
 	e.points[id] = nil
 	e.alive[id] = false
 	e.n--
@@ -322,8 +323,9 @@ func (e *Engine) Move(id int, p geom.Point) error {
 		return fmt.Errorf("dynamic: point dimension %d, want %d", p.Dim(), e.dim)
 	}
 	e.retire(id)
+	from := e.points[id]
 	e.points[id] = p.Clone()
-	e.grid.Move(id, e.points[id])
+	e.grid.Move(&e.scan, id, from, e.points[id])
 	e.addBaseEdges(id)
 	e.markDirty(id)
 	e.stats.Moves++

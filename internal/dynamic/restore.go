@@ -54,7 +54,7 @@ func Restore(points []geom.Point, alive []bool, base, sp *graph.Graph, opts Opti
 		dim:     dim,
 		points:  points,
 		alive:   alive,
-		grid:    geom.NewDynamicGrid(opts.Radius),
+		grid:    geom.NewGrid(dim, opts.Radius, nil),
 		base:    base,
 		sp:      sp,
 		s:       graph.NewSearcher(len(points)),
@@ -63,7 +63,7 @@ func Restore(points []geom.Point, alive []bool, base, sp *graph.Graph, opts Opti
 	}
 	for id := len(points) - 1; id >= 0; id-- {
 		if alive[id] {
-			e.grid.Add(id, points[id])
+			e.grid.Add(&e.scan, id, points[id])
 			e.n++
 		} else {
 			points[id] = nil // free slots hold no position

@@ -94,7 +94,11 @@ func Dist(p, q Point) float64 { return math.Sqrt(DistSq(p, q)) }
 
 // Angle returns the angle ∠(a, apex, b) in radians, i.e. the angle at apex
 // between rays apex→a and apex→b. The result is in [0, π]. If either ray is
-// degenerate (a == apex or b == apex) the angle is defined to be 0.
+// degenerate (a == apex or b == apex) the angle is defined to be 0, the
+// smallest there is: a caller that picks the point of least angle, as
+// compass routing does, must skip points at the apex itself, and a caller
+// that accepts small angles, as the covered-edge witness test does, must
+// reject them.
 func Angle(apex, a, b Point) float64 {
 	u := sub(a, apex)
 	v := sub(b, apex)

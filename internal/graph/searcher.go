@@ -287,9 +287,24 @@ func (s *Searcher) startBFS(n, src int) {
 // keep it must copy. maxHops <= 0 returns just the source; there is no
 // "unbounded" sentinel — pass g.N(), which no hop distance reaches.
 func (s *Searcher) HopBall(g Topology, src, maxHops int) []VertexHop {
+	s.hball = s.hball[:0]
+	s.HopWalk(g, src, maxHops, func(v, hops int) bool {
+		s.hball = append(s.hball, VertexHop{V: v, Hops: hops})
+		return true
+	})
+	return s.hball
+}
+
+// HopWalk visits HopBall's vertices in its order, each as the search
+// first reaches it, and stops early once visit returns false: a caller
+// looking for a known set of vertices walks only as deep as the farthest
+// of them.
+func (s *Searcher) HopWalk(g Topology, src, maxHops int, visit func(v, hops int) bool) {
 	rv := viewOf(g)
 	s.startBFS(g.N(), src)
-	s.hball = append(s.hball[:0], VertexHop{V: src})
+	if !visit(src, 0) {
+		return
+	}
 	for i := 0; i < len(s.queue); i++ {
 		v := s.queue[i]
 		hv := s.hops[v]
@@ -304,10 +319,11 @@ func (s *Searcher) HopBall(g Topology, src, maxHops int) []VertexHop {
 			s.seen[h.To] = s.epoch
 			s.hops[h.To] = hv + 1
 			s.queue = append(s.queue, int32(h.To))
-			s.hball = append(s.hball, VertexHop{V: h.To, Hops: int(hv) + 1})
+			if !visit(h.To, int(hv)+1) {
+				return
+			}
 		}
 	}
-	return s.hball
 }
 
 // searcherPool is the one pool of search scratch in the tree: builders,

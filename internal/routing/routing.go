@@ -227,7 +227,11 @@ func (r *Router) greedy(s, t int) Route {
 	return route
 }
 
-// compass routes by angular proximity, failing on the first revisit.
+// compass routes by angular proximity, failing on the first revisit. A
+// neighbor at the current node's own position is never the next hop
+// (unless it is the destination): it makes no progress, and geom.Angle
+// gives its zero-length ray angle 0, so it would win every step and
+// bounce the packet between the twins.
 func (r *Router) compass(s, t int) Route {
 	route := Route{Path: []int{s}}
 	visited := map[int]bool{s: true}
@@ -239,6 +243,9 @@ func (r *Router) compass(s, t int) Route {
 			if h.To == t {
 				bestV, bestA, bestW = t, -1, h.W
 				break
+			}
+			if geom.DistSq(r.pts[cur], r.pts[h.To]) == 0 {
+				continue
 			}
 			a := geom.Angle(r.pts[cur], r.pts[t], r.pts[h.To])
 			if a < bestA || (a == bestA && h.To < bestV) {

@@ -3,6 +3,7 @@ package routing
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"topoctl/internal/geom"
@@ -93,6 +94,31 @@ func TestCompassDeliversOnPath(t *testing.T) {
 	route, _ := r.Route(SchemeCompass, 0, 3)
 	if !route.Delivered {
 		t.Errorf("route = %+v", route)
+	}
+}
+
+// TestCompassSkipsCoincidentNeighbor: node 1 sits on node 0. Its ray has
+// angle 0 toward any target, but stepping onto it makes no progress, and
+// compass would bounce 0→1→0 and fail; greedy delivers.
+func TestCompassSkipsCoincidentNeighbor(t *testing.T) {
+	pts := []geom.Point{{0, 0}, {0, 0}, {0.5, 0.3}, {1, 0}}
+	g := graph.New(4)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}} {
+		g.AddEdge(e[0], e[1], geom.Dist(pts[e[0]], pts[e[1]]))
+	}
+	r, _ := NewRouter(g, pts)
+	for _, scheme := range []Scheme{SchemeCompass, SchemeGreedy} {
+		route, err := r.Route(scheme, 0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !route.Delivered || !slices.Equal(route.Path, []int{0, 2, 3}) {
+			t.Errorf("%v: route = %+v, want delivered along [0 2 3]", scheme, route)
+		}
+	}
+	// A twin that is the destination is still the next hop.
+	if route, _ := r.Route(SchemeCompass, 0, 1); !route.Delivered || route.Hops() != 1 {
+		t.Errorf("compass to the twin: %+v", route)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"topoctl/internal/geom"
 )
 
 func testServer(t *testing.T, n int) (*Service, *httptest.Server) {
@@ -134,6 +136,30 @@ func TestHTTPEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /route: status %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPCompassPastCoincidentJoin: a join at node 0's own position
+// becomes 0's spanner neighbor. Compass routing from 0 must not step onto
+// that twin, which makes no progress and bounced the packet 0→3→0 into a
+// loop; it goes through 1 instead.
+func TestHTTPCompassPastCoincidentJoin(t *testing.T) {
+	svc, err := New([]geom.Point{{0, 0}, {0.5, 0.3}, {1.2, 0}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	var mres MutateResult
+	postJSON(t, ts.URL+"/mutate", MutateRequest{Ops: []Op{{Kind: OpJoin, Point: []float64{0, 0}}}}, http.StatusOK, &mres)
+	if mres.Applied != 1 || mres.Results[0].ID != 3 {
+		t.Fatalf("coincident join: %+v", mres)
+	}
+	var route RouteResponse
+	postJSON(t, ts.URL+"/route", RouteRequest{Scheme: "compass", Src: 0, Dst: 2}, http.StatusOK, &route)
+	if !route.Delivered || fmt.Sprint(route.Path) != "[0 1 2]" {
+		t.Fatalf("compass 0→2 past the twin: %+v, want delivered along [0 1 2]", route)
 	}
 }
 

@@ -12,26 +12,35 @@ type Trees struct {
 
 // Trees measures the cluster trees rooted at heads, the centers whose
 // cluster has a second member: center[v] gives each vertex's center
-// (center[h] == h), size(h) counts the vertices of h's cluster, h
-// included, and maxHops bounds the tree depth. A vertex outside those
-// clusters is a tree of its own, which no flow charges, so the cost is
-// the heads' hop balls, not n. A member reports along a shortest hop path
-// of the communication graph; a member beyond the bound (possible when
-// cluster paths leave the cluster) falls back to the bound.
-func (nw *Network) Trees(heads, center []int, size func(head int) int, maxHops int) Trees {
-	t := Trees{depth: max(maxHops, 1)}
+// (center[h] == h) and size(h) counts the vertices of h's cluster, h
+// included. A member reports along a shortest hop path of the
+// communication graph, so each head walks its hop ball only until it has
+// seen its members, and the trees' depth is the largest member hop
+// distance (at least 1). A vertex outside those clusters is a tree of its
+// own, which no flow charges, so the cost is the heads' hop balls, not n.
+// Every member must be reachable from its head.
+func (nw *Network) Trees(heads, center []int, size func(head int) int) Trees {
+	t := Trees{depth: 1}
 	for _, h := range heads {
-		left := int64(size(h) - 1)
-		for _, vh := range nw.search.HopBall(nw.g, h, t.depth) {
-			if vh.V != h && center[vh.V] == h {
-				t.hops += int64(vh.Hops)
+		left := size(h) - 1
+		nw.search.HopWalk(nw.g, h, nw.g.N(), func(v, hops int) bool {
+			if v != h && center[v] == h {
+				t.hops += int64(hops)
+				t.depth = max(t.depth, hops)
 				left--
 			}
+			return left > 0
+		})
+		if left > 0 {
+			panic("sim: cluster member unreachable from its head")
 		}
-		t.hops += left * int64(t.depth)
 	}
 	return t
 }
+
+// Depth returns the trees' depth: the hop radius a phase's gathers and
+// derived rounds flood to.
+func (t Trees) Depth() int { return t.depth }
 
 // Convergecast charges the cost of every member reporting wordsPer words to
 // its cluster's head along the trees t: the depth in rounds, and one

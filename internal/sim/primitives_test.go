@@ -35,7 +35,7 @@ func TestConvergecastExactCosts(t *testing.T) {
 	nw := NewNetwork(g)
 	// Everyone assigned to center 0: members 1,2,3 at 1 hop, 4 at 2 hops.
 	center := []int{0, 0, 0, 0, 0}
-	nw.Convergecast("cc", nw.Trees([]int{0}, center, sizes(center), 2), 3)
+	nw.Convergecast("cc", nw.Trees([]int{0}, center, sizes(center)), 3)
 	if nw.Rounds() != 2 {
 		t.Errorf("rounds = %d, want 2", nw.Rounds())
 	}
@@ -53,8 +53,8 @@ func TestBroadcastMirrorsConvergecast(t *testing.T) {
 	a := NewNetwork(g)
 	b := NewNetwork(g)
 	center := []int{0, 0, 0, 0, 0}
-	a.Convergecast("x", a.Trees([]int{0}, center, sizes(center), 2), 1)
-	b.Broadcast("x", b.Trees([]int{0}, center, sizes(center), 2), 1)
+	a.Convergecast("x", a.Trees([]int{0}, center, sizes(center)), 1)
+	b.Broadcast("x", b.Trees([]int{0}, center, sizes(center)), 1)
 	if a.Messages() != b.Messages() || a.Rounds() != b.Rounds() {
 		t.Errorf("asymmetric costs: %s vs %s", a, b)
 	}
@@ -65,7 +65,7 @@ func TestConvergecastMultipleCenters(t *testing.T) {
 	nw := NewNetwork(g)
 	// Two clusters: {0,1,2} centered at 0, {3,4} centered at 3.
 	center := []int{0, 0, 0, 3, 3}
-	nw.Convergecast("cc", nw.Trees([]int{0, 3}, center, sizes(center), 1), 1)
+	nw.Convergecast("cc", nw.Trees([]int{0, 3}, center, sizes(center)), 1)
 	// Members: 1,2 at 1 hop of 0; 4 at 1 hop of 3 → 3 messages.
 	if nw.Messages() != 3 {
 		t.Errorf("messages = %d, want 3", nw.Messages())
@@ -75,39 +75,52 @@ func TestConvergecastMultipleCenters(t *testing.T) {
 	}
 }
 
-func TestConvergecastBeyondBoundFallsBack(t *testing.T) {
-	g := starWorld()
-	nw := NewNetwork(g)
-	// Vertex 4 is 2 hops from 0, but we cap at 1: its cost falls back to
-	// the bound rather than being dropped.
-	center := []int{0, 0, 0, 0, 0}
-	nw.Convergecast("cc", nw.Trees([]int{0}, center, sizes(center), 1), 1)
-	if nw.Messages() != 4 { // 1+1+1+1(fallback)
-		t.Errorf("messages = %d, want 4", nw.Messages())
-	}
-}
-
 // TestTreesSharedAcrossFlows: the three tree flows of a phase charge one
 // measurement, each flow its own words, and trees with no head still take
-// their depth in rounds (bounds below 1 count as 1).
+// one round.
 func TestTreesSharedAcrossFlows(t *testing.T) {
 	g := starWorld()
 	nw := NewNetwork(g)
 	center := []int{0, 0, 0, 3, 3}
-	tr := nw.Trees([]int{0, 3}, center, sizes(center), 2)
+	tr := nw.Trees([]int{0, 3}, center, sizes(center))
 	nw.Convergecast("attach", tr, 2)
 	nw.Convergecast("assemble", tr, 3)
 	nw.Broadcast("distribute", tr, 3)
-	if nw.Rounds() != 6 || nw.Messages() != 9 || nw.Words() != 24 {
-		t.Errorf("three flows over 3 member hops: %s, want rounds=6 messages=9 words=24", nw)
+	if nw.Rounds() != 3 || nw.Messages() != 9 || nw.Words() != 24 {
+		t.Errorf("three flows over 3 member hops: %s, want rounds=3 messages=9 words=24", nw)
 	}
-	if c := nw.PerStep()["assemble"]; *c != (StepCost{Rounds: 2, Messages: 3, Words: 9}) {
+	if c := nw.PerStep()["assemble"]; *c != (StepCost{Rounds: 1, Messages: 3, Words: 9}) {
 		t.Errorf("assemble: %+v", *c)
 	}
 	single := NewNetwork(g)
-	single.Broadcast("b", single.Trees(nil, []int{0, 1, 2, 3, 4}, sizes(nil), 0), 5)
+	single.Broadcast("b", single.Trees(nil, []int{0, 1, 2, 3, 4}, sizes(nil)), 5)
 	if single.Rounds() != 1 || single.Messages() != 0 {
 		t.Errorf("headless trees: %s, want rounds=1 messages=0", single)
+	}
+}
+
+// TestTreesMeasureDepth: the depth is the farthest member's hop distance,
+// whichever cluster it is in, found by one hop walk per head.
+func TestTreesMeasureDepth(t *testing.T) {
+	g := starWorld()
+	for _, tc := range []struct {
+		heads, center []int
+		depth         int
+		hops          int64
+	}{
+		{[]int{0}, []int{0, 0, 0, 0, 0}, 2, 5},    // 4 is two hops out
+		{[]int{0}, []int{0, 0, 0, 3, 4}, 1, 2},    // 1 and 2, one hop each
+		{[]int{0, 4}, []int{0, 0, 4, 3, 4}, 3, 4}, // 2 is three hops from 4
+	} {
+		nw := NewNetwork(g)
+		tr := nw.Trees(tc.heads, tc.center, sizes(tc.center))
+		if tr.Depth() != tc.depth || tr.hops != tc.hops {
+			t.Errorf("heads %v, centers %v: depth %d, hops %d; want %d, %d",
+				tc.heads, tc.center, tr.Depth(), tr.hops, tc.depth, tc.hops)
+		}
+		if nw.search.Stats().Searches != int64(len(tc.heads)) {
+			t.Errorf("heads %v: %d walks", tc.heads, nw.search.Stats().Searches)
+		}
 	}
 }
 

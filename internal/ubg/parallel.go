@@ -49,12 +49,16 @@ func BuildRadius(points []geom.Point, radius float64) (*graph.Frozen, error) {
 	return buildCSR(points, radius, nil), nil
 }
 
-// checkDims validates that all points share the first point's dimension.
+// checkDims validates that all points share the first point's dimension,
+// which must be at least 1.
 func checkDims(points []geom.Point) error {
 	if len(points) == 0 {
 		return nil
 	}
 	d := points[0].Dim()
+	if d == 0 {
+		return fmt.Errorf("ubg: zero-dimensional points")
+	}
 	for i, p := range points {
 		if p.Dim() != d {
 			return fmt.Errorf("ubg: point %d has dimension %d, want %d", i, p.Dim(), d)
@@ -104,24 +108,25 @@ func greyKeep(points []geom.Point, cfg Config) func(u, v int, dist float64) bool
 const csrCellChunk = 16
 
 // buildCSR is the shared parallel construction core: bucket the points
-// into radius-sized cells (geom.CellGrid), then two passes over the cells
-// — degree count, then row fill — with cells fanned out across
-// GOMAXPROCS workers. A vertex belongs to exactly one cell and a cell is
-// claimed by exactly one worker per pass, so every Deg[u] increment and
-// every row write is single-writer without locks. Distances are
-// recomputed in the fill pass instead of buffered between passes: at 16
-// bytes per halfedge a candidate buffer would dwarf the output slab, and
-// the second DistSq/sqrt is cheaper than that memory traffic. keep (when
-// non-nil) must be deterministic and symmetric so the passes and the two
-// directed scans of each pair all agree; pair inclusion matches
-// DynamicGrid semantics exactly (DistSq ≤ radius²).
+// into radius-sized cells (geom.NewGrid's counting sort), then two passes
+// over the cells — degree count, then row fill — with cells fanned out
+// across GOMAXPROCS workers, each with its own geom.GridScan. A vertex
+// belongs to exactly one cell and a cell is claimed by exactly one worker
+// per pass, so every Deg[u] increment and every row write is single-writer
+// without locks. Distances are recomputed in the fill pass instead of
+// buffered between passes: at 16 bytes per halfedge a candidate buffer
+// would dwarf the output slab, and the second DistSq/sqrt is cheaper than
+// that memory traffic. keep (when non-nil) must be deterministic and
+// symmetric so the passes and the two directed scans of each pair all
+// agree. Pair inclusion is the grid's own (DistSq ≤ radius²), the test the
+// dynamic engine's Grid.Near applies.
 func buildCSR(points []geom.Point, radius float64, keep func(u, v int, dist float64) bool) *graph.Frozen {
 	n := len(points)
 	b := graph.NewCSRBuilder(n)
 	if n == 0 {
 		return b.Finish()
 	}
-	cg := geom.NewCellGrid(points, radius)
+	cg := geom.NewGrid(points[0].Dim(), radius, points)
 	cells := cg.Cells()
 	workers := runtime.GOMAXPROCS(0)
 	if max := (cells + csrCellChunk - 1) / csrCellChunk; workers > max {
@@ -136,8 +141,7 @@ func buildCSR(points []geom.Point, radius float64, keep func(u, v int, dist floa
 	pass := func(emit func(u, v int32, d float64)) {
 		var next atomic.Int64
 		scan := func() {
-			sc := cg.NewScan()
-			var ncells []int32
+			var sc geom.GridScan
 			for {
 				lo := int(next.Add(csrCellChunk)) - csrCellChunk
 				if lo >= cells {
@@ -148,7 +152,7 @@ func buildCSR(points []geom.Point, radius float64, keep func(u, v int, dist floa
 					hi = cells
 				}
 				for c := lo; c < hi; c++ {
-					ncells = cg.NeighborCells(ncells[:0], c, sc)
+					ncells := cg.NeighborCells(&sc, c)
 					for _, u := range cg.CellIDs(c) {
 						pu := points[u]
 						for _, nc := range ncells {

@@ -171,6 +171,9 @@ func TestBuildFrozenEdgeCases(t *testing.T) {
 	if _, err := BuildFrozen([]geom.Point{{0, 0}, {1}}, Config{Alpha: 1}); err == nil {
 		t.Fatal("mixed dimensions must fail")
 	}
+	if _, err := BuildFrozen([]geom.Point{{}, {}}, Config{Alpha: 1}); err == nil {
+		t.Fatal("zero-dimensional points must fail")
+	}
 	// Coincident points: distance 0 pairs connect, self never does.
 	f, err = BuildFrozen([]geom.Point{{1, 1}, {1, 1}, {1, 1}}, Config{Alpha: 0.5})
 	if err != nil || f.M() != 3 {
