@@ -65,10 +65,11 @@ race:
 # recovery reads off disk), the netio instance parser (operator files), and
 # the daemon's HTTP request surface (mutation validation and every POST
 # body / divergence query string a client can send), and the builders'
-# covered-edge witness test against its geom.Angle form, the listed
-# Luby MIS against its full-graph reference, and the spatial grid's
-# adds, removes, moves and bulk builds on cell-boundary lattices against a
-# quadratic scan.
+# covered-edge witness test against its geom.Angle form, both builders on
+# degenerate grid points against the phase replay, each other and the
+# stretch bound, the listed Luby MIS against its full-graph reference,
+# and the spatial grid's adds, removes, moves and bulk builds on
+# cell-boundary lattices against a quadratic scan.
 # Each target explores for a few seconds on top of the committed seed
 # corpora in testdata/fuzz/; go only allows one -fuzz pattern per
 # invocation, hence one line per target. New crashers land in the
@@ -83,6 +84,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateOps$$' -fuzztime $(FUZZ_TIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime $(FUZZ_TIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzCovered$$' -fuzztime $(FUZZ_TIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZ_TIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzLuby$$' -fuzztime $(FUZZ_TIME) ./internal/mis/
 	$(GO) test -run '^$$' -fuzz '^FuzzGrid$$' -fuzztime $(FUZZ_TIME) ./internal/geom/
 

@@ -87,9 +87,10 @@ type Stats struct {
 	// edges incident to one cluster in any phase (Lemma 4 quantity).
 	MaxQueryEdgesPerCluster int
 	// QueriesOnH counts the fallbacks to the cluster graph H: queries whose
-	// t-path in the partial spanner passes a vertex of a cluster with a
-	// second member, and that the rows of H built before them did not
-	// answer, so a search on H did (see needsEdge).
+	// t-path in the partial spanner, the first its search met, passes a
+	// vertex of a cluster with a second member, and that the rows of H
+	// built before them did not answer, so a search on H did (see
+	// needsEdge).
 	QueriesOnH int
 	// DecidedByH counts the QueriesOnH whose edge H added although the
 	// partial spanner had a t-path: the queries where H changes the answer.
@@ -112,6 +113,10 @@ type Result struct {
 	// elected centers (§3). It is not a Stats counter, which the two
 	// protocols agree on.
 	CoverVisits int
+	// Searches sums the searches that answer the phases' queries and
+	// find their redundant pairs (steps (iv) and (v)), on G' and on H:
+	// the work a search bound governs.
+	Searches graph.SearchStats
 }
 
 // Build runs the sequential relaxed greedy algorithm (paper §2) on the
@@ -182,7 +187,7 @@ func Run(points []geom.Point, g *graph.Graph, opts Options, proto Protocol) (*Re
 		b.p.R = opts.BinRatio
 	}
 	b.run()
-	return &Result{Spanner: b.sp, Params: b.p, Bins: b.bins, Stats: b.stats, CoverVisits: b.coverVisits}, nil
+	return &Result{Spanner: b.sp, Params: b.p, Bins: b.bins, Stats: b.stats, CoverVisits: b.coverVisits, Searches: b.searches}, nil
 }
 
 // builder carries the mutable state of one build. cov, cg, frozen,
@@ -199,6 +204,7 @@ type builder struct {
 	bins        Bins
 	stats       Stats
 	coverVisits int
+	searches    graph.SearchStats
 	proto       Protocol
 	cov         cluster.Cover
 	cg          cluster.ClusterGraph
@@ -317,7 +323,13 @@ func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 	// heavier than t·W_i can never serve a query in this phase.
 	f := &b.frozen
 	f.sp, f.cov, f.cg, f.s = b.sp, cov, nil, graph.AcquireSearcher(b.sp.N())
-	defer graph.ReleaseSearcher(f.s)
+	f.s.ResetStats()
+	defer func() {
+		st := f.s.Stats()
+		b.searches.Searches += st.Searches
+		b.searches.Settled += st.Settled
+		graph.ReleaseSearcher(f.s)
+	}()
 	if len(cov.Clustered) > 0 && b.opts.FaultK == 0 {
 		b.cg.Start(b.sp, cov, wPrev, (2*b.p.Delta+1)*wPrev, b.p.T*wCur)
 		f.cg = &b.cg
@@ -347,11 +359,12 @@ func (b *builder) phase(i int, edges []EdgeInfo) (*cluster.Cover, int) {
 
 	// Step (v), measured on H_{i-1} before the additions reach the
 	// spanner: find the mutually redundant edges among this phase's
-	// additions. Skipped for fault-tolerant builds: a removed edge relies
-	// on exactly one surviving counterpart, a single point of failure.
+	// additions, with balls no wider than the pair test can use. Skipped
+	// for fault-tolerant builds: a removed edge relies on exactly one
+	// surviving counterpart, a single point of failure.
 	var pairs [][2]int
 	if !b.opts.DisableRedundancy && b.opts.FaultK == 0 && len(added) > 1 {
-		bound := b.p.T1 * wCur
+		bound := pairRadius(added, b.p.T1)
 		pairs = b.redundant.pairs(b.sp.N(), added, b.p.T1, func(v int) []graph.VertexDist {
 			return f.ballOf(v, bound)
 		})
@@ -496,9 +509,9 @@ func (f *frozen) searchH(src int, bound float64, visit func(v int, d float64) bo
 }
 
 // ballOf returns v's ball of radius bound in H_{i-1}, for step (v)'s
-// redundancy scan (bound = t1·W_i). By needsEdge's two facts, a G' ball
-// that holds no clustered vertex is H's ball, at the same distances; any
-// other is searched on H.
+// redundancy scan (bound = pairRadius). By needsEdge's two facts, a G'
+// ball that holds no clustered vertex is H's ball, at the same distances;
+// any other is searched on H.
 func (f *frozen) ballOf(v int, bound float64) []graph.VertexDist {
 	ball := f.s.Ball(f.sp, v, bound)
 	if f.cg == nil || !slices.ContainsFunc(ball, func(vd graph.VertexDist) bool { return f.clustered(vd.V) }) {
@@ -527,7 +540,8 @@ func (f *frozen) ballOf(v int, bound float64) []graph.VertexDist {
 //     t·W_i >= t·w(q)): a G' t-path through singletons only is an H
 //     t-path, and q is not needed.
 //
-// So q falls back to H only when its G' t-path passes a clustered vertex,
+// So q falls back to H only when a G' t-path passes a clustered vertex:
+// the search on G' stops at the first t-path it meets, not the shortest,
 // and the search on H builds the rows it settles. Before G' is searched,
 // the rows built so far are: they carry H's edges and weights, so a t-path
 // among them is one in H, and in a clustered region, where earlier
@@ -546,7 +560,7 @@ func (b *builder) needsEdge(f *frozen, q EdgeInfo) bool {
 		return false
 	}
 	var ok bool
-	f.path, _, ok = f.s.AppendPathTo(f.path[:0], f.sp, q.U, q.V, bound)
+	f.path, ok = f.s.AppendPathWithin(f.path[:0], f.sp, q.U, q.V, bound)
 	if !ok || !slices.ContainsFunc(f.path, f.clustered) {
 		return !ok
 	}

@@ -103,7 +103,9 @@ func replayPhases(pts []geom.Point, g *graph.Graph, p Params, check func(h *grap
 
 // TestFindRedundantPairsMatchesReference replays real builds and requires
 // the same pair list, in the same order, as the reference scan on every
-// phase; the replay itself must land on Build's spanner.
+// phase, from balls of radius t1·W_i and from balls of the tighter
+// pairRadius that Build searches; the replay itself must land on Build's
+// spanner.
 func TestFindRedundantPairsMatchesReference(t *testing.T) {
 	total := 0
 	for _, tc := range []struct {
@@ -120,6 +122,9 @@ func TestFindRedundantPairsMatchesReference(t *testing.T) {
 				want := refFindRedundantPairs(h, added, t1, bound)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%d added edges: pairs %v, reference %v", len(added), got, want)
+				}
+				if tight := scan.pairs(h.N(), added, t1, ballsOn(h, pairRadius(added, t1))); !slices.Equal(tight, want) {
+					t.Fatalf("%d added edges: pairs within pairRadius %v, reference %v", len(added), tight, want)
 				}
 				total += len(got)
 			})
@@ -139,7 +144,11 @@ func TestFindRedundantPairsMatchesReference(t *testing.T) {
 
 // TestFindRedundantPairsMatchesReferenceRandom compares the two scans on
 // random geometric graphs standing in for H, with random added edges whose
-// weights straddle their endpoints' distance, across t1 and search bounds.
+// weights straddle their endpoints' distance, across t1 and search bounds;
+// the scan must also match when its balls are cut to pairRadius. In every
+// other rep the added edges share one weight, as a bin's nearly do: then a
+// pair passes exactly when s <= (t1−1)·w, so pairs with s just under
+// pairRadius occur and a narrower radius loses them.
 func TestFindRedundantPairsMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	total := 0
@@ -159,11 +168,15 @@ func TestFindRedundantPairsMatchesReferenceRandom(t *testing.T) {
 			}
 		}
 		added := make([]EdgeInfo, rng.Intn(3*n))
+		shared := 0.1 + 0.5*rng.Float64()
 		for i := range added {
 			u := rng.Intn(n)
 			v := (u + 1 + rng.Intn(n-1)) % n
 			d := geom.Dist(pts[u], pts[v])
 			added[i] = EdgeInfo{U: u, V: v, Dist: d, W: d * (0.9 + 0.3*rng.Float64())}
+			if rep%2 == 1 {
+				added[i].W = shared
+			}
 		}
 		for _, t1 := range []float64{1.1, 1.5, 3} {
 			for _, bound := range []float64{0.1, 0.5, math.Inf(1)} {
@@ -171,6 +184,10 @@ func TestFindRedundantPairsMatchesReferenceRandom(t *testing.T) {
 				want := refFindRedundantPairs(h, added, t1, bound)
 				if !slices.Equal(got, want) {
 					t.Fatalf("rep %d, t1=%v, bound=%v: pairs %v, reference %v", rep, t1, bound, got, want)
+				}
+				tight := scan.pairs(h.N(), added, t1, ballsOn(h, min(bound, pairRadius(added, t1))))
+				if !slices.Equal(tight, want) {
+					t.Fatalf("rep %d, t1=%v, bound=%v: pairs within pairRadius %v, reference %v", rep, t1, bound, tight, want)
 				}
 				total += len(got)
 			}

@@ -288,12 +288,27 @@ func (r *redundancyScan) grow(n int) {
 	}
 }
 
+// pairRadius is the widest ball the mutual-redundancy test over added can
+// use. A pair passes only when s + w' <= t1·w and s + w <= t1·w'; their
+// sum gives s <= (t1−1)·(w+w')/2 <= (t1−1)·max(w) over added, and a
+// distance past that radius only makes s larger. The maximum comes from
+// added itself, not from the bin's ceiling, so the radius holds for any
+// metric. It is widened by 1e-12·t1·max(w), far above the rounding in the
+// test's sums, so that no s the test passes lies past it.
+func pairRadius(added []EdgeInfo, t1 float64) float64 {
+	hi := 0.0
+	for _, e := range added {
+		hi = max(hi, e.W)
+	}
+	return (t1 - 1 + 1e-12*t1) * hi
+}
+
 // pairs implements the mutual-redundancy test of §2.2.5 over the edges
 // added in one phase, measuring distances on the frozen graph H exactly as
 // the queries were: ball(v) returns v's ball in H, of a radius that caps
-// every distance relevant to the conditions (t1·W_i), on an n-vertex
-// graph. Pair (i, j) is reported when, for the better of the two endpoint
-// pairings (the d_J minimum of Lemma 20),
+// every distance relevant to the conditions (pairRadius, or anything
+// wider), on an n-vertex graph. Pair (i, j) is reported when, for the
+// better of the two endpoint pairings (the d_J minimum of Lemma 20),
 //
 //	sp_H(u,u') + sp_H(v,v') + w' <= t1·w  and
 //	sp_H(u,u') + sp_H(v,v') + w  <= t1·w'.

@@ -27,7 +27,6 @@ package dist
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"topoctl/internal/cluster"
@@ -121,7 +120,6 @@ func newBuilder(g *graph.Graph, opts Options) *builder {
 	return &builder{
 		opts:   opts,
 		nw:     sim.NewNetwork(g),
-		rng:    rand.New(rand.NewSource(opts.Seed)),
 		search: graph.NewSearcher(g.N()),
 	}
 }
@@ -132,9 +130,10 @@ func newBuilder(g *graph.Graph, opts Options) *builder {
 type builder struct {
 	opts   Options
 	nw     *sim.Network
-	rng    *rand.Rand
 	search *graph.Searcher
 	phases []PhaseCost
+	// misCalls numbers the build's Luby runs, which key their draws.
+	misCalls int
 
 	// Scratch the center election rebuilds every phase: the derived
 	// graph's adjacency lists, the elected centers, and each short-edge
@@ -263,6 +262,7 @@ func (b *builder) runMIS(adj [][]int, ids []int, n int) ([]bool, int) {
 	if b.opts.UseGreedyMIS {
 		return mis.Greedy(adj), 1
 	}
-	res := mis.Luby(adj, ids, n, b.rng)
+	res := mis.Luby(adj, ids, n, b.opts.Seed, b.misCalls)
+	b.misCalls++
 	return res.InMIS, res.Rounds
 }

@@ -68,8 +68,9 @@ func (s *Searcher) biInit(n, src, dst int) {
 // (-1, Inf) when no path of length ≤ bound exists — in particular when dst
 // is not a vertex of g. With existOnly the search stops at the first
 // meeting within the bound, so μ is an upper bound rather than exact. On
-// success the shortest path is prev-chain(meet)..src reversed, then
-// prevB-chain(meet)..dst; relaxations only ever come from settled
+// success the path is prev-chain(meet)..src reversed, then
+// prevB-chain(meet)..dst — the shortest one unless existOnly, and of
+// weight at most μ either way; relaxations only ever come from settled
 // vertices, whose distances are final, so both chains are consistent with
 // the final labels.
 func (s *Searcher) biSearch(g Topology, src, dst int, bound float64, existOnly bool) (int32, float64) {
@@ -209,6 +210,31 @@ func (s *Searcher) AppendPathTo(buf []int, g Topology, src, dst int, bound float
 	if meet < 0 {
 		return buf, Inf, false
 	}
+	return s.appendMeeting(buf, meet), mu, true
+}
+
+// AppendPathWithin is AppendPathTo for callers that need some path of
+// length at most bound rather than the shortest: like ReachableWithin it
+// stops at the first meeting within the bound, and appends the walk the
+// two prev chains give through it. Its weight is at most bound, and it is
+// found exactly when ReachableWithin reports true. A label only falls and
+// a tie never relinks, so a chain cannot cycle, even across the
+// zero-weight edges of coincident points; the two halves may still share
+// a vertex, so the walk can repeat one.
+func (s *Searcher) AppendPathWithin(buf []int, g Topology, src, dst int, bound float64) ([]int, bool) {
+	if src == dst {
+		return append(buf, src), true
+	}
+	meet, _ := s.biSearch(g, src, dst, bound, true)
+	if meet < 0 {
+		return buf, false
+	}
+	return s.appendMeeting(buf, meet), true
+}
+
+// appendMeeting appends the src→dst walk through meet that the last
+// biSearch's prev chains give.
+func (s *Searcher) appendMeeting(buf []int, meet int32) []int {
 	// Stitch the two prev trees: count both chain lengths first so the
 	// buffer grows with one exact allocation, then fill the forward half
 	// backwards from the meeting vertex and the backward half forwards.
@@ -232,7 +258,7 @@ func (s *Searcher) AppendPathTo(buf []int, g Topology, src, dst int, bound float
 		buf[i] = int(x)
 		i++
 	}
-	return buf, mu, true
+	return buf
 }
 
 // extendPath returns buf lengthened by k slots for a path to be filled in,

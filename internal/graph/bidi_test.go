@@ -6,7 +6,9 @@ package graph
 // must agree with the retained unidirectional reference kernel on
 // distance, found flag, and bound semantics — for both the mutable *Graph
 // and the frozen CSR *Frozen — and every returned path must be a valid
-// walk whose edge weights sum to the reported length. The A* arms run
+// walk whose edge weights sum to the reported length. AppendPathWithin,
+// which returns any path within the bound, must find one exactly when the
+// reference does, and its walk must weigh at most the bound. The A* arms run
 // with the straight-line potential on geometric graphs (weights at least
 // their points' distance, 2-D and 3-D) and with π ≡ 0 (nil points) on
 // the arbitrary-weight ones.
@@ -32,6 +34,8 @@ func checkPointQuery(tt *testing.T, s *Searcher, t Topology, pts []geom.Point, s
 	}
 	path, pd, pok := s.PathTo(t, src, dst, bound)
 	checkPath(tt, "PathTo", t, src, dst, bound, path, pd, pok, refD, refOK)
+	walk, wok := s.AppendPathWithin(nil, t, src, dst, bound)
+	checkWithin(tt, t, src, dst, bound, walk, wok, refOK)
 
 	d, ok = s.AStarTarget(t, pts, src, dst, bound)
 	checkDistance(tt, "AStarTarget", src, dst, bound, d, ok, refD, refOK)
@@ -85,6 +89,34 @@ func checkPath(tt *testing.T, kernel string, t Topology, src, dst int, bound flo
 				tt.Fatalf("%s(%d,%d) revisits %d: %v", kernel, src, dst, v, path)
 			}
 		}
+	}
+}
+
+// checkWithin certifies an AppendPathWithin answer: found exactly when
+// the reference finds a path within bound, and then a src→dst walk in t
+// whose weight is at most bound, within 1e-9 relative (the walk is summed
+// in another order than its two halves were). Its halves may share a
+// vertex, so a repeat is allowed.
+func checkWithin(tt *testing.T, t Topology, src, dst int, bound float64, path []int, ok, refOK bool) {
+	tt.Helper()
+	if ok != refOK {
+		tt.Fatalf("AppendPathWithin(%d,%d,%v) found=%v, reference %v", src, dst, bound, ok, refOK)
+	}
+	if !ok {
+		if path != nil {
+			tt.Fatalf("AppendPathWithin(%d,%d,%v) not found but returned path %v", src, dst, bound, path)
+		}
+		return
+	}
+	if path[0] != src || path[len(path)-1] != dst {
+		tt.Fatalf("AppendPathWithin(%d,%d) endpoints %v", src, dst, path)
+	}
+	sum, walk := PathWeight(t, path)
+	if !walk {
+		tt.Fatalf("AppendPathWithin(%d,%d) path %v is not a walk in the graph", src, dst, path)
+	}
+	if sum > bound+1e-9*(1+math.Abs(bound)) {
+		tt.Fatalf("AppendPathWithin(%d,%d,%v) path %v weighs %v", src, dst, bound, path, sum)
 	}
 }
 

@@ -11,8 +11,6 @@
 // experiment harness reports measured rounds alongside both analytic curves.
 package mis
 
-import "math/rand"
-
 // Result is the outcome of a distributed MIS computation.
 type Result struct {
 	// InMIS[v] reports membership of vertex v.
@@ -27,42 +25,47 @@ type Result struct {
 // n-vertex graph whose other vertices are isolated. adj[i] lists, by
 // position in ids, the neighbors of vertex ids[i]; the relation must be
 // symmetric and ids increasing. A nil ids lists the vertices 0 to
-// len(adj)−1, so Luby(adj, nil, len(adj), rng) runs on the whole graph adj.
-// InMIS is indexed as adj is: the unlisted vertices are isolated, so they
-// all join. The rng makes runs deterministic under a fixed seed.
+// len(adj)−1, so Luby(adj, nil, len(adj), seed, call) runs on the whole
+// graph adj. InMIS is indexed as adj is: the unlisted vertices are
+// isolated, so they all join.
 //
-// Each iteration: every active vertex draws a random 64-bit priority; a
-// vertex joins the MIS if its (priority, id) pair is strictly the largest in
-// its active closed neighborhood; MIS vertices and their neighbors
-// deactivate. Two communication rounds are charged per iteration.
+// Each iteration: every active vertex draws a 64-bit priority; a vertex
+// joins the MIS if its (priority, id) pair is strictly the largest in its
+// active closed neighborhood; MIS vertices and their neighbors deactivate.
+// Two communication rounds are charged per iteration.
 //
-// Isolated vertices join in the first iteration, so only listed vertices
-// stay active after it. That iteration still draws all n priorities in
-// vertex order and keeps the listed vertices' draws, so the rounds, the
-// set and the rng stream are those of the run over all n vertices, at one
-// draw per unlisted vertex.
-func Luby(adj [][]int, ids []int, n int, rng *rand.Rand) Result {
+// A draw is counter-based: a fixed mix of (seed, call, vertex id,
+// iteration), so runs are deterministic under a fixed seed, a caller that
+// runs several MIS computations numbers them by call, and a vertex's
+// draws do not depend on which other vertices are listed. The isolated
+// vertices join in the first iteration whatever they would draw, so they
+// draw nothing: the set and the rounds are those of the run over all n
+// vertices, at the cost of the listed ones.
+func Luby(adj [][]int, ids []int, n int, seed int64, call int) Result {
 	m := len(adj)
 	res := Result{InMIS: make([]bool, m)}
 	if n == 0 {
 		return res
 	}
+	key := splitmix64(splitmix64(uint64(seed)) ^ uint64(call))
 	active := make([]bool, m)
 	for i := range active {
 		active[i] = true
 	}
 	nActive := m
 	prio := make([]uint64, m)
-	for v, next := 0, 0; v < n; v++ {
-		x := rng.Uint64()
-		if next < m && (ids == nil || ids[next] == v) {
-			prio[next] = x
-			next++
-		}
-	}
 	var joined []int
-	for {
+	for iter := 0; ; iter++ {
 		res.Rounds += 2
+		for v := 0; v < m; v++ {
+			if active[v] {
+				id := v
+				if ids != nil {
+					id = ids[v]
+				}
+				prio[v] = priority(key, id, iter)
+			}
+		}
 		joined = joined[:0]
 		for v := 0; v < m; v++ {
 			if !active[v] {
@@ -98,12 +101,23 @@ func Luby(adj [][]int, ids []int, n int, rng *rand.Rand) Result {
 		if nActive == 0 {
 			return res
 		}
-		for v := 0; v < m; v++ {
-			if active[v] {
-				prio[v] = rng.Uint64()
-			}
-		}
 	}
+}
+
+// priority is vertex id's draw in iteration iter of the MIS call whose
+// (seed, call) mix is key.
+func priority(key uint64, id, iter int) uint64 {
+	return splitmix64(splitmix64(key^uint64(id)) ^ uint64(iter))
+}
+
+// splitmix64 is the output mix of Steele, Lea and Flood's SplitMix64
+// generator: a bijection on 64-bit words whose outputs pass as random for
+// distinct inputs.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // Greedy computes the lexicographically-first MIS by vertex ID: scan

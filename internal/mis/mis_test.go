@@ -2,6 +2,7 @@ package mis
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -52,7 +53,7 @@ func TestLubyProducesValidMISProperty(t *testing.T) {
 		n := 1 + int(seed)%40
 		p := []float64{0.05, 0.2, 0.5, 0.9}[int(seed)%4]
 		adj := randomAdj(rng, n, p)
-		res := Luby(adj, nil, len(adj), rng)
+		res := Luby(adj, nil, len(adj), rng.Int63(), int(seed))
 		return len(Validate(adj, res.InMIS)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -74,8 +75,7 @@ func TestGreedyProducesValidMISProperty(t *testing.T) {
 
 func TestLubyEmptyGraphJoinsAll(t *testing.T) {
 	adj := make([][]int, 5)
-	rng := rand.New(rand.NewSource(1))
-	res := Luby(adj, nil, len(adj), rng)
+	res := Luby(adj, nil, len(adj), 1, 0)
 	for v, in := range res.InMIS {
 		if !in {
 			t.Errorf("isolated vertex %d not in MIS", v)
@@ -95,8 +95,7 @@ func TestLubyCompleteGraphPicksOne(t *testing.T) {
 		}
 	}
 	adj := fromEdgePairs(n, pairs)
-	rng := rand.New(rand.NewSource(2))
-	res := Luby(adj, nil, len(adj), rng)
+	res := Luby(adj, nil, len(adj), 2, 0)
 	count := 0
 	for _, in := range res.InMIS {
 		if in {
@@ -123,8 +122,8 @@ func TestGreedyIsLexicographicallyFirst(t *testing.T) {
 
 func TestLubyDeterministicUnderSeed(t *testing.T) {
 	adjA := randomAdj(rand.New(rand.NewSource(3)), 30, 0.2)
-	a := Luby(adjA, nil, len(adjA), rand.New(rand.NewSource(77)))
-	b := Luby(adjA, nil, len(adjA), rand.New(rand.NewSource(77)))
+	a := Luby(adjA, nil, len(adjA), 77, 3)
+	b := Luby(adjA, nil, len(adjA), 77, 3)
 	for v := range a.InMIS {
 		if a.InMIS[v] != b.InMIS[v] {
 			t.Fatal("Luby not deterministic under fixed seed")
@@ -133,6 +132,13 @@ func TestLubyDeterministicUnderSeed(t *testing.T) {
 	if a.Rounds != b.Rounds {
 		t.Fatal("round counts differ under fixed seed")
 	}
+	// The seed and the call number key the draws: another of either
+	// elects another set.
+	for _, c := range []Result{Luby(adjA, nil, len(adjA), 78, 3), Luby(adjA, nil, len(adjA), 77, 4)} {
+		if slices.Equal(c.InMIS, a.InMIS) {
+			t.Error("another seed or call elected the same set")
+		}
+	}
 }
 
 // TestLubyRoundsGrowSlowly sanity-checks the O(log n) w.h.p. round bound:
@@ -140,7 +146,7 @@ func TestLubyDeterministicUnderSeed(t *testing.T) {
 func TestLubyRoundsGrowSlowly(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	adj := randomAdj(rng, 1000, 0.01)
-	res := Luby(adj, nil, len(adj), rng)
+	res := Luby(adj, nil, len(adj), 4, 0)
 	if res.Rounds > 60 { // 2 rounds/iter; ~30 iterations would already be extreme
 		t.Errorf("Luby used %d rounds on n=1000; expected O(log n)", res.Rounds)
 	}

@@ -51,12 +51,22 @@ func TestWorkBudget(t *testing.T) {
 		count   func() (counts, error)
 		ceiling counts
 	}{
-		// Measured: 10,349 allocations, 2.47 MB. Headroom 10 %.
+		// Measured: 10,120 allocations, 2.38 MB. Headroom 10 %.
 		{"core.Build/n=2048", workOf(func() error {
 			_, err := core.Build(small.Points, small.G, core.Options{Params: p})
 			return err
-		}), counts{"allocations": 11_390, "bytes": 2_720_000}},
-		// Measured: 13 of the 8,190 queries fell back to the cluster graph
+		}), counts{"allocations": 11_140, "bytes": 2_620_000}},
+		// Measured: 40,949 vertices settled by 21,714 searches answering
+		// the phases' queries and finding their redundant pairs. Balls
+		// of radius t1·W_i and shortest G′ paths settled 73,509.
+		{"core.Build settled/n=2048", func() (counts, error) {
+			res, err := core.Build(small.Points, small.G, core.Options{Params: p})
+			if err != nil {
+				return nil, err
+			}
+			return counts{"settled": float64(res.Searches.Settled), "searches": float64(res.Searches.Searches)}, nil
+		}, counts{"settled": 40_949, "searches": 21_714}},
+		// Measured: 12 of the 8,190 queries fell back to the cluster graph
 		// (1 of them decided by it); every other query of a phase with a
 		// cluster was answered on the partial spanner.
 		{"core.Build queries/n=2048", func() (counts, error) {
@@ -65,7 +75,7 @@ func TestWorkBudget(t *testing.T) {
 				return nil, err
 			}
 			return counts{"queries on H": float64(res.Stats.QueriesOnH)}, nil
-		}, counts{"queries on H": 13}},
+		}, counts{"queries on H": 12}},
 		// Measured: 2,250 per-vertex steps of the phases' covers outside
 		// their ball searches: 2,048 for the first cover's storage, then
 		// the short-edge vertices of each phase. A cover that scans all n
@@ -77,11 +87,11 @@ func TestWorkBudget(t *testing.T) {
 			}
 			return counts{"cover visits": float64(res.CoverVisits)}, nil
 		}, counts{"cover visits": 2250}},
-		// Measured: 10,760 allocations, 2.74 MB. Headroom 10 %.
+		// Measured: 10,596 allocations, 2.65 MB. Headroom 10 %.
 		{"dist.Build/n=2048", workOf(func() error {
 			_, err := dist.Build(small.Points, small.G, dist.Options{Params: p, Seed: 1})
 			return err
-		}), counts{"allocations": 11_840, "bytes": 3_010_000}},
+		}), counts{"allocations": 11_660, "bytes": 2_920_000}},
 		// Measured: 2,354: core.Build's 2,250, as the elected covers
 		// attach over the short-edge vertices the peel runs over, plus
 		// the election's 104 derived-graph rows, one per short-edge
