@@ -160,7 +160,8 @@ serve-smoke:
 
 # Crash-recovery smoke of the durable daemon: boot it with a WAL, mutate,
 # kill -9 (no shutdown path at all), restart on the same directory, and
-# assert the acknowledged epoch survived and routes still answer. This is
+# assert the acknowledged epoch survived with the same spanner (edge count
+# and weight from /stats) and routes still answer. This is
 # the scripted version of the kill-recover loop the replica tests run
 # in-process with fault injection.
 RECOVER_ADDR ?= 127.0.0.1:7081
@@ -181,6 +182,8 @@ recover-smoke:
 	ver=$$(curl -fsS -X POST -d '{"ops":[{"op":"move","id":5,"point":[1.0,1.0]},{"op":"leave","id":7}]}' \
 		http://$(RECOVER_ADDR)/mutate | grep -o '"version":[0-9]*' | head -1 | cut -d: -f2); \
 	if [ -z "$$ver" ]; then echo "mutation did not report a version"; cat $$log; exit 1; fi; \
+	topo=$$(curl -fsS http://$(RECOVER_ADDR)/stats | grep -o '"spanner_\(edges\|weight\)":[^,}]*' | sort); \
+	if [ $$(echo "$$topo" | wc -l) -ne 2 ]; then echo "/stats lacks spanner_edges or spanner_weight: $$topo"; exit 1; fi; \
 	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
 	$$bin serve -addr $(RECOVER_ADDR) -n 64 -seed 1 -wal $$waldir -fsync always >>$$log 2>&1 & \
 	pid=$$!; \
@@ -189,15 +192,20 @@ recover-smoke:
 		sleep 0.1; i=$$((i+1)); \
 	done; \
 	if [ $$ok -ne 1 ]; then echo "daemon never recovered:"; cat $$log; exit 1; fi; \
-	got=$$(curl -fsS http://$(RECOVER_ADDR)/stats | grep -o '"version":[0-9]*' | head -1 | cut -d: -f2); \
+	stats=$$(curl -fsS http://$(RECOVER_ADDR)/stats); \
+	got=$$(echo "$$stats" | grep -o '"version":[0-9]*' | head -1 | cut -d: -f2); \
 	if [ "$$got" != "$$ver" ]; then \
 		echo "recovered at version $$got, want acknowledged $$ver"; cat $$log; exit 1; \
+	fi; \
+	gottopo=$$(echo "$$stats" | grep -o '"spanner_\(edges\|weight\)":[^,}]*' | sort); \
+	if [ "$$gottopo" != "$$topo" ]; then \
+		echo "recovered topology $$gottopo, want pre-crash $$topo"; cat $$log; exit 1; \
 	fi; \
 	curl -fsS -X POST -d '{"scheme":"shortest-path","src":0,"dst":13}' http://$(RECOVER_ADDR)/route; \
 	if ! grep -q "recovered epoch $$ver" $$log; then \
 		echo "recovery log line missing:"; cat $$log; exit 1; \
 	fi; \
-	echo "recover-smoke OK (epoch $$ver survived kill -9)"
+	echo "recover-smoke OK (epoch $$ver and its spanner survived kill -9:" $$topo")"
 
 # Large-build smoke: the million-vertex machinery at a size CI can afford
 # (n=131072: parallel frozen-CSR build, dynamic bulk load, SEQ-GREEDY

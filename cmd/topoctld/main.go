@@ -41,7 +41,6 @@ import (
 	"syscall"
 	"time"
 
-	"topoctl/internal/dynamic"
 	"topoctl/internal/geom"
 	"topoctl/internal/netio"
 	"topoctl/internal/replica"
@@ -161,22 +160,22 @@ func (sf *serveFlags) points() ([]geom.Point, error) {
 	}), nil
 }
 
+// options maps the flags to the serving core's options. service.New
+// infers the dimension from the points; -d only matters for generation.
+func (sf *serveFlags) options() service.Options {
+	return service.Options{
+		T: sf.t, Radius: sf.radius, Dim: sf.d,
+		CacheSize: sf.cache, Labels: sf.labels, LabelsMaxN: sf.labelsMax,
+	}
+}
+
 // newService builds the serving core from the flags.
 func (sf *serveFlags) newService() (*service.Service, error) {
 	pts, err := sf.points()
 	if err != nil {
 		return nil, err
 	}
-	// service.New infers the dimension from the points; -d only matters
-	// for generation.
-	return service.New(pts, service.Options{
-		T:          sf.t,
-		Radius:     sf.radius,
-		Dim:        sf.d,
-		CacheSize:  sf.cache,
-		Labels:     sf.labels,
-		LabelsMaxN: sf.labelsMax,
-	})
+	return service.New(pts, sf.options())
 }
 
 // newHTTPServer wraps a handler with the timeouts a long-lived daemon
@@ -221,70 +220,27 @@ func buildLeader(sf *serveFlags, wf *walFlags) (*service.Service, *replica.Leade
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rec, recovered, err := wal.Open(wal.Options{Dir: wf.dir, Sync: policy, CheckpointEvery: wf.ckptEvery})
+	opts := sf.options()
+	var ld *replica.Leader
+	opts.OnPublish = func(snap *service.Snapshot, applied []service.Op, touched []int) {
+		// Fail-stop: the hook runs before the batch's reply is released,
+		// so exiting here acknowledges no mutation the log did not record.
+		// A restart recovers the last durable epoch. OpenLeader returns
+		// ld before any batch can publish.
+		if err := ld.Err(); err != nil {
+			log.Fatalf("wal: epoch %d not logged, stopping: %v", snap.Version, err)
+		}
+	}
+	svc, ld, err := replica.OpenLeader(replica.LeaderConfig{
+		WAL:     wal.Options{Dir: wf.dir, Sync: policy, CheckpointEvery: wf.ckptEvery},
+		Service: opts,
+		Points:  sf.points,
+		Logf:    log.Printf,
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// recovered is nil for a fresh directory; Genesis below then
-	// initializes the log before serve starts, so no mutation can publish
-	// ahead of it.
-	ld := replica.NewLeader(rec, recovered)
-	opts := service.Options{
-		T: sf.t, Radius: sf.radius, Dim: sf.d,
-		CacheSize: sf.cache, Labels: sf.labels, LabelsMaxN: sf.labelsMax,
-		OnPublish: func(snap *service.Snapshot, applied []service.Op, touched []int) {
-			ld.OnPublish(snap, applied, touched)
-			// Fail-stop: the hook runs before the batch's reply is
-			// released, so exiting here acknowledges no mutation the log
-			// did not record. A restart recovers the last durable epoch.
-			if err := ld.Err(); err != nil {
-				log.Fatalf("wal: epoch %d not logged, stopping: %v", snap.Version, err)
-			}
-		},
-	}
-	var svc *service.Service
-	if recovered != nil {
-		// The log is the source of truth: its geometry parameters win over
-		// the flags, and the version sequence continues at the recovered
-		// epoch.
-		side := recovered.Clone()
-		opts.InitialVersion = recovered.Epoch
-		eng, err := dynamic.Restore(side.Points, side.Alive, side.Base.Thaw(), side.Spanner.Thaw(),
-			dynamic.Options{T: recovered.T, Radius: recovered.Radius, Dim: recovered.Dim})
-		if err != nil {
-			rec.Close(nil)
-			return nil, nil, nil, fmt.Errorf("wal recovery: %w", err)
-		}
-		svc = service.NewFromEngine(eng, opts)
-		log.Printf("recovered epoch %d from %s (%d live nodes)", recovered.Epoch, wf.dir, recovered.Live)
-	} else {
-		pts, err := sf.points()
-		if err != nil {
-			rec.Close(nil)
-			return nil, nil, nil, err
-		}
-		svc, err = service.New(pts, opts)
-		if err != nil {
-			rec.Close(nil)
-			return nil, nil, nil, err
-		}
-		snap := svc.Snapshot()
-		dim := sf.d
-		if len(snap.Points) > 0 {
-			dim = snap.Points[0].Dim()
-		}
-		if err := ld.Genesis(sf.t, sf.radius, dim, snap); err != nil {
-			svc.Close()
-			rec.Close(nil)
-			return nil, nil, nil, err
-		}
-		log.Printf("bootstrapped WAL in %s at epoch %d", wf.dir, snap.Version)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/", svc.Handler())
-	mux.HandleFunc("GET /wal/checkpoint", rec.HandleCheckpoint)
-	mux.HandleFunc("GET /wal/stream", rec.HandleStream)
-	return svc, ld, mux, nil
+	return svc, ld, ld.Handler(svc.Handler()), nil
 }
 
 func cmdServe(args []string) error {

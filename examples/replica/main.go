@@ -23,7 +23,6 @@ import (
 	"os"
 	"time"
 
-	"topoctl/internal/dynamic"
 	"topoctl/internal/geom"
 	"topoctl/internal/replica"
 	"topoctl/internal/routing"
@@ -39,45 +38,23 @@ func main() {
 }
 
 // openLeader opens (or recovers) the WAL in dir and builds the leader
-// service on top of it — the same recipe `topoctld serve -wal` runs.
+// service on top of it, through the one boot recipe `topoctld serve -wal`
+// runs too.
 func openLeader(dir string, pts []geom.Point) (*service.Service, *replica.Leader, error) {
-	rec, recovered, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncAlways, CheckpointEvery: 8})
-	if err != nil {
-		return nil, nil, err
-	}
-	ld := replica.NewLeader(rec, recovered)
-	opts := service.Options{T: 1.5, OnPublish: ld.OnPublish}
-	if recovered != nil {
-		side := recovered.Clone()
-		eng, err := dynamic.Restore(side.Points, side.Alive, side.Base.Thaw(), side.Spanner.Thaw(),
-			dynamic.Options{T: recovered.T, Radius: recovered.Radius, Dim: recovered.Dim})
-		if err != nil {
-			return nil, nil, err
-		}
-		opts.InitialVersion = recovered.Epoch
-		return service.NewFromEngine(eng, opts), ld, nil
-	}
-	svc, err := service.New(pts, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ld.Genesis(1.5, 1, 2, svc.Snapshot()); err != nil {
-		return nil, nil, err
-	}
-	return svc, ld, nil
+	return replica.OpenLeader(replica.LeaderConfig{
+		WAL:     wal.Options{Dir: dir, Sync: wal.SyncAlways, CheckpointEvery: 8},
+		Service: service.Options{T: 1.5},
+		Points:  func() ([]geom.Point, error) { return pts, nil },
+	})
 }
 
 // serveLeader exposes the service plus the two replication endpoints.
 func serveLeader(svc *service.Service, ld *replica.Leader) (*http.Server, string, error) {
-	mux := http.NewServeMux()
-	mux.Handle("/", svc.Handler())
-	mux.HandleFunc("GET /wal/checkpoint", ld.Recorder().HandleCheckpoint)
-	mux.HandleFunc("GET /wal/stream", ld.Recorder().HandleStream)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, "", err
 	}
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: ld.Handler(svc.Handler())}
 	go srv.Serve(ln)
 	return srv, "http://" + ln.Addr().String(), nil
 }

@@ -344,8 +344,9 @@ func TestCentersBySize(t *testing.T) {
 
 // checkCSR verifies the membership CSR against Center: the Members groups
 // partition [0, n) with v in group Center[v], each group is sorted, Centers
-// is ascending and exactly the vertices with a non-empty group, and
-// Clustered lists those with a second member.
+// is ascending and exactly the vertices with a non-empty group,
+// Clustered lists those with a second member, and InCluster holds exactly
+// for the vertices of their groups.
 func checkCSR(t *testing.T, name string, cov *Cover) {
 	t.Helper()
 	n := len(cov.Center)
@@ -374,6 +375,9 @@ func checkCSR(t *testing.T, name string, cov *Cover) {
 	for v, ok := range claimed {
 		if !ok {
 			t.Fatalf("%s: vertex %d in no group", name, v)
+		}
+		if want := len(cov.Members(cov.Center[v])) > 1; cov.InCluster(v) != want {
+			t.Fatalf("%s: InCluster(%d) = %v, want %v", name, v, !want, want)
 		}
 	}
 	var centers, clustered []int

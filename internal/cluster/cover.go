@@ -81,6 +81,10 @@ type Cover struct {
 // IsCenter reports whether v is a cluster center.
 func (c *Cover) IsCenter(v int) bool { return c.Center[v] == v }
 
+// InCluster reports whether v's cluster has a second member, from the
+// clustered centers' slot table rather than the membership CSR.
+func (c *Cover) InCluster(v int) bool { return c.slot[c.Center[v]] > 0 }
+
 // Members returns the member vertices of center ctr (including ctr
 // itself) in increasing order; it is empty if ctr is not a center. The
 // slice aliases the cover and must not be modified.

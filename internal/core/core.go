@@ -487,11 +487,6 @@ type frozen struct {
 	ball []graph.VertexDist
 }
 
-// clustered reports whether v's cluster has a second member.
-func (f *frozen) clustered(v int) bool {
-	return len(f.cov.Members(f.cov.Center[v])) > 1
-}
-
 // searchH runs a Dijkstra on H from src within bound, completing each
 // vertex's row just before the search expands it, so it reads H as
 // BuildClusterGraph builds it while building only the rows it reaches.
@@ -514,7 +509,7 @@ func (f *frozen) searchH(src int, bound float64, visit func(v int, d float64) bo
 // any other is searched on H.
 func (f *frozen) ballOf(v int, bound float64) []graph.VertexDist {
 	ball := f.s.Ball(f.sp, v, bound)
-	if f.cg == nil || !slices.ContainsFunc(ball, func(vd graph.VertexDist) bool { return f.clustered(vd.V) }) {
+	if f.cg == nil || !slices.ContainsFunc(ball, func(vd graph.VertexDist) bool { return f.cov.InCluster(vd.V) }) {
 		return ball
 	}
 	f.ball = f.ball[:0]
@@ -561,7 +556,7 @@ func (b *builder) needsEdge(f *frozen, q EdgeInfo) bool {
 	}
 	var ok bool
 	f.path, ok = f.s.AppendPathWithin(f.path[:0], f.sp, q.U, q.V, bound)
-	if !ok || !slices.ContainsFunc(f.path, f.clustered) {
+	if !ok || !slices.ContainsFunc(f.path, f.cov.InCluster) {
 		return !ok
 	}
 	b.stats.QueriesOnH++

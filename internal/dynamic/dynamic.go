@@ -218,10 +218,6 @@ func (e *Engine) Stats() Stats { return e.stats }
 // changed since the previous call, ApplyRows returns the prior graphs
 // themselves, so a zero-net-change commit republishes them by pointer.
 //
-// The first call's full freeze leaves no spare capacity in either slab,
-// which a WAL leader's shadow state relies on when it forks from it (see
-// graph.ApplyRows).
-//
 // The returned points alias the engine's per-slot Point values. That is
 // safe to publish because the engine never mutates a Point in place — Join
 // and Move install fresh clones — but callers must treat them as

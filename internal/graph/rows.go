@@ -44,12 +44,8 @@ func FrozenFromRows(rows [][]Halfedge) *Frozen {
 //
 // Successors must form a linear chain with a single owner: prev must be
 // the newest snapshot derived from its slab, because two successors forked
-// from the same prev would append into the same slab positions. A slab
-// with no spare capacity — what Freeze, FrozenFromRows and compaction
-// produce — is safe to fork from, since the first append on each branch
-// reallocates; that is what lets a WAL shadow state start from the
-// engine's first exported snapshot. Readers of older snapshots are never
-// affected: their rows are not overwritten.
+// from the same prev would append into the same slab positions. Readers
+// of older snapshots are never affected: their rows are not overwritten.
 //
 // prev == nil applies the updates over an empty graph.
 func ApplyRows(prev *Frozen, n int, updates []RowUpdate) *Frozen {

@@ -14,3 +14,7 @@ import (
 func (o *Options) SetTestHooks(backoffMin, backoffMax time.Duration, onApply func(st *wal.State)) {
 	o.backoffMin, o.backoffMax, o.onApply = backoffMin, backoffMax, onApply
 }
+
+// Recorder exposes the leader's recorder, so tests can serve its
+// replication endpoints through their own handlers and read its head.
+func (l *Leader) Recorder() *wal.Recorder { return l.rec }

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"topoctl/internal/dynamic"
 	"topoctl/internal/geom"
 	"topoctl/internal/metrics"
 	"topoctl/internal/replica"
@@ -114,14 +113,15 @@ func testPoints(n int) []geom.Point {
 	})
 }
 
-// leaderHarness is a leader service with an attached WAL recorder and
-// replication endpoints, plus a per-epoch body log.
+// leaderHarness is a leader booted through replica.OpenLeader, with its
+// recorder and replication endpoints, plus a per-epoch log of the state
+// body of every snapshot it served.
 type leaderHarness struct {
 	svc    *service.Service
 	ld     *replica.Leader
 	rec    *wal.Recorder
 	bodies *bodyLog
-	mux    *http.ServeMux
+	mux    http.Handler
 }
 
 // startLeader boots (or recovers) a leader over fs. pts seeds a fresh
@@ -132,47 +132,39 @@ func startLeader(t *testing.T, fs wal.FS, pts []geom.Point, walOpts wal.Options)
 		walOpts.Dir = "wal"
 	}
 	walOpts.FS = fs
-	rec, recovered, err := wal.Open(walOpts)
+	h := &leaderHarness{bodies: newBodyLog()}
+	var err error
+	h.svc, h.ld, err = replica.OpenLeader(replica.LeaderConfig{
+		WAL: walOpts,
+		Service: service.Options{
+			T: testT, Radius: testRadius,
+			OnPublish: func(snap *service.Snapshot, _ []service.Op, _ []int) { h.served(snap) },
+		},
+		Points: func() ([]geom.Point, error) { return pts, nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld := replica.NewLeader(rec, recovered)
-	bodies := newBodyLog()
-	var svc *service.Service
-	opts := service.Options{
-		T: testT, Radius: testRadius,
-		OnPublish: func(snap *service.Snapshot, applied []service.Op, touched []int) {
-			ld.OnPublish(snap, applied, touched)
-			if st := ld.State(); st != nil {
-				bodies.add(st.Epoch, st.Encode(), svc)
-			}
-		},
+	h.rec = h.ld.Recorder()
+	h.served(h.svc.Snapshot())
+	h.mux = h.ld.Handler(h.svc.Handler())
+	return h
+}
+
+// served records the state body of snap, a snapshot the leader serves,
+// under the chain value the log recorded for its epoch. A snapshot the
+// log did not record is left out.
+func (h *leaderHarness) served(snap *service.Snapshot) {
+	epoch, chain := h.rec.Epoch()
+	if epoch != snap.Version {
+		return
 	}
-	if recovered != nil {
-		side := recovered.Clone()
-		eng, err := dynamic.Restore(side.Points, side.Alive, side.Base.Thaw(), side.Spanner.Thaw(),
-			dynamic.Options{T: recovered.T, Radius: recovered.Radius, Dim: recovered.Dim})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.InitialVersion = recovered.Epoch
-		svc = service.NewFromEngine(eng, opts)
-		bodies.add(recovered.Epoch, recovered.Encode(), svc)
-	} else {
-		svc, err = service.New(pts, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ld.Genesis(testT, testRadius, 2, svc.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		bodies.add(svc.Snapshot().Version, ld.State().Encode(), svc)
+	st := &wal.State{
+		Epoch: epoch, Chain: chain, T: testT, Radius: testRadius, Dim: 2,
+		Points: snap.Points, Alive: snap.Alive, Live: snap.Live(),
+		Base: snap.Base, Spanner: snap.Spanner,
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/", svc.Handler())
-	mux.HandleFunc("GET /wal/checkpoint", rec.HandleCheckpoint)
-	mux.HandleFunc("GET /wal/stream", rec.HandleStream)
-	return &leaderHarness{svc: svc, ld: ld, rec: rec, bodies: bodies, mux: mux}
+	h.bodies.add(epoch, st.Encode(), h.svc)
 }
 
 // churn applies n random single-op mutation batches.
@@ -273,10 +265,10 @@ func waitForEpoch(t *testing.T, fol *bodyLog, epoch uint64) {
 }
 
 // TestFollowerByteIdentical is the differential proof: under churn, the
-// follower's canonical state body matches the leader's shadow state
-// byte for byte at every single epoch it applies, and the follower's
-// /stats topology numbers (spanner weight, max degree, edge counts) match
-// what the leader served at that epoch bit for bit.
+// follower's canonical state body matches the body of the snapshot the
+// leader served byte for byte at every single epoch it applies, and the
+// follower's /stats topology numbers (spanner weight, max degree, edge
+// counts) match what the leader served at that epoch bit for bit.
 func TestFollowerByteIdentical(t *testing.T) {
 	// The 128-frame ring (4×CheckpointEvery) covers the whole test so the
 	// follower never falls out of the window: every epoch after its
@@ -799,6 +791,43 @@ func TestLeaderRestartFollowerResumes(t *testing.T) {
 	waitForEpoch(t, folBodies, last)
 	for e := stopped + 1; e <= last; e++ {
 		requireSameEpoch(t, "follower across the leader restart", e, h2.bodies, folBodies)
+	}
+}
+
+// TestOpenLeaderDefaults boots a leader whose service options leave T,
+// Radius and Dim to their defaults. The genesis checkpoint must record the
+// effective values, or recovery would hand dynamic.Restore a zero t; and
+// the recovered leader must report the acknowledged epoch before it
+// publishes anything.
+func TestOpenLeaderDefaults(t *testing.T) {
+	fs := faultfs.New()
+	boot := func() (*service.Service, *replica.Leader) {
+		t.Helper()
+		svc, ld, err := replica.OpenLeader(replica.LeaderConfig{
+			WAL:    wal.Options{Dir: "wal", FS: fs, Sync: wal.SyncAlways},
+			Points: func() ([]geom.Point, error) { return testPoints(48), nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc, ld
+	}
+	svc, ld := boot()
+	churn(t, svc, rand.New(rand.NewSource(43)), 5)
+	acked := ld.State().Epoch
+	svc.Close()
+	ld.Abandon()
+
+	svc, ld = boot()
+	defer ld.Close()
+	defer svc.Close()
+	st := ld.State()
+	if st.Epoch != acked || st.T != 1.5 || st.Radius != 1 || st.Dim != 2 {
+		t.Fatalf("recovered epoch %d under t=%v radius=%v dim=%d, want epoch %d under the defaults 1.5, 1, 2",
+			st.Epoch, st.T, st.Radius, st.Dim, acked)
+	}
+	if got := svc.Snapshot().Version; got != acked {
+		t.Fatalf("recovered service serves version %d, want %d", got, acked)
 	}
 }
 

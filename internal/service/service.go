@@ -346,6 +346,10 @@ func (s *Service) Close() {
 // hold it across related queries to get one-version semantics.
 func (s *Service) Snapshot() *Snapshot { return s.snap.Load() }
 
+// Options returns the options the service runs under: defaults applied
+// and, on a leader, T, Radius and Dim as its engine has them.
+func (s *Service) Options() Options { return s.opts }
+
 // Route answers one route query against the current snapshot. Use
 // Snapshot().Route directly when several queries must observe the same
 // version; both paths feed the same serving counters.

@@ -3,7 +3,11 @@ package wal
 // Test-only methods, declared in package wal so that the external wal_test
 // package can call them too.
 
-import "fmt"
+import (
+	"fmt"
+
+	"topoctl/internal/geom"
+)
 
 // Checkpoint forces a full-snapshot checkpoint of st and rotates the log.
 func (r *Recorder) Checkpoint(st *State) error {
@@ -13,4 +17,14 @@ func (r *Recorder) Checkpoint(st *State) error {
 		return fmt.Errorf("wal: checkpoint on closed recorder")
 	}
 	return r.checkpointLocked(st)
+}
+
+// Clone returns an independent copy sharing only the immutable frozen
+// graphs (per-slot points are treated as immutable everywhere), so a test
+// can apply a frame to one copy and keep the other.
+func (s *State) Clone() *State {
+	c := *s
+	c.Points = append([]geom.Point(nil), s.Points...)
+	c.Alive = append([]bool(nil), s.Alive...)
+	return &c
 }

@@ -174,12 +174,3 @@ func decodeFrozen(d *decoder, slots int) (*graph.Frozen, error) {
 	}
 	return graph.FrozenFromRows(rows), nil
 }
-
-// Clone returns an independent copy sharing only the immutable frozen
-// graphs (per-slot points are treated as immutable everywhere).
-func (s *State) Clone() *State {
-	c := *s
-	c.Points = append([]geom.Point(nil), s.Points...)
-	c.Alive = append([]bool(nil), s.Alive...)
-	return &c
-}
