@@ -288,10 +288,14 @@ func BenchmarkRouteLabel(b *testing.B) {
 
 // BenchmarkLabelBuild measures full hub-label construction at the freeze
 // boundary — the cost a labels-enabled topoctld pays per oracle rebuild
-// (stale horizon), not per mutation.
+// (stale horizon), not per mutation. n=16384 is the size route-cold boots
+// with labels on; -short skips it.
 func BenchmarkLabelBuild(b *testing.B) {
-	for _, n := range []int{512, 1024, 4096} {
+	for _, n := range []int{512, 1024, 4096, 16384} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			if n > 4096 && testing.Short() {
+				b.Skip("n=16384 skipped under -short")
+			}
 			inst := benchInstanceDensity(b, n, 8)
 			sp := graph.Freeze(greedy.Spanner(inst.G, 1.5))
 			b.ResetTimer()

@@ -311,37 +311,6 @@ func TestClusterGraphIntraEdgesMatchCoverDistances(t *testing.T) {
 	}
 }
 
-func TestCentersBySize(t *testing.T) {
-	sp := testSpanner(t, 90, 604)
-	cov := GreedyCover(sp, 0.3, nil)
-	before := slices.Clone(cov.Center)
-	order := cov.CentersBySize()
-	if len(order) != len(cov.Centers()) {
-		t.Fatalf("CentersBySize returned %d centers, cover has %d", len(order), len(cov.Centers()))
-	}
-	seen := make(map[int]bool)
-	for i, c := range order {
-		if seen[c] {
-			t.Fatalf("center %d repeated", c)
-		}
-		seen[c] = true
-		if !cov.IsCenter(c) || len(cov.Members(c)) == 0 {
-			t.Fatalf("ordered vertex %d is not a center", c)
-		}
-		if i > 0 {
-			prev := order[i-1]
-			sp1, s := len(cov.Members(prev)), len(cov.Members(c))
-			if sp1 < s || (sp1 == s && prev > c) {
-				t.Fatalf("order violated at %d: center %d (size %d) before %d (size %d)", i, prev, sp1, c, s)
-			}
-		}
-	}
-	// The cover itself must stay untouched.
-	if !slices.Equal(cov.Center, before) {
-		t.Fatal("CentersBySize disturbed the cover's assignment")
-	}
-}
-
 // checkCSR verifies the membership CSR against Center: the Members groups
 // partition [0, n) with v in group Center[v], each group is sorted, Centers
 // is ascending and exactly the vertices with a non-empty group,

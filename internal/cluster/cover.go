@@ -33,7 +33,6 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"topoctl/internal/graph"
 )
@@ -247,23 +246,6 @@ func GreedyCover(g graph.Topology, radius float64, c *Cover) *Cover {
 	PeelCover(g, radius, c.short, c)
 	c.Visits += g.N()
 	return c
-}
-
-// CentersBySize returns the cluster centers ordered by decreasing member
-// count, ties broken by increasing vertex id. Big clusters first is the
-// landmark-quality heuristic the hub-label oracle (internal/labels) seeds
-// its vertex ordering with: a center that covers many vertices sits on many
-// shortest paths, so ranking it early keeps the pruned label sets small.
-func (c *Cover) CentersBySize() []int {
-	out := c.Centers()
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := len(c.Members(out[i])), len(c.Members(out[j]))
-		if si != sj {
-			return si > sj
-		}
-		return out[i] < out[j]
-	})
-	return out
 }
 
 // CoverFromCenters builds a cover with the given centers: every vertex

@@ -68,7 +68,8 @@ func samplePairs(rng *rand.Rand, n, want int) [][2]int {
 
 // TestDifferentialRandomGraphs fuzzes ≥1000 random graphs (mixed density,
 // including disconnected ones) and pins the oracle against the reference
-// kernel on both the adjacency-list and frozen CSR representations.
+// kernel on both the adjacency-list and frozen CSR representations, built
+// in the production hub order and in a random one.
 func TestDifferentialRandomGraphs(t *testing.T) {
 	iters := 1000
 	if testing.Short() {
@@ -80,10 +81,14 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 		p := rng.Float64() * 0.3 // sparse through moderately dense, often disconnected
 		g := randomGraph(rng, n, p)
 		f := graph.Freeze(g)
-		opts := Options{radius: rng.Float64() * 3} // 0 exercises the default
 		pairs := samplePairs(rng, n, 60)
-		checkPairs(t, "graph", Build(g, opts), g, pairs)
-		checkPairs(t, "frozen", Build(f, opts), f, pairs)
+		checkPairs(t, "graph", Build(g, Options{}), g, pairs)
+		checkPairs(t, "frozen", Build(f, Options{}), f, pairs)
+		// The order decides label size, never correctness: any
+		// permutation must give the same answers.
+		perm := Options{order: func(g graph.Topology) []int { return rng.Perm(g.N()) }}
+		checkPairs(t, "graph/random order", Build(g, perm), g, pairs)
+		checkPairs(t, "frozen/random order", Build(f, perm), f, pairs)
 	}
 }
 

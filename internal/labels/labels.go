@@ -14,10 +14,10 @@
 // hubs are processed, for every pair (s, t) the minimum of
 // L(s)[h] + L(t)[h] over common hubs h equals the exact shortest-path
 // distance (and no common hub means unreachable). The rank order decides
-// label size, not correctness; ours seeds it with cluster.GreedyCover
-// centers ordered by member count (the paper's own cluster machinery —
-// centers of big clusters sit on many shortest paths), then the remaining
-// vertices by decreasing degree.
+// label size, not correctness; ours is a nested dissection (hubOrder). A
+// bounded-degree subgraph of a unit ball graph has small balanced
+// separators, and ranking them first, outermost first, is the classic
+// good order for pruned labeling (Abraham et al., ESA 2012).
 //
 // Storage mirrors graph.Frozen: per-vertex (hub, dist) runs live in one
 // flat slab behind a span table, hubs stored as int32 ranks in increasing
@@ -35,26 +35,30 @@
 package labels
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
-	"topoctl/internal/cluster"
 	"topoctl/internal/graph"
 )
 
 // Options configures construction and maintenance policy. Production
-// uses the zero value: the hub order is seeded by a cluster cover of
-// radius 4x the mean edge weight, and Update rebuilds on every 32nd
-// graph-changing commit since the last build.
+// uses the zero value: hubs rank in hubOrder's nested-dissection order,
+// and Update rebuilds on every 32nd graph-changing commit since the last
+// build.
 type Options struct {
-	// radius overrides the cluster-cover radius; the package's tests vary
-	// it. It affects label size only, never correctness.
-	radius float64
+	// order overrides hubOrder; the package's tests vary it. It affects
+	// label size only, never correctness.
+	order func(g graph.Topology) []int
 	// rebuildAfter overrides the rebuild cadence (default 32; 1 means
 	// rebuild on every commit); the package's tests shorten it.
 	rebuildAfter int
 }
 
 func (o *Options) normalize() {
+	if o.order == nil {
+		o.order = hubOrder
+	}
 	if o.rebuildAfter <= 0 {
 		o.rebuildAfter = 32
 	}
@@ -89,10 +93,9 @@ func Build(g graph.Topology, opts Options) *Oracle {
 	n := g.N()
 	o := &Oracle{opts: opts, n: n, spans: make([]span, n)}
 
-	// Hub order: cover centers by decreasing member count, then the rest
-	// by decreasing degree (ties by id). Ranks are what labels store, so
-	// per-vertex runs come out sorted for free.
-	hubOf := hubOrder(g, opts.radius)
+	// Ranks are what labels store, so per-vertex runs come out sorted for
+	// free.
+	hubOf := opts.order(g)
 
 	// Temporary per-vertex lists; flattened into the slab below.
 	type entry struct {
@@ -151,38 +154,103 @@ func Build(g graph.Topology, opts Options) *Oracle {
 	return o
 }
 
-// hubOrder computes the vertex processing order: GreedyCover centers by
-// decreasing member count first, remaining vertices by decreasing degree.
-func hubOrder(g graph.Topology, radius float64) []int {
+// hubOrder returns the vertices in rank order: a nested dissection of g
+// that reads only its adjacency, O(n + m) per level. A connected part is
+// cut between two levels of hops(a, v) − hops(b, v), where the pole a is
+// the vertex farthest from some vertex of the part and b the vertex
+// farthest from a: the sparsest level cut (fewest crossing vertices per
+// |A|·|B|) leaving each side a quarter of the part, else the most balanced.
+// Its a-side vertices with an edge across take the next ranks, by
+// decreasing degree, then id; the components of both sides are cut in
+// turn, breadth-first, so outer separators rank first. A part of at most
+// two vertices ranks its vertices itself.
+func hubOrder(g graph.Topology) []int {
 	n := g.N()
-	if radius <= 0 {
-		if m := g.M(); m > 0 {
-			radius = 4 * g.TotalWeight() / float64(m)
+	part := make([]int, n) // part id; -1 once ranked
+	key, top, buf, q := make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+	cnt, across, next := make([]int, 2*n+1), make([]int, 2*n+1), 1
+	// bfs gives src's part a fresh id and its vertices, in q, their hops
+	// from src in h; it returns the farthest (least id on ties) and the size.
+	bfs := func(src int, h, q []int) (far, size int) {
+		old, id := part[src], next
+		next++
+		part[src], h[src], q[0], far, size = id, 0, src, src, 1
+		for head := 0; head < size; head++ {
+			u := q[head]
+			if h[u] > h[far] || h[u] == h[far] && u < far {
+				far = u
+			}
+			for _, e := range g.Neighbors(u) {
+				if part[e.To] == old {
+					part[e.To], h[e.To], q[size] = id, h[u]+1, e.To
+					size++
+				}
+			}
+		}
+		return far, size
+	}
+	var order, queue, sep []int // queue: the a pole of each part to cut
+	for v := range n {
+		if part[v] == 0 {
+			a, _ := bfs(v, top, q)
+			queue = append(queue, a)
+		}
+	}
+	for ; len(queue) > 0; queue = queue[1:] {
+		b, size := bfs(queue[0], key, buf)
+		bfs(b, top, buf)
+		p, d := buf[:size], key[b]
+		if sep = sep[:0]; size <= 2 {
+			sep = append(sep, p...)
 		} else {
-			radius = 1
+			// key[v] = hops(a, v) − hops(b, v) + d ∈ [0, 2d] and top[v], the
+			// highest key next to v, bound the cuts m that v is across.
+			clear(cnt[:2*d+1])
+			clear(across[:2*d+1])
+			for _, v := range p {
+				key[v] += d - top[v]
+			}
+			for _, v := range p {
+				top[v] = key[v]
+				for _, e := range g.Neighbors(v) {
+					if part[e.To] == part[v] {
+						top[v] = max(top[v], key[e.To])
+					}
+				}
+				cnt[key[v]]++
+				across[key[v]]++
+				across[top[v]]--
+			}
+			m, short, ratio := 0, size, math.Inf(1)
+			for k, below, cut := 0, 0, 0; k < 2*d; k++ {
+				below, cut = below+cnt[k], cut+across[k]
+				s := max(0, size-4*min(below, size-below))
+				if r := float64(cut) / float64(below*(size-below)); s < short || s == short && r < ratio {
+					m, short, ratio = k, s, r
+				}
+			}
+			for _, v := range p {
+				if key[v] > m {
+					part[v] = next
+				} else if top[v] > m {
+					sep = append(sep, v)
+				}
+			}
+			next++
+		}
+		slices.SortFunc(sep, func(u, v int) int { return cmp.Or(g.Degree(v)-g.Degree(u), u-v) })
+		for _, v := range sep {
+			part[v] = -1
+		}
+		order = append(order, sep...)
+		for first, i := next, 0; i < size; i++ {
+			if v := p[i]; part[v] >= 0 && part[v] < first {
+				a, _ := bfs(v, top, q)
+				queue = append(queue, a)
+			}
 		}
 	}
-	order := make([]int, 0, n)
-	placed := make([]bool, n)
-	cov := cluster.GreedyCover(g, radius, nil)
-	for _, c := range cov.CentersBySize() {
-		order = append(order, c)
-		placed[c] = true
-	}
-	rest := make([]int, 0, n-len(order))
-	for v := 0; v < n; v++ {
-		if !placed[v] {
-			rest = append(rest, v)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool {
-		di, dj := g.Degree(rest[i]), g.Degree(rest[j])
-		if di != dj {
-			return di > dj
-		}
-		return rest[i] < rest[j]
-	})
-	return append(order, rest...)
+	return order
 }
 
 // Query answers the exact shortest-path distance between s and t on the

@@ -3,10 +3,14 @@ package labels
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"topoctl/internal/dynamic"
+	"topoctl/internal/geom"
 	"topoctl/internal/graph"
 	"topoctl/internal/graph/graphtest"
+	"topoctl/internal/ubg"
 )
 
 // pathGraph returns 0-1-2-...-(n-1) with unit weights.
@@ -199,5 +203,52 @@ func TestStats(t *testing.T) {
 	}
 	if st.Stale || st.StaleCommits != 0 {
 		t.Fatalf("fresh oracle should be clean: %+v", st)
+	}
+}
+
+// TestHubOrderIsPermutation pins hubOrder's contract: a permutation of
+// 0..n−1, identical across calls, on the shapes a build meets — nothing,
+// one vertex, a path, several components and an engine export whose dead
+// slots are isolated vertices.
+func TestHubOrderIsPermutation(t *testing.T) {
+	disconnected := randomGraph(rand.New(rand.NewSource(5)), 40, 0.04)
+	pts := geom.GeneratePoints(geom.CloudConfig{N: 48, Dim: 2, Side: ubg.DensitySide(48, 2, 1, 6), Seed: 9})
+	eng, err := dynamic.New(pts, dynamic.Options{T: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{3, 17, 30} {
+		if err := eng.Leave(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, _, export := eng.ExportFrozen()
+	if export.N() != 48 || export.Degree(17) != 0 {
+		t.Fatalf("export has %d slots, dead slot 17 has degree %d", export.N(), export.Degree(17))
+	}
+	for _, tc := range []struct {
+		name string
+		g    graph.Topology
+	}{
+		{"empty", graph.New(0)},
+		{"singleton", graph.New(1)},
+		{"path", pathGraph(9)},
+		{"disconnected", disconnected},
+		{"export with dead slots", export},
+	} {
+		order := hubOrder(tc.g)
+		if len(order) != tc.g.N() {
+			t.Fatalf("%s: %d ranks for %d vertices", tc.name, len(order), tc.g.N())
+		}
+		seen := make([]bool, tc.g.N())
+		for _, v := range order {
+			if v < 0 || v >= tc.g.N() || seen[v] {
+				t.Fatalf("%s: %v is not a permutation", tc.name, order)
+			}
+			seen[v] = true
+		}
+		if again := hubOrder(tc.g); !slices.Equal(order, again) {
+			t.Fatalf("%s: order changed between calls: %v then %v", tc.name, order, again)
+		}
 	}
 }

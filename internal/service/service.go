@@ -75,13 +75,14 @@ type Options struct {
 	// rebuild horizon, and /distance queries answer from an
 	// allocation-free label intersection instead of an A* search, falling
 	// back to the search when the oracle cannot certify (after any
-	// graph-changing commit, until its rebuild horizon). Off by default — a full label build costs 0.29 s at
-	// n=4096 and 4.0 s at n=16384 (≈90 % of a boot at either size), which
+	// graph-changing commit, until its rebuild horizon). Off by default — a
+	// full label build costs 0.2 s at n=4096 and 2.6 s at n=16384
+	// (BenchmarkLabelBuild, one core), most of a boot at either size, which
 	// embedded/test users may not want.
 	Labels bool
 	// LabelsMaxN caps the deployment size the oracle is built for: label
-	// construction grows roughly quadratically in the vertex count (0.29 s
-	// at n=4096, 4.0 s at n=16384; 1744 B/vtx at n=4096), so a
+	// construction grows about like n^1.9 in the vertex count (0.2 s at
+	// n=4096, 2.6 s at n=16384; 1280 B/vtx at n=4096), so a
 	// million-vertex boot must not sink into it silently. Above the cap
 	// Labels is ignored and /distance falls back to the search core. Zero
 	// means DefaultLabelsMaxN; negative removes the cap.
@@ -220,8 +221,9 @@ func New(points []geom.Point, opts Options) (*Service, error) {
 }
 
 // DefaultLabelsMaxN is the deployment size above which Options.Labels is
-// ignored unless LabelsMaxN raises the cap. Past ~16k vertices the first
-// label build costs tens of seconds and its slabs rival the graph itself.
+// ignored unless LabelsMaxN raises the cap. At the cap a label build costs
+// 2.6 s, and each doubling of n past it nearly quadruples that; the label
+// slabs rival the graph itself.
 const DefaultLabelsMaxN = 16384
 
 // NewFromEngine starts a service over an existing engine — the WAL

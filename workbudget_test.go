@@ -117,18 +117,19 @@ func TestWorkBudget(t *testing.T) {
 		{"service commit, one move/n=4096", func() (counts, error) {
 			return commitWork(inst.Points)
 		}, counts{"allocations": 19, "bytes": 187_500}},
-		// Measured: 101 allocations, 1,170,896 bytes, of which the frame
-		// record's fresh gzip writer is about 822,000. A leader that also
-		// advanced a copy of its topology over its own frames took 125
-		// and 1,405,888. Headroom 10 %.
+		// Measured: 86 allocations, 357,176 bytes, with the frame record's
+		// gzip writer taken from a pool. A fresh writer per record took
+		// 101 and 1,170,896; a leader that also advanced a copy of its
+		// topology over its own frames, 125 and 1,405,888. Headroom 10 %.
 		{"durable commit, 4 moves/n=4096", func() (counts, error) {
 			return durableCommitWork(inst.Points)
-		}, counts{"allocations": 111, "bytes": 1_288_000}},
-		// Measured: 144.68 entries per vertex.
+		}, counts{"allocations": 95, "bytes": 393_000}},
+		// Measured: 106.00 entries per vertex in the nested-dissection
+		// hub order; the cluster-cover order took 144.68.
 		{"labels.Build/n=4096", func() (counts, error) {
 			st := labels.Build(sp, labels.Options{}).Stats()
 			return counts{"entries/vertex": float64(st.Entries) / float64(st.Vertices)}, nil
-		}, counts{"entries/vertex": 144.7}},
+		}, counts{"entries/vertex": 106.0}},
 	} {
 		got, err := row.count()
 		if err != nil {
