@@ -1,5 +1,5 @@
 # Development targets. `make check` is the tier-1 gate; `make ci` is what a
-# CI job should run (check + race + benchmark smoke).
+# CI job should run (check + race + fuzz-short + benchmark smoke).
 
 GO ?= go
 
@@ -215,4 +215,4 @@ recover-smoke:
 build-large-smoke:
 	BUILD_LARGE=1 $(GO) test -run '^TestBuildLargeSmoke$$' -v -timeout 300s .
 
-ci: check race bench bench-check bench-quick serve-smoke recover-smoke build-large-smoke
+ci: check race fuzz-short bench bench-check bench-quick serve-smoke recover-smoke build-large-smoke

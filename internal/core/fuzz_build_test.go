@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -11,11 +12,13 @@ import (
 	"topoctl/internal/ubg"
 )
 
-// FuzzBuild runs both builders on degenerate input. The first byte picks
-// ε ∈ {0.5, 1}; each later byte, up to 48, is a point of a 16 × 16 grid
-// of step α/8 (α = 0.75), low nibble x and high nibble y, so coincident
-// points, zero-weight edges, collinear runs and tied lengths are common.
-// On the α-UBG of the points, every grey-zone pair connected, it checks:
+// FuzzBuild runs both builders on degenerate input. The first byte's bit
+// 0 picks ε ∈ {0.5, 1}, bits 1–2 the grey-zone model (all, none,
+// Bernoulli p = 0.5, falloff) and bits 3–7 the grey-zone seed; each later
+// byte, up to 48, is a point of a 16 × 16 grid of step α/8 (α = 0.75),
+// low nibble x and high nibble y, so coincident points, zero-weight edges,
+// collinear runs and tied lengths are common. On the α-quasi UBG of the
+// points it checks:
 //   - core.Build equals, edge for edge, the replay of its phases with H
 //     in every phase and redundancy balls of radius t1·W_i
 //     (core.ReplayPhases), and every replayed phase's scan within
@@ -23,7 +26,9 @@ import (
 //   - dist.Build with the greedy MIS equals core.Build, edges and Stats;
 //   - the spanner's stretch is at most t.
 //
-// The seed corpus runs in the ordinary test pass.
+// The seed corpus runs in the ordinary test pass. Its committed
+// falloff-covered-alpha seed, found by a short fuzz run, fails the stretch
+// check when the covered-edge filter tests |zv| ≤ 1 in place of ≤ α.
 func FuzzBuild(f *testing.F) {
 	// The minimal coincident case: two points at the origin and one
 	// 5 steps (≈ 0.47) away.
@@ -39,21 +44,28 @@ func FuzzBuild(f *testing.F) {
 	lattice = append(lattice, 0x00, 0x33, 0x36, 0x99)
 	f.Add(lattice)
 	f.Add(append([]byte{1}, lattice[1:]...))
+	// The lattice on each other grey-zone model: none, Bernoulli with
+	// seed 1, falloff with seed 2.
+	for _, b := range []byte{1 << 1, 1<<3 | 2<<1, 2<<3 | 3<<1} {
+		f.Add(append([]byte{b}, lattice[1:]...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
 		const alpha = 0.75
 		eps := []float64{0.5, 1}[data[0]%2]
+		cfg := ubg.Config{Alpha: alpha, Model: ubg.ModelAll + ubg.Model(data[0]>>1&3), P: 0.5, Seed: int64(data[0] >> 3)}
 		data = data[1:min(len(data), 49)]
 		pts := make([]geom.Point, len(data))
 		for i, b := range data {
 			pts[i] = geom.Point{float64(b&15) * alpha / 8, float64(b>>4) * alpha / 8}
 		}
-		g, err := ubg.Build(pts, ubg.Config{Alpha: alpha, Model: ubg.ModelAll})
+		g, err := ubg.Build(pts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		at := fmt.Sprintf("points %v, ε=%v, %v grey zone, seed %d", pts, eps, cfg.Model, cfg.Seed)
 		p, err := core.NewParams(eps, alpha, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -65,20 +77,20 @@ func FuzzBuild(f *testing.F) {
 		want := seq.Spanner.Edges()
 		replay, err := core.ReplayPhases(pts, g, p)
 		if err != nil {
-			t.Fatalf("points %v, ε=%v: %v", pts, eps, err)
+			t.Fatalf("%s: %v", at, err)
 		}
 		if got := replay.Edges(); !slices.Equal(got, want) {
-			t.Fatalf("points %v, ε=%v: core.Build %v, replayed phases %v", pts, eps, want, got)
+			t.Fatalf("%s: core.Build %v, replayed phases %v", at, want, got)
 		}
 		res, err := dist.Build(pts, g, dist.Options{Params: p, UseGreedyMIS: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := res.Spanner.Edges(); !slices.Equal(got, want) || res.Stats != seq.Stats {
-			t.Fatalf("points %v, ε=%v: dist.Build %v %+v, core.Build %v %+v", pts, eps, got, res.Stats, want, seq.Stats)
+			t.Fatalf("%s: dist.Build %v %+v, core.Build %v %+v", at, got, res.Stats, want, seq.Stats)
 		}
 		if s := metrics.Stretch(g, seq.Spanner); s > p.T {
-			t.Fatalf("points %v, ε=%v: stretch %v exceeds t = %v", pts, eps, s, p.T)
+			t.Fatalf("%s: stretch %v exceeds t = %v", at, s, p.T)
 		}
 	})
 }

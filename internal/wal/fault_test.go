@@ -2,8 +2,13 @@ package wal_test
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"maps"
 	"strings"
 	"testing"
 
@@ -483,4 +488,88 @@ func TestRecoveryStopsAtFork(t *testing.T) {
 		t.Fatal("recovered state differs from history A at the fork")
 	}
 	advance(t, r2, st2, 1)
+}
+
+// gzipRecord builds a record in the retired TWF1 envelope: the same
+// header fields over a gzip-compressed payload. kind 1 is a frame, 2 a
+// checkpoint.
+func gzipRecord(kind byte, payload []byte) []byte {
+	var z bytes.Buffer
+	zw := gzip.NewWriter(&z)
+	zw.Write(payload)
+	zw.Close()
+	b := append([]byte("TWF1"), kind)
+	b = binary.LittleEndian.AppendUint32(b, uint32(z.Len()))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(z.Bytes()))
+	return append(b, z.Bytes()...)
+}
+
+// TestGzipEnvelopeRefused reads well-formed TWF1 frame and checkpoint
+// records through both record lenses: each is refused as corrupt, naming
+// the old gzip envelope, rather than misread.
+func TestGzipEnvelopeRefused(t *testing.T) {
+	st := genesis(6)
+	for _, rec := range [][]byte{gzipRecord(1, nextFrame(st).Encode()), gzipRecord(2, st.Encode())} {
+		_, ferr := wal.NewRecordReader(bytes.NewReader(rec)).NextFrame()
+		_, cerr := wal.NewRecordReader(bytes.NewReader(rec)).NextCheckpoint()
+		for _, err := range []error{ferr, cerr} {
+			if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "gzip") {
+				t.Fatalf("kind %d: err=%v, want corrupt naming the gzip envelope", rec[4], err)
+			}
+		}
+	}
+}
+
+// TestOpenRefusesGzipDirectory opens a directory written in the TWF1
+// envelope — one checkpoint and a log of two frames. Open must fail and
+// leave every file byte-identical: nothing truncated, pruned or
+// re-checkpointed.
+func TestOpenRefusesGzipDirectory(t *testing.T) {
+	fs := faultfs.New()
+	st := genesis(6)
+	ckpt := gzipRecord(2, st.Encode())
+	var log []byte
+	for i := 0; i < 2; i++ {
+		f := nextFrame(st)
+		if err := st.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, gzipRecord(1, f.Encode())...)
+	}
+	for name, body := range map[string][]byte{
+		"wal/" + ckptname(0):                ckpt,
+		fmt.Sprintf("wal/wal-%016d.log", 0): log,
+	} {
+		f, err := fs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(body)
+		f.Sync()
+		f.Close()
+	}
+	contents := func() map[string]string {
+		m := map[string]string{}
+		for _, name := range fs.Files() {
+			f, err := fs.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(f)
+			f.Close()
+			m[name] = string(b)
+		}
+		return m
+	}
+	before := contents()
+	_, got, err := wal.Open(wal.Options{Dir: "wal", FS: fs, Sync: wal.SyncAlways})
+	if err == nil || got != nil {
+		t.Fatalf("Open of a TWF1 directory: state %v, err %v; want an error", got, err)
+	}
+	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "gzip") {
+		t.Errorf("err=%v, want corrupt naming the gzip envelope", err)
+	}
+	if after := contents(); !maps.Equal(after, before) {
+		t.Fatalf("Open changed the directory: %d files before, %d after", len(before), len(after))
+	}
 }

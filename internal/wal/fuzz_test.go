@@ -49,13 +49,15 @@ func fuzzSeedFrame() *Frame {
 }
 
 // recordSeeds returns byte-stream seeds for the record scanner: a clean
-// two-record stream, a torn tail, a flipped CRC, and junk.
+// two-record stream, a torn tail, a flipped CRC, an unknown kind, and
+// junk. The committed seed-N files hold the same shapes in the retired
+// gzip envelope "TWF1"; they are kept as written and now pin its refusal.
 func recordSeeds(t testing.TB) [][]byte {
 	frame := encodeRecord(kindFrame, fuzzSeedFrame().Encode())
 	stream := append(append([]byte(nil), frame...), frame...)
 	torn := stream[:len(stream)-7]
 	flipped := append([]byte(nil), frame...)
-	flipped[len(flipped)-3] ^= 0x40
+	flipped[10] ^= 0x40
 	badKind := append([]byte(nil), frame...)
 	badKind[4] = 9
 	return [][]byte{
@@ -64,7 +66,7 @@ func recordSeeds(t testing.TB) [][]byte {
 		torn,
 		flipped,
 		badKind,
-		[]byte("TWF1 but not really"),
+		[]byte("TWF2 but not really"),
 		bytes.Repeat([]byte{0xff}, 64),
 	}
 }
@@ -119,8 +121,8 @@ func checkStreamErr(t *testing.T, err error) {
 	}
 }
 
-// FuzzDecodeFrame fuzzes the frame payload decoder directly (post-gzip
-// bytes). Beyond no-panic, it pins the encode→decode→encode fixed point:
+// FuzzDecodeFrame fuzzes the frame payload decoder directly (a record's
+// payload). Beyond no-panic, it pins the encode→decode→encode fixed point:
 // anything DecodeFrame accepts must re-encode to a stable canonical form
 // (byte equality with the input is NOT required — e.g. a nonzero alive
 // byte decodes to true and re-encodes as 1 — but one round trip must
@@ -202,8 +204,8 @@ func TestWriteSeedCorpus(t *testing.T) {
 	valid := fuzzSeedFrame().Encode()
 	mangled := append([]byte(nil), valid...)
 	mangled[8] ^= 0xff
-	writeCorpus(t, "FuzzRecordStream", recordSeeds(t))
-	writeCorpus(t, "FuzzDecodeFrame", [][]byte{valid, valid[:len(valid)-5], mangled})
+	writeCorpus(t, "FuzzRecordStream", "twf2-", recordSeeds(t))
+	writeCorpus(t, "FuzzDecodeFrame", "seed-", [][]byte{valid, valid[:len(valid)-5], mangled})
 	g := graph.New(3)
 	g.AddEdge(0, 1, 1.5)
 	g.AddEdge(1, 2, 0.5)
@@ -211,10 +213,10 @@ func TestWriteSeedCorpus(t *testing.T) {
 		Points: []geom.Point{{0, 0}, {1, 0}, nil}, Alive: []bool{true, true, false},
 		Live: 2, Base: graph.Freeze(g), Spanner: graph.Freeze(g)}
 	sv := st.Encode()
-	writeCorpus(t, "FuzzDecodeState", [][]byte{sv, sv[:len(sv)/2]})
+	writeCorpus(t, "FuzzDecodeState", "seed-", [][]byte{sv, sv[:len(sv)/2]})
 }
 
-func writeCorpus(t *testing.T, target string, seeds [][]byte) {
+func writeCorpus(t *testing.T, target, prefix string, seeds [][]byte) {
 	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", target)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -222,7 +224,7 @@ func writeCorpus(t *testing.T, target string, seeds [][]byte) {
 	}
 	for i, s := range seeds {
 		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(s)) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, "seed-"+strconv.Itoa(i)), []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, prefix+strconv.Itoa(i)), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

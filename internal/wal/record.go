@@ -1,35 +1,39 @@
 package wal
 
 import (
-	"bytes"
-	"compress/gzip"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
+	"slices"
 )
 
 // Record envelope, the unit of both the on-disk log and the follower
 // stream:
 //
-//	u32  magic "TWF1"
+//	u32  magic "TWF2"
 //	u8   kind (frame | checkpoint)
-//	u32  compressed payload length
-//	u32  CRC32 (IEEE) of the compressed payload
-//	...  gzip(payload)
+//	u32  payload length
+//	u32  CRC32 (IEEE) of the payload
+//	...  payload
 //
 // The length lets a reader skip to the next record; the CRC catches bit
 // rot and torn interiors; a short read against the length is the torn-
-// tail signal recovery truncates on. Payloads are gzip-compressed the
-// same way netio ships instances — adjacency rows share long runs of
-// float bit patterns and compress well.
+// tail signal recovery truncates on. Payloads are written raw: the hash
+// chain already covers each frame body, and compression cost more CPU per
+// commit, checkpoint and recovery than the bytes it saved were worth.
+// Records of the earlier "TWF1" envelope, which gzipped the payload, are
+// refused as corrupt.
 const (
-	recordMagic   = 0x31465754 // "TWF1" little-endian
+	recordMagic   = 0x32465754 // "TWF2" little-endian
+	gzipMagic     = 0x31465754 // "TWF1", the retired gzip envelope
 	recordHdrSize = 13
 	// maxPayload bounds a single record so a corrupt length field cannot
-	// become a giant allocation. Checkpoints of million-node topologies
-	// fit comfortably.
+	// claim more than a million-node checkpoint needs.
 	maxPayload = 1 << 30
+	// minChunk is the first read of a record body. Each later read asks
+	// for as many bytes again as have arrived, so a header that claims a
+	// large body costs memory only as the body's bytes come in.
+	minChunk = 64 << 10
 )
 
 // Record kinds.
@@ -38,29 +42,14 @@ const (
 	kindCheckpoint = 2
 )
 
-// gzipWriters pools the record compressors: a fresh gzip.Writer
-// allocates about 800 KB of deflate state, more than the rest of a
-// durable commit. Reset restores a writer to exactly the state NewWriter
-// builds, so a pooled writer's output is byte-identical to a fresh one's.
-var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
-
 // encodeRecord wraps payload in the record envelope.
 func encodeRecord(kind uint8, payload []byte) []byte {
-	var z bytes.Buffer
-	zw := gzipWriters.Get().(*gzip.Writer)
-	zw.Reset(&z)
-	zw.Write(payload)
-	zw.Close()
-	zw.Reset(nil) // drop the reference to z before pooling
-	gzipWriters.Put(zw)
-	comp := z.Bytes()
-
-	b := make([]byte, 0, recordHdrSize+len(comp))
+	b := make([]byte, 0, recordHdrSize+len(payload))
 	b = appendU32(b, recordMagic)
 	b = appendU8(b, kind)
-	b = appendU32(b, uint32(len(comp)))
-	b = appendU32(b, crc32.ChecksumIEEE(comp))
-	return append(b, comp...)
+	b = appendU32(b, uint32(len(payload)))
+	b = appendU32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
 }
 
 // RecordReader iterates the records of one log or checkpoint file, or of
@@ -86,9 +75,9 @@ func (rr *RecordReader) full(p []byte) error {
 	return err
 }
 
-// next returns the kind and decompressed payload of the next record.
-// io.EOF means a clean end exactly at a record boundary; ErrTorn means the
-// stream ended mid-record; ErrCorrupt means the bytes are wrong.
+// next returns the kind and payload of the next record. io.EOF means a
+// clean end exactly at a record boundary; ErrTorn means the stream ended
+// mid-record; ErrCorrupt means the bytes are wrong.
 func (rr *RecordReader) next() (kind uint8, payload []byte, err error) {
 	hdr := make([]byte, recordHdrSize)
 	if err := rr.full(hdr); err != nil {
@@ -100,34 +89,30 @@ func (rr *RecordReader) next() (kind uint8, payload []byte, err error) {
 	d := &decoder{b: hdr}
 	magic := d.u32()
 	kind = d.u8()
-	clen := int(d.u32())
+	n := int(d.u32())
 	crc := d.u32()
+	if magic == gzipMagic {
+		return 0, nil, fmt.Errorf("%w: record uses the old gzip envelope TWF1, which this version does not read", ErrCorrupt)
+	}
 	if magic != recordMagic {
 		return 0, nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
 	}
 	if kind != kindFrame && kind != kindCheckpoint {
 		return 0, nil, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
 	}
-	if clen < 0 || clen > maxPayload {
-		return 0, nil, fmt.Errorf("%w: implausible record length %d", ErrCorrupt, clen)
+	if n < 0 || n > maxPayload {
+		return 0, nil, fmt.Errorf("%w: implausible record length %d", ErrCorrupt, n)
 	}
-	comp := make([]byte, clen)
-	if err := rr.full(comp); err != nil {
-		return 0, nil, fmt.Errorf("%w: body cut short: %v", ErrTorn, err)
+	for len(payload) < n {
+		k := min(n-len(payload), max(len(payload), minChunk))
+		payload = slices.Grow(payload, k)
+		if err := rr.full(payload[len(payload) : len(payload)+k]); err != nil {
+			return 0, nil, fmt.Errorf("%w: body cut short: %v", ErrTorn, err)
+		}
+		payload = payload[:len(payload)+k]
 	}
-	if got := crc32.ChecksumIEEE(comp); got != crc {
+	if got := crc32.ChecksumIEEE(payload); got != crc {
 		return 0, nil, fmt.Errorf("%w: crc mismatch %#x != %#x", ErrCorrupt, got, crc)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(comp))
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	payload, err = io.ReadAll(io.LimitReader(zr, maxPayload))
-	if cerr := zr.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	rr.good = rr.n
 	return kind, payload, nil

@@ -404,14 +404,17 @@ func recoverDir(fs FS, dir string) (*State, error) {
 	}
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] > ckpts[j] })
 	var st *State
+	var newestErr error
 	for _, e := range ckpts {
-		st = loadCheckpoint(fs, path.Join(dir, ckptName(e)), e)
-		if st != nil {
+		if st, err = loadCheckpoint(fs, path.Join(dir, ckptName(e)), e); err == nil {
 			break
+		}
+		if newestErr == nil {
+			newestErr = err
 		}
 	}
 	if st == nil {
-		return nil, fmt.Errorf("wal: no valid checkpoint among %d candidates in %s", len(ckpts), dir)
+		return nil, fmt.Errorf("wal: no valid checkpoint among %d candidates in %s (newest: %w)", len(ckpts), dir, newestErr)
 	}
 	sort.Slice(logs, func(i, j int) bool { return logs[i] < logs[j] })
 	for _, e := range logs {
@@ -429,19 +432,22 @@ func recoverDir(fs FS, dir string) (*State, error) {
 	return st, nil
 }
 
-// loadCheckpoint reads and validates one checkpoint file; nil on any
-// damage (the caller falls back to an older generation).
-func loadCheckpoint(fs FS, name string, epoch uint64) *State {
+// loadCheckpoint reads and validates one checkpoint file; on any damage
+// the caller falls back to an older generation.
+func loadCheckpoint(fs FS, name string, epoch uint64) (*State, error) {
 	f, err := fs.Open(name)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	defer f.Close()
 	st, err := NewRecordReader(f).NextCheckpoint()
-	if err != nil || st.Epoch != epoch {
-		return nil
+	if err != nil {
+		return nil, err
 	}
-	return st
+	if st.Epoch != epoch {
+		return nil, fmt.Errorf("%w: %s holds epoch %d", ErrCorrupt, name, st.Epoch)
+	}
+	return st, nil
 }
 
 // replayLog applies one log file's frames to st. It returns done=true

@@ -2,10 +2,9 @@ package wal
 
 import (
 	"bytes"
-	"compress/gzip"
 	"errors"
-	"hash/crc32"
 	"io"
+	"runtime"
 	"testing"
 
 	"topoctl/internal/geom"
@@ -77,33 +76,24 @@ func TestRecordRoundtrip(t *testing.T) {
 	}
 }
 
-// TestPooledRecordMatchesFresh pins the compressor pool: consecutive frame
-// and checkpoint records, each from a writer the previous record used,
-// are byte-equal to the envelope around a fresh gzip.Writer's output.
-func TestPooledRecordMatchesFresh(t *testing.T) {
-	fresh := func(kind uint8, payload []byte) []byte {
-		var z bytes.Buffer
-		zw := gzip.NewWriter(&z)
-		zw.Write(payload)
-		zw.Close()
-		b := appendU8(appendU32(nil, recordMagic), kind)
-		b = appendU32(appendU32(b, uint32(z.Len())), crc32.ChecksumIEEE(z.Bytes()))
-		return append(b, z.Bytes()...)
+// TestRecordHeaderCannotReserveBody feeds a header that claims a 64 MiB
+// body followed by 10 bytes, the shape a follower may read off
+// GET /wal/stream: the reader must report a torn record having allocated
+// memory for the bytes that arrived, not for the length the header claims.
+func TestRecordHeaderCannotReserveBody(t *testing.T) {
+	in := appendU8(appendU32(nil, recordMagic), kindFrame)
+	in = appendU32(appendU32(in, 64<<20), 0)
+	in = append(in, make([]byte, 10)...)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := NewRecordReader(bytes.NewReader(in)).next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTorn) {
+		t.Fatalf("err=%v, want torn", err)
 	}
-	st := testGenesis(64)
-	for i := 0; i < 6; i++ {
-		f := testFrame(st, st.Epoch+1)
-		if err := st.Apply(f); err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range []struct {
-			kind    uint8
-			payload []byte
-		}{{kindFrame, f.Encode()}, {kindCheckpoint, st.Encode()}} {
-			if got, want := encodeRecord(rec.kind, rec.payload), fresh(rec.kind, rec.payload); !bytes.Equal(got, want) {
-				t.Fatalf("epoch %d kind %d: pooled record differs from a fresh writer's", st.Epoch, rec.kind)
-			}
-		}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a 23-byte record allocated %d B", got)
 	}
 }
 

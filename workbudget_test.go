@@ -117,13 +117,12 @@ func TestWorkBudget(t *testing.T) {
 		{"service commit, one move/n=4096", func() (counts, error) {
 			return commitWork(inst.Points)
 		}, counts{"allocations": 19, "bytes": 187_500}},
-		// Measured: 86 allocations, 357,176 bytes, with the frame record's
-		// gzip writer taken from a pool. A fresh writer per record took
-		// 101 and 1,170,896; a leader that also advanced a copy of its
-		// topology over its own frames, 125 and 1,405,888. Headroom 10 %.
+		// Measured: 76 allocations, 355,008 bytes, with the frame record
+		// written raw; gzip from a pooled writer took 86 and 357,176.
+		// Headroom 10 %.
 		{"durable commit, 4 moves/n=4096", func() (counts, error) {
 			return durableCommitWork(inst.Points)
-		}, counts{"allocations": 95, "bytes": 393_000}},
+		}, counts{"allocations": 84, "bytes": 391_000}},
 		// Measured: 106.00 entries per vertex in the nested-dissection
 		// hub order; the cluster-cover order took 144.68.
 		{"labels.Build/n=4096", func() (counts, error) {
